@@ -528,9 +528,8 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
                  let stats = outcome.search_stats in
                  Printf.printf
                    "  jobs=%d  enumerate %.3fs (%.0f points/s)  tune %.3fs  \
-                    estimates %d (%.0f/s)\n%!"
-                   j enum_s points_per_s tune_s stats.estimated
-                   (float_of_int stats.estimated /. Float.max explore_s 1e-9);
+                    estimated %d\n%!"
+                   j enum_s points_per_s tune_s stats.estimated;
                  ( Mcf_util.Json.Obj
                      [ ("jobs", num j);
                        ("wall_s", Num enum_s);
@@ -540,9 +539,6 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
                        ("wall_s", Num tune_s);
                        ("explore_wall_s", Num explore_s);
                        ("estimated", num stats.estimated);
-                       ("estimates_per_s",
-                        Num (float_of_int stats.estimated
-                             /. Float.max explore_s 1e-9));
                        ("measured", num stats.measured);
                        ("best_time_s", Num outcome.kernel_time_s) ] ))
                jobs_list)

@@ -31,13 +31,13 @@ let tune spec (chain : Mcf_ir.Chain.t) =
   let rng = Mcf_util.Rng.create seed in
   let clock = Mcf_gpu.Clock.create () in
   let run () =
-    let entries, _ =
-      Mcf_search.Space.enumerate ~options:space_options spec chain
+    let entries, scores, _ =
+      Mcf_search.Space.enumerate_scored ~options:space_options spec chain
     in
     Mcf_gpu.Clock.charge clock 2.0;
     match
-      Mcf_search.Explore.run ~estimator:data_movement_estimator ~rng ~clock
-        spec entries
+      Mcf_search.Explore.run ~estimator:data_movement_estimator ~scores ~rng
+        ~clock spec entries
     with
     | None -> Error (Backend.Unsupported "no viable candidate")
     | Some { best; best_time_s; _ } -> (

@@ -16,8 +16,9 @@
    Exactness is by construction, not approximation: every term the
    lowered walk sums is an integer-valued float far below 2^53
    (tile elements x trips x bytes), so floating-point addition is exact
-   and order-independent, and the per-term expressions here are copied
-   operator-for-operator from [Lower] / [Perf].  test_model.ml sweeps all
+   and order-independent, the per-term expressions here are copied
+   operator-for-operator from [Lower], and both paths finish through the
+   one [Perf.of_aggregates] formula.  test_model.ml sweeps all
    workloads x flag combos asserting bit-equality of all four breakdown
    fields and the verdict. *)
 
@@ -502,12 +503,9 @@ let evaluate ~elem_bytes (s : summary) (cand : Candidate.t) =
     traffic_bytes = bytes_per_block *. blocks;
     everdict = s.sverdict }
 
-let breakdown_of_eval (spec : Mcf_gpu.Spec.t) (e : eval) =
-  (* Copied expression-for-expression from Perf.breakdown. *)
-  let t_mem = e.traffic_bytes /. spec.mem_bw in
-  let t_comp = e.flops_per_block *. e.blocks /. spec.peak_flops in
-  let alpha = (e.blocks +. float_of_int spec.sm_count) /. e.blocks in
-  { Perf.t_mem; t_comp; alpha; t_total = (t_mem +. t_comp) *. alpha }
+let breakdown_of_eval spec (e : eval) =
+  Perf.of_aggregates spec ~traffic_bytes:e.traffic_bytes
+    ~flops_per_block:e.flops_per_block ~blocks:e.blocks
 
 let eval_candidate ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
   evaluate ~elem_bytes (summarize ?rule1 ?dead_loop_elim ?hoisting chain cand)

@@ -23,7 +23,19 @@ type breakdown = {
   t_total : float;
 }
 
+val of_aggregates :
+  Mcf_gpu.Spec.t ->
+  traffic_bytes:float ->
+  flops_per_block:float ->
+  blocks:float ->
+  breakdown
+(** Eqs. (2)-(5) over the three aggregates they consume: total bytes
+    moved (grid included), FLOPs per thread block and the block count.
+    The single formula behind both {!breakdown} and the closed-form
+    {!Analytic.breakdown_of_eval}. *)
+
 val breakdown : Mcf_gpu.Spec.t -> Mcf_ir.Lower.t -> breakdown
+(** {!of_aggregates} over a lowered program's aggregates. *)
 
 val estimate : Mcf_gpu.Spec.t -> Mcf_ir.Lower.t -> float
 (** [t_total] only. *)

@@ -6,8 +6,8 @@
     - [/metrics] — the whole {!Metrics} registry in Prometheus text
       exposition format 0.0.4.  Registry names map 1:1 onto exposition
       names as [mcfuser_] + the name with every non-[[A-Za-z0-9_]]
-      character replaced by [_] (so [explore.estimate_s] becomes
-      [mcfuser_explore_estimate_s]); no [_total] suffix is appended.
+      character replaced by [_] (so [explore.measure_s] becomes
+      [mcfuser_explore_measure_s]); no [_total] suffix is appended.
       Counters and gauges are single samples; log-scale histograms
       become cumulative [_bucket{le="..."}] series (one bucket per
       power of two actually hit, plus the mandatory [le="+Inf"] bucket)

@@ -105,7 +105,6 @@ let of_search_doc ?time ?rev doc =
           in
           let metrics =
             metric "points_per_s" enum_row
-            @ metric "estimates_per_s" tune_row
             @ (match tune_row with
               | Some row -> (
                 match num "wall_s" row with

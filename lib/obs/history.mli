@@ -2,8 +2,8 @@
 
     Bench runs append one JSONL entry per workload to a history file
     (default [BENCH_history.jsonl]): timestamp, git revision, device,
-    workload, and a flat metric map ([points_per_s], [estimates_per_s],
-    [tune_wall_s], [best_time_s], [peak_heap_words], ...).  [mcfuser
+    workload, and a flat metric map ([points_per_s], [tune_wall_s],
+    [best_time_s], [peak_heap_words], ...).  [mcfuser
     perf] then renders per-workload trends as sparkline tables and, with
     [--gate], compares the newest run against a {e robust baseline} —
     median plus median-absolute-deviation over a trailing window — and

@@ -84,15 +84,15 @@ val observe_timed : Metrics.histogram -> (unit -> 'a) -> 'a
 
 val ancestry : unit -> string list
 (** The calling domain's current enclosing-span stack (innermost first),
-    for handing to {!with_ancestry} in a spawned domain. *)
+    for handing to {!with_ancestry} in a pool task. *)
 
 val with_ancestry : string list -> (unit -> 'a) -> 'a
 (** Run the thunk with this domain's span stack seeded from an ancestry
     captured elsewhere with {!ancestry}: spans opened inside nest under
     the capturing domain's path instead of becoming new roots.  The
     previous stack is restored on exit, even on raise.  Used by pipeline
-    stages that spawn their own domain (the streaming enumeration's
-    generator) so the trace keeps one logical tree. *)
+    stages whose work runs on other domains (the measurement engine's
+    pool tasks) so the trace keeps one logical tree. *)
 
 val to_chrome_json : unit -> Mcf_util.Json.t
 (** Chrome [trace_event] document: ["X"] (complete) events under

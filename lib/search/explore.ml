@@ -7,7 +7,6 @@ let c_runs = Mcf_obs.Metrics.counter "explore.runs"
 let c_generations = Mcf_obs.Metrics.counter "explore.generations"
 let c_estimated = Mcf_obs.Metrics.counter "explore.estimated"
 let c_measured = Mcf_obs.Metrics.counter "explore.measured"
-let h_estimate_s = Mcf_obs.Metrics.histogram "explore.estimate_s"
 
 type params = {
   population : int;
@@ -41,21 +40,10 @@ type result = {
   stats : stats;
 }
 
-let measure ~clock ~compile_cost_s ~repeats spec (entry : Space.entry) =
-  Mcf_gpu.Clock.charge_compile clock ~toolchain_s:compile_cost_s;
-  match Mcf_codegen.Compile.compile spec (Space.lowered entry) with
-  | Error _ ->
-    (* A failed compile still costs toolchain time but no device time. *)
-    None
-  | Ok kernel -> (
-    match Mcf_gpu.Sim.run spec kernel with
-    | Error _ -> None
-    | Ok v ->
-      Mcf_gpu.Clock.charge_measure clock ~kernel_time_s:v.time_s ~repeats;
-      Some v.time_s)
-
-let run ?(params = default_params) ?estimator ?scores ?measure:engine ?on_phase
-    ~rng ~clock spec entries =
+let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
+    ~scores ~rng ~clock spec entries =
+  if Array.length scores <> List.length entries then
+    invalid_arg "Explore.run: scores are not index-aligned with entries";
   match entries with
   | [] -> None
   | _ ->
@@ -72,50 +60,16 @@ let run ?(params = default_params) ?estimator ?scores ?measure:engine ?on_phase
       (fun (e : Space.entry) ->
         ignore (Mcf_ir.Candidate.Interner.intern interner e.cand))
       pool;
-    (* Estimate pass: the whole pruned space is scored once with the
-       closed-form analytical model (no lowering, summaries memoized per
-       sub-tiling).  The streaming enumeration already computes exactly
-       these scores in its fused chunk pass and hands them in as
-       [scores], in which case the batched pass is skipped; a custom
-       estimator (Chimera's data-movement objective) always recomputes,
-       since only it knows its own objective.  Estimators must be
-       pure. *)
-    let scored_pool =
-      match (estimator, scores) with
-      | None, Some sc when Array.length sc = n -> sc
-      | _ ->
-        let ctx = pool.(0).Space.ctx in
-        let memo =
-          Mcf_model.Analytic.Memo.create ~rule1:ctx.Space.rule1
-            ~dead_loop_elim:ctx.Space.dead_loop_elim
-            ~hoisting:ctx.Space.hoisting ~elem_bytes:ctx.Space.elem_bytes
-            ctx.Space.chain
-        in
-        let sm_countf = float_of_int spec.Mcf_gpu.Spec.sm_count in
-        Trace.with_span "explore.estimate"
-          ~args:(fun () -> [ ("points", Trace.Int n) ])
-          (fun () ->
-            Mcf_util.Pool.map_array ~min_chunk_work:64 (Mcf_util.Pool.get ())
-              (fun (e : Space.entry) ->
-                Trace.observe_timed h_estimate_s (fun () ->
-                    let ev = Mcf_model.Analytic.Memo.eval memo e.cand in
-                    let est =
-                      match estimator with
-                      | None ->
-                        (Mcf_model.Analytic.breakdown_of_eval spec ev)
-                          .Mcf_model.Perf.t_total
-                      | Some f -> f spec e
-                    in
-                    let traffic =
-                      ev.Mcf_model.Analytic.traffic_bytes
-                      *. ((ev.Mcf_model.Analytic.blocks +. sm_countf)
-                         /. ev.Mcf_model.Analytic.blocks)
-                    in
-                    (est, traffic)))
-              pool)
+    (* The enumeration scored every entry once, in its fused streaming
+       pass; a custom estimator (Chimera's data-movement objective, the
+       no-alpha ablation) replaces only the estimate ranking, never the
+       traffic one.  Estimators must be pure. *)
+    let estimates =
+      match estimator with
+      | None -> Array.map fst scores
+      | Some f -> Array.map (f spec) pool
     in
-    let estimates = Array.map fst scored_pool in
-    let traffic = Array.map snd scored_pool in
+    let traffic = Array.map snd scores in
     Mcf_obs.Metrics.add c_estimated n;
     let estimate id = estimates.(id) in
     let generations = ref 0 in
@@ -204,8 +158,8 @@ let run ?(params = default_params) ?estimator ?scores ?measure:engine ?on_phase
     in
     (* Initial population: uniform random (Algorithm 1 line 1) plus the
        global top-k under two free rankings — the analytical model and its
-       pure data-movement component (both computed in the single pass
-       above).  Estimating the whole pruned space costs microseconds, and
+       pure data-movement component (both scored by the enumeration's
+       streaming pass).  Estimating the whole pruned space costs microseconds, and
        seeding both rankings guarantees the search dominates any
        single-objective analytical strategy (in particular Chimera's) over
        the same space.  Ranking keys are precomputed arrays, so the

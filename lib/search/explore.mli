@@ -33,7 +33,7 @@ val default_params : params
 
 type stats = {
   generations : int;
-  estimated : int;  (** Model evaluations performed. *)
+  estimated : int;  (** Entries ranked by estimate (the whole pruned space). *)
   measured : int;  (** Unique candidates measured on the device. *)
 }
 
@@ -46,27 +46,28 @@ type result = {
 val run :
   ?params:params ->
   ?estimator:(Mcf_gpu.Spec.t -> Space.entry -> float) ->
-  ?scores:(float * float) array ->
   ?measure:Measure.t ->
   ?on_phase:(string -> float -> unit) ->
+  scores:(float * float) array ->
   rng:Mcf_util.Rng.t ->
   clock:Mcf_gpu.Clock.t ->
   Mcf_gpu.Spec.t ->
   Space.entry list ->
   result option
 (** [None] when no candidate in the space compiles and launches.
-    [estimator] defaults to the analytical model of eqs. (2)-(5),
-    evaluated closed-form through {!Mcf_model.Analytic.Memo} (no entry is
-    lowered for estimation); the Chimera baseline substitutes its
-    data-movement-only objective.
 
-    [scores] are precomputed [(estimate, traffic)] pairs index-aligned
-    with [entries], as returned by {!Space.enumerate_scored}: the
-    streaming enumeration already evaluates the default model for every
-    surviving candidate, so passing them skips the batched estimate pass
-    here.  Ignored (recomputed) when a custom [estimator] is given or
-    the array length does not match; results are bit-identical either
-    way because the streamed scores use the same formulas.
+    [scores] are the [(estimate, traffic)] pairs index-aligned with
+    [entries] that {!Space.enumerate_scored} returns: the enumeration's
+    fused streaming pass is the search's only scorer, so the explorer
+    ranks by these as given and evaluates no model itself.  The estimate
+    is eq. (2)-(5)'s total time; traffic (scaled by eq. (5)'s alpha)
+    seeds the second, data-movement ranking of the initial population.
+    @raise Invalid_argument if [scores] and [entries] differ in length.
+
+    [estimator], when given, replaces only the estimates — one call per
+    entry, which must be pure; the Chimera baseline substitutes its
+    data-movement-only objective, the ablation a model without alpha.
+    [stats.estimated] counts the entries ranked.
 
     [measure] is the batched measurement engine each generation's fresh
     top-k goes through (defaults to a fresh cache-less {!Measure.create}
@@ -75,14 +76,3 @@ val run :
     count — see {!Measure}.  [on_phase] receives ["tuner.measure"] with
     the total measurement wall time once the loop finishes, for the
     tuner's phase breakdown. *)
-
-val measure :
-  clock:Mcf_gpu.Clock.t ->
-  compile_cost_s:float ->
-  repeats:int ->
-  Mcf_gpu.Spec.t ->
-  Space.entry ->
-  float option
-(** One charged device measurement: compile + timed repeats; [None] when
-    the candidate fails to compile or launch.  Exposed for the baselines
-    that share the measurement infrastructure (BOLT, Ansor). *)

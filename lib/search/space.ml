@@ -211,42 +211,27 @@ let add_funnel_metrics ~total funnel =
 (* ------------------------------------------------------------------ *)
 (* Streaming enumeration (the default path).
 
-   The front half of the search is a pull-based two-stage pipeline with
-   bounded memory:
+   The front half of the search is one in-domain stream with bounded
+   memory: the walk over [Tiling.seq] applies the structural rules (1:
+   sub-tiling dedup, 2: residency scan) as it goes and packs the
+   survivors' tile-combo index ranges into fixed-size chunks; each full
+   chunk is scored on the shared [Mcf_util.Pool] with one fused
+   per-point map — rule-4 shmem precheck, closed-form validity verdict
+   and the analytical estimate in a single pass — and drained
+   sequentially in rank order into funnel counters, recorder exemplars
+   and the reservoir before the walk resumes.
 
-   - a generator domain walks [Tiling.seq] lazily, applies the
-     structural rules (1: sub-tiling dedup, 2: residency scan) as the
-     stream flows, and packs the survivors' tile-combo index ranges into
-     fixed-size chunk descriptors pushed through a bounded
-     [Mcf_util.Chan] (backpressure: a fast generator blocks instead of
-     buffering the space);
-   - the consumer (this domain) scores each chunk on the shared
-     [Mcf_util.Pool] with one fused per-point map — rule-4 shmem
-     precheck, closed-form validity verdict and the analytical estimate
-     in a single pass — then drains the results sequentially in rank
-     order into funnel counters, recorder exemplars and the reservoir.
-
-   Peak heap is O(reservoir + chunks in flight), never O(space).  The
-   point order is identical to the old materialized path (tilings in
-   [Tiling.enumerate] order, combos row-major first-axis-slowest as
-   [Listx.cartesian] produced them), every cross-domain reduction is
-   drained sequentially, and the reservoir re-sorts by rank — so the
-   candidate list, the funnel and the eventual tuner outcome are
-   bit-identical at any --jobs, with recording on or off. *)
+   Peak heap is O(reservoir + chunk), never O(space).  The point order
+   is identical to the materialized path (tilings in [Tiling.enumerate]
+   order, combos row-major first-axis-slowest as [Listx.cartesian]
+   produced them), every drain is sequential, and the reservoir re-sorts
+   by rank — so the candidate list, the funnel and the eventual tuner
+   outcome are bit-identical at any --jobs, with recording on or off. *)
 
 type seg = { stiling : Tiling.t; combo_lo : int; combo_len : int }
 type chunk = { segs : seg array; seg_offsets : int array; chunk_points : int }
 
 let chunk_target = 4096
-let chan_capacity = 4
-
-type feed_tally = {
-  f_raw : int;
-  f_rule1 : int;
-  f_rule2 : int;
-  f_ex1 : string list;
-  f_ex2 : string list;
-}
 
 type verdict =
   | V_rule4_rejected
@@ -354,111 +339,6 @@ let enumerate_scored ?(options = default_options)
         done;
         !tiles
       in
-      let chan = Mcf_util.Chan.create ~capacity:chan_capacity in
-      (* Generator: lazily walk the tiling expressions, prune
-         structurally, and push combo-range chunks.  Runs in its own
-         domain so rule-1/2 scanning overlaps with chunk scoring. *)
-      let feed () =
-        let source =
-          if opts.include_flat then Tiling.seq chain
-          else Tiling.seq_deep chain
-        in
-        let seen = Hashtbl.create 1024 in
-        let raw = ref 0 and n1 = ref 0 and n2 = ref 0 in
-        let ex1 = ref [] and ex1_n = ref 0 and ex1_seen = Hashtbl.create 8 in
-        let ex2 = ref [] and ex2_n = ref 0 and ex2_seen = Hashtbl.create 8 in
-        let pending = ref [] and pending_pts = ref 0 in
-        let aborted = ref false in
-        let flush () =
-          if !pending_pts > 0 then begin
-            let segs = Array.of_list (List.rev !pending) in
-            let offs = Array.make (Array.length segs) 0 in
-            let acc = ref 0 in
-            Array.iteri
-              (fun i s ->
-                offs.(i) <- !acc;
-                acc := !acc + s.combo_len)
-              segs;
-            let c = { segs; seg_offsets = offs; chunk_points = !acc } in
-            pending := [];
-            pending_pts := 0;
-            if not (Mcf_util.Chan.send chan c) then aborted := true
-          end
-        in
-        let emit_tiling t =
-          let lo = ref 0 in
-          while (not !aborted) && !lo < n_combos do
-            let len = min (chunk_target - !pending_pts) (n_combos - !lo) in
-            pending :=
-              { stiling = t; combo_lo = !lo; combo_len = len } :: !pending;
-            pending_pts := !pending_pts + len;
-            lo := !lo + len;
-            if !pending_pts >= chunk_target then flush ()
-          done
-        in
-        (* First three distinct removed sub-tiling keys, in stream order:
-           exactly [removed_tilings ... |> take 3] of the old path. *)
-        let note_exemplar tbl lst count k =
-          if !count < 3 && not (Hashtbl.mem tbl k) then begin
-            Hashtbl.add tbl k ();
-            lst := k :: !lst;
-            incr count
-          end
-        in
-        let consider t =
-          incr raw;
-          let key =
-            if opts.rule1 || (recording && opts.rule2) then
-              Tiling.to_string (Tiling.sub_tiling chain t)
-            else ""
-          in
-          let kept1 =
-            if not opts.rule1 then true
-            else if Hashtbl.mem seen key then begin
-              if recording then note_exemplar ex1_seen ex1 ex1_n key;
-              false
-            end
-            else begin
-              Hashtbl.add seen key ();
-              true
-            end
-          in
-          if kept1 then begin
-            incr n1;
-            if opts.rule2 && violates_rule2 chain t then begin
-              if recording then note_exemplar ex2_seen ex2 ex2_n key
-            end
-            else begin
-              incr n2;
-              emit_tiling t
-            end
-          end
-        in
-        let rec drive s =
-          if not !aborted then
-            match s () with
-            | Seq.Nil -> ()
-            | Seq.Cons (t, rest) ->
-              consider t;
-              drive rest
-        in
-        let body () =
-          drive source;
-          flush ();
-          Mcf_util.Chan.close chan
-        in
-        let under cond name f =
-          if cond then Trace.with_span name f else f ()
-        in
-        Trace.with_span "space.tilings" (fun () ->
-            under opts.rule1 "space.rule1" (fun () ->
-                under opts.rule2 "space.rule2" body));
-        { f_raw = !raw;
-          f_rule1 = !n1;
-          f_rule2 = !n2;
-          f_ex1 = List.rev !ex1;
-          f_ex2 = List.rev !ex2 }
-      in
       let ctx =
         { chain;
           rule1 = opts.rule1;
@@ -488,8 +368,8 @@ let enumerate_scored ?(options = default_options)
          (tiling, tiles), then the closed-form validity verdict and the
          analytical estimate from one [Memo.eval] — no Lower.lower
          anywhere (exactness against the lowered walk is enforced by the
-         sweep in test_model.ml).  The estimate/traffic formulas are the
-         explorer's, verbatim, so precomputed scores rank identically. *)
+         sweep in test_model.ml).  These are the only model scores the
+         search computes: the explorer ranks by them as handed over. *)
       let score chunk i =
         let cand = cand_at chunk i in
         if
@@ -521,88 +401,139 @@ let enumerate_scored ?(options = default_options)
       let rule4_ex = ref [] and rule4_ex_n = ref 0 in
       let invalid_ex = ref [] and invalid_ex_n = ref 0 in
       let score_s = ref 0.0 in
-      let consume () =
-        let continue = ref true in
-        while !continue do
-          match Mcf_util.Chan.recv chan with
-          | None -> continue := false
-          | Some chunk ->
-            let verdicts, dt =
-              Trace.timed "space.precheck"
-                ~args:(fun () ->
-                  [ ("points", Trace.Int chunk.chunk_points) ])
-                (fun () ->
-                  Mcf_util.Pool.init ~min_chunk_work:64 pool
-                    chunk.chunk_points (score chunk))
-            in
-            score_s := !score_s +. dt;
-            (* Sequential drain, in rank order: funnel counters, recorder
-               exemplars and the reservoir are all single-threaded, so
-               recordings and results stay deterministic at any pool
-               size. *)
-            Array.iteri
-              (fun i v ->
-                match v with
-                | V_rule4_rejected ->
-                  if recording && !rule4_ex_n < 3 then begin
-                    rule4_ex :=
-                      Candidate.to_string (cand_at chunk i) :: !rule4_ex;
-                    incr rule4_ex_n
-                  end
-                | V_invalid ->
-                  incr n_rule4;
-                  if recording && !invalid_ex_n < 3 then begin
-                    invalid_ex :=
-                      Candidate.to_string (cand_at chunk i) :: !invalid_ex;
-                    incr invalid_ex_n
-                  end
-                | V_valid (cand, est, traffic) ->
-                  incr n_rule4;
-                  incr n_valid;
-                  Reservoir.add res
-                    { ientry = make_entry ctx cand;
-                      iest = est;
-                      itraffic = traffic;
-                      irank = !n_points + i })
-              verdicts;
-            n_points := !n_points + chunk.chunk_points;
-            Mcf_obs.Progress.set_info
-              (Printf.sprintf "%d points streamed" !n_points);
-            (* Telemetry tick per chunk: the rsrc.* gauges sample heap
-               and pool activity while the stream is in flight, not just
-               at teardown. *)
-            Mcf_obs.Resource.sample ()
+      let consume chunk =
+        let verdicts, dt =
+          Trace.timed "space.precheck"
+            ~args:(fun () -> [ ("points", Trace.Int chunk.chunk_points) ])
+            (fun () ->
+              Mcf_util.Pool.init ~min_chunk_work:64 pool chunk.chunk_points
+                (score chunk))
+        in
+        score_s := !score_s +. dt;
+        (* Sequential drain, in rank order: funnel counters, recorder
+           exemplars and the reservoir are all single-threaded, so
+           recordings and results stay deterministic at any pool size. *)
+        Array.iteri
+          (fun i v ->
+            match v with
+            | V_rule4_rejected ->
+              if recording && !rule4_ex_n < 3 then begin
+                rule4_ex := Candidate.to_string (cand_at chunk i) :: !rule4_ex;
+                incr rule4_ex_n
+              end
+            | V_invalid ->
+              incr n_rule4;
+              if recording && !invalid_ex_n < 3 then begin
+                invalid_ex :=
+                  Candidate.to_string (cand_at chunk i) :: !invalid_ex;
+                incr invalid_ex_n
+              end
+            | V_valid (cand, est, traffic) ->
+              incr n_rule4;
+              incr n_valid;
+              Reservoir.add res
+                { ientry = make_entry ctx cand;
+                  iest = est;
+                  itraffic = traffic;
+                  irank = !n_points + i })
+          verdicts;
+        n_points := !n_points + chunk.chunk_points;
+        Mcf_obs.Progress.set_info
+          (Printf.sprintf "%d points streamed" !n_points);
+        (* Telemetry tick per chunk: the rsrc.* gauges sample heap and
+           pool activity while the stream is in flight, not just at
+           teardown. *)
+        Mcf_obs.Resource.sample ();
+        (* Serve workers are threads sharing one domain, and nothing in
+           this loop blocks: give up the runtime lock once per chunk so
+           the daemon's HTTP and submit threads still run during a long
+           enumeration. *)
+        Thread.yield ()
+      in
+      (* The walk: lazily generate the tiling expressions, prune
+         structurally, and hand each full chunk of combo ranges to
+         [consume] before generating more. *)
+      let source =
+        if opts.include_flat then Tiling.seq chain else Tiling.seq_deep chain
+      in
+      let seen = Hashtbl.create 1024 in
+      let raw = ref 0 and n1 = ref 0 and n2 = ref 0 in
+      let ex1 = ref [] and ex1_n = ref 0 and ex1_seen = Hashtbl.create 8 in
+      let ex2 = ref [] and ex2_n = ref 0 and ex2_seen = Hashtbl.create 8 in
+      let pending = ref [] and pending_pts = ref 0 in
+      let flush () =
+        if !pending_pts > 0 then begin
+          let segs = Array.of_list (List.rev !pending) in
+          let offs = Array.make (Array.length segs) 0 in
+          let acc = ref 0 in
+          Array.iteri
+            (fun i s ->
+              offs.(i) <- !acc;
+              acc := !acc + s.combo_len)
+            segs;
+          pending := [];
+          pending_pts := 0;
+          consume { segs; seg_offsets = offs; chunk_points = !acc }
+        end
+      in
+      let emit_tiling t =
+        let lo = ref 0 in
+        while !lo < n_combos do
+          let len = min (chunk_target - !pending_pts) (n_combos - !lo) in
+          pending := { stiling = t; combo_lo = !lo; combo_len = len } :: !pending;
+          pending_pts := !pending_pts + len;
+          lo := !lo + len;
+          if !pending_pts >= chunk_target then flush ()
         done
       in
-      (* Seed the generator domain's span stack with this one's so its
-         space.tilings/rule1/rule2 spans stay under space.enumerate in
-         the trace tree instead of becoming new roots. *)
-      let span_ancestry = Trace.ancestry () in
-      let feeder =
-        Domain.spawn (fun () ->
-            match Trace.with_ancestry span_ancestry feed with
-            | tally -> Ok tally
-            | exception e ->
-              Mcf_util.Chan.poison chan e;
-              Error e)
+      (* First three distinct removed sub-tiling keys, in stream order:
+         exactly [removed_tilings ... |> take 3] of the materialized
+         path. *)
+      let note_exemplar tbl lst count k =
+        if !count < 3 && not (Hashtbl.mem tbl k) then begin
+          Hashtbl.add tbl k ();
+          lst := k :: !lst;
+          incr count
+        end
       in
-      let tally =
-        match consume () with
-        | () -> (
-          match Domain.join feeder with Ok t -> t | Error e -> raise e)
-        | exception e ->
-          (* Consumer failed: unblock the generator (drain-after-cancel)
-             and reap its domain before re-raising. *)
-          Mcf_util.Chan.cancel chan;
-          (try ignore (Domain.join feeder : (feed_tally, exn) result)
-           with _ -> ());
-          raise e
+      let consider t =
+        incr raw;
+        let key =
+          if opts.rule1 || (recording && opts.rule2) then
+            Tiling.to_string (Tiling.sub_tiling chain t)
+          else ""
+        in
+        let kept1 =
+          if not opts.rule1 then true
+          else if Hashtbl.mem seen key then begin
+            if recording then note_exemplar ex1_seen ex1 ex1_n key;
+            false
+          end
+          else begin
+            Hashtbl.add seen key ();
+            true
+          end
+        in
+        if kept1 then begin
+          incr n1;
+          if opts.rule2 && violates_rule2 chain t then begin
+            if recording then note_exemplar ex2_seen ex2 ex2_n key
+          end
+          else begin
+            incr n2;
+            emit_tiling t
+          end
+        end
       in
+      let under cond name f = if cond then Trace.with_span name f else f () in
+      Trace.with_span "space.tilings" (fun () ->
+          under opts.rule1 "space.rule1" (fun () ->
+              under opts.rule2 "space.rule2" (fun () ->
+                  Seq.iter consider source;
+                  flush ())));
       on_phase "space.precheck" !score_s;
-      let total = tally.f_rule2 * n_combos in
-      let candidates_rule3 =
-        float_of_int tally.f_rule2 *. float_of_int n_combos
-      in
+      let total = !n2 * n_combos in
+      let candidates_rule3 = float_of_int !n2 *. float_of_int n_combos in
       let items = Reservoir.to_ranked res in
       let survivors =
         Array.to_list (Array.map (fun it -> it.Reservoir.ientry) items)
@@ -611,9 +542,9 @@ let enumerate_scored ?(options = default_options)
         Array.map (fun it -> (it.Reservoir.iest, it.Reservoir.itraffic)) items
       in
       let funnel =
-        { tilings_raw = tally.f_raw;
-          tilings_rule1 = tally.f_rule1;
-          tilings_rule2 = tally.f_rule2;
+        { tilings_raw = !raw;
+          tilings_rule1 = !n1;
+          tilings_rule2 = !n2;
           candidates_raw = raw_cardinality chain;
           candidates_rule3;
           candidates_rule4 = !n_rule4;
@@ -624,10 +555,10 @@ let enumerate_scored ?(options = default_options)
         let fi = float_of_int in
         emit_prune ~stage:"rule1" ~kind:"tilings" ~enabled:opts.rule1
           ~before:(fi funnel.tilings_raw) ~after:(fi funnel.tilings_rule1)
-          tally.f_ex1;
+          (List.rev !ex1);
         emit_prune ~stage:"rule2" ~kind:"tilings" ~enabled:opts.rule2
           ~before:(fi funnel.tilings_rule1) ~after:(fi funnel.tilings_rule2)
-          tally.f_ex2;
+          (List.rev !ex2);
         emit_prune ~stage:"rule3" ~kind:"candidates" ~enabled:opts.rule3
           ~before:funnel.candidates_raw ~after:funnel.candidates_rule3
           (List.map

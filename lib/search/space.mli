@@ -105,14 +105,17 @@ val enumerate :
   entry list * funnel
 (** Build the pruned space for a device, with the Fig. 7 funnel.
 
-    This is the streaming pipeline: a generator domain walks the tiling
-    expressions lazily (rules 1–2 applied as the stream flows) and feeds
-    tile-combo index ranges through a bounded {!Mcf_util.Chan}; chunks
-    are scored on the shared {!Mcf_util.Pool} with one fused
-    precheck → validity → estimate pass and drained sequentially in rank
-    order.  Peak heap is O(reservoir + chunk), not O(space), and the
-    result is bit-identical to {!enumerate_materialized} — same
-    candidates, same order, same funnel — at any [--jobs].
+    This is the streaming pipeline, run in the calling domain: the walk
+    over the tiling expressions is lazy (rules 1–2 applied as the stream
+    flows) and packs tile-combo index ranges into ~4096-point chunks;
+    each full chunk is scored on the shared {!Mcf_util.Pool} with one
+    fused precheck → validity → estimate pass and drained sequentially
+    in rank order before the walk resumes.  Peak heap is
+    O(reservoir + chunk), not O(space), and the result is bit-identical
+    to {!enumerate_materialized} — same candidates, same order, same
+    funnel — at any [--jobs].  The drain yields the runtime lock once per
+    chunk ([Thread.yield]), so other threads of the calling domain (the
+    serve daemon's HTTP and submit threads) keep running.
 
     [reservoir] bounds how many surviving entries stay resident: only
     the [reservoir] best by analytical estimate (ties toward the earlier
@@ -130,9 +133,9 @@ val enumerate :
     emits per-rule ["prune"] attribution events (counts before/after
     each rule with exemplar canonical sub-tiling expressions or
     rejected candidates) and a ["space"] event carrying the funnel.
-    Emission happens from the sequential drain, after the stream joins,
-    so recordings are byte-identical at any [--jobs] and recording
-    cannot perturb the result. *)
+    Emission happens after the sequential drain has seen the whole
+    stream, so recordings are byte-identical at any [--jobs] and
+    recording cannot perturb the result. *)
 
 val enumerate_scored :
   ?options:options ->
@@ -142,11 +145,11 @@ val enumerate_scored :
   Mcf_ir.Chain.t ->
   entry list * (float * float) array * funnel
 (** {!enumerate} plus the per-entry [(estimate, traffic)] scores the
-    fused streaming pass already computed — index-aligned with the
-    entry list.  The formulas are exactly the explorer's default ones
-    ({!Mcf_model.Analytic.breakdown_of_eval} total time, and traffic
-    scaled by [(blocks + sm_count) / blocks]), so {!Explore.run} can
-    skip its batched estimate pass and rank identically. *)
+    fused streaming pass computed — index-aligned with the entry list:
+    eq. (2)-(5)'s total time ({!Mcf_model.Analytic.breakdown_of_eval})
+    and the closed-form traffic scaled by [(blocks + sm_count) / blocks].
+    These are the search's only model scores; {!Explore.run} takes them
+    as its required [scores] argument. *)
 
 val enumerate_materialized :
   ?options:options ->

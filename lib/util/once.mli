@@ -2,7 +2,7 @@
 
     [Lazy.t] raises [RacyLazy] when two domains force the same suspension
     concurrently, so it cannot back a lazily-lowered search-space entry
-    that estimator callbacks may force from inside a {!Pool} job.  [Once]
+    that batched measurement forces from inside a {!Pool} job.  [Once]
     is the mutex-guarded equivalent: the thunk runs at most once, every
     caller observes the same result, and a raising thunk re-raises the
     same exception on every subsequent force. *)

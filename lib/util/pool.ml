@@ -103,12 +103,16 @@ let run_chunks job me =
     try_victim 1
   in
   let exec c =
+    Atomic.incr busy_now;
     (* After a failure, drain remaining chunks without running them so
        the caller is released promptly. *)
     (if Atomic.get job.jfail = None then
        try job.jrun c.clo c.chi
        with e -> ignore (Atomic.compare_and_set job.jfail None (Some e)));
     Atomic.incr chunks_total;
+    (* Leave [busy] before counting the chunk down: once the caller sees
+       the job drained, no participant is still counted as busy. *)
+    Atomic.decr busy_now;
     if Atomic.fetch_and_add job.jpending (-1) = 1 then begin
       Mutex.lock job.jm;
       Condition.broadcast job.jdone;
@@ -123,12 +127,7 @@ let run_chunks job me =
       loop ()
   in
   Domain.DLS.set in_task true;
-  Atomic.incr busy_now;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr busy_now;
-      Domain.DLS.set in_task false)
-    loop
+  Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) loop
 
 let worker t me () =
   let seen = ref 0 in
@@ -188,7 +187,7 @@ let with_pool ~jobs f =
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 (* Below this many items the chunking/wakeup overhead outweighs any
-   parallel speedup; matches the old Parallel.map threshold. *)
+   parallel speedup. *)
 let min_items = 32
 
 let run_range ?(min_chunk_work = min_items) t n body =

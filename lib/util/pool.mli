@@ -1,9 +1,10 @@
 (** Persistent work-stealing domain pool.
 
-    {!Parallel.map} used to spawn (and join) fresh domains on every call,
-    which puts domain startup on the tuner's hot path: a single
-    [Tuner.tune] run calls into the parallel layer hundreds of times.  A
-    pool spawns its worker domains once and reuses them for every job.
+    Spawning (and joining) fresh domains per parallel call would put
+    domain startup on the tuner's hot path: a single [Tuner.tune] run
+    calls into the parallel layer hundreds of times.  A pool spawns its
+    worker domains once and reuses them for every job.  It is the only
+    place library code spawns domains.
 
     Scheduling is chunked and dynamic: each job is split into contiguous
     index ranges (a few per domain), the ranges are dealt to per-domain
@@ -66,7 +67,7 @@ val run_range : ?min_chunk_work:int -> t -> int -> (int -> int -> unit) -> unit
 
 (** {1 The shared global pool}
 
-    Library code ({!Mcf_search.Space}, {!Mcf_search.Explore}) uses one
+    Library code ({!Mcf_search.Space}, {!Mcf_search.Measure}) uses one
     process-wide pool so domains are spawned once per process.  Its
     requested size is, in order of precedence: the last {!set_jobs} call,
     the [MCFUSER_JOBS] environment variable, then

@@ -208,11 +208,12 @@ let test_counter_determinism_under_domains () =
   let v0 = Metrics.value c in
   let n = 1000 in
   let out =
-    Mcf_util.Parallel.map ~domains:4
-      (fun i ->
-        Metrics.incr c;
-        i * 2)
-      (List.init n Fun.id)
+    Mcf_util.Pool.with_pool ~jobs:4 (fun p ->
+        Mcf_util.Pool.map p
+          (fun i ->
+            Metrics.incr c;
+            i * 2)
+          (List.init n Fun.id))
   in
   Alcotest.(check int) "all increments land" (v0 + n) (Metrics.value c);
   Alcotest.(check (list int))

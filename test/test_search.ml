@@ -126,14 +126,31 @@ let test_explore_empty () =
   let rng = Mcf_util.Rng.create 1 in
   let clock = Mcf_gpu.Clock.create () in
   Alcotest.(check bool) "empty space" true
-    (Mcf_search.Explore.run ~rng ~clock a100 [] = None)
+    (Mcf_search.Explore.run ~scores:[||] ~rng ~clock a100 [] = None)
+
+let test_explore_rejects_misaligned_scores () =
+  (* Scores come from the enumeration and are never recomputed, so a
+     length mismatch is a caller bug, not something to paper over. *)
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
+  let run scores entries () =
+    let rng = Mcf_util.Rng.create 1 in
+    let clock = Mcf_gpu.Clock.create () in
+    ignore (Mcf_search.Explore.run ~scores ~rng ~clock a100 entries)
+  in
+  let rejected =
+    Invalid_argument "Explore.run: scores are not index-aligned with entries"
+  in
+  Alcotest.check_raises "one score short" rejected
+    (run (Array.sub scores 0 (Array.length scores - 1)) entries);
+  Alcotest.check_raises "no scores" rejected (run [||] entries);
+  Alcotest.check_raises "scores for an empty space" rejected (run scores [])
 
 let test_explore_near_optimal () =
-  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
   let best = Option.get (exhaustive_best entries) in
   let rng = Mcf_util.Rng.create 2024 in
   let clock = Mcf_gpu.Clock.create () in
-  match Mcf_search.Explore.run ~rng ~clock a100 entries with
+  match Mcf_search.Explore.run ~scores ~rng ~clock a100 entries with
   | None -> Alcotest.fail "search found nothing"
   | Some r ->
     Alcotest.(check bool)
@@ -143,10 +160,10 @@ let test_explore_near_optimal () =
       (r.best_time_s <= best *. 1.15)
 
 let test_explore_charges_clock () =
-  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
   let rng = Mcf_util.Rng.create 7 in
   let clock = Mcf_gpu.Clock.create () in
-  (match Mcf_search.Explore.run ~rng ~clock a100 entries with
+  (match Mcf_search.Explore.run ~scores ~rng ~clock a100 entries with
   | Some r ->
     Alcotest.(check bool) "measured some" true (r.stats.measured > 0);
     Alcotest.(check bool) "clock >= compile costs" true
@@ -155,11 +172,11 @@ let test_explore_charges_clock () =
   | None -> Alcotest.fail "search found nothing")
 
 let test_explore_deterministic_given_seed () =
-  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
   let run seed =
     let rng = Mcf_util.Rng.create seed in
     let clock = Mcf_gpu.Clock.create () in
-    match Mcf_search.Explore.run ~rng ~clock a100 entries with
+    match Mcf_search.Explore.run ~scores ~rng ~clock a100 entries with
     | Some r -> Candidate.key r.best.cand
     | None -> "none"
   in
@@ -167,11 +184,12 @@ let test_explore_deterministic_given_seed () =
 
 let test_explore_custom_estimator () =
   (* a constant estimator degrades ranking but must not break the search *)
-  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
   let rng = Mcf_util.Rng.create 5 in
   let clock = Mcf_gpu.Clock.create () in
   match
-    Mcf_search.Explore.run ~estimator:(fun _ _ -> 1.0) ~rng ~clock a100 entries
+    Mcf_search.Explore.run ~estimator:(fun _ _ -> 1.0) ~scores ~rng ~clock a100
+      entries
   with
   | Some r -> Alcotest.(check bool) "still returns" true (r.best_time_s > 0.0)
   | None -> Alcotest.fail "search found nothing"
@@ -191,9 +209,15 @@ let test_measure_failure_is_none () =
   | None -> () (* nothing over budget in this space; vacuous *)
   | Some e ->
     let clock = Mcf_gpu.Clock.create () in
-    Alcotest.(check bool) "unlaunchable measures to None" true
-      (Mcf_search.Explore.measure ~clock ~compile_cost_s:0.1 ~repeats:1 a100 e
-      = None)
+    let committed = ref [] in
+    Mcf_search.Measure.run_batch (Mcf_search.Measure.create a100) ~clock
+      ~compile_cost_s:0.1 ~repeats:1
+      ~commit:(fun id r -> committed := (id, r) :: !committed)
+      [ (0, e) ];
+    Alcotest.(check (list (pair int (option (float 0.0)))))
+      "unlaunchable measures to None" [ (0, None) ] !committed;
+    Alcotest.(check (float 0.0)) "only the compile is charged" 0.1
+      (Mcf_gpu.Clock.elapsed_s clock)
 
 (* --- Tuner ------------------------------------------------------------------- *)
 
@@ -525,6 +549,8 @@ let () =
             test_explore_deterministic_given_seed;
           Alcotest.test_case "custom estimator" `Quick
             test_explore_custom_estimator;
+          Alcotest.test_case "misaligned scores rejected" `Quick
+            test_explore_rejects_misaligned_scores;
           Alcotest.test_case "unlaunchable candidate" `Quick
             test_measure_failure_is_none ] );
       ( "tuner",

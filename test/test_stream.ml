@@ -1,13 +1,12 @@
-(* Tests for the streaming enumeration pipeline (ISSUE 7): the bounded
-   channel primitive, the lazy tiling generators, deep-chain workloads,
-   the bounded reservoir, and — the load-bearing property — that the
-   streamed pipeline is indistinguishable from the materialized reference
-   path: same funnel, same candidate set in the same order, same tuner
-   winner, at any pool size. *)
+(* Tests for the streaming enumeration pipeline: the lazy tiling
+   generators, deep-chain workloads, the bounded reservoir, the scores
+   the stream hands the explorer, and — the load-bearing property — that
+   the streamed pipeline is indistinguishable from the materialized
+   reference path: same funnel, same candidate set in the same order,
+   same tuner winner, at any pool size. *)
 
 open Mcf_ir
 module Space = Mcf_search.Space
-module Chan = Mcf_util.Chan
 
 let a100 = Mcf_gpu.Spec.a100
 let paper_gemm = Chain.gemm_chain ~m:1024 ~n:1024 ~k:512 ~h:512 ()
@@ -22,80 +21,6 @@ let with_jobs jobs f =
     (fun () ->
       Mcf_util.Pool.set_jobs jobs;
       f ())
-
-(* --- bounded channel -------------------------------------------------------- *)
-
-let test_chan_fifo_and_drain_after_close () =
-  let c = Chan.create ~capacity:8 in
-  Alcotest.(check bool) "send 1" true (Chan.send c 1);
-  Alcotest.(check bool) "send 2" true (Chan.send c 2);
-  Alcotest.(check bool) "send 3" true (Chan.send c 3);
-  Chan.close c;
-  (* Close stops producers but buffered values still drain, in order. *)
-  Alcotest.(check bool) "send after close" false (Chan.send c 4);
-  Alcotest.(check (option int)) "recv 1" (Some 1) (Chan.recv c);
-  Alcotest.(check (option int)) "recv 2" (Some 2) (Chan.recv c);
-  Alcotest.(check (option int)) "recv 3" (Some 3) (Chan.recv c);
-  Alcotest.(check (option int)) "drained" None (Chan.recv c);
-  Alcotest.(check (option int)) "still drained" None (Chan.recv c)
-
-let test_chan_backpressure () =
-  (* A capacity-1 channel blocks the second send until the consumer takes
-     the first value; every value still arrives exactly once. *)
-  let c = Chan.create ~capacity:1 in
-  let n = 100 in
-  let producer =
-    Domain.spawn (fun () ->
-        let ok = ref true in
-        for i = 1 to n do
-          ok := !ok && Chan.send c i
-        done;
-        Chan.close c;
-        !ok)
-  in
-  let got = ref [] in
-  let rec drain () =
-    match Chan.recv c with
-    | Some v ->
-      got := v :: !got;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check bool) "all sends accepted" true (Domain.join producer);
-  Alcotest.(check (list int)) "all values in order"
-    (List.init n (fun i -> i + 1))
-    (List.rev !got);
-  Alcotest.(check int) "never held more than capacity" 0 (Chan.length c)
-
-let test_chan_cancel_unblocks_sender () =
-  let c = Chan.create ~capacity:1 in
-  Alcotest.(check bool) "fill" true (Chan.send c 1);
-  let blocked =
-    Domain.spawn (fun () -> Chan.send c 2 (* blocks: channel is full *))
-  in
-  (* Give the sender a moment to park on the condition variable. *)
-  Unix.sleepf 0.05;
-  Chan.cancel c;
-  Alcotest.(check bool) "blocked send observes cancel" false
-    (Domain.join blocked);
-  Alcotest.(check (option int)) "cancel clears the buffer" None (Chan.recv c);
-  Alcotest.(check bool) "send after cancel" false (Chan.send c 3)
-
-exception Feeder_died of string
-
-let test_chan_poison_propagates () =
-  let c = Chan.create ~capacity:2 in
-  Alcotest.(check bool) "send" true (Chan.send c 1);
-  let producer =
-    Domain.spawn (fun () -> Chan.poison c (Feeder_died "boom"))
-  in
-  Domain.join producer;
-  (* Poison models a producer crash: pending values are dropped and every
-     consumer sees the exception rather than a silent short stream. *)
-  Alcotest.check_raises "recv raises the producer's exception"
-    (Feeder_died "boom")
-    (fun () -> ignore (Chan.recv c))
 
 (* --- lazy tiling generators ------------------------------------------------- *)
 
@@ -210,25 +135,45 @@ let test_stream_equals_materialized () =
               ("gemm3", gemm3) ]))
     [ 1; 4 ]
 
-let test_streamed_scores_match_explorer () =
-  (* The fused scoring pass hands (estimate, traffic) to the explorer;
-     feeding them in must not change the outcome vs letting the explorer
-     re-derive them (same formulas, same ranking, same winner). *)
-  let entries, scores, _ = Space.enumerate_scored a100 small_gemm in
-  let run scores =
-    let rng = Mcf_util.Rng.create 5 in
-    let clock = Mcf_gpu.Clock.create () in
-    match Mcf_search.Explore.run ?scores ~rng ~clock a100 entries with
-    | None -> Alcotest.fail "explore returned no candidate"
-    | Some r -> r
-  in
-  let with_scores = run (Some scores) in
-  let without = run None in
-  Alcotest.(check string) "same winner"
-    (Candidate.key without.best.cand)
-    (Candidate.key with_scores.best.cand);
-  Alcotest.(check (float 0.0)) "same time" without.best_time_s
-    with_scores.best_time_s
+let test_streamed_scores_are_analytic () =
+  (* The stream is the search's only scorer: every (estimate, traffic)
+     pair it returns must be eq. (2)-(5)'s total time and the
+     alpha-scaled traffic of the closed-form model, bit for bit. *)
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          List.iter
+            (fun (name, chain) ->
+              let entries, scores, _ = Space.enumerate_scored a100 chain in
+              Alcotest.(check int)
+                (Printf.sprintf "%s@jobs=%d: one score per entry" name jobs)
+                (List.length entries) (Array.length scores);
+              List.iteri
+                (fun i (e : Space.entry) ->
+                  let what =
+                    Printf.sprintf "%s@jobs=%d: %s" name jobs
+                      (Candidate.to_string e.cand)
+                  in
+                  let ev =
+                    Mcf_model.Analytic.eval_candidate
+                      ~elem_bytes:a100.elem_bytes chain e.cand
+                  in
+                  let alpha =
+                    (ev.blocks +. float_of_int a100.sm_count) /. ev.blocks
+                  in
+                  let est, traffic = scores.(i) in
+                  Alcotest.(check (float 0.0)) (what ^ " estimate")
+                    (Mcf_model.Analytic.breakdown a100 chain e.cand)
+                      .Mcf_model.Perf.t_total
+                    est;
+                  Alcotest.(check (float 0.0)) (what ^ " traffic")
+                    (ev.traffic_bytes *. alpha) traffic)
+                entries)
+            [ ("small_gemm", small_gemm);
+              ("paper_gemm", paper_gemm);
+              ("attention", attn);
+              ("gemm3", gemm3) ]))
+    [ 1; 4 ]
 
 let test_reservoir_keeps_best_by_estimate () =
   let full, scores, ff = Space.enumerate_scored a100 small_gemm in
@@ -273,15 +218,7 @@ let test_reservoir_tuner_winner_unchanged () =
 
 let () =
   Alcotest.run "mcf_stream"
-    [ ( "chan",
-        [ Alcotest.test_case "fifo + drain after close" `Quick
-            test_chan_fifo_and_drain_after_close;
-          Alcotest.test_case "backpressure" `Quick test_chan_backpressure;
-          Alcotest.test_case "cancel unblocks sender" `Quick
-            test_chan_cancel_unblocks_sender;
-          Alcotest.test_case "poison propagates" `Quick
-            test_chan_poison_propagates ] );
-      ( "tiling-seq",
+    [ ( "tiling-seq",
         [ Alcotest.test_case "seq = enumerate" `Quick
             test_seq_matches_enumerate;
           Alcotest.test_case "paper count" `Quick test_count_paper_example ] );
@@ -294,7 +231,7 @@ let () =
         [ Alcotest.test_case "stream = materialized" `Quick
             test_stream_equals_materialized;
           Alcotest.test_case "streamed scores" `Quick
-            test_streamed_scores_match_explorer ] );
+            test_streamed_scores_are_analytic ] );
       ( "reservoir",
         [ Alcotest.test_case "keeps best by estimate" `Quick
             test_reservoir_keeps_best_by_estimate;

@@ -313,36 +313,38 @@ let test_chart_sparkline () =
   Alcotest.(check bool) "ends at the newest (max) value" true
     (s.[9] = '#')
 
-(* --- Parallel ------------------------------------------------------------- *)
+(* --- Parallel maps over a temporary pool ---------------------------------- *)
 
 let test_parallel_matches_sequential () =
   let l = List.init 1000 (fun i -> i) in
   let f x = (x * x) + 1 in
   Alcotest.(check (list int)) "same result, same order" (List.map f l)
-    (Parallel.map ~domains:4 f l);
+    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p f l));
   Alcotest.(check (list int)) "single domain" (List.map f l)
-    (Parallel.map ~domains:1 f l);
+    (Pool.with_pool ~jobs:1 (fun p -> Pool.map p f l));
   Alcotest.(check (list int)) "more domains than elements"
     (List.map f [ 1; 2; 3 ])
-    (Parallel.map ~domains:16 f [ 1; 2; 3 ])
+    (Pool.with_pool ~jobs:16 (fun p -> Pool.map p f [ 1; 2; 3 ]))
 
 let test_parallel_array () =
   let a = Array.init 500 (fun i -> i) in
   Alcotest.(check (array int)) "array map" (Array.map succ a)
-    (Parallel.map_array ~domains:3 succ a)
+    (Pool.with_pool ~jobs:3 (fun p -> Pool.map_array p succ a))
 
 let test_parallel_exception () =
   Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
       ignore
-        (Parallel.map ~domains:4
-           (fun x -> if x = 777 then failwith "boom" else x)
-           (List.init 1000 (fun i -> i))))
+        (Pool.with_pool ~jobs:4 (fun p ->
+             Pool.map p
+               (fun x -> if x = 777 then failwith "boom" else x)
+               (List.init 1000 (fun i -> i)))))
 
 let test_parallel_empty () =
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~domains:4 succ [])
+  Alcotest.(check (list int)) "empty" []
+    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p succ []))
 
 let test_default_domains () =
-  Alcotest.(check bool) "at least one" true (Parallel.default_domains () >= 1)
+  Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1)
 
 (* --- Pool ---------------------------------------------------------------- *)
 
@@ -652,5 +654,5 @@ let () =
             QCheck.Test.make ~count:50 ~name:"parallel map = map"
               QCheck.(pair (int_range 1 6) (list small_int))
               (fun (d, l) ->
-                Parallel.map ~domains:d (fun x -> x * 3) l
+                Pool.with_pool ~jobs:d (fun p -> Pool.map p (fun x -> x * 3) l)
                 = List.map (fun x -> x * 3) l) ] ) ]
