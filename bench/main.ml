@@ -201,7 +201,7 @@ let outcome_fingerprint (o : Mcf_search.Tuner.outcome) =
    needs more live heap than streaming ever did.  Runs before the
    per-workload sweeps so later allocations cannot inflate any of the
    three numbers. *)
-let run_enumeration_bench spec ~smoke =
+let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let num = Mcf_util.Json.num_of_int in
   let baseline_name, baseline_chain =
     if smoke then
@@ -249,6 +249,24 @@ let run_enumeration_bench spec ~smoke =
   let kept = List.length dentries in
   let points_ratio = dpoints /. Float.max bpoints 1e-9 in
   let heap_saving = mat_peak /. Float.max deep_peak 1e-9 in
+  (* The pool gate's evidence: the same streamed enumeration at one job
+     and at [jobs], best of [reps] each.  Each arm runs for 100 ms or more
+     even in the smoke run, far above timer and scheduling noise.  Runs
+     after both heap readings, so it cannot move them. *)
+  let stream_at j =
+    Mcf_util.Pool.set_jobs j;
+    ignore (Mcf_util.Pool.get ());
+    snd
+      (time_best ~reps (fun () ->
+           Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain))
+  in
+  let stream_seq_s, stream_par_s, stream_speedup =
+    if jobs <= 1 then (deep_s, deep_s, 1.0)
+    else
+      let seq_s = stream_at 1 in
+      let par_s = stream_at jobs in
+      (seq_s, par_s, seq_s /. Float.max par_s 1e-9)
+  in
   Printf.printf
     "  %-9s materialized: %.3g points in %.3fs (coverage baseline)\n"
     baseline_name bpoints baseline_s;
@@ -264,6 +282,10 @@ let run_enumeration_bench spec ~smoke =
      reservoir %d/%d kept of %d valid\n%!"
     points_ratio baseline_name heap_saving kept reservoir
     df.Mcf_search.Space.candidates_valid;
+  Printf.printf
+    "  %-9s streamed at 1 job %.3fs, at %d jobs %.3fs (best of %d): \
+     %.2fx\n%!"
+    deep_name stream_seq_s jobs stream_par_s reps stream_speedup;
   let section =
     Mcf_util.Json.Obj
       [ ("baseline",
@@ -286,7 +308,13 @@ let run_enumeration_bench spec ~smoke =
          Mcf_util.Json.Obj
            [ ("wall_s", Num mat_s); ("peak_heap_words", Num mat_peak) ]);
         ("points_ratio", Num points_ratio);
-        ("heap_saving", Num heap_saving) ]
+        ("heap_saving", Num heap_saving);
+        ("jobs_speedup",
+         Mcf_util.Json.Obj
+           [ ("jobs", num jobs);
+             ("seq_wall_s", Num stream_seq_s);
+             ("par_wall_s", Num stream_par_s);
+             ("speedup", Num stream_speedup) ]) ]
   in
   (* A workload-shaped row so [History.of_search_doc] picks the streamed
      run up: the perf gate then tracks its throughput (higher is better)
@@ -305,7 +333,7 @@ let run_enumeration_bench spec ~smoke =
                  ("points_per_s", Num dpoints_per_s) ] ]);
         ("peak_heap_words", Num deep_peak) ]
   in
-  (section, history_row, points_ratio, heap_saving)
+  (section, history_row, points_ratio, heap_saving, stream_speedup)
 
 (* Closed-form vs lowered-walk estimation throughput on the largest
    workload: the analytic fast path's headline number.  Both passes score
@@ -490,7 +518,7 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
   ignore (Mcf_util.Pool.get ());
   let enumeration =
     if estimate_only || measure_only then None
-    else Some (run_enumeration_bench spec ~smoke)
+    else Some (run_enumeration_bench spec ~jobs ~reps ~smoke)
   in
   let results =
     if estimate_only || measure_only then []
@@ -512,13 +540,15 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
                  funnel := Some f;
                  let points = f.Mcf_search.Space.candidates_rule3 in
                  let points_per_s = points /. Float.max enum_s 1e-9 in
-                 let t0 = Unix.gettimeofday () in
-                 let outcome =
-                   match Mcf_search.Tuner.tune spec chain with
-                   | Ok o -> o
-                   | Error _ -> failwith ("tuning failed for " ^ name)
+                 (* Best of [reps] like the enumeration: a smoke tune
+                    takes a few milliseconds, and one shot of that is
+                    mostly timer and scheduler noise. *)
+                 let outcome, tune_s =
+                   time_best ~reps (fun () ->
+                       match Mcf_search.Tuner.tune spec chain with
+                       | Ok o -> o
+                       | Error _ -> failwith ("tuning failed for " ^ name))
                  in
-                 let tune_s = Unix.gettimeofday () -. t0 in
                  fingerprints := outcome_fingerprint outcome :: !fingerprints;
                  let explore_s =
                    match List.assoc_opt "tuner.explore" outcome.phases with
@@ -598,7 +628,7 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
   in
   let workload_rows =
     List.map (fun (_, _, j) -> j) results
-    @ (match enumeration with Some (_, row, _, _) -> [ row ] | None -> [])
+    @ (match enumeration with Some (_, row, _, _, _) -> [ row ] | None -> [])
     @ (match measure with Some (_, row, _, _, _) -> [ row ] | None -> [])
   in
   let doc =
@@ -611,7 +641,7 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
          ("cores", num (Domain.recommended_domain_count ()));
          ("workloads", List workload_rows) ]
       @ (match enumeration with
-        | Some (section, _, _, _) -> [ ("enumeration", section) ]
+        | Some (section, _, _, _, _) -> [ ("enumeration", section) ]
         | None -> [])
       @ (match estimate_json with
         | Some section -> [ ("estimate", section) ]
@@ -670,23 +700,23 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       out largest largest_speedup
       (List.fold_left max 1 jobs_list)
       (Domain.recommended_domain_count ());
-    (* Smoke gate for the pool regression: enumeration at the requested
-       --jobs must not lose more than noise to the sequential run now
-       that the global pool is clamped to the hardware. *)
-    if smoke && largest_speedup < 0.9 then begin
-      Printf.eprintf
-        "FAIL: enumeration at %d jobs is %.2fx the 1-job throughput \
-         (threshold 0.9)\n%!"
-        (List.fold_left max 1 jobs_list)
-        largest_speedup;
-      exit 1
-    end;
     (* Smoke gates for the streaming pipeline: the deep chain must cover a
        much larger post-rule-3 space than the largest Table workload, and
        materializing that space must cost visibly more heap than streaming
-       it did (the monotone peak makes both directions conservative). *)
+       it did (the monotone peak makes both directions conservative).  The
+       pool regression gate rides on the same chain: its streamed
+       enumeration at the requested --jobs must not lose more than noise
+       to the 1-job run now that the global pool is clamped to the
+       hardware. *)
     (match enumeration with
-    | Some (_, _, points_ratio, heap_saving) when smoke ->
+    | Some (_, _, points_ratio, heap_saving, stream_speedup) when smoke ->
+      if stream_speedup < 0.9 then begin
+        Printf.eprintf
+          "FAIL: streamed deep-chain enumeration at %d jobs is %.2fx the \
+           1-job throughput (threshold 0.9)\n%!"
+          jobs stream_speedup;
+        exit 1
+      end;
       if points_ratio < 10.0 then begin
         Printf.eprintf
           "FAIL: deep-chain space is only %.1fx the baseline's (threshold \

@@ -64,27 +64,3 @@ let key = to_string
 let equal a b = String.equal (key a) (key b)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
-
-(* A process-local intern table mapping candidate keys to dense integer
-   ids (0, 1, 2, ... in first-intern order).  Search loops that index
-   thousands of candidates per generation pay one string hash at intern
-   time and plain int indexing everywhere after. *)
-module Interner = struct
-  type candidate = t
-  type t = { tbl : (string, int) Hashtbl.t; mutable next : int }
-
-  let create n = { tbl = Hashtbl.create (max 16 n); next = 0 }
-
-  let intern it (c : candidate) =
-    let k = key c in
-    match Hashtbl.find_opt it.tbl k with
-    | Some id -> id
-    | None ->
-      let id = it.next in
-      it.next <- id + 1;
-      Hashtbl.add it.tbl k id;
-      id
-
-  let find it (c : candidate) = Hashtbl.find_opt it.tbl (key c)
-  let size it = it.next
-end

@@ -44,25 +44,3 @@ val serialize : t -> string
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-(** Interning of candidate keys to dense integer ids, so search hot loops
-    index arrays and int-keyed tables instead of hashing the key string
-    (used by [Mcf_search.Explore]). *)
-module Interner : sig
-  type candidate := t
-
-  type t
-
-  val create : int -> t
-  (** [create n] with an initial capacity hint of [n] candidates. *)
-
-  val intern : t -> candidate -> int
-  (** Dense id of the candidate; ids are assigned 0, 1, 2, ... in
-      first-intern order. *)
-
-  val find : t -> candidate -> int option
-  (** Id of an already-interned candidate, [None] otherwise. *)
-
-  val size : t -> int
-  (** Number of distinct candidates interned. *)
-end

@@ -40,6 +40,64 @@ type result = {
   stats : stats;
 }
 
+let position options v =
+  match Array.find_index (Int.equal v) options with
+  | Some p -> p
+  | None -> invalid_arg "Explore.run: a tile is not one of its axis's options"
+
+(* The code index: every pool entry as an int code — its tiling's id,
+   then each tile's position in its axis's [Candidate.tile_options]
+   array, in the candidate's sorted tile order — and a table from code to
+   the first pool index holding it.  Entries of one chain share the tile
+   order and the option arrays, so two codes are equal exactly when the
+   candidate keys are.  Also returns each tile position's option count,
+   the bound a mutation steps within.  The enumeration shares one tiling
+   value across a tiling's candidates and emits them together, so the
+   tiling string is built about once per tiling. *)
+let index_pool (pool : Space.entry array) =
+  let first = pool.(0) in
+  let options =
+    Array.of_list
+      (List.map
+         (fun (name, _) ->
+           let axis = Mcf_ir.Chain.axis first.ctx.chain name in
+           Array.of_list (Mcf_ir.Candidate.tile_options axis.size))
+         first.cand.tiles)
+  in
+  let tiling_ids = Hashtbl.create 64 in
+  let last = ref None in
+  let tiling_id tiling =
+    match !last with
+    | Some (t, tid) when t == tiling -> tid
+    | _ ->
+      let key = Mcf_ir.Tiling.to_string tiling in
+      let tid =
+        match Hashtbl.find_opt tiling_ids key with
+        | Some tid -> tid
+        | None ->
+          let tid = Hashtbl.length tiling_ids in
+          Hashtbl.add tiling_ids key tid;
+          tid
+      in
+      last := Some (tiling, tid);
+      tid
+  in
+  let index = Hashtbl.create (2 * Array.length pool) in
+  let codes =
+    Array.mapi
+      (fun id (e : Space.entry) ->
+        let code =
+          Array.make (1 + Array.length options) (tiling_id e.cand.tiling)
+        in
+        List.iteri
+          (fun p (_, v) -> code.(p + 1) <- position options.(p) v)
+          e.cand.tiles;
+        if not (Hashtbl.mem index code) then Hashtbl.add index code id;
+        code)
+      pool
+  in
+  (codes, index, Array.map Array.length options)
+
 let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
     ~scores ~rng ~clock spec entries =
   if Array.length scores <> List.length entries then
@@ -50,16 +108,9 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
     Mcf_obs.Metrics.incr c_runs;
     let pool = Array.of_list entries in
     let n = Array.length pool in
-    (* Candidates are identified by their pool index from here on: the
-       interner assigns ids in pool order, so [intern] of [pool.(i).cand]
-       is [i], and every later hot-loop lookup (estimates, measurements,
-       sort comparators) is an array index or an int-keyed table instead
-       of a candidate-key string hash. *)
-    let interner = Mcf_ir.Candidate.Interner.create (2 * n) in
-    Array.iter
-      (fun (e : Space.entry) ->
-        ignore (Mcf_ir.Candidate.Interner.intern interner e.cand))
-      pool;
+    let codes, index, option_counts =
+      Trace.with_span "explore.index" (fun () -> index_pool pool)
+    in
     (* The enumeration scored every entry once, in its fused streaming
        pass; a custom estimator (Chimera's data-movement objective, the
        no-alpha ablation) replaces only the estimate ranking, never the
@@ -123,32 +174,25 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
         measure_s := !measure_s +. dur_s
       end
     in
+    (* Step one random axis's tile to a neighbouring option: the same
+       draws, bounds checks and retry budget as stepping the tile list
+       itself, but on the int code, so an attempt is an array copy and
+       one int-array lookup. *)
     let mutate id =
-      let e : Space.entry = pool.(id) in
-      let cand = e.cand in
-      let axes = Array.of_list cand.Mcf_ir.Candidate.tiles in
-      let tries = Array.length axes * 2 in
+      let code = codes.(id) in
+      let axes = Array.length option_counts in
+      let tries = axes * 2 in
       let rec attempt i =
         if i >= tries then id
         else begin
-          let name, tile = Mcf_util.Rng.pick rng axes in
-          let axis = Mcf_ir.Chain.axis e.ctx.Space.chain name in
-          let options =
-            Array.of_list (Mcf_ir.Candidate.tile_options axis.Mcf_ir.Axis.size)
-          in
-          let idx = ref 0 in
-          Array.iteri (fun j v -> if v = tile then idx := j) options;
+          let p = Mcf_util.Rng.int rng axes in
           let dir = if Mcf_util.Rng.bool rng then 1 else -1 in
-          let j = !idx + dir in
-          if j < 0 || j >= Array.length options then attempt (i + 1)
+          let j = code.(p + 1) + dir in
+          if j < 0 || j >= option_counts.(p) then attempt (i + 1)
           else begin
-            let tiles =
-              List.map
-                (fun (n, v) -> if n = name then (n, options.(j)) else (n, v))
-                cand.tiles
-            in
-            let cand' = Mcf_ir.Candidate.make cand.tiling tiles in
-            match Mcf_ir.Candidate.Interner.find interner cand' with
+            let code' = Array.copy code in
+            code'.(p + 1) <- j;
+            match Hashtbl.find_opt index code' with
             | Some id' -> id'
             | None -> attempt (i + 1) (* mutation left the pruned space *)
           end
@@ -330,9 +374,10 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
         in
         let changed = ref 0 in
         let next =
+          Trace.with_span "explore.mutate" @@ fun () ->
+          let sample = Mcf_util.Rng.weighted_sampler rng weights in
           Array.init (Array.length !population) (fun _ ->
-              let i = Mcf_util.Rng.weighted_index rng weights in
-              let pid = fst scored.(i) in
+              let pid = fst scored.(sample ()) in
               let pid' = mutate pid in
               if pid' <> pid then incr changed;
               pid')

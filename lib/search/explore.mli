@@ -64,6 +64,11 @@ val run :
     seeds the second, data-movement ranking of the initial population.
     @raise Invalid_argument if [scores] and [entries] differ in length.
 
+    [entries] must come from one chain, as {!Space.enumerate} returns
+    them: the loop mutates int codes built from each entry's tiling and
+    tile positions in {!Mcf_ir.Candidate.tile_options}.
+    @raise Invalid_argument if a tile is not one of its axis's options.
+
     [estimator], when given, replaces only the estimates — one call per
     entry, which must be pure; the Chimera baseline substitutes its
     data-movement-only objective, the ablation a model without alpha.

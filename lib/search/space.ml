@@ -240,7 +240,7 @@ type verdict =
 
 (* Bounded top-C slice ordered by estimate (ties broken toward the
    earlier rank), or a plain accumulator when unbounded.  Items always
-   come back re-sorted by rank: downstream (the explorer's interner ids,
+   come back re-sorted by rank: downstream (the explorer's pool-index ids,
    its unstable top-k sort) depends on entry order being a subsequence
    of the enumeration order. *)
 module Reservoir = struct

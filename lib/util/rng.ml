@@ -84,21 +84,33 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-let weighted_index t weights =
+let weighted_sampler t weights =
   let n = Array.length weights in
-  if n = 0 then invalid_arg "Rng.weighted_index: empty array";
-  let total = Array.fold_left (fun acc w -> acc +. Float.max w 0.0) 0.0 weights in
-  if total <= 0.0 then int t n
-  else begin
-    let target = float t total in
-    let rec scan i acc =
-      if i >= n - 1 then n - 1
-      else
-        let acc = acc +. Float.max weights.(i) 0.0 in
-        if target < acc then i else scan (i + 1) acc
-    in
-    scan 0 0.0
-  end
+  if n = 0 then invalid_arg "Rng.weighted_sampler: empty array";
+  let prefix = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i w ->
+      acc := !acc +. Float.max w 0.0;
+      prefix.(i) <- !acc)
+    weights;
+  let total = !acc in
+  fun () ->
+    if total <= 0.0 then int t n
+    else begin
+      let target = float t total in
+      (* The first i < n - 1 with [target < prefix.(i)], else n - 1; the
+         prefix sums are non-decreasing, so the predicate is monotone. *)
+      let rec search lo hi =
+        if lo >= hi then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if target < prefix.(mid) then search lo mid else search (mid + 1) hi
+      in
+      search 0 (n - 1)
+    end
+
+let weighted_index t weights = weighted_sampler t weights ()
 
 let sample_without_replacement t k n =
   let k = min k n in

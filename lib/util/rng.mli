@@ -42,10 +42,21 @@ val pick_list : t -> 'a list -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
+val weighted_sampler : t -> float array -> unit -> int
+(** [weighted_sampler t weights] is a sampler that draws an index
+    proportionally to [weights], treating negative weights as 0 and
+    falling back to uniform when the total mass is not positive.  The
+    prefix sums are built once, here; each call then draws one
+    {!float} (or one {!int} in the uniform case) from [t] and
+    binary-searches them, so [k] draws from one weight vector cost
+    O(n + k log n) instead of O(k n).  The weights are read when the
+    sampler is built; later writes to the array do not affect it.
+    @raise Invalid_argument on [||]. *)
+
 val weighted_index : t -> float array -> int
-(** [weighted_index t weights] samples an index proportionally to
-    non-negative [weights].  Falls back to uniform when the total mass is
-    not positive.  @raise Invalid_argument on [||]. *)
+(** [weighted_index t weights] is [weighted_sampler t weights ()]: one
+    draw, same index and same RNG advance.  Build a sampler instead when
+    drawing repeatedly from the same weights. *)
 
 val sample_without_replacement : t -> int -> int -> int list
 (** [sample_without_replacement t k n] draws [min k n] distinct indices

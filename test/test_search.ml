@@ -423,6 +423,148 @@ let test_tuner_lowers_lazily () =
       o.search_stats.measured
       (Mcf_ir.Lower.calls () - before)
 
+(* Outcome fingerprints of paper workloads, captured before the explorer
+   moved to index-space mutation and asserted unchanged since: winner
+   key, the bits of kernel_time_s and tuning_virtual_s, and the
+   generations/estimated/measured counts.  Any change to what the
+   evolutionary loop draws from its RNG, or to which candidate a
+   mutation lands on, moves a line of this table. *)
+let golden_fingerprint ?reservoir spec name seed =
+  let chain =
+    match Mcf_serve.Protocol.chain_of_workload name with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let label =
+    Printf.sprintf "%s %s seed=%d" name spec.Mcf_gpu.Spec.name seed
+  in
+  match Mcf_search.Tuner.tune ~seed ?reservoir spec chain with
+  | Error _ -> (label, "no viable candidate", "")
+  | Ok o ->
+    let s = o.search_stats in
+    ( label,
+      Candidate.key o.best.cand,
+      Printf.sprintf "%016Lx %016Lx %d/%d/%d"
+        (Int64.bits_of_float o.kernel_time_s)
+        (Int64.bits_of_float o.tuning_virtual_s)
+        s.generations s.estimated s.measured )
+
+let golden_outcomes () =
+  List.concat_map
+    (fun spec ->
+      List.concat_map
+        (fun name ->
+          List.map (golden_fingerprint spec name) [ 1; 2; 3 ])
+        [ "G1"; "G4"; "G10"; "S3"; "S9" ])
+    [ a100; Mcf_gpu.Spec.rtx3080 ]
+  @ List.map (golden_fingerprint ~reservoir:512 a100 "D5") [ 1; 2; 3 ]
+
+let golden_table =
+  [ ( "G1 A100 seed=1",
+      "mnkh {h=32 k=32 m=16 n=256}",
+      "3ed3f692c9b7181d 403caf2c0574ebf6 7/493/41" );
+    ( "G1 A100 seed=2",
+      "mnkh {h=32 k=64 m=16 n=128}",
+      "3ed3b76b4a52dab5 4039126c768114a2 6/493/35" );
+    ( "G1 A100 seed=3",
+      "mnkh {h=32 k=64 m=16 n=128}",
+      "3ed3b76b4a52dab5 40445cd9cde73b28 10/493/61" );
+    ( "G4 A100 seed=1",
+      "mnkh {h=128 k=256 m=16 n=128}",
+      "3ee19aa0aa445f84 40445ba4cc1045f1 10/1139/61" );
+    ( "G4 A100 seed=2",
+      "mnkh {h=128 k=256 m=16 n=128}",
+      "3ee19aa0aa445f84 4047ab440bd884e2 10/1139/72" );
+    ( "G4 A100 seed=3",
+      "mnkh {h=128 k=256 m=16 n=128}",
+      "3ee19aa0aa445f84 404327988852b7da 10/1139/57" );
+    ( "G10 A100 seed=1",
+      "mnkh {h=64 k=128 m=32 n=128}",
+      "3ee6bd33282d803e 4043289560b4629d 9/898/57" );
+    ( "G10 A100 seed=2",
+      "mn(k,h) {h=64 k=64 m=16 n=256}",
+      "3ee55e793530fb0d 4042db5660125949 10/898/56" );
+    ( "G10 A100 seed=3",
+      "mn(k,h) {h=128 k=128 m=16 n=128}",
+      "3ee54b071984e5b4 40445d511b791635 10/898/61" );
+    ( "S3 A100 seed=1",
+      "mnkh {h=64 k=64 m=128 n=256}",
+      "3eeae68049f1eb29 4044a80f133dc936 10/549/62" );
+    ( "S3 A100 seed=2",
+      "mn(k,h) {h=32 k=64 m=64 n=128}",
+      "3ee69c506fa5a23a 4044f5ea27d7ea31 10/549/63" );
+    ( "S3 A100 seed=3",
+      "mn(k,h) {h=32 k=64 m=64 n=128}",
+      "3ee69c506fa5a23a 4045dd2ea172c817 10/549/66" );
+    ( "S9 A100 seed=1",
+      "mnkh {h=64 k=64 m=16 n=512}",
+      "3ed82d448df6af4e 40410bc27d3e170a 10/561/50" );
+    ( "S9 A100 seed=2",
+      "mnkh {h=64 k=32 m=16 n=512}",
+      "3ed7e906dc19ddcd 40440eeca2e8c5c5 10/561/60" );
+    ( "S9 A100 seed=3",
+      "mnkh {h=64 k=64 m=16 n=256}",
+      "3ed830a474a87aa5 40432778dc9aea96 9/561/57" );
+    ( "G1 RTX3080 seed=1",
+      "mnkh {h=64 k=64 m=16 n=256}",
+      "3ed54ec1d02192b2 4043c2caafe19f7a 10/436/59" );
+    ( "G1 RTX3080 seed=2",
+      "mnkh {h=32 k=64 m=16 n=256}",
+      "3ed649896c533bd2 403f17cac263ee88 6/436/45" );
+    ( "G1 RTX3080 seed=3",
+      "mnkh {h=32 k=64 m=16 n=256}",
+      "3ed649896c533bd2 403e7dae3da32e4a 7/436/44" );
+    ( "G4 RTX3080 seed=1",
+      "mnkh {h=128 k=256 m=16 n=64}",
+      "3ee9bee269d1a5bf 40440f6db38e7ca6 10/869/60" );
+    ( "G4 RTX3080 seed=2",
+      "mnkh {h=128 k=256 m=16 n=64}",
+      "3ee9bee269d1a5bf 404026fc9148c91c 10/869/47" );
+    ( "G4 RTX3080 seed=3",
+      "mnkh {h=128 k=256 m=16 n=64}",
+      "3ee9bee269d1a5bf 4048457499ea50c6 10/869/74" );
+    ( "G10 RTX3080 seed=1",
+      "mnkh {h=128 k=32 m=16 n=256}",
+      "3eefab5c604a92b8 40445d1ff21138b0 10/699/61" );
+    ( "G10 RTX3080 seed=2",
+      "mnkh {h=128 k=32 m=16 n=256}",
+      "3eefab5c604a92b8 4044a9d8bafdf0c0 10/699/62" );
+    ( "G10 RTX3080 seed=3",
+      "mnkh {h=64 k=128 m=32 n=128}",
+      "3eefe88f2fb8211d 40475eb2967e95cb 10/699/71" );
+    ( "S3 RTX3080 seed=1",
+      "mnkh {h=64 k=64 m=128 n=128}",
+      "3ef46667d25bacb0 40484554260ae604 10/469/74" );
+    ( "S3 RTX3080 seed=2",
+      "mnkh {h=64 k=64 m=128 n=128}",
+      "3ef46667d25bacb0 4047f8e089bdde74 10/469/73" );
+    ( "S3 RTX3080 seed=3",
+      "mnkh {h=64 k=64 m=128 n=128}",
+      "3ef46667d25bacb0 404629cbeedae800 10/469/67" );
+    ( "S9 RTX3080 seed=1",
+      "mn(k,h) {h=32 k=64 m=16 n=256}",
+      "3eddffffe5fe1684 404890ffbddde729 10/470/75" );
+    ( "S9 RTX3080 seed=2",
+      "mn(k,h) {h=32 k=64 m=16 n=256}",
+      "3eddffffe5fe1684 404710b921e86580 10/470/70" );
+    ( "S9 RTX3080 seed=3",
+      "mnkh {h=64 k=64 m=16 n=256}",
+      "3edc29564b337fa5 40428ce4703b1a54 10/470/55" );
+    ( "D5 A100 seed=1",
+      "mx4x3x2x1x0x5 {m=16 x0=32 x1=64 x2=64 x3=64 x4=64 x5=32}",
+      "3ed36664d784f6b6 4047125f77f05610 10/512/70" );
+    ( "D5 A100 seed=2",
+      "mx4x3x2x1x0x5 {m=16 x0=32 x1=64 x2=64 x3=64 x4=64 x5=32}",
+      "3ed36664d784f6b6 404543ffff19ac31 10/512/64" );
+    ( "D5 A100 seed=3",
+      "mx4x3x2x1x0x5 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64}",
+      "3ed32c9c5c638f38 4045de1f242cfed4 10/512/66" ) ]
+
+let test_tuner_golden_outcomes () =
+  Alcotest.(check (list (triple string string string)))
+    "outcome fingerprints" golden_table
+    (golden_outcomes ())
+
 (* --- Schedule_cache ----------------------------------------------------------- *)
 
 let test_cache_candidate_roundtrip () =
@@ -569,7 +711,9 @@ let () =
             test_tuner_jobs_equality;
           Alcotest.test_case "identical with sampling on/off" `Quick
             test_tuner_sampler_identity;
-          Alcotest.test_case "lowers lazily" `Quick test_tuner_lowers_lazily ] );
+          Alcotest.test_case "lowers lazily" `Quick test_tuner_lowers_lazily;
+          Alcotest.test_case "golden outcomes" `Quick
+            test_tuner_golden_outcomes ] );
       ( "schedule-cache",
         [ Alcotest.test_case "candidate roundtrip" `Quick
             test_cache_candidate_roundtrip;

@@ -562,6 +562,53 @@ let prop_geomean_between =
       let g = Stats.geomean xs in
       g >= Stats.minimum xs -. 1e-6 && g <= Stats.maximum xs +. 1e-6)
 
+(* The prefix-sum sampler against the linear scan it replaced, kept here
+   as the reference: same index and same RNG advance (the next raw
+   output must match), on weight vectors with zeros, negatives, all-zero
+   mass and a single entry. *)
+let weighted_index_linear t weights =
+  let n = Array.length weights in
+  let total =
+    Array.fold_left (fun acc w -> acc +. Float.max w 0.0) 0.0 weights
+  in
+  if total <= 0.0 then Rng.int t n
+  else begin
+    let target = Rng.float t total in
+    let rec scan i acc =
+      if i >= n - 1 then n - 1
+      else
+        let acc = acc +. Float.max weights.(i) 0.0 in
+        if target < acc then i else scan (i + 1) acc
+    in
+    scan 0 0.0
+  end
+
+let prop_weighted_sampler_linear =
+  let weight =
+    QCheck.Gen.(
+      frequency
+        [ (2, return 0.0);
+          (1, float_range (-5.0) 0.0);
+          (4, float_range 0.0 10.0) ])
+  in
+  let weights =
+    QCheck.Gen.(
+      frequency
+        [ (1, map (fun n -> Array.make n 0.0) (int_range 1 8));
+          (1, map (fun w -> [| w |]) weight);
+          (6, array_size (int_range 1 64) weight) ])
+  in
+  QCheck.Test.make ~count:500 ~name:"weighted sampler = linear scan"
+    QCheck.(pair small_int (make ~print:Print.(array float) weights))
+    (fun (seed, w) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let sample = Rng.weighted_sampler a w in
+      List.for_all
+        (fun _ ->
+          let i = sample () and j = weighted_index_linear b w in
+          i = j && Rng.int64 a = Rng.int64 b)
+        (List.init 8 Fun.id))
+
 let () =
   Alcotest.run "mcf_util"
     [ ( "rng",
@@ -651,6 +698,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_percentile_bounded; prop_pearson_bounded;
             prop_shuffle_multiset; prop_dedup_sorted; prop_geomean_between;
+            prop_weighted_sampler_linear;
             QCheck.Test.make ~count:50 ~name:"parallel map = map"
               QCheck.(pair (int_range 1 6) (list small_int))
               (fun (d, l) ->
