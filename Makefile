@@ -84,7 +84,8 @@ perf-smoke:
 # (streamed 6-block deep chain vs the materialized paths, with its own
 # in-bench coverage and heap gates) feeds a fresh temp history twice,
 # then the perf gate must explicitly check the streamed run's
-# peak_heap_words ceiling — the bounded-memory regression guard.
+# peak_heap_words ceiling — the bounded-memory regression guard — and its
+# alloc_words_per_point, a deterministic count at one job.
 bench-stream-smoke:
 	rm -f /tmp/mcfuser-history-stream.jsonl
 	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
@@ -96,6 +97,8 @@ bench-stream-smoke:
 	dune exec -- mcfuser perf --history /tmp/mcfuser-history-stream.jsonl \
 	  --gate --tolerance 0.5 > /tmp/mcfuser-stream-gate.txt
 	grep -q "D6-smoke-stream peak_heap_words" /tmp/mcfuser-stream-gate.txt
+	grep -q "D6-smoke-stream alloc_words_per_point" \
+	  /tmp/mcfuser-stream-gate.txt
 	@echo "bench-stream-smoke: streamed deep-chain heap gate ok"
 
 # Measurement-engine smoke: the search bench's [measure] section only

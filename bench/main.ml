@@ -250,23 +250,41 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let points_ratio = dpoints /. Float.max bpoints 1e-9 in
   let heap_saving = mat_peak /. Float.max deep_peak 1e-9 in
   (* The pool gate's evidence: the same streamed enumeration at one job
-     and at [jobs], best of [reps] each.  Each arm runs for 100 ms or more
-     even in the smoke run, far above timer and scheduling noise.  Runs
-     after both heap readings, so it cannot move them. *)
-  let stream_at j =
+     and at [jobs], best of [reps] each.  Each timed region repeats the
+     enumeration [per_rep] times so that it runs for 100 ms or more even
+     in the smoke run, far above timer and scheduling noise, and the two
+     arms alternate region by region, so a spell in which the host runs
+     slower hits both.  Runs after both heap readings, so it cannot move
+     them.  The 1-job arm also counts the minor-heap words the caller's
+     domain allocates per enumeration: at one job every pool task runs in
+     that domain, so its words per point are a deterministic count,
+     unlike wall time. *)
+  let per_rep =
+    max 1 (int_of_float (Float.ceil (0.1 /. Float.max deep_s 1e-3)))
+  in
+  let region j =
     Mcf_util.Pool.set_jobs j;
     ignore (Mcf_util.Pool.get ());
-    snd
-      (time_best ~reps (fun () ->
-           Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain))
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to per_rep do
+      ignore (Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain)
+    done;
+    let n = float_of_int per_rep in
+    ((Unix.gettimeofday () -. t0) /. n, (Gc.minor_words () -. w0) /. n)
   in
-  let stream_seq_s, stream_par_s, stream_speedup =
-    if jobs <= 1 then (deep_s, deep_s, 1.0)
-    else
-      let seq_s = stream_at 1 in
-      let par_s = stream_at jobs in
-      (seq_s, par_s, seq_s /. Float.max par_s 1e-9)
-  in
+  let stream_seq_s = ref infinity and stream_par_s = ref infinity in
+  let seq_words = ref 0.0 in
+  for _ = 1 to reps do
+    let s, w = region 1 in
+    stream_seq_s := Float.min !stream_seq_s s;
+    seq_words := w;
+    if jobs > 1 then stream_par_s := Float.min !stream_par_s (fst (region jobs))
+  done;
+  let stream_seq_s = !stream_seq_s in
+  let stream_par_s = if jobs > 1 then !stream_par_s else stream_seq_s in
+  let stream_speedup = stream_seq_s /. Float.max stream_par_s 1e-9 in
+  let alloc_words_per_point = !seq_words /. Float.max dpoints 1.0 in
   Printf.printf
     "  %-9s materialized: %.3g points in %.3fs (coverage baseline)\n"
     baseline_name bpoints baseline_s;
@@ -284,8 +302,9 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
     df.Mcf_search.Space.candidates_valid;
   Printf.printf
     "  %-9s streamed at 1 job %.3fs, at %d jobs %.3fs (best of %d): \
-     %.2fx\n%!"
-    deep_name stream_seq_s jobs stream_par_s reps stream_speedup;
+     %.2fx; %.0f words allocated per point at 1 job\n%!"
+    deep_name stream_seq_s jobs stream_par_s reps stream_speedup
+    alloc_words_per_point;
   let section =
     Mcf_util.Json.Obj
       [ ("baseline",
@@ -314,11 +333,13 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
            [ ("jobs", num jobs);
              ("seq_wall_s", Num stream_seq_s);
              ("par_wall_s", Num stream_par_s);
-             ("speedup", Num stream_speedup) ]) ]
+             ("speedup", Num stream_speedup);
+             ("alloc_words_per_point", Num alloc_words_per_point) ]) ]
   in
   (* A workload-shaped row so [History.of_search_doc] picks the streamed
-     run up: the perf gate then tracks its throughput (higher is better)
-     and heap high-water mark (lower is better) across runs. *)
+     run up: the perf gate then tracks its throughput (higher is better),
+     heap high-water mark and allocation per point (lower is better)
+     across runs. *)
   let history_row =
     Mcf_util.Json.Obj
       [ ("name", Str (deep_name ^ "-stream"));
@@ -331,7 +352,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
                [ ("jobs", num (Mcf_util.Pool.jobs ()));
                  ("wall_s", Num deep_s);
                  ("points_per_s", Num dpoints_per_s) ] ]);
-        ("peak_heap_words", Num deep_peak) ]
+        ("peak_heap_words", Num deep_peak);
+        ("alloc_words_per_point", Num alloc_words_per_point) ]
   in
   (section, history_row, points_ratio, heap_saving, stream_speedup)
 

@@ -9,9 +9,9 @@
    structural passes of [Program.build] (grid split, dead-loop splicing,
    the [find_scope] descent) plus the hoisting cascade, all of which
    operate on the loop skeleton alone.  So this module replays those
-   passes symbolically, in the style [Shmem.footprint_of_candidate]
-   pioneered for the rule-4 precheck, and evaluates the same arithmetic
-   the lowered walk would.
+   passes symbolically and evaluates the same arithmetic the lowered walk
+   would — eq. (1)'s footprint for the rule-4 precheck included, since it
+   depends only on the producers' Compute paths.
 
    Exactness is by construction, not approximation: every term the
    lowered walk sums is an integer-valued float far below 2^53
@@ -133,12 +133,17 @@ type compute_item =
       e_flavor : epilogue_flavor;
     }
 
+(* One eq. (1) term: a resident tensor's tile, times the trips of the
+   axes that multiply its residency (Program.residency_multiplier). *)
+type footprint_item = { f_tile_idx : int list; f_mult_idx : int list }
+
 type summary = {
   sbatch : int;
   sgrid_idx : int list;
   saxes : Axis.t array;
-  saccesses : access_item list;
-  scomputes : compute_item list;
+  saccesses : access_item array;
+  scomputes : compute_item array;
+  sfootprint : footprint_item array;
   sonline : bool;
   sverdict : (unit, Program.invalid) result;
 }
@@ -406,11 +411,36 @@ let summarize ?(rule1 = true) ?(dead_loop_elim = true) ?(hoisting = true)
           :: !accesses
       end)
     chain.blocks;
+  (* An Input is resident iff some block loads it; intermediates and the
+     output accumulator always are (same rule as Lower.of_program). *)
+  let touched (ts : Chain.tensor_spec) =
+    match ts.storage with
+    | Chain.Intermediate | Chain.Output -> true
+    | Chain.Input ->
+      List.exists
+        (fun (b : Chain.block) ->
+          List.exists
+            (fun (i : Chain.tensor_spec) ->
+              i.storage = Chain.Input && i.tname = ts.tname)
+            b.ins)
+        chain.blocks
+  in
   { sbatch = chain.batch;
     sgrid_idx = idxs grid;
     saxes;
-    saccesses = List.rev !accesses;
-    scomputes = List.rev !computes;
+    saccesses = Array.of_list (List.rev !accesses);
+    scomputes = Array.of_list (List.rev !computes);
+    sfootprint =
+      Array.of_list
+      @@ List.filter_map
+        (fun (ts : Chain.tensor_spec) ->
+          if touched ts then
+            Some
+              { f_tile_idx = idxs ts.taxes;
+                f_mult_idx =
+                  idxs (mult_axes_of chain (Hashtbl.find_opt cpaths) ts) }
+          else None)
+        chain.tensors;
     sonline =
       List.exists
         (fun (b : Chain.block) ->
@@ -434,74 +464,85 @@ type eval = {
   everdict : (unit, Program.invalid) result;
 }
 
-let evaluate ~elem_bytes (s : summary) (cand : Candidate.t) =
-  (* One name-keyed lookup per chain axis; everything below runs off the
-     two int arrays. *)
-  let n = Array.length s.saxes in
-  let tiles = Array.make n 1 in
-  let trips = Array.make n 1 in
-  Array.iteri
-    (fun i (a : Axis.t) ->
-      let tl = Candidate.tile cand a in
-      tiles.(i) <- tl;
-      trips.(i) <- (a.size + tl - 1) / tl)
-    s.saxes;
-  let prod_tiles idx = List.fold_left (fun acc i -> acc * tiles.(i)) 1 idx in
-  let prod_trips idx = List.fold_left (fun acc i -> acc * trips.(i)) 1 idx in
-  (* Sum of exactly-representable integers: order-independent, so this
+(* Tile extents and trip counts in axis order: the arrays every
+   evaluation below runs off. *)
+let tile_arrays (s : summary) (cand : Candidate.t) =
+  let tiles = Array.map (Candidate.tile cand) s.saxes in
+  let trips =
+    Array.mapi
+      (fun i (a : Axis.t) -> (a.size + tiles.(i) - 1) / tiles.(i))
+      s.saxes
+  in
+  (tiles, trips)
+
+(* [acc] times the product of [arr] over the indices.  Loops below are
+   written without closures or float folds: they run once per
+   enumeration point, so they must not allocate. *)
+let rec prod arr acc = function
+  | [] -> acc
+  | i :: rest -> prod arr (acc * arr.(i)) rest
+
+let footprint ~elem_bytes (s : summary) ~tiles ~trips =
+  let acc = ref 0 in
+  for j = 0 to Array.length s.sfootprint - 1 do
+    let it = s.sfootprint.(j) in
+    acc :=
+      !acc
+      + (prod tiles 1 it.f_tile_idx * elem_bytes * prod trips 1 it.f_mult_idx)
+  done;
+  !acc
+
+let evaluate_tiles ~elem_bytes (s : summary) ~tiles ~trips =
+  (* Sums of exactly-representable integers: order-independent, so this
      needn't reproduce the placed-statement walk order of Lower. *)
-  let bytes_per_block =
-    List.fold_left
-      (fun acc it ->
-        let elems =
-          match it.a_mult_idx with
-          | [] -> prod_tiles it.a_tile_idx
-          | ms -> prod_tiles it.a_tile_idx * prod_trips ms
-        in
-        acc +. float_of_int (elems * prod_trips it.a_path_idx * elem_bytes))
-      0.0 s.saccesses
-  in
-  let flops_per_block =
-    List.fold_left
-      (fun acc it ->
-        match it with
-        | Contraction { c_used_idx; c_path_idx } ->
-          (* Lower.contraction_flops *)
-          let flops_per_exec =
-            2.0
-            *. List.fold_left
-                 (fun acc i -> acc *. float_of_int tiles.(i))
-                 1.0 c_used_idx
-          in
-          acc +. (flops_per_exec *. float_of_int (prod_trips c_path_idx))
-        | Epilogue { e_out_idx; e_path_idx; e_flavor } ->
-          (* cuda_core_penalty *. Lower.epilogue_flops *)
-          let out_tile = float_of_int (prod_tiles e_out_idx) in
-          let flops =
-            match e_flavor with
-            | E_scale -> 1.0 *. out_tile
-            | E_unary uflops -> uflops *. out_tile
-            | E_softmax consumer_outs ->
-              let base = 6.0 *. out_tile in
-              if s.sonline then
-                base
-                +. List.fold_left
-                     (fun acc q -> acc +. (3.0 *. float_of_int (prod_tiles q)))
-                     0.0 consumer_outs
-              else base
-          in
-          acc +. (8.0 *. flops *. float_of_int (prod_trips e_path_idx)))
-      0.0 s.scomputes
-  in
-  let blocks =
-    float_of_int
-      (List.fold_left (fun acc i -> acc * trips.(i)) s.sbatch s.sgrid_idx)
-  in
+  let bytes_per_block = ref 0.0 in
+  for j = 0 to Array.length s.saccesses - 1 do
+    let it = s.saccesses.(j) in
+    let elems = prod trips (prod tiles 1 it.a_tile_idx) it.a_mult_idx in
+    bytes_per_block :=
+      !bytes_per_block
+      +. float_of_int (elems * prod trips 1 it.a_path_idx * elem_bytes)
+  done;
+  let flops_per_block = ref 0.0 in
+  for j = 0 to Array.length s.scomputes - 1 do
+    match s.scomputes.(j) with
+    | Contraction { c_used_idx; c_path_idx } ->
+      (* Lower.contraction_flops *)
+      let flops_per_exec = 2.0 *. float_of_int (prod tiles 1 c_used_idx) in
+      flops_per_block :=
+        !flops_per_block
+        +. (flops_per_exec *. float_of_int (prod trips 1 c_path_idx))
+    | Epilogue { e_out_idx; e_path_idx; e_flavor } ->
+      (* cuda_core_penalty *. Lower.epilogue_flops *)
+      let out_tile = float_of_int (prod tiles 1 e_out_idx) in
+      let flops =
+        match e_flavor with
+        | E_scale -> 1.0 *. out_tile
+        | E_unary uflops -> uflops *. out_tile
+        | E_softmax consumer_outs ->
+          let base = 6.0 *. out_tile in
+          if s.sonline then
+            base
+            +. List.fold_left
+                 (fun acc q -> acc +. (3.0 *. float_of_int (prod tiles 1 q)))
+                 0.0 consumer_outs
+          else base
+      in
+      flops_per_block :=
+        !flops_per_block
+        +. (8.0 *. flops *. float_of_int (prod trips 1 e_path_idx))
+  done;
+  let bytes_per_block = !bytes_per_block in
+  let blocks = float_of_int (prod trips s.sbatch s.sgrid_idx) in
   { bytes_per_block;
-    flops_per_block;
+    flops_per_block = !flops_per_block;
     blocks;
     traffic_bytes = bytes_per_block *. blocks;
     everdict = s.sverdict }
+
+let evaluate ~elem_bytes (s : summary) (cand : Candidate.t) =
+  let tiles, trips = tile_arrays s cand in
+  evaluate_tiles ~elem_bytes s ~tiles ~trips
 
 let breakdown_of_eval spec (e : eval) =
   Perf.of_aggregates spec ~traffic_bytes:e.traffic_bytes
@@ -525,70 +566,91 @@ let verdict ?rule1 ?dead_loop_elim ?hoisting chain cand =
 (* --- memoization -------------------------------------------------------- *)
 
 module Memo = struct
+  module Imap = Map.Make (Int)
+
   type t = {
     chain : Chain.t;
     rule1 : bool;
     dead_loop_elim : bool;
     hoisting : bool;
     elem_bytes : int;
-    table : (string, summary) Hashtbl.t;
+    n_axes : int;
+    sids : (string, int) Hashtbl.t;  (* under [lock] *)
+    table : summary Imap.t Atomic.t;
+        (* Read without the lock; replaced, never mutated, under [lock]. *)
     lock : Mutex.t;
   }
 
   let create ?(rule1 = true) ?(dead_loop_elim = true) ?(hoisting = true)
-      ~elem_bytes chain =
+      ~elem_bytes (chain : Chain.t) =
     { chain;
       rule1;
       dead_loop_elim;
       hoisting;
       elem_bytes;
-      table = Hashtbl.create 64;
+      n_axes = List.length chain.axes;
+      sids = Hashtbl.create 64;
+      table = Atomic.make Imap.empty;
       lock = Mutex.create () }
 
   (* The summary depends on the tiling expression and on which trips are 1
      (dead-loop splicing, online softmax) — never on the tile magnitudes,
-     which enter only at [evaluate] time.  Under rule 1 the key uses the
-     canonical per-block sub-tiling: rule-1 dedup keeps one tiling per
-     sub-expression in the space, so within a memo the sub-key identifies
-     the tiling, and candidates differing only in grid-loop order share
-     one summary. *)
-  let key m (cand : Candidate.t) =
-    let structural =
-      if m.rule1 then
-        Tiling.to_string (Tiling.sub_tiling m.chain cand.tiling)
-      else Tiling.to_string cand.tiling
+     which enter only at evaluation time.  Under rule 1 the structural id
+     interns the canonical per-block sub-tiling: rule-1 dedup keeps one
+     tiling per sub-expression in the space, so within a memo the id
+     identifies the tiling, and candidates differing only in grid-loop
+     order share one summary.  The table key packs the id above the
+     trip=1 mask (bit [i] for the chain's [i]-th axis). *)
+  let sid m tiling =
+    let k =
+      if m.rule1 then Tiling.to_string (Tiling.sub_tiling m.chain tiling)
+      else Tiling.to_string tiling
     in
-    let mask =
-      String.concat ""
-        (List.map
-           (fun (a : Axis.t) ->
-             if Candidate.trip cand a = 1 then "1" else "-")
-           m.chain.axes)
-    in
-    structural ^ "|" ^ mask
-
-  let summary m cand =
-    let k = key m cand in
     Mutex.lock m.lock;
-    match Hashtbl.find_opt m.table k with
+    let id =
+      match Hashtbl.find_opt m.sids k with
+      | Some id -> id
+      | None ->
+        let id = Hashtbl.length m.sids in
+        Hashtbl.add m.sids k id;
+        id
+    in
+    Mutex.unlock m.lock;
+    id
+
+  (* A scorer looks a summary up for every point from every pool domain,
+     so hits read an immutable snapshot and take no lock; only inserts
+     serialize on [lock]. *)
+  let summary_at m ~sid ~mask cand_of =
+    let k = (sid lsl m.n_axes) lor mask in
+    match Imap.find_opt k (Atomic.get m.table) with
     | Some s ->
-      Mutex.unlock m.lock;
       Mcf_obs.Metrics.incr c_memo_hits;
       s
     | None ->
       (* Summarize outside the lock: the function is pure, so a racing
          duplicate computation is wasted work at worst, and workers never
          serialize on each other's summaries. *)
-      Mutex.unlock m.lock;
       Mcf_obs.Metrics.incr c_memo_misses;
       let s =
         summarize ~rule1:m.rule1 ~dead_loop_elim:m.dead_loop_elim
-          ~hoisting:m.hoisting m.chain cand
+          ~hoisting:m.hoisting m.chain (cand_of ())
       in
       Mutex.lock m.lock;
-      if not (Hashtbl.mem m.table k) then Hashtbl.add m.table k s;
+      let t = Atomic.get m.table in
+      if not (Imap.mem k t) then Atomic.set m.table (Imap.add k s t);
       Mutex.unlock m.lock;
       s
+
+  let summary m (cand : Candidate.t) =
+    let mask =
+      List.fold_left
+        (fun (acc, bit) (a : Axis.t) ->
+          ((if Candidate.trip cand a = 1 then acc lor bit else acc), bit lsl 1))
+        (0, 1) m.chain.axes
+      |> fst
+    in
+    summary_at m ~sid:(sid m cand.tiling) ~mask (fun () -> cand)
 
   let eval m cand = evaluate ~elem_bytes:m.elem_bytes (summary m cand) cand
 

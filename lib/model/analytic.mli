@@ -4,11 +4,12 @@
     [Perf.breakdown spec (Lower.lower ... chain cand)] bit-for-bit, but is
     computed straight from [(chain, tiling, tiles)] by replaying the
     structural passes of {!Mcf_ir.Program.build} (grid split, dead-loop
-    splicing, scope placement, hoisting) on a symbolic loop-nest skeleton
-    — the same move {!Shmem.footprint_of_candidate} makes for the rule-4
-    precheck, extended to the whole performance model.  This is what lets
-    the search estimate thousands of candidates without materializing a
-    single lowered program (the paper's tuning-time win, Table IV).
+    splicing, scope placement, hoisting) on a symbolic loop-nest
+    skeleton.  The same summary carries eq. (1)'s footprint terms, so the
+    rule-4 precheck ({!footprint}, {!Shmem.footprint_of_candidate}) reads
+    it too.  This is what lets the search score thousands of candidates
+    without materializing a single lowered program (the paper's
+    tuning-time win, Table IV).
 
     Exactness holds because every aggregate the lowered walk computes is a
     sum/product of integer-valued floats far below 2^53 — exact and
@@ -17,9 +18,10 @@
     bit-equality of all four breakdown fields and the validity verdict
     across workloads x flag combos. *)
 
-(** Symbolic program summary: placed-statement paths and structural facts.
-    Depends on the tiling expression and on which trip counts equal 1 —
-    never on tile magnitudes, which enter only at {!evaluate} time. *)
+(** Symbolic program summary: placed-statement paths, the eq. (1)
+    footprint terms and structural facts.  Depends on the tiling
+    expression and on which trip counts equal 1 — never on tile
+    magnitudes, which enter only at {!footprint} / {!evaluate} time. *)
 type summary
 
 val summarize :
@@ -41,8 +43,28 @@ type eval = {
       (** = [Program.validate] — the softmax-legality verdict. *)
 }
 
+val tile_arrays : summary -> Mcf_ir.Candidate.t -> int array * int array
+(** [(tiles, trips)]: the candidate's tile extent and trip count per axis,
+    in [chain.axes] order — the index space {!footprint} and
+    {!evaluate_tiles} run in. *)
+
+val footprint :
+  elem_bytes:int -> summary -> tiles:int array -> trips:int array -> int
+(** Eq. (1) in bytes: for each resident tensor (every intermediate, the
+    output accumulator, each loaded input), its tile times the trips of
+    the axes iterating below its producer's reduction on the producer's
+    Compute path.  Equals [Shmem.estimate_bytes] of the lowered program
+    under the summary's [rule1] / [dead_loop_elim]; hoisting does not
+    enter. *)
+
+val evaluate_tiles :
+  elem_bytes:int -> summary -> tiles:int array -> trips:int array -> eval
+(** Numeric evaluation of a summary for a tile vector given as
+    {!tile_arrays}.  No candidate is needed, so a search can score a point
+    straight from its decoded index. *)
+
 val evaluate : elem_bytes:int -> summary -> Mcf_ir.Candidate.t -> eval
-(** Numeric evaluation of a summary for a concrete tile vector. *)
+(** {!evaluate_tiles} on the candidate's {!tile_arrays}. *)
 
 val breakdown_of_eval : Mcf_gpu.Spec.t -> eval -> Perf.breakdown
 
@@ -86,12 +108,14 @@ val verdict :
 
 (** Summary memoization for search hot loops.
 
-    Keyed by the rule-1 canonical per-block sub-tiling expression (the
-    full expression when rule 1 is off) plus the trip=1 mask over the
-    chain's axes — exactly the inputs the summary depends on.  Hits and
-    misses are surfaced as the [model.memo.hits] / [model.memo.misses]
-    counters.  Domain-safe: lookups take a mutex, summaries are computed
-    outside it (pure, so a racing duplicate is only wasted work). *)
+    Keyed by an int: a structural id above the trip=1 mask over the
+    chain's axes, [sid lsl n_axes lor mask] — exactly the inputs the
+    summary depends on.  The structural id interns the rule-1 canonical
+    per-block sub-tiling expression (the full expression when rule 1 is
+    off).  Hits and misses are surfaced as the [model.memo.hits] /
+    [model.memo.misses] counters.  Domain-safe: lookups take a mutex,
+    summaries are computed outside it (pure, so a racing duplicate is
+    only wasted work). *)
 module Memo : sig
   type t
 
@@ -105,7 +129,19 @@ module Memo : sig
   (** One memo per (chain, flags) — the key does not encode the flags, so
       never share an instance across flag settings. *)
 
+  val sid : t -> Mcf_ir.Tiling.t -> int
+  (** The tiling's structural id, interned on first sight.  Ids are dense
+      from 0 in first-sight order. *)
+
+  val summary_at :
+    t -> sid:int -> mask:int -> (unit -> Mcf_ir.Candidate.t) -> summary
+  (** The summary for a structural id and a trip=1 mask (bit [i] set when
+      the [i]-th axis of [chain.axes] has trip 1).  The candidate thunk is
+      forced only on a miss, to summarize; it must agree with [sid] and
+      [mask]. *)
+
   val summary : t -> Mcf_ir.Candidate.t -> summary
+  (** {!summary_at} with the candidate's own id and mask. *)
 
   val eval : t -> Mcf_ir.Candidate.t -> eval
 

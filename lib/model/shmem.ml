@@ -7,129 +7,16 @@ let within_budget (spec : Mcf_gpu.Spec.t) ~slack l =
   float_of_int (estimate_bytes l)
   <= slack *. float_of_int spec.smem_per_block
 
-(* --- closed-form footprint (rule-4 precheck) ---------------------------
-
-   [estimate_bytes (Lower.lower chain cand)] only depends on the loop
+(* [estimate_bytes (Lower.lower chain cand)] only depends on the loop
    *structure* of the program — which loops survive into the thread-block
-   body, and where each block's Compute lands — never on the placed
-   Loads/Stores (hoisting moves them but the estimate ignores trip
-   counts).  So the residency sum can be computed straight from
-   [(tiling, tiles)] by replaying the three structural steps of
-   [Program.build]: the grid split, dead-loop splicing, and the
-   [find_scope] descent that places each Compute.  This lets Space reject
-   rule-4 violations before paying for a full lowering. *)
-
-open Mcf_ir
-
-(* Skeleton of the thread-block loop nest: axes + sequential group tags,
-   no statements. *)
-type fnode = { fax : Axis.t; fgroup : int option; fchildren : fnode list }
-
-let rec nest group axes inner =
-  match axes with
-  | [] -> inner
-  | a :: rest -> [ { fax = a; fgroup = group; fchildren = nest group rest inner } ]
-
-(* Mirrors Program.split_grid (body part only). *)
-let body_structure ~rule1 (cand : Candidate.t) =
-  let split axes =
-    if rule1 then snd (List.partition Axis.is_spatial axes)
-    else begin
-      let rec span = function
-        | a :: rest when Axis.is_spatial a -> span rest
-        | rest -> rest
-      in
-      span axes
-    end
-  in
-  match cand.tiling with
-  | Tiling.Deep perm -> nest None (split perm) []
-  | Tiling.Flat (prefix, groups) ->
-    let group_nodes =
-      List.concat (List.mapi (fun i g -> nest (Some i) g []) groups)
-    in
-    nest None (split prefix) group_nodes
-
-(* Mirrors Program.splice_dead. *)
-let rec splice_unit cand nodes =
-  List.concat_map
-    (fun n ->
-      let children = splice_unit cand n.fchildren in
-      if Candidate.trip cand n.fax = 1 then children
-      else [ { n with fchildren = children } ])
-    nodes
-
-let rec subtree_has targets n =
-  Axis.mem n.fax targets || List.exists (subtree_has targets) n.fchildren
-
-(* Mirrors Program.find_scope for a Compute statement (stop_axes = []):
-   the axis path from the root to the scope the Compute lands in. *)
-let compute_path roots ~group_idx ~targets =
-  let eligible n = match n.fgroup with None -> true | Some g -> g = group_idx in
-  let rec go acc nodes =
-    match
-      List.find_opt (fun n -> eligible n && subtree_has targets n) nodes
-    with
-    | Some n -> go (n.fax :: acc) n.fchildren
-    | None -> List.rev acc
-  in
-  go [] roots
-
-let footprint_of_candidate ?(rule1 = true) ?(dead_loop_elim = true) ~elem_bytes
-    (chain : Chain.t) (cand : Candidate.t) =
-  let roots = body_structure ~rule1 cand in
-  let roots = if dead_loop_elim then splice_unit cand roots else roots in
-  let paths = Hashtbl.create 8 in
-  List.iteri
-    (fun group_idx (b : Chain.block) ->
-      Hashtbl.replace paths b.bname
-        (compute_path roots ~group_idx ~targets:(Chain.used_axes b)))
-    chain.blocks;
-  (* Mirrors Program.residency_multiplier on the producer's Compute path. *)
-  let mult (ts : Chain.tensor_spec) =
-    match Chain.producer_of chain ts with
-    | None -> 1
-    | Some p -> (
-      match Hashtbl.find_opt paths p.bname with
-      | None -> 1
-      | Some path ->
-        let rec scan seen_reduce m = function
-          | [] -> m
-          | a :: rest ->
-            let seen_reduce = seen_reduce || Axis.mem a p.reduce_axes in
-            let m =
-              if seen_reduce && Axis.mem a ts.taxes then
-                m * Candidate.trip cand a
-              else m
-            in
-            scan seen_reduce m rest
-        in
-        scan false 1 path)
-  in
-  (* An Input is resident iff some block loads it; intermediates and the
-     output accumulator always are (same rule as Lower.of_program). *)
-  let touched (ts : Chain.tensor_spec) =
-    match ts.storage with
-    | Chain.Intermediate | Chain.Output -> true
-    | Chain.Input ->
-      List.exists
-        (fun (b : Chain.block) ->
-          List.exists
-            (fun (i : Chain.tensor_spec) ->
-              i.storage = Chain.Input && i.tname = ts.tname)
-            b.ins)
-        chain.blocks
-  in
-  List.fold_left
-    (fun acc (ts : Chain.tensor_spec) ->
-      if not (touched ts) then acc
-      else begin
-        let tile_elems =
-          List.fold_left (fun e a -> e * Candidate.tile cand a) 1 ts.taxes
-        in
-        acc + (tile_elems * elem_bytes * mult ts)
-      end)
-    0 chain.tensors
+   body, and where each producer's Compute lands — never on the placed
+   Loads/Stores.  [Analytic.summarize] already replays that structure for
+   eqs. (2)-(5) and keeps eq. (1)'s terms, so the closed form is the
+   summary's footprint. *)
+let footprint_of_candidate ?rule1 ?dead_loop_elim ~elem_bytes chain cand =
+  let s = Analytic.summarize ?rule1 ?dead_loop_elim chain cand in
+  let tiles, trips = Analytic.tile_arrays s cand in
+  Analytic.footprint ~elem_bytes s ~tiles ~trips
 
 let precheck_within_budget (spec : Mcf_gpu.Spec.t) ~slack ?rule1 ?dead_loop_elim
     chain cand =

@@ -27,13 +27,16 @@ val footprint_of_candidate :
   int
 (** Closed-form eq. (1): equals
     [estimate_bytes (Lower.lower ?rule1 ?dead_loop_elim ~elem_bytes chain
-    cand)] without building the program, by replaying only the structural
-    steps of lowering (grid split, dead-loop splicing, Compute scope
-    descent).  [rule1] and [dead_loop_elim] must match the flags later
-    passed to [Lower.lower]; hoisting does not affect the estimate.  Used
-    by [Mcf_search.Space] as a rule-4 precheck so violating points are
-    rejected before the (much costlier) lowering.  The agreement is
-    enforced property-test-style in [test/test_model.ml]. *)
+    cand)] without building the program.  It is {!Analytic.footprint} over
+    {!Analytic.summarize}: the symbolic summary records, per resident
+    tensor, its tile axes and the axes multiplying its residency, which
+    depend only on the loop structure (grid split, dead-loop splicing,
+    Compute scope descent).  [rule1] and [dead_loop_elim] must match the
+    flags later passed to [Lower.lower]; hoisting does not affect the
+    estimate.  [Mcf_search.Space] reads the same footprint off its
+    memoized summaries as the rule-4 precheck.  The agreement with the
+    lowered walk is enforced property-test-style in [test/test_model.ml]
+    and by the fuzzer's [shmem] oracle. *)
 
 val precheck_within_budget :
   Mcf_gpu.Spec.t ->

@@ -116,9 +116,8 @@ let of_search_doc ?time ?rev doc =
                both arms are throughputs (higher is better). *)
             @ metric "measured_per_s" (Json.member "measure" w)
             @ metric "sequential_per_s" (Json.member "measure" w)
-            @ (match num "peak_heap_words" w with
-              | Some v -> [ ("peak_heap_words", v) ]
-              | None -> [])
+            @ metric "peak_heap_words" (Some w)
+            @ metric "alloc_words_per_point" (Some w)
           in
           if metrics = [] then None
           else Some { time; rev; device; workload; metrics }

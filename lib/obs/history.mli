@@ -3,7 +3,8 @@
     Bench runs append one JSONL entry per workload to a history file
     (default [BENCH_history.jsonl]): timestamp, git revision, device,
     workload, and a flat metric map ([points_per_s], [tune_wall_s],
-    [best_time_s], [peak_heap_words], ...).  [mcfuser
+    [best_time_s], [peak_heap_words], [alloc_words_per_point], ...).
+    [mcfuser
     perf] then renders per-workload trends as sparkline tables and, with
     [--gate], compares the newest run against a {e robust baseline} —
     median plus median-absolute-deviation over a trailing window — and
@@ -17,7 +18,7 @@
 
     Direction of improvement is inferred from the metric name: a
     [_per_s] suffix means higher-is-better (throughputs), anything else
-    is lower-is-better (times, heap words).  The regression band is
+    is lower-is-better (times, heap and allocated words).  The regression band is
     [median ± max(tolerance·|median|, 3·MAD)]; the tolerance floor keeps
     an all-identical window (MAD = 0) from flagging every subsequent
     change, and 3·MAD widens the band for genuinely noisy metrics. *)
@@ -51,8 +52,9 @@ val current_rev : unit -> string
 
 val of_search_doc : ?time:float -> ?rev:string -> Mcf_util.Json.t -> entry list
 (** Convert a [BENCH_search.json] document into one entry per workload,
-    taking the highest-[--jobs] row of each measurement table.  [time]
-    defaults to now, [rev] to {!current_rev}. *)
+    taking the highest-[--jobs] row of each measurement table, plus a
+    workload's top-level [peak_heap_words] and [alloc_words_per_point].
+    [time] defaults to now, [rev] to {!current_rev}. *)
 
 type verdict = {
   vdevice : string;

@@ -228,7 +228,13 @@ let add_funnel_metrics ~total funnel =
    by rank — so the candidate list, the funnel and the eventual tuner
    outcome are bit-identical at any --jobs, with recording on or off. *)
 
-type seg = { stiling : Tiling.t; combo_lo : int; combo_len : int }
+type seg = {
+  stiling : Tiling.t;
+  ssid : int;  (* the tiling's [Analytic.Memo.sid] *)
+  combo_lo : int;
+  combo_len : int;
+}
+
 type chunk = { segs : seg array; seg_offsets : int array; chunk_points : int }
 
 let chunk_target = 4096
@@ -236,7 +242,7 @@ let chunk_target = 4096
 type verdict =
   | V_rule4_rejected
   | V_invalid
-  | V_valid of Candidate.t * float * float  (* candidate, estimate, traffic *)
+  | V_valid of float * float  (* estimate, traffic *)
 
 (* Bounded top-C slice ordered by estimate (ties broken toward the
    earlier rank), or a plain accumulator when unbounded.  Items always
@@ -254,7 +260,17 @@ module Reservoir = struct
   }
 
   let create cap = { cap; heap = [||]; n = 0; acc = [] }
-  let gt a b = a.iest > b.iest || (a.iest = b.iest && a.irank > b.irank)
+
+  (* [a] ranks strictly after the point [(est, rank)]. *)
+  let gt_point a est rank = a.iest > est || (a.iest = est && a.irank > rank)
+  let gt a b = gt_point a b.iest b.irank
+
+  (* Whether [add] would keep a point scored [(est, rank)]: callers build
+     the entry only then. *)
+  let admits t est rank =
+    match t.cap with
+    | None -> true
+    | Some cap -> t.n < cap || gt_point t.heap.(0) est rank
 
   let rec sift_up h i =
     if i > 0 then begin
@@ -320,24 +336,48 @@ let enumerate_scored ?(options = default_options)
       let choice_arrs =
         Array.of_list (List.map (fun (_, l) -> Array.of_list l) choices)
       in
+      let trip_arrs =
+        Array.map2
+          (fun (a : Axis.t) -> Array.map (fun t -> (a.size + t - 1) / t))
+          (Array.of_list chain.axes) choice_arrs
+      in
       let n_axes = Array.length choice_arrs in
       let n_combos =
         Array.fold_left (fun acc a -> acc * Array.length a) 1 choice_arrs
       in
-      (* Mixed-radix decode of a combo index, replicating the row-major
-         (first axis slowest) order [Listx.cartesian] produced in the
-         materialized path; the positional index is part of the
-         determinism contract. *)
-      let decode_combo c =
-        let tiles = ref [] in
-        let c = ref c in
-        for i = n_axes - 1 downto 0 do
-          let arr = choice_arrs.(i) in
-          let radix = Array.length arr in
-          tiles := (names.(i), arr.(!c mod radix)) :: !tiles;
+      (* Chunk point [i]: find its segment by binary search, then decode
+         its combo index by mixed radix straight into tile and trip arrays
+         in [chain.axes] order, replicating the row-major (first axis
+         slowest) order [Listx.cartesian] produced in the materialized
+         path; the positional index is part of the determinism contract.
+         Returns the segment and the trip=1 mask. *)
+      let decode chunk i tiles trips =
+        let lo = ref 0 and hi = ref (Array.length chunk.segs - 1) in
+        while !lo < !hi do
+          let mid = (!lo + !hi + 1) / 2 in
+          if chunk.seg_offsets.(mid) <= i then lo := mid else hi := mid - 1
+        done;
+        let s = chunk.segs.(!lo) in
+        let c = ref (s.combo_lo + (i - chunk.seg_offsets.(!lo))) in
+        let mask = ref 0 in
+        for a = n_axes - 1 downto 0 do
+          let radix = Array.length choice_arrs.(a) in
+          let k = !c mod radix in
+          tiles.(a) <- choice_arrs.(a).(k);
+          trips.(a) <- trip_arrs.(a).(k);
+          if trips.(a) = 1 then mask := !mask lor (1 lsl a);
           c := !c / radix
         done;
-        !tiles
+        (s, !mask)
+      in
+      let make_cand tiling tiles =
+        Candidate.make tiling
+          (List.init n_axes (fun a -> (names.(a), tiles.(a))))
+      in
+      let cand_at chunk i =
+        let tiles = Array.make n_axes 0 in
+        let s, _ = decode chunk i tiles (Array.make n_axes 0) in
+        make_cand s.stiling tiles
       in
       let ctx =
         { chain;
@@ -352,35 +392,39 @@ let enumerate_scored ?(options = default_options)
           ~elem_bytes:spec.elem_bytes chain
       in
       let sm_countf = float_of_int spec.Mcf_gpu.Spec.sm_count in
-      let pool = Mcf_util.Pool.get () in
-      let cand_at chunk i =
-        (* binary search for the owning segment *)
-        let lo = ref 0 and hi = ref (Array.length chunk.segs - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if chunk.seg_offsets.(mid) <= i then lo := mid else hi := mid - 1
-        done;
-        let s = chunk.segs.(!lo) in
-        Candidate.make s.stiling
-          (decode_combo (s.combo_lo + (i - chunk.seg_offsets.(!lo))))
+      let budget =
+        opts.shmem_slack *. float_of_int spec.Mcf_gpu.Spec.smem_per_block
       in
-      (* Fused per-point scorer: eq. (1) shmem precheck straight from
-         (tiling, tiles), then the closed-form validity verdict and the
-         analytical estimate from one [Memo.eval] — no Lower.lower
-         anywhere (exactness against the lowered walk is enforced by the
-         sweep in test_model.ml).  These are the only model scores the
-         search computes: the explorer ranks by them as handed over. *)
+      let pool = Mcf_util.Pool.get () in
+      (* Fused per-point scorer, in index space: decode the point, fetch
+         its memoized summary by (structural id, trip=1 mask), then the
+         eq. (1) footprint for rule 4, the closed-form validity verdict
+         and the analytical estimate all from the same arrays — no
+         candidate is built unless the summary is missing, and no
+         Lower.lower anywhere (exactness against the lowered walk is
+         enforced by the sweeps in test_model.ml).  These are the only
+         model scores the search computes: the explorer ranks by them as
+         handed over. *)
       let score chunk i =
-        let cand = cand_at chunk i in
+        let tiles = Array.make n_axes 0 and trips = Array.make n_axes 0 in
+        let s, mask = decode chunk i tiles trips in
+        let summary =
+          Mcf_model.Analytic.Memo.summary_at memo ~sid:s.ssid ~mask (fun () ->
+              make_cand s.stiling tiles)
+        in
         if
           opts.rule4
           && not
-               (Mcf_model.Shmem.precheck_within_budget spec
-                  ~slack:opts.shmem_slack ~rule1:opts.rule1
-                  ~dead_loop_elim:opts.dead_loop_elim chain cand)
+               (float_of_int
+                  (Mcf_model.Analytic.footprint ~elem_bytes:spec.elem_bytes
+                     summary ~tiles ~trips)
+               <= budget)
         then V_rule4_rejected
         else begin
-          let ev = Mcf_model.Analytic.Memo.eval memo cand in
+          let ev =
+            Mcf_model.Analytic.evaluate_tiles ~elem_bytes:spec.elem_bytes
+              summary ~tiles ~trips
+          in
           if Result.is_ok ev.Mcf_model.Analytic.everdict then begin
             let est =
               (Mcf_model.Analytic.breakdown_of_eval spec ev)
@@ -391,7 +435,7 @@ let enumerate_scored ?(options = default_options)
               *. ((ev.Mcf_model.Analytic.blocks +. sm_countf)
                  /. ev.Mcf_model.Analytic.blocks)
             in
-            V_valid (cand, est, traffic)
+            V_valid (est, traffic)
           end
           else V_invalid
         end
@@ -428,14 +472,16 @@ let enumerate_scored ?(options = default_options)
                   Candidate.to_string (cand_at chunk i) :: !invalid_ex;
                 incr invalid_ex_n
               end
-            | V_valid (cand, est, traffic) ->
+            | V_valid (est, traffic) ->
               incr n_rule4;
               incr n_valid;
-              Reservoir.add res
-                { ientry = make_entry ctx cand;
-                  iest = est;
-                  itraffic = traffic;
-                  irank = !n_points + i })
+              let rank = !n_points + i in
+              if Reservoir.admits res est rank then
+                Reservoir.add res
+                  { ientry = make_entry ctx (cand_at chunk i);
+                    iest = est;
+                    itraffic = traffic;
+                    irank = rank })
           verdicts;
         n_points := !n_points + chunk.chunk_points;
         Mcf_obs.Progress.set_info
@@ -477,10 +523,12 @@ let enumerate_scored ?(options = default_options)
         end
       in
       let emit_tiling t =
+        let ssid = Mcf_model.Analytic.Memo.sid memo t in
         let lo = ref 0 in
         while !lo < n_combos do
           let len = min (chunk_target - !pending_pts) (n_combos - !lo) in
-          pending := { stiling = t; combo_lo = !lo; combo_len = len } :: !pending;
+          pending :=
+            { stiling = t; ssid; combo_lo = !lo; combo_len = len } :: !pending;
           pending_pts := !pending_pts + len;
           lo := !lo + len;
           if !pending_pts >= chunk_target then flush ()

@@ -110,7 +110,12 @@ val enumerate :
     flows) and packs tile-combo index ranges into ~4096-point chunks;
     each full chunk is scored on the shared {!Mcf_util.Pool} with one
     fused precheck → validity → estimate pass and drained sequentially
-    in rank order before the walk resumes.  Peak heap is
+    in rank order before the walk resumes.  Scoring runs in index space:
+    a point's combo index decodes into tile/trip arrays and a trip=1
+    mask, one {!Mcf_model.Analytic.Memo} lookup by (structural id, mask)
+    yields the summary both the rule-4 footprint and the estimate read,
+    and no candidate is built unless the summary is missing or the
+    reservoir admits the point.  Peak heap is
     O(reservoir + chunk), not O(space), and the result is bit-identical
     to {!enumerate_materialized} — same candidates, same order, same
     funnel — at any [--jobs].  The drain yields the runtime lock once per

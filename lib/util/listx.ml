@@ -17,14 +17,26 @@ let rec cartesian = function
    in exactly the same order as the materializing versions — the search
    space is indexed positionally, and determinism pins (same candidate
    set, same winner at any --jobs) depend on the order being identical.
-   Note the physical [!=] removal, as in [permutations]. *)
-let rec seq_permutations = function
-  | [] -> Seq.return []
-  | l ->
-    List.to_seq l
-    |> Seq.concat_map (fun x ->
-           let rest = List.filter (fun y -> y != x) l in
-           Seq.map (fun p -> x :: p) (seq_permutations rest))
+
+   For pairwise-distinct elements, removing the picked position equals
+   [permutations]' physical [!=] removal.  Each level threads the rest of
+   its own enumeration as the [tail] continuation, so an element costs a
+   few cells per level instead of one [Seq.map] closure per level. *)
+let seq_permutations l =
+  let rec go acc rest tail () =
+    match rest with
+    | [] -> Seq.Cons (List.rev acc, tail)
+    | _ ->
+      let rec pick seen = function
+        | [] -> tail ()
+        | x :: after ->
+          go (x :: acc) (List.rev_append seen after)
+            (fun () -> pick (x :: seen) after)
+            ()
+      in
+      pick [] rest
+  in
+  go [] l Seq.empty
 
 let rec seq_cartesian = function
   | [] -> Seq.return []

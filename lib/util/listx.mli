@@ -10,7 +10,8 @@ val cartesian : 'a list list -> 'a list list
 
 val seq_permutations : 'a list -> 'a list Seq.t
 (** Lazy [permutations]: same elements in the same order, but produced
-    on demand so n! never has to be resident at once. *)
+    on demand so n! never has to be resident at once.  The elements must
+    be pairwise distinct (the axes of a loop nest always are). *)
 
 val seq_cartesian : 'a list list -> 'a list Seq.t
 (** Lazy [cartesian]: same tuples in the same (first-axis-slowest)

@@ -14,6 +14,8 @@ let small_gemm = Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 ()
 let attn = Chain.attention ~heads:8 ~m:512 ~n:512 ~k:64 ~h:64 ()
 let gemm3 = Chain.gemm_chain3 ~m:256 ~n:128 ~k:64 ~h:64 ~p:64 ()
 
+let deep5 = Chain.gemm_chain_n ~m:32 ~dims:[ 16; 16; 16; 16; 16; 16 ] ()
+
 let with_jobs jobs f =
   let saved = Mcf_util.Pool.jobs () in
   Fun.protect
@@ -40,8 +42,7 @@ let test_seq_matches_enumerate () =
     [ ("small_gemm", small_gemm);
       ("attention", attn);
       ("gemm3", gemm3);
-      ("deep-5", Chain.gemm_chain_n ~m:32 ~dims:[ 16; 16; 16; 16; 16; 16 ] ())
-    ]
+      ("deep-5", deep5) ]
 
 let test_count_paper_example () =
   (* The closed form feeds [raw_cardinality]; the paper's 26 expressions
@@ -73,7 +74,7 @@ let test_deep_chain_reference_execution () =
      streaming pipeline, with a reservoir bound), execute the winning
      fused schedule in the interpreter and compare against the
      direct block-by-block reference. *)
-  let chain = Chain.gemm_chain_n ~m:32 ~dims:[ 16; 16; 16; 16; 16; 16 ] () in
+  let chain = deep5 in
   match Mcf_search.Tuner.tune ~seed:11 ~reservoir:64 a100 chain with
   | Error _ -> Alcotest.fail "deep chain did not tune"
   | Ok o ->
@@ -113,38 +114,77 @@ let check_funnels name (a : Space.funnel) (b : Space.funnel) =
   Alcotest.(check int) (name ^ ": candidates_valid") a.candidates_valid
     b.candidates_valid
 
+let chains =
+  [ ("small_gemm", small_gemm);
+    ("paper_gemm", paper_gemm);
+    ("attention", attn);
+    ("gemm3", gemm3);
+    ("deep-5", deep5) ]
+
+(* The default options, then each switch turned off on its own.  With
+   rule 1 off many kept tilings share a sub-tiling, so the scorer's
+   memoized summaries must be keyed by the full tiling. *)
+let option_variants =
+  let d = Space.default_options in
+  [ ("default", d);
+    ("no-rule1", { d with rule1 = false });
+    ("no-rule2", { d with rule2 = false });
+    ("no-rule3", { d with rule3 = false });
+    ("no-rule4", { d with rule4 = false });
+    ("no-flat", { d with include_flat = false });
+    ("no-dead-loop-elim", { d with dead_loop_elim = false });
+    ("no-hoisting", { d with hoisting = false }) ]
+
+(* Every (variant, chain) pair whose rule-3 space stays small enough to
+   materialize: without rule 3 only the chains with a small raw space
+   qualify. *)
+let variant_cases =
+  List.concat_map
+    (fun (vname, (opts : Space.options)) ->
+      List.filter_map
+        (fun (cname, chain) ->
+          if opts.rule3 || Space.raw_cardinality chain <= 1e5 then
+            Some (vname ^ "/" ^ cname, opts, chain)
+          else None)
+        chains)
+    option_variants
+
 let test_stream_equals_materialized () =
-  (* The pipeline's contract: for every workload and at every pool size,
-     the streamed path reproduces the materialized reference exactly —
-     candidate set, order, and funnel. *)
+  (* The pipeline's contract: for every workload, under every option
+     variant and at every pool size, the streamed path reproduces the
+     materialized reference exactly — candidate set, order, and
+     funnel. *)
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
           List.iter
-            (fun (name, chain) ->
+            (fun (name, options, chain) ->
               let name = Printf.sprintf "%s@jobs=%d" name jobs in
-              let se, sf = Space.enumerate a100 chain in
-              let me, mf = Space.enumerate_materialized a100 chain in
+              let se, sf = Space.enumerate ~options a100 chain in
+              let me, mf = Space.enumerate_materialized ~options a100 chain in
               check_funnels name sf mf;
               Alcotest.(check (list string))
                 (name ^ ": candidates")
                 (entry_keys me) (entry_keys se))
-            [ ("small_gemm", small_gemm);
-              ("paper_gemm", paper_gemm);
-              ("attention", attn);
-              ("gemm3", gemm3) ]))
+            variant_cases))
     [ 1; 4 ]
 
 let test_streamed_scores_are_analytic () =
   (* The stream is the search's only scorer: every (estimate, traffic)
      pair it returns must be eq. (2)-(5)'s total time and the
-     alpha-scaled traffic of the closed-form model, bit for bit. *)
+     alpha-scaled traffic of the closed-form model under the same
+     switches, bit for bit. *)
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
           List.iter
-            (fun (name, chain) ->
-              let entries, scores, _ = Space.enumerate_scored a100 chain in
+            (fun (name, (options : Space.options), chain) ->
+              let rule1 = options.rule1
+              and dead_loop_elim = options.dead_loop_elim
+              and hoisting = options.hoisting in
+              let entries, scores, _ =
+                Space.enumerate_scored ~options a100 chain
+              in
               Alcotest.(check int)
                 (Printf.sprintf "%s@jobs=%d: one score per entry" name jobs)
                 (List.length entries) (Array.length scores);
@@ -155,52 +195,85 @@ let test_streamed_scores_are_analytic () =
                       (Candidate.to_string e.cand)
                   in
                   let ev =
-                    Mcf_model.Analytic.eval_candidate
-                      ~elem_bytes:a100.elem_bytes chain e.cand
+                    Mcf_model.Analytic.eval_candidate ~rule1 ~dead_loop_elim
+                      ~hoisting ~elem_bytes:a100.elem_bytes chain e.cand
                   in
                   let alpha =
                     (ev.blocks +. float_of_int a100.sm_count) /. ev.blocks
                   in
                   let est, traffic = scores.(i) in
                   Alcotest.(check (float 0.0)) (what ^ " estimate")
-                    (Mcf_model.Analytic.breakdown a100 chain e.cand)
+                    (Mcf_model.Analytic.breakdown_of_eval a100 ev)
                       .Mcf_model.Perf.t_total
                     est;
                   Alcotest.(check (float 0.0)) (what ^ " traffic")
                     (ev.traffic_bytes *. alpha) traffic)
                 entries)
-            [ ("small_gemm", small_gemm);
-              ("paper_gemm", paper_gemm);
-              ("attention", attn);
-              ("gemm3", gemm3) ]))
+            variant_cases))
     [ 1; 4 ]
 
 let test_reservoir_keeps_best_by_estimate () =
-  let full, scores, ff = Space.enumerate_scored a100 small_gemm in
-  let cap = 40 in
-  let kept, _, kf = Space.enumerate_scored ~reservoir:cap a100 small_gemm in
-  (* The funnel still reports the whole space ... *)
-  check_funnels "funnel unchanged" ff kf;
-  Alcotest.(check int) "reservoir size" cap (List.length kept);
-  (* ... and the kept slice is exactly the top-[cap] by (estimate, rank),
-     in original enumeration order. *)
-  let ranked =
-    List.mapi
-      (fun i (e : Space.entry) -> (fst scores.(i), i, Candidate.key e.cand))
-      full
+  (* The kept slice must be exactly the top-[cap] of the unbounded run by
+     (estimate, rank), in original enumeration order — the drain only
+     builds a candidate for a point the reservoir admits, so this pins
+     the admission test against the heap's own ordering. *)
+  let check ?(options = Space.default_options) name chain cap =
+    let full, scores, ff = Space.enumerate_scored ~options a100 chain in
+    let cap = match cap with Some c -> c | None -> ff.candidates_valid / 2 in
+    let kept, _, kf =
+      Space.enumerate_scored ~options ~reservoir:cap a100 chain
+    in
+    (* The funnel still reports the whole space ... *)
+    check_funnels (name ^ ": funnel unchanged") ff kf;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: reservoir %d below %d valid" name cap
+         ff.candidates_valid)
+      true (cap < ff.candidates_valid);
+    Alcotest.(check int) (name ^ ": reservoir size") cap (List.length kept);
+    let ranked =
+      List.mapi
+        (fun i (e : Space.entry) -> (fst scores.(i), i, Candidate.key e.cand))
+        full
+    in
+    let expected =
+      List.sort
+        (fun (ea, ra, _) (eb, rb, _) ->
+          match Float.compare ea eb with 0 -> Int.compare ra rb | c -> c)
+        ranked
+      |> fun l ->
+      List.filteri (fun i _ -> i < cap) l
+      |> List.sort (fun (_, ra, _) (_, rb, _) -> Int.compare ra rb)
+      |> List.map (fun (_, _, k) -> k)
+    in
+    Alcotest.(check (list string)) (name ^ ": top slice by estimate") expected
+      (entry_keys kept)
   in
-  let expected =
-    List.sort
-      (fun (ea, ra, _) (eb, rb, _) ->
-        match Float.compare ea eb with 0 -> Int.compare ra rb | c -> c)
-      ranked
-    |> fun l ->
-    List.filteri (fun i _ -> i < cap) l
-    |> List.sort (fun (_, ra, _) (_, rb, _) -> Int.compare ra rb)
-    |> List.map (fun (_, _, k) -> k)
+  check "small_gemm" small_gemm (Some 40);
+  (* deep-5 keeps half its valid points; with rule 1 off, tilings sharing
+     a sub-tiling tie on estimate, so the rank tie-break decides. *)
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          check (Printf.sprintf "deep-5@jobs=%d" jobs) deep5 None;
+          check
+            ~options:{ Space.default_options with rule1 = false }
+            (Printf.sprintf "deep-5/no-rule1@jobs=%d" jobs)
+            deep5 None))
+    [ 1; 4 ]
+
+let test_memo_counts_every_rule3_point () =
+  (* Rule 4 reads the memoized summary too, so one enumeration looks a
+     summary up exactly once per rule-3 point: hits + misses = the
+     funnel's [candidates_rule3]. *)
+  let count () =
+    Mcf_obs.Metrics.counter_value "model.memo.hits"
+    + Mcf_obs.Metrics.counter_value "model.memo.misses"
   in
-  Alcotest.(check (list string)) "top slice by estimate" expected
-    (entry_keys kept)
+  let before = count () in
+  let _, _, f = Space.enumerate_scored a100 small_gemm in
+  Alcotest.(check int) "memo lookups = rule-3 points"
+    (int_of_float f.candidates_rule3)
+    (count () - before)
 
 let test_reservoir_tuner_winner_unchanged () =
   (* small_gemm has ~100 valid candidates; a reservoir big enough to hold
@@ -236,4 +309,7 @@ let () =
         [ Alcotest.test_case "keeps best by estimate" `Quick
             test_reservoir_keeps_best_by_estimate;
           Alcotest.test_case "tuner winner unchanged" `Quick
-            test_reservoir_tuner_winner_unchanged ] ) ]
+            test_reservoir_tuner_winner_unchanged ] );
+      ( "memo",
+        [ Alcotest.test_case "counts every rule-3 point" `Quick
+            test_memo_counts_every_rule3_point ] ) ]

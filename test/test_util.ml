@@ -196,7 +196,17 @@ let test_permutations () =
     (List.length (Listx.permutations [ 1; 2; 3; 4 ]));
   Alcotest.(check int) "unique" 6
     (List.length (Listx.dedup ~compare (Listx.permutations [ 1; 2; 3 ])));
-  Alcotest.(check (list (list int))) "empty" [ [] ] (Listx.permutations [])
+  Alcotest.(check (list (list int))) "empty" [ [] ] (Listx.permutations []);
+  List.iter
+    (fun l ->
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "lazy = strict on %d elements" (List.length l))
+        (Listx.permutations l)
+        (List.of_seq (Listx.seq_permutations l)))
+    [ []; [ 7 ]; [ 3; 1 ]; [ 1; 2; 3 ]; [ 5; 2; 9; 4; 1 ] ];
+  let s = Listx.seq_permutations [ 1; 2; 3 ] in
+  Alcotest.(check (list (list int))) "lazy sequence is persistent"
+    (List.of_seq s) (List.of_seq s)
 
 let test_cartesian () =
   Alcotest.(check int) "2x3" 6
