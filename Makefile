@@ -81,8 +81,8 @@ perf-smoke:
 	@echo "perf-smoke: history append + trends + gate ok"
 
 # Streaming-enumeration smoke: the search bench's [enumeration] section
-# (streamed 6-block deep chain vs the materialized paths, with its own
-# in-bench coverage and heap gates) feeds a fresh temp history twice,
+# (6-block deep chain streamed through a reservoir vs unbounded, with its
+# own in-bench coverage and heap gates) feeds a fresh temp history twice,
 # then the perf gate must explicitly check the streamed run's
 # peak_heap_words ceiling — the bounded-memory regression guard — and its
 # alloc_words_per_point, a deterministic count at one job.

@@ -193,14 +193,14 @@ let outcome_fingerprint (o : Mcf_search.Tuner.outcome) =
 
 (* Streamed deep-chain enumeration: evidence for the bounded-memory claim.
    Three measurements, in an order that keeps the monotone
-   [peak_heap_words] honest: (1) the largest Table workload, materialized,
-   for the coverage ratio; (2) the deep chain streamed — its peak includes
-   (1)'s, so the bound is conservative; (3) the same deep chain through
-   the pre-streaming materialized path, whose peak includes (2)'s — it
-   only exceeds the streamed peak if holding the whole space genuinely
-   needs more live heap than streaming ever did.  Runs before the
-   per-workload sweeps so later allocations cannot inflate any of the
-   three numbers. *)
+   [peak_heap_words] honest: (1) the largest Table workload, for the
+   coverage ratio of its funnel; (2) the deep chain streamed through the
+   reservoir — its peak includes (1)'s, so the bound is conservative;
+   (3) the same deep chain without a reservoir, holding every valid
+   entry, whose peak includes (2)'s — it only exceeds the streamed peak
+   if holding the whole valid space genuinely needs more live heap than
+   the reservoir ever did.  Runs before the per-workload sweeps so later
+   allocations cannot inflate any of the three numbers. *)
 let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let num = Mcf_util.Json.num_of_int in
   let baseline_name, baseline_chain =
@@ -226,12 +226,10 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
       | None -> failwith "unknown deep workload D6"
   in
   Printf.printf
-    "%s\n[enumeration] streamed %s (reservoir %d) vs materialized paths\n%s\n%!"
-    hr deep_name reservoir hr;
+    "%s\n[enumeration] streamed %s (reservoir %d) vs unbounded\n%s\n%!" hr
+    deep_name reservoir hr;
   let t0 = Unix.gettimeofday () in
-  let _bentries, bf =
-    Mcf_search.Space.enumerate_materialized spec baseline_chain
-  in
+  let _bentries, bf = Mcf_search.Space.enumerate spec baseline_chain in
   let baseline_s = Unix.gettimeofday () -. t0 in
   let bpoints = bf.Mcf_search.Space.candidates_rule3 in
   let t0 = Unix.gettimeofday () in
@@ -241,14 +239,16 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let deep_s = Unix.gettimeofday () -. t0 in
   let deep_peak = Mcf_obs.Resource.peak_heap_words () in
   let t0 = Unix.gettimeofday () in
-  let _mentries, _mf = Mcf_search.Space.enumerate_materialized spec deep_chain in
-  let mat_s = Unix.gettimeofday () -. t0 in
-  let mat_peak = Mcf_obs.Resource.peak_heap_words () in
+  let _uentries, _uscores, _uf =
+    Mcf_search.Space.enumerate_scored spec deep_chain
+  in
+  let unbounded_s = Unix.gettimeofday () -. t0 in
+  let unbounded_peak = Mcf_obs.Resource.peak_heap_words () in
   let dpoints = df.Mcf_search.Space.candidates_rule3 in
   let dpoints_per_s = dpoints /. Float.max deep_s 1e-9 in
   let kept = List.length dentries in
   let points_ratio = dpoints /. Float.max bpoints 1e-9 in
-  let heap_saving = mat_peak /. Float.max deep_peak 1e-9 in
+  let heap_saving = unbounded_peak /. Float.max deep_peak 1e-9 in
   (* The pool gate's evidence: the same streamed enumeration at one job
      and at [jobs], best of [reps] each.  Each timed region repeats the
      enumeration [per_rep] times so that it runs for 100 ms or more even
@@ -286,15 +286,15 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let stream_speedup = stream_seq_s /. Float.max stream_par_s 1e-9 in
   let alloc_words_per_point = !seq_words /. Float.max dpoints 1.0 in
   Printf.printf
-    "  %-9s materialized: %.3g points in %.3fs (coverage baseline)\n"
+    "  %-9s streamed:     %.3g points in %.3fs (coverage baseline)\n"
     baseline_name bpoints baseline_s;
   Printf.printf
     "  %-9s streamed:     %.3g points in %.3fs (%.0f points/s), peak heap \
      %.3gMw\n"
     deep_name dpoints deep_s dpoints_per_s (deep_peak /. 1e6);
   Printf.printf
-    "  %-9s materialized: same space in %.3fs, peak heap %.3gMw\n"
-    deep_name mat_s (mat_peak /. 1e6);
+    "  %-9s unbounded:    same space in %.3fs, peak heap %.3gMw\n"
+    deep_name unbounded_s (unbounded_peak /. 1e6);
   Printf.printf
     "  space %.1fx larger than %s, heap high-water %.2fx lower streamed, \
      reservoir %d/%d kept of %d valid\n%!"
@@ -323,9 +323,10 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
              ("wall_s", Num deep_s);
              ("points_per_s", Num dpoints_per_s);
              ("peak_heap_words", Num deep_peak) ]);
-        ("deep_materialized",
+        ("deep_unbounded",
          Mcf_util.Json.Obj
-           [ ("wall_s", Num mat_s); ("peak_heap_words", Num mat_peak) ]);
+           [ ("wall_s", Num unbounded_s);
+             ("peak_heap_words", Num unbounded_peak) ]);
         ("points_ratio", Num points_ratio);
         ("heap_saving", Num heap_saving);
         ("jobs_speedup",
@@ -431,10 +432,10 @@ let run_estimate_bench spec ~smoke =
    workload: the measurement engine's headline numbers.  Each timed arm
    rebuilds fresh entries from (ctx, candidate) pairs — the entry's lazy
    lowering cell memoizes, so reusing entries would time a no-op — and
-   drives the same rank-ordered batch through a sequential and a parallel
-   engine.  A second pair of full tuner runs shares one measurement
-   cache: the cold run misses on every distinct key, the warm run should
-   hit on (nearly) all of them. *)
+   drives the same rank-ordered batch through one engine on a one-domain
+   pool (stage 1 inline) and on the [jobs]-domain pool.  A second pair of
+   full tuner runs shares one measurement cache: the cold run misses on
+   every distinct key, the warm run should hit on (nearly) all of them. *)
 let run_measure_bench spec ~jobs ~smoke =
   let num = Mcf_util.Json.num_of_int in
   let wname = largest_workload ~smoke in
@@ -465,12 +466,13 @@ let run_measure_bench spec ~jobs ~smoke =
              ~commit:(fun _ _ -> ())
              (batch ())))
   in
-  Mcf_util.Pool.set_jobs jobs;
-  ignore (Mcf_util.Pool.get ());
-  let seq_s =
-    measure_wall (Mcf_search.Measure.create ~sequential:true spec)
+  let at_jobs j =
+    Mcf_util.Pool.set_jobs j;
+    ignore (Mcf_util.Pool.get ());
+    measure_wall (Mcf_search.Measure.create spec)
   in
-  let par_s = measure_wall (Mcf_search.Measure.create spec) in
+  let seq_s = at_jobs 1 in
+  let par_s = at_jobs jobs in
   let fn = float_of_int n in
   let seq_per_s = fn /. Float.max seq_s 1e-9 in
   let par_per_s = fn /. Float.max par_s 1e-9 in
@@ -724,12 +726,12 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       (Domain.recommended_domain_count ());
     (* Smoke gates for the streaming pipeline: the deep chain must cover a
        much larger post-rule-3 space than the largest Table workload, and
-       materializing that space must cost visibly more heap than streaming
-       it did (the monotone peak makes both directions conservative).  The
-       pool regression gate rides on the same chain: its streamed
-       enumeration at the requested --jobs must not lose more than noise
-       to the 1-job run now that the global pool is clamped to the
-       hardware. *)
+       holding every valid entry must cost visibly more heap than the
+       reservoir did (the monotone peak makes both directions
+       conservative).  The pool regression gate rides on the same chain:
+       its streamed enumeration at the requested --jobs must not lose
+       more than noise to the 1-job run now that the global pool is
+       clamped to the hardware. *)
     (match enumeration with
     | Some (_, _, points_ratio, heap_saving, stream_speedup) when smoke ->
       if stream_speedup < 0.9 then begin
@@ -748,8 +750,8 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       end;
       if heap_saving < 1.5 then begin
         Printf.eprintf
-          "FAIL: materializing the deep chain peaked at only %.2fx the \
-           streamed high-water mark (threshold 1.5x)\n%!"
+          "FAIL: the unbounded deep-chain stream peaked at only %.2fx the \
+           reservoir's high-water mark (threshold 1.5x)\n%!"
           heap_saving;
         exit 1
       end

@@ -410,17 +410,7 @@ let tune_cmd =
       & opt (some string) None
       & info [ "measure-cache" ] ~docv:"FILE" ~doc)
   in
-  let measure_jobs_arg =
-    let doc =
-      "Measurement parallelism: 1 pins each generation's measurement \
-       batch to the calling domain; any other value (the default) runs \
-       batches on the shared pool sized by $(b,--jobs).  Results are \
-       bit-identical either way."
-    in
-    Arg.(value & opt int 0 & info [ "measure-jobs" ] ~docv:"N" ~doc)
-  in
-  let run () obs cache reservoir measure_cache measure_jobs device
-      workload =
+  let run () obs cache reservoir measure_cache device workload =
     with_obs obs (fun () ->
         with_setup device workload (fun spec chain ->
             match cache with
@@ -446,12 +436,9 @@ let tune_cmd =
                   measure_cache
               in
               let measure =
-                if mcache = None && measure_jobs <> 1 then None
-                else
-                  Some
-                    (Mcf_search.Measure.create
-                       ?cache:(Option.map fst mcache)
-                       ~sequential:(measure_jobs = 1) spec)
+                Option.map
+                  (fun (c, _) -> Mcf_search.Measure.create ~cache:c spec)
+                  mcache
               in
               let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
               let miss0 =
@@ -498,8 +485,8 @@ let tune_cmd =
   in
   let term =
     Term.(term_result (const run $ setup_term $ obs_term $ cache_arg
-                       $ reservoir_arg $ measure_cache_arg $ measure_jobs_arg
-                       $ device_arg $ workload_arg))
+                       $ reservoir_arg $ measure_cache_arg $ device_arg
+                       $ workload_arg))
   in
   Cmd.v (Cmd.info "tune" ~doc:"Tune one workload and print the schedule") term
 

@@ -45,18 +45,18 @@ let no_alpha_estimator spec (e : Mcf_search.Space.entry) =
   b.t_mem +. b.t_comp
 
 (* Pick the model's argmin over the whole space, one final measurement.
-   The argmin is found closed-form; only the winner is ever lowered. *)
+   The argmin is the first minimum of the enumeration's own estimates;
+   only the winner is ever lowered. *)
 let model_only spec chain =
-  let entries, _ = Mcf_search.Space.enumerate spec chain in
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored spec chain in
   let best =
     Mcf_util.Listx.min_by
-      (fun (e : Mcf_search.Space.entry) ->
-        Mcf_model.Analytic.estimate spec chain e.cand)
-      entries
+      (fun (_, (est, _)) -> est)
+      (List.combine entries (Array.to_list scores))
   in
   match best with
   | None -> { kernel_time_s = None; tuning_s = None }
-  | Some e -> (
+  | Some (e, _) -> (
     match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e) with
     | Error _ -> { kernel_time_s = None; tuning_s = Some 4.0 }
     | Ok kernel -> (

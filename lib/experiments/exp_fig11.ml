@@ -17,16 +17,18 @@ let compute ?(samples = 250) (spec : Mcf_gpu.Spec.t) =
       if not (List.mem_assoc g.gname paper_correlations) then None
       else begin
         let chain = Mcf_workloads.Configs.gemm_chain g in
-        let entries, _ = Mcf_search.Space.enumerate spec chain in
-        let arr = Array.of_list entries in
+        let entries, scores, _ =
+          Mcf_search.Space.enumerate_scored spec chain
+        in
+        let arr = Array.of_list (List.combine entries (Array.to_list scores)) in
         Mcf_util.Rng.shuffle rng arr;
         let n = min samples (Array.length arr) in
         let points = ref [] in
-        (* Estimates are closed-form; only the sampled entries that reach
-           compilation get lowered (lazily, by [Space.lowered]). *)
+        (* Estimates come from the enumeration; only the sampled entries
+           that reach compilation get lowered (lazily, by
+           [Space.lowered]). *)
         for i = 0 to n - 1 do
-          let e = arr.(i) in
-          let est = Mcf_model.Analytic.estimate spec chain e.cand in
+          let e, (est, _) = arr.(i) in
           match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e) with
           | Error _ -> ()
           | Ok kernel -> (

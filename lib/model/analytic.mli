@@ -143,8 +143,6 @@ module Memo : sig
   val summary : t -> Mcf_ir.Candidate.t -> summary
   (** {!summary_at} with the candidate's own id and mask. *)
 
-  val eval : t -> Mcf_ir.Candidate.t -> eval
-
   val breakdown : t -> Mcf_gpu.Spec.t -> Mcf_ir.Candidate.t -> Perf.breakdown
 
   val estimate : t -> Mcf_gpu.Spec.t -> Mcf_ir.Candidate.t -> float

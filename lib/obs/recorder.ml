@@ -47,13 +47,9 @@ let write path =
       Buffer.add_string buf (Json.to_string e);
       Buffer.add_char buf '\n')
     evs;
-  match open_out path with
+  match Json.write_atomic path (fun oc -> Buffer.output_buffer oc buf) with
   | exception Sys_error e -> Error ("cannot write recording: " ^ e)
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> Buffer.output_buffer oc buf);
-    Ok (List.length evs)
+  | () -> Ok (List.length evs)
 
 let load path =
   match open_in path with

@@ -56,8 +56,9 @@ val strip_clock : Mcf_util.Json.t -> Mcf_util.Json.t
     byte-identity tests compare. *)
 
 val write : string -> (int, string) result
-(** Flush the buffer to a JSONL file (one event per line); returns the
-    number of events written. *)
+(** Flush the buffer to a JSONL file (one event per line, written
+    atomically by {!Mcf_util.Json.write_atomic}); returns the number of
+    events written, or [Error] when the file cannot be written. *)
 
 val load : string -> (Mcf_util.Json.t list, string) result
 (** Parse a JSONL recording back; blank lines are skipped, a malformed

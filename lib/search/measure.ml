@@ -61,17 +61,12 @@ let cache_save (cache : cache) path =
   let entries =
     List.sort (fun (a, _) (b, _) -> String.compare a b) entries
   in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Mcf_util.Json.write_atomic path (fun oc ->
       List.iter
         (fun (k, v) ->
           output_string oc (entry_to_line k v);
           output_char oc '\n')
         entries);
-  Sys.rename tmp path;
   List.length entries
 
 let cache_load (cache : cache) path =
@@ -88,11 +83,10 @@ type t = {
   spec : Mcf_gpu.Spec.t;
   spec_fp : string;
   cache : cache option;
-  sequential : bool;
 }
 
-let create ?cache ?(sequential = false) spec =
-  { spec; spec_fp = Mcf_gpu.Spec.fingerprint spec; cache; sequential }
+let create ?cache spec =
+  { spec; spec_fp = Mcf_gpu.Spec.fingerprint spec; cache }
 
 let spec t = t.spec
 let cache t = t.cache
@@ -163,14 +157,12 @@ let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
     (* Stage 1 — parallel: pure per-candidate work (lower, compile,
        simulate; the simulator is deterministic, so values cannot depend
        on scheduling).  One item per chunk: a measurement is orders of
-       magnitude above the deque-handoff cost. *)
+       magnitude above the deque-handoff cost.  A one-domain pool (or a
+       one-item batch) runs every item inline in the caller. *)
     let results =
-      if t.sequential || n = 1 then Array.init n compute
-      else begin
-        let anc = Trace.ancestry () in
-        Mcf_util.Pool.init ~min_chunk_work:1 (Mcf_util.Pool.get ()) n (fun i ->
-            Trace.with_ancestry anc (fun () -> compute i))
-      end
+      let anc = Trace.ancestry () in
+      Mcf_util.Pool.init ~min_chunk_work:1 (Mcf_util.Pool.get ()) n (fun i ->
+          Trace.with_ancestry anc (fun () -> compute i))
     in
     (* Stage 2 — sequential drain in rank order: all side effects the
        determinism contract covers (virtual-clock charges in float

@@ -14,7 +14,7 @@
 
     Because stage 1 is pure and the simulator is deterministic, every
     observable — funnel counts, recordings, tuner results, virtual time
-    — is bit-identical to the old sequential path at any [--jobs].
+    — is bit-identical at any [--jobs].
 
     The optional cache is content-addressed: the key combines the
     {!Mcf_gpu.Spec.fingerprint}, a hash of the
@@ -56,10 +56,9 @@ val cache_load : cache -> string -> int * int
 
 type t
 
-val create : ?cache:cache -> ?sequential:bool -> Mcf_gpu.Spec.t -> t
-(** An engine measuring on one device.  [sequential] pins stage 1 to
-    the calling domain ([--measure-jobs 1] — results are bit-identical
-    either way, this only trades wall time for determinism paranoia). *)
+val create : ?cache:cache -> Mcf_gpu.Spec.t -> t
+(** An engine measuring on one device.  Stage 1 runs on the shared
+    {!Mcf_util.Pool}; at [--jobs 1] it runs inline in the caller. *)
 
 val spec : t -> Mcf_gpu.Spec.t
 
@@ -89,10 +88,9 @@ val run_batch :
   (int * Space.entry) list ->
   unit
 (** Measure a rank-ordered batch of [(id, entry)] items.  Stage 1 runs
-    in parallel (unless the engine is [sequential]); the drain then, in
-    list order and per item: charges one compile, charges the
-    measurement when it succeeded, and calls [commit id result].
-    Duplicate-key items within one batch are deduplicated by the
-    in-flight table when a cache is attached; callers wanting
-    exactly-once commits per id must dedup ids themselves (the explore
-    loop does). *)
+    on the shared pool; the drain then, in list order and per item:
+    charges one compile, charges the measurement when it succeeded, and
+    calls [commit id result].  Duplicate-key items within one batch are
+    deduplicated by the in-flight table when a cache is attached;
+    callers wanting exactly-once commits per id must dedup ids
+    themselves (the explore loop does). *)

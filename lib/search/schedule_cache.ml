@@ -120,18 +120,13 @@ let lookup t ~chain ~device =
     t
 
 let save t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Mcf_util.Json.write_atomic path (fun oc ->
       List.iter
         (fun e ->
           Printf.fprintf oc "%s|%s|%s|%.9e\n" e.echain e.edevice
             (serialize_candidate e.ecand)
             e.etime_s)
-        (List.rev t));
-  Sys.rename tmp path
+        (List.rev t))
 
 let load ~chains path =
   (* Entries are collected newest-first and deduplicated through the

@@ -157,19 +157,10 @@ let raw_cardinality (chain : Chain.t) =
   in
   float_of_int (Tiling.count chain) *. tile_count
 
-(* Exemplar strings for the flight recorder's prune-attribution events:
-   the canonical per-block sub-tiling expressions a structural rule
-   rejected (rules 1-2), or the first few rejected candidates (rule 4 /
-   validity).  Computed only when recording.  Membership is a
-   Hashtbl-backed set — the older [List.mem] over string keys was
-   quadratic in the tiling count. *)
-let removed_tilings chain kept all =
-  let kept_keys = Hashtbl.create 64 in
-  List.iter (fun t -> Hashtbl.replace kept_keys (Tiling.to_string t) ()) kept;
-  List.filter (fun t -> not (Hashtbl.mem kept_keys (Tiling.to_string t))) all
-  |> List.map (fun t -> Tiling.to_string (Tiling.sub_tiling chain t))
-  |> Mcf_util.Listx.dedup_keep_order ~key:Fun.id
-
+(* The flight recorder's prune-attribution event for one rule, with up to
+   three exemplar strings: canonical per-block sub-tiling expressions a
+   structural rule rejected (rules 1-2), or rejected candidates (rule 4 /
+   validity).  Exemplars are collected only when recording. *)
 let emit_prune ~stage ~kind ~enabled ~before ~after exemplars =
   Mcf_obs.Recorder.emit "prune" (fun () ->
       let open Mcf_util.Json in
@@ -222,11 +213,13 @@ let add_funnel_metrics ~total funnel =
    and the reservoir before the walk resumes.
 
    Peak heap is O(reservoir + chunk), never O(space).  The point order
-   is identical to the materialized path (tilings in [Tiling.enumerate]
-   order, combos row-major first-axis-slowest as [Listx.cartesian]
-   produced them), every drain is sequential, and the reservoir re-sorts
-   by rank — so the candidate list, the funnel and the eventual tuner
-   outcome are bit-identical at any --jobs, with recording on or off. *)
+   is fixed (tilings in [Tiling.enumerate] order, each tiling's tile
+   combos row-major with the first axis slowest), every drain is
+   sequential, and the reservoir re-sorts by rank — so the candidate
+   list, the funnel and the eventual tuner outcome are bit-identical at
+   any --jobs, with recording on or off.  test_stream.ml pins the list
+   and the funnel against a brute-force filter over the raw cross
+   product. *)
 
 type seg = {
   stiling : Tiling.t;
@@ -347,10 +340,9 @@ let enumerate_scored ?(options = default_options)
       in
       (* Chunk point [i]: find its segment by binary search, then decode
          its combo index by mixed radix straight into tile and trip arrays
-         in [chain.axes] order, replicating the row-major (first axis
-         slowest) order [Listx.cartesian] produced in the materialized
-         path; the positional index is part of the determinism contract.
-         Returns the segment and the trip=1 mask. *)
+         in [chain.axes] order, row-major with the first axis slowest; the
+         positional index is part of the determinism contract.  Returns
+         the segment and the trip=1 mask. *)
       let decode chunk i tiles trips =
         let lo = ref 0 and hi = ref (Array.length chunk.segs - 1) in
         while !lo < !hi do
@@ -534,9 +526,7 @@ let enumerate_scored ?(options = default_options)
           if !pending_pts >= chunk_target then flush ()
         done
       in
-      (* First three distinct removed sub-tiling keys, in stream order:
-         exactly [removed_tilings ... |> take 3] of the materialized
-         path. *)
+      (* First three distinct removed sub-tiling keys, in stream order. *)
       let note_exemplar tbl lst count k =
         if !count < 3 && not (Hashtbl.mem tbl k) then begin
           Hashtbl.add tbl k ();
@@ -638,191 +628,3 @@ let enumerate ?options ?on_phase ?reservoir spec chain =
     enumerate_scored ?options ?on_phase ?reservoir spec chain
   in
   (survivors, funnel)
-
-(* ------------------------------------------------------------------ *)
-(* Materialized reference path.
-
-   The pre-streaming implementation, kept as the differential oracle:
-   the whole tiling list and the indexed virtual space live in memory at
-   once, staged precheck then validity.  test_stream.ml pins the
-   streaming path against this one (same funnel, same candidate set);
-   it is also what the fuzzer's pruning oracle cross-checks. *)
-
-let enumerate_materialized ?(options = default_options)
-    ?(on_phase = fun _ _ -> ()) (spec : Mcf_gpu.Spec.t) chain =
-  let module Trace = Mcf_obs.Trace in
-  Trace.with_span "space.enumerate"
-    ~args:(fun () -> [ ("chain", Trace.Str chain.Chain.cname) ])
-    (fun () ->
-      let opts = options in
-      let recording = Mcf_obs.Recorder.enabled () in
-      Mcf_obs.Metrics.incr c_enumerations;
-      let raw_ts = Trace.with_span "space.tilings" (fun () -> all_tilings opts chain) in
-      let ts1 =
-        if opts.rule1 then
-          Trace.with_span "space.rule1" (fun () -> apply_rule1 chain raw_ts)
-        else raw_ts
-      in
-      let ts2 =
-        if opts.rule2 then
-          Trace.with_span "space.rule2" (fun () -> apply_rule2 chain ts1)
-        else ts1
-      in
-      let choices =
-        Trace.with_span "space.rule3" (fun () -> tile_choices opts chain)
-      in
-      let combos = Mcf_util.Listx.cartesian (List.map snd choices) in
-      let names = List.map fst choices in
-      let candidates_rule3 =
-        float_of_int (List.length ts2) *. float_of_int (List.length combos)
-      in
-      (* The space is indexed virtually: rank r <-> (expression r / |combos|,
-         tile vector r mod |combos|); the point list is never materialized.
-         Enumeration is then staged — a closed-form rule-4 precheck rejects
-         most points from the tiling alone, and only the survivors pay for a
-         full lowering.  Both stages are pure per-rank maps and run on the
-         shared domain pool (order-preserving, so the space stays
-         deterministic whatever the pool size). *)
-      let ts2_arr = Array.of_list ts2 in
-      let combos_arr = Array.of_list combos in
-      let n_combos = Array.length combos_arr in
-      let total = Array.length ts2_arr * n_combos in
-      Mcf_obs.Progress.set_info (Printf.sprintf "%d points" total);
-      let cand_of r =
-        Candidate.make ts2_arr.(r / n_combos)
-          (List.combine names combos_arr.(r mod n_combos))
-      in
-      let pool = Mcf_util.Pool.get () in
-      (* Stage 1: eq. (1) straight from (tiling, tiles), no Lower.lower.
-         Exactness against the lowered estimate is enforced by the sweep in
-         test_model.ml, so no post-lowering backstop is needed. *)
-      let rule4_exemplars = ref [] in
-      let survivor_ranks, precheck_s =
-        Trace.timed "space.precheck"
-          ~args:(fun () -> [ ("points", Trace.Int total) ])
-          (fun () ->
-            if not opts.rule4 then Array.init total Fun.id
-            else begin
-              let ok =
-                Mcf_util.Pool.init ~min_chunk_work:64 pool total (fun r ->
-                    Mcf_model.Shmem.precheck_within_budget spec
-                      ~slack:opts.shmem_slack ~rule1:opts.rule1
-                      ~dead_loop_elim:opts.dead_loop_elim chain (cand_of r))
-              in
-              if recording then begin
-                let r = ref 0 in
-                while List.length !rule4_exemplars < 3 && !r < total do
-                  if not ok.(!r) then
-                    rule4_exemplars :=
-                      Candidate.to_string (cand_of !r) :: !rule4_exemplars;
-                  incr r
-                done;
-                rule4_exemplars := List.rev !rule4_exemplars
-              end;
-              let n_ok =
-                Array.fold_left (fun n b -> if b then n + 1 else n) 0 ok
-              in
-              let ranks = Array.make n_ok 0 in
-              let j = ref 0 in
-              Array.iteri
-                (fun r b ->
-                  if b then begin
-                    ranks.(!j) <- r;
-                    incr j
-                  end)
-                ok;
-              ranks
-            end)
-      in
-      on_phase "space.precheck" precheck_s;
-      (* Telemetry tick right after the precheck burst: this is where the
-         pool gauges catch space.precheck activity that a teardown-only
-         sync used to miss. *)
-      Mcf_obs.Resource.sample ();
-      (* Stage 2: closed-form softmax-legality verdict on the survivors —
-         still no lowering (the verdict equals [(Lower.lower ...).validity]
-         by the test_model.ml sweep).  Survivor entries carry a lazy
-         lowering cell forced only by measurement or codegen. *)
-      let ctx =
-        { chain;
-          rule1 = opts.rule1;
-          dead_loop_elim = opts.dead_loop_elim;
-          hoisting = opts.hoisting;
-          elem_bytes = spec.elem_bytes }
-      in
-      let memo =
-        Mcf_model.Analytic.Memo.create ~rule1:opts.rule1
-          ~dead_loop_elim:opts.dead_loop_elim ~hoisting:opts.hoisting
-          ~elem_bytes:spec.elem_bytes chain
-      in
-      let valid =
-        Trace.with_span "space.validity"
-          ~args:(fun () ->
-            [ ("points", Trace.Int (Array.length survivor_ranks)) ])
-          (fun () ->
-            Mcf_util.Pool.map_array ~min_chunk_work:64 pool
-              (fun r ->
-                Result.is_ok
-                  (Mcf_model.Analytic.Memo.eval memo (cand_of r)).everdict)
-              survivor_ranks)
-      in
-      let survivors =
-        Array.to_list
-          (Array.map2
-             (fun r ok -> if ok then Some (make_entry ctx (cand_of r)) else None)
-             survivor_ranks valid)
-        |> List.filter_map Fun.id
-      in
-      let n_rule4 = Array.length survivor_ranks in
-      let funnel =
-        { tilings_raw = List.length raw_ts;
-          tilings_rule1 = List.length ts1;
-          tilings_rule2 = List.length ts2;
-          candidates_raw = raw_cardinality chain;
-          candidates_rule3;
-          candidates_rule4 = n_rule4;
-          candidates_valid = List.length survivors }
-      in
-      add_funnel_metrics ~total funnel;
-      if recording then begin
-        let fi = float_of_int in
-        emit_prune ~stage:"rule1" ~kind:"tilings" ~enabled:opts.rule1
-          ~before:(fi funnel.tilings_raw) ~after:(fi funnel.tilings_rule1)
-          (removed_tilings chain ts1 raw_ts);
-        emit_prune ~stage:"rule2" ~kind:"tilings" ~enabled:opts.rule2
-          ~before:(fi funnel.tilings_rule1) ~after:(fi funnel.tilings_rule2)
-          (removed_tilings chain ts2 ts1);
-        emit_prune ~stage:"rule3" ~kind:"candidates" ~enabled:opts.rule3
-          ~before:funnel.candidates_raw ~after:funnel.candidates_rule3
-          (List.map
-             (fun (a : Axis.t) ->
-               Printf.sprintf "%s: %d of %d tile options kept" a.name
-                 (List.length (List.assoc a.name choices))
-                 (List.length (Candidate.tile_options a.size)))
-             chain.axes);
-        emit_prune ~stage:"rule4" ~kind:"candidates" ~enabled:opts.rule4
-          ~before:(fi total) ~after:(fi funnel.candidates_rule4)
-          !rule4_exemplars;
-        let invalid_exemplars =
-          let acc = ref [] in
-          Array.iteri
-            (fun i ok ->
-              if (not ok) && List.length !acc < 3 then
-                acc :=
-                  Candidate.to_string (cand_of survivor_ranks.(i)) :: !acc)
-            valid;
-          List.rev !acc
-        in
-        emit_prune ~stage:"validity" ~kind:"candidates" ~enabled:true
-          ~before:(fi funnel.candidates_rule4)
-          ~after:(fi funnel.candidates_valid) invalid_exemplars;
-        Mcf_obs.Recorder.emit "space" (fun () ->
-            [ ("chain", Mcf_util.Json.Str chain.Chain.cname);
-              ("funnel", funnel_json funnel) ])
-      end;
-      Log.debug (fun m ->
-          m "%s: %d tilings -> %d exprs, %d points (%d checked) -> %d valid \
-             candidates"
-            chain.Chain.cname funnel.tilings_raw funnel.tilings_rule2 total
-            (Array.length survivor_ranks) funnel.candidates_valid);
-      (survivors, funnel))

@@ -116,9 +116,10 @@ val enumerate :
     yields the summary both the rule-4 footprint and the estimate read,
     and no candidate is built unless the summary is missing or the
     reservoir admits the point.  Peak heap is
-    O(reservoir + chunk), not O(space), and the result is bit-identical
-    to {!enumerate_materialized} — same candidates, same order, same
-    funnel — at any [--jobs].  The drain yields the runtime lock once per
+    O(reservoir + chunk), not O(space), and the result — candidates,
+    their order, the funnel — is bit-identical at any [--jobs] (pinned
+    against a brute-force filter over the raw cross product in
+    test_stream.ml).  The drain yields the runtime lock once per
     chunk ([Thread.yield]), so other threads of the calling domain (the
     serve daemon's HTTP and submit threads) keep running.
 
@@ -155,15 +156,3 @@ val enumerate_scored :
     and the closed-form traffic scaled by [(blocks + sm_count) / blocks].
     These are the search's only model scores; {!Explore.run} takes them
     as its required [scores] argument. *)
-
-val enumerate_materialized :
-  ?options:options ->
-  ?on_phase:(string -> float -> unit) ->
-  Mcf_gpu.Spec.t ->
-  Mcf_ir.Chain.t ->
-  entry list * funnel
-(** The pre-streaming reference implementation: materializes the full
-    tiling list and the indexed virtual space, then stages precheck and
-    validity.  Kept as the differential oracle for the streaming path
-    (test_stream.ml pins funnel/candidate/winner equivalence); its peak
-    heap is O(space), so never call it on deep (5–8-block) chains. *)

@@ -68,7 +68,12 @@ let tune ?options ?params ?estimator ?seed ?reservoir ?measure
              ("compile_cost_s", Num prm.compile_cost_s) ]) ]);
   (* Every phase is timed through the same [Trace.timed] call that emits
      its span, so the breakdown below, the trace file and [tuning_wall_s]
-     share one measurement and can never disagree. *)
+     share one measurement and can never disagree.  A phase's body gets a
+     callback for the named sub-phases it reports (the enumeration's
+     space.precheck, the explore loop's tuner.measure); each is carved out
+     of the phase's own duration and listed right after it, so the
+     breakdown entries stay non-overlapping and still sum to at most
+     [tuning_wall_s]. *)
   let phases = ref [] in
   let phase name f =
     Mcf_obs.Progress.set_phase name;
@@ -76,57 +81,40 @@ let tune ?options ?params ?estimator ?seed ?reservoir ?measure
        on, short phases get at least one sample from the main domain's
        vantage (observational only — see Resource). *)
     Mcf_obs.Resource.sample ();
-    let r, dur_s = Trace.timed name f in
-    phases := (name, dur_s) :: !phases;
+    let sub = ref [] in
+    let r, dur_s =
+      Trace.timed name (fun () ->
+          f (fun sub_name sub_s -> sub := (sub_name, sub_s) :: !sub))
+    in
+    let sub = List.rev !sub in
+    let own_s = Float.max 0.0 (dur_s -. Mcf_util.Listx.sum_by snd sub) in
+    phases := List.rev_append sub ((name, own_s) :: !phases);
     r
   in
   let run () =
-    (* Sub-phases reported by the enumeration (space.precheck) are carved
-       out of tuner.enumerate's duration so the breakdown entries stay
-       non-overlapping and still sum to at most [tuning_wall_s]. *)
-    let sub = ref [] in
-    Mcf_obs.Progress.set_phase "tuner.enumerate";
-    Mcf_obs.Resource.sample ();
-    let (entries, scores, funnel), enum_s =
-      Trace.timed "tuner.enumerate" (fun () ->
-          Space.enumerate_scored ~options:opts
-            ~on_phase:(fun name dur_s -> sub := (name, dur_s) :: !sub)
-            ?reservoir spec chain)
+    let entries, scores, funnel =
+      phase "tuner.enumerate" (fun on_phase ->
+          Space.enumerate_scored ~options:opts ~on_phase ?reservoir spec chain)
     in
-    let sub = List.rev !sub in
-    let sub_total = Mcf_util.Listx.sum_by snd sub in
-    phases :=
-      ("tuner.enumerate", Float.max 0.0 (enum_s -. sub_total)) :: !phases;
-    List.iter (fun p -> phases := p :: !phases) sub;
     Log.info (fun m ->
         m "%s on %s: %d candidates after pruning (raw %.3g)"
           chain.Mcf_ir.Chain.cname spec.name funnel.candidates_valid
           funnel.candidates_raw);
     (* Framework start-up: partitioning, space generation, IR round-trips. *)
     Mcf_gpu.Clock.charge clock 4.0;
-    (* Like the enumeration above, the explore phase reports its measure
-       batches as a sub-phase (tuner.measure) carved out of its own
-       duration — this is where a warm measurement cache's wall-time
-       saving becomes visible in the breakdown. *)
-    let esub = ref [] in
-    Mcf_obs.Progress.set_phase "tuner.explore";
-    Mcf_obs.Resource.sample ();
-    let explored, explore_s =
-      Trace.timed "tuner.explore" (fun () ->
-          Explore.run ~params:prm ?estimator ~scores ?measure
-            ~on_phase:(fun name dur_s -> esub := (name, dur_s) :: !esub)
-            ~rng ~clock spec entries)
+    (* The explore phase's measure batches are its sub-phase: this is
+       where a warm measurement cache's wall-time saving becomes visible
+       in the breakdown. *)
+    let explored =
+      phase "tuner.explore" (fun on_phase ->
+          Explore.run ~params:prm ?estimator ~scores ?measure ~on_phase ~rng
+            ~clock spec entries)
     in
-    let esub = List.rev !esub in
-    let esub_total = Mcf_util.Listx.sum_by snd esub in
-    phases :=
-      ("tuner.explore", Float.max 0.0 (explore_s -. esub_total)) :: !phases;
-    List.iter (fun p -> phases := p :: !phases) esub;
     match explored with
     | None -> Error No_viable_candidate
     | Some { best; best_time_s; stats } -> (
       match
-        phase "tuner.codegen" (fun () ->
+        phase "tuner.codegen" (fun _ ->
             Mcf_codegen.Compile.compile spec (Space.lowered best))
       with
       | Error _ -> Error No_viable_candidate

@@ -125,15 +125,12 @@ let cache_entry_json key (s : Protocol.sched) =
 let persist_cache t path =
   let entries = Shardmap.fold t.cache (fun k v acc -> (k, v) :: acc) [] in
   let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  List.iter
-    (fun (k, v) ->
-      output_string oc (Json.to_string (cache_entry_json k v));
-      output_char oc '\n')
-    entries;
-  close_out oc;
-  Sys.rename tmp path;
+  Json.write_atomic path (fun oc ->
+      List.iter
+        (fun (k, v) ->
+          output_string oc (Json.to_string (cache_entry_json k v));
+          output_char oc '\n')
+        entries);
   List.length entries
 
 let load_cache t path =

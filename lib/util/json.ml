@@ -330,3 +330,24 @@ let fold_lines ~path ~init ~f =
 let fold_jsonl ~path ~init ~f =
   fold_lines ~path ~init ~f:(fun acc line ->
       match parse line with Ok j -> f acc j | Error _ -> None)
+
+let write_atomic path write =
+  let tmp = path ^ ".tmp" in
+  let oc = open_out tmp in
+  try
+    let r =
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          let r = write oc in
+          (* [close_out] flushes and reports a short write; the [finally]
+             only covers the paths that never reach it. *)
+          close_out oc;
+          r)
+    in
+    Sys.rename tmp path;
+    r
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt

@@ -48,3 +48,11 @@ val fold_jsonl :
     This is the one shared loader for every append-only JSONL store
     (history, caches) — truncated tails cost exactly the damaged
     lines. *)
+
+val write_atomic : string -> (out_channel -> 'a) -> 'a
+(** [write_atomic path write] runs [write] on a fresh [path ^ ".tmp"],
+    closes it and renames it over [path], so readers see the old file or
+    the complete new one, never a torn write.  This is the one writer for
+    every persistent store (caches, recordings).  If [write], the close or
+    the rename raises, the temporary file is removed, [path] is left as it
+    was and the exception is re-raised. *)

@@ -42,10 +42,7 @@ let counter = Mcf_obs.Metrics.counter_value
 (* --- parallel vs sequential bit-identity ----------------------------------- *)
 
 let test_parallel_matches_sequential () =
-  let seq =
-    with_jobs 1 (fun () ->
-        tune ~measure:(Measure.create ~sequential:true a100) ())
-  in
+  let seq = with_jobs 1 (fun () -> tune ~measure:(Measure.create a100) ()) in
   List.iter
     (fun jobs ->
       let par = with_jobs jobs (fun () -> tune ()) in
@@ -55,9 +52,10 @@ let test_parallel_matches_sequential () =
     [ 1; 4 ]
 
 let test_run_batch_drain_order () =
-  (* Same batch through a parallel and a sequential engine: commits must
-     arrive in rank order with bit-identical results, and the virtual
-     clock must accumulate the same float. *)
+  (* Same batch measured on a one-domain pool (stage 1 inline in the
+     caller) and a four-domain one: commits must arrive in rank order with
+     bit-identical results, and the virtual clock must accumulate the same
+     float. *)
   let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
   let batch =
     List.filteri (fun i _ -> i < 8) entries |> List.mapi (fun i e -> (i, e))
@@ -70,7 +68,7 @@ let test_run_batch_drain_order () =
       batch;
     (List.rev !commits, Mcf_gpu.Clock.elapsed_s clock)
   in
-  let seq_commits, seq_clock = run (Measure.create ~sequential:true a100) in
+  let seq_commits, seq_clock = with_jobs 1 (fun () -> run (Measure.create a100)) in
   let par_commits, par_clock = with_jobs 4 (fun () -> run (Measure.create a100)) in
   Alcotest.(check (list (pair int (option (float 0.0)))))
     "commits identical in rank order" seq_commits par_commits;
@@ -174,16 +172,17 @@ let test_inflight_dedup_two_domains () =
   Alcotest.(check int) "exactly one Computed" 1 computed
 
 let test_concurrent_runs_share_cache () =
-  (* Two domains measure the same batch through sequential engines sharing
-     one cache: each key is simulated at most once process-wide, and both
-     drains commit identical results. *)
+  (* Two domains measure the same batch on a one-domain pool (each
+     stage 1 inline in its own caller), sharing one cache: each key is
+     simulated at most once process-wide, and both drains commit identical
+     results. *)
   let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
   let batch =
     List.filteri (fun i _ -> i < 8) entries |> List.mapi (fun i e -> (i, e))
   in
   let cache = Measure.cache_create () in
   let run () =
-    let engine = Measure.create ~cache ~sequential:true a100 in
+    let engine = Measure.create ~cache a100 in
     let clock = Mcf_gpu.Clock.create () in
     let commits = ref [] in
     Measure.run_batch engine ~clock ~compile_cost_s:0.8 ~repeats:10
@@ -192,9 +191,12 @@ let test_concurrent_runs_share_cache () =
     List.rev !commits
   in
   let m0 = counter "measure.cache.misses" in
-  let d = Domain.spawn run in
-  let a = run () in
-  let b = Domain.join d in
+  let a, b =
+    with_jobs 1 (fun () ->
+        let d = Domain.spawn run in
+        let a = run () in
+        (a, Domain.join d))
+  in
   let m1 = counter "measure.cache.misses" in
   Alcotest.(check (list (pair int (option (float 0.0)))))
     "both drains commit identical results" a b;

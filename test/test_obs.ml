@@ -77,6 +77,34 @@ let test_json_member () =
   Alcotest.(check bool) "non-object" true
     (Json.member "f" (Json.List []) = None)
 
+let test_json_write_atomic () =
+  (* A writer that raises leaves the previous file byte-identical and no
+     temporary behind; a clean write replaces the file whole. *)
+  let file = Filename.temp_file "mcf_atomic" ".jsonl" in
+  let tmp = file ^ ".tmp" in
+  let read () = In_channel.with_open_bin file In_channel.input_all in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ file; tmp ])
+    (fun () ->
+      Json.write_atomic file (fun oc -> output_string oc "old\n");
+      (match
+         Json.write_atomic file (fun oc ->
+             output_string oc "torn";
+             failwith "boom")
+       with
+      | () -> Alcotest.fail "exception swallowed"
+      | exception Failure m -> Alcotest.(check string) "re-raised" "boom" m);
+      Alcotest.(check string) "previous file intact" "old\n" (read ());
+      Alcotest.(check bool) "no .tmp left" false (Sys.file_exists tmp);
+      Alcotest.(check int) "writer's result" 3
+        (Json.write_atomic file (fun oc ->
+             output_string oc "new\n";
+             3));
+      Alcotest.(check string) "replaced" "new\n" (read ()))
+
 (* --- Trace ------------------------------------------------------------------ *)
 
 let test_span_nesting () =
@@ -480,6 +508,13 @@ let test_recorder_emit_order_and_strip () =
       (Json.to_string (Recorder.strip_clock b))
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs));
   Recorder.reset ()
+
+let test_recorder_write_error () =
+  match Recorder.write "/nonexistent/mcf-rec.jsonl" with
+  | Ok _ -> Alcotest.fail "wrote into a missing directory"
+  | Error e ->
+    Alcotest.(check bool) "typed error" true
+      (String.starts_with ~prefix:"cannot write recording" e)
 
 let test_recorder_write_load_roundtrip () =
   Recorder.reset ();
@@ -1005,7 +1040,8 @@ let () =
             test_json_integral_floats;
           Alcotest.test_case "escapes" `Quick test_json_parse_escapes;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
-          Alcotest.test_case "member" `Quick test_json_member ] );
+          Alcotest.test_case "member" `Quick test_json_member;
+          Alcotest.test_case "write atomic" `Quick test_json_write_atomic ] );
       ( "trace",
         [ Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "args + exceptions" `Quick
@@ -1039,6 +1075,8 @@ let () =
             test_recorder_emit_order_and_strip;
           Alcotest.test_case "write/load roundtrip" `Quick
             test_recorder_write_load_roundtrip;
+          Alcotest.test_case "write error is typed" `Quick
+            test_recorder_write_error;
           Alcotest.test_case "deterministic across jobs" `Quick
             test_recording_deterministic_across_jobs;
           Alcotest.test_case "no perturbation" `Quick
