@@ -28,17 +28,23 @@ trace-demo:
 # match byte-for-byte.  `dune build @fmt` / `dune runtest` alone would
 # auto-promote or hide drift behind a stale cache; --force + diff fails
 # loudly instead.  Library code spawns domains only inside the shared
-# pool, so a stray Domain.spawn elsewhere in lib/ fails the guard too.
+# pool, so a stray Domain.spawn elsewhere in lib/ fails the guard too;
+# and only Space encodes a search point, so no other search module may
+# read Candidate.tile_options.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
 	@if grep -rn 'Domain\.spawn' lib | grep -v '^lib/util/pool\.ml:'; then \
 	  echo "ci-guard: Domain.spawn in lib/ outside lib/util/pool.ml"; \
 	  exit 1; fi
+	@if grep -n 'Candidate\.tile_options' lib/search/*.ml \
+	  | grep -v '^lib/search/space\.ml:'; then \
+	  echo "ci-guard: Candidate.tile_options in lib/search/ outside space.ml"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

@@ -1001,48 +1001,23 @@ let run_serve_bench ~jobs ~smoke ~history ~out =
       exit 1
     end
 
+let or_exit = function
+  | Ok v -> v
+  | Error e ->
+    prerr_endline e;
+    exit 1
+
 let write_trace path =
   Mcf_obs.Trace.stop ();
-  let doc = Mcf_util.Json.to_string (Mcf_obs.Trace.to_chrome_json ()) in
-  match Mcf_util.Json.parse doc with
-  | Error e ->
-    Printf.eprintf "trace: serialization produced invalid JSON (%s)\n" e;
-    exit 1
-  | Ok _ -> (
-    match open_out path with
-    | exception Sys_error e ->
-      Printf.eprintf "trace: cannot write %s: %s\n" path e;
-      exit 1
-    | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc doc;
-          output_char oc '\n');
-      Printf.eprintf "trace: wrote %s (%d spans)\n%!" path
-        (List.length (Mcf_obs.Trace.events ())))
+  let n = or_exit (Mcf_obs.Trace.write path) in
+  Printf.eprintf "trace: wrote %s (%d spans)\n%!" path n
 
 let write_record path =
   Mcf_obs.Recorder.stop ();
-  match Mcf_obs.Recorder.write path with
-  | Error e ->
-    Printf.eprintf "record: %s\n" e;
-    exit 1
-  | Ok n -> Printf.eprintf "record: wrote %s (%d events)\n%!" path n
+  let n = or_exit (Mcf_obs.Recorder.write path) in
+  Printf.eprintf "record: wrote %s (%d events)\n%!" path n
 
-let write_metrics path =
-  Mcf_obs.Poolstats.sync ();
-  let doc = Mcf_util.Json.to_string (Mcf_obs.Metrics.to_json ()) in
-  match open_out path with
-  | exception Sys_error e ->
-    Printf.eprintf "metrics: cannot write %s: %s\n" path e;
-    exit 1
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc doc;
-        output_char oc '\n')
+let write_metrics path = or_exit (Mcf_obs.Export.write_metrics path)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -238,26 +238,11 @@ let obs_term = obs_term_gen ~listener:true
 
 let write_trace path =
   Mcf_obs.Trace.stop ();
-  let doc = Mcf_util.Json.to_string (Mcf_obs.Trace.to_chrome_json ()) in
-  (* Self-check: parse the document back before writing, so --trace can
-     never leave an unloadable file behind. *)
-  match Mcf_util.Json.parse doc with
-  | Error e ->
-    Error
-      (`Msg
-        (Printf.sprintf "trace serialization produced invalid JSON (%s)" e))
-  | Ok _ -> (
-    match open_out path with
-    | exception Sys_error e -> Error (`Msg ("cannot write trace: " ^ e))
-    | oc ->
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc doc;
-          output_char oc '\n');
-      Printf.eprintf "trace: wrote %s (%d spans)\n%!" path
-        (List.length (Mcf_obs.Trace.events ()));
-      Ok ())
+  match Mcf_obs.Trace.write path with
+  | Error e -> Error (`Msg e)
+  | Ok n ->
+    Printf.eprintf "trace: wrote %s (%d spans)\n%!" path n;
+    Ok ()
 
 let write_record path =
   Mcf_obs.Recorder.stop ();
@@ -268,17 +253,7 @@ let write_record path =
     Ok ()
 
 let write_metrics path =
-  Mcf_obs.Poolstats.sync ();
-  let doc = Mcf_util.Json.to_string (Mcf_obs.Metrics.to_json ()) in
-  match open_out path with
-  | exception Sys_error e -> Error (`Msg ("cannot write metrics: " ^ e))
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc doc;
-        output_char oc '\n');
-    Ok ()
+  Result.map_error (fun e -> `Msg e) (Mcf_obs.Export.write_metrics path)
 
 let with_obs obs f =
   Option.iter Mcf_util.Pool.set_jobs obs.jobs;

@@ -46,22 +46,37 @@ let tune spec (chain : Chain.t) =
     let clock = Mcf_gpu.Clock.create () in
     let run () =
       Mcf_gpu.Clock.charge clock library_scan_s;
-      let measured =
-        List.filter_map
-          (fun cand ->
-            Mcf_gpu.Clock.charge_compile clock ~toolchain_s:cutlass_compile_s;
-            match Mcf_codegen.Compile.compile_candidate spec chain cand with
-            | Error _ -> None
-            | Ok kernel -> (
-              match Mcf_gpu.Sim.run spec kernel with
-              | Error _ -> None
-              | Ok v ->
-                Mcf_gpu.Clock.charge_measure clock ~kernel_time_s:v.time_s
-                  ~repeats:measure_repeats;
-                Some (kernel, v.time_s)))
+      (* The same lowering switches as [Compile.compile_candidate]. *)
+      let ctx =
+        { Mcf_search.Space.chain;
+          rule1 = true;
+          dead_loop_elim = true;
+          hoisting = true;
+          elem_bytes = spec.elem_bytes;
+          grid = Mcf_search.Space.(grid default_options chain) }
+      in
+      let templates =
+        List.mapi
+          (fun i cand -> (i, Mcf_search.Space.make_entry ctx cand))
           (fused_candidates chain)
       in
-      match Mcf_util.Listx.min_by snd measured with
+      let times = Array.make (List.length templates) None in
+      Mcf_search.Measure.run_batch (Mcf_search.Measure.create spec) ~clock
+        ~compile_cost_s:cutlass_compile_s ~repeats:measure_repeats
+        ~commit:(fun i r -> times.(i) <- r)
+        templates;
+      let winner =
+        Option.bind
+          (Mcf_util.Listx.min_by snd
+             (List.filter_map
+                (fun (i, e) -> Option.map (fun t -> (e, t)) times.(i))
+                templates))
+          (fun (e, time_s) ->
+            Result.to_option
+              (Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e))
+            |> Option.map (fun kernel -> (kernel, time_s)))
+      in
+      match winner with
       | Some (kernel, time_s) ->
         Ok
           { Backend.backend = "BOLT";

@@ -12,5 +12,3 @@ let run (backend : Mcf_baselines.Backend.t) (spec : Mcf_gpu.Spec.t)
     let r = backend.tune spec chain in
     Hashtbl.add table key r;
     r
-
-let clear () = Hashtbl.reset table

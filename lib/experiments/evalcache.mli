@@ -7,5 +7,3 @@ val run :
   Mcf_gpu.Spec.t ->
   Mcf_ir.Chain.t ->
   (Mcf_baselines.Backend.outcome, Mcf_baselines.Backend.failure) result
-
-val clear : unit -> unit

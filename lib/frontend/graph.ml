@@ -14,13 +14,6 @@ type t = {
   flops : float;
 }
 
-let op_name = function
-  | Dense { dname; _ } -> dname
-  | Mbci_attention { aname; _ } -> aname
-  | Bias_gelu { ename; _ } -> ename
-  | Bias_add { ename; _ } -> ename
-  | Residual_layernorm { lname; _ } -> lname
-
 let bert (cfg : Mcf_workloads.Configs.bert_config) =
   let s = cfg.seq in
   let hd = cfg.hidden in

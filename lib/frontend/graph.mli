@@ -36,5 +36,3 @@ val attention_time_fraction :
   t -> dense_time:(int * int * int -> float) -> attn_time:(Mcf_workloads.Configs.attention_config -> float) -> float
 (** Fraction of model time spent in self-attention given per-op costs —
     the §II-A motivation numbers (e.g. 14 % of FLOPs but 51 % of time). *)
-
-val op_name : op -> string

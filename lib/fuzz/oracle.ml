@@ -254,7 +254,8 @@ let check_measure_cache (c : Gen.case) =
       rule1 = c.rule1;
       dead_loop_elim = c.dle;
       hoisting = c.hoist;
-      elem_bytes = c.elem_bytes }
+      elem_bytes = c.elem_bytes;
+      grid = Mcf_search.Space.(grid default_options c.chain) }
   in
   (* Fresh entries per pass: each carries its own lazily-forced lowering
      cell, so no pass reuses another's work by accident. *)

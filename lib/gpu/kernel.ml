@@ -55,7 +55,3 @@ let total_bytes k =
     List.fold_left (fun acc a -> acc +. a.bytes_per_block) 0.0 k.accesses
   in
   per_block *. float_of_int k.blocks
-
-let pp ppf k =
-  Format.fprintf ppf "kernel %s: %d blocks, %d B smem, %.3g FLOPs, %.3g B"
-    k.kname k.blocks k.smem_bytes (total_flops k) (total_bytes k)

@@ -50,5 +50,3 @@ val total_flops : t -> float
 
 val total_bytes : t -> float
 (** Global-memory traffic across the whole grid (ignoring L2 reuse). *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,10 +56,3 @@ let fingerprint s =
     s.compute_capability s.sm_count s.peak_flops s.mem_bw s.smem_per_block
     s.smem_per_sm s.l2_bytes s.max_blocks_per_sm s.launch_overhead_s
     s.elem_bytes
-
-let pp ppf s =
-  Format.fprintf ppf
-    "%s (%s): %d SMs, %.0f TFLOP/s, %.0f GB/s, %d KiB smem/block"
-    s.name s.compute_capability s.sm_count (s.peak_flops /. 1e12)
-    (s.mem_bw /. 1e9)
-    (s.smem_per_block / 1024)

@@ -42,5 +42,3 @@ val fingerprint : t -> string
     hex) — the device component of content-addressed cache keys.  Two
     specs share a fingerprint iff measurements taken on one are valid
     for the other. *)
-
-val pp : Format.formatter -> t -> unit

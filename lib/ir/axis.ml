@@ -9,8 +9,6 @@ let is_spatial a = a.role = Spatial
 let is_reduce a = a.role = Reduce
 
 let equal a b = String.equal a.name b.name
-let compare a b = String.compare a.name b.name
-
 let find name axes = List.find (fun a -> String.equal a.name name) axes
 let mem a axes = List.exists (equal a) axes
 

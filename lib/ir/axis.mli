@@ -20,8 +20,6 @@ val equal : t -> t -> bool
 (** Structural equality; axes are compared by name (names are unique within
     a chain). *)
 
-val compare : t -> t -> int
-
 val find : string -> t list -> t
 (** @raise Not_found when no axis has that name. *)
 

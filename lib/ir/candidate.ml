@@ -62,5 +62,3 @@ let serialize t =
 let key = to_string
 
 let equal a b = String.equal (key a) (key b)
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -42,5 +42,3 @@ val serialize : t -> string
     cache files on disk depend on it. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -99,5 +99,3 @@ let equal a b =
     && List.length g1 = List.length g2
     && List.for_all2 eq_list g1 g2
   | Deep _, Flat _ | Flat _, Deep _ -> false
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

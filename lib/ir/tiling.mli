@@ -63,5 +63,3 @@ val sub_tiling : Chain.t -> t -> t
 
 val equal : t -> t -> bool
 (** Structural equality (axes compared by name). *)
-
-val pp : Format.formatter -> t -> unit

@@ -101,6 +101,17 @@ let metrics_text ?(labels = []) ?(filter = fun _ -> true) () =
     (Metrics.snapshot ());
   Buffer.contents buf
 
+let write_metrics path =
+  Poolstats.sync ();
+  let doc = Json.to_string (Metrics.to_json ()) in
+  match
+    Json.write_atomic path (fun oc ->
+        output_string oc doc;
+        output_char oc '\n')
+  with
+  | exception Sys_error e -> Error ("cannot write metrics: " ^ e)
+  | () -> Ok ()
+
 (* --- /status --------------------------------------------------------------- *)
 
 let status_json () =

@@ -35,6 +35,11 @@ val metrics_text :
     all).  Output is deterministic for a fixed registry state: metrics
     sorted by name, buckets ascending. *)
 
+val write_metrics : string -> (unit, string) result
+(** Write the registry as {!Metrics.to_json} to a file (the [--metrics]
+    dump), atomically ({!Mcf_util.Json.write_atomic}) and after a
+    {!Poolstats.sync}. *)
+
 val status_json : unit -> Mcf_util.Json.t
 (** The [/status] document.  Forces a {!Resource.sample_now} first. *)
 

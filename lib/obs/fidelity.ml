@@ -83,18 +83,6 @@ let publish t =
     (fun (k, r) -> set (Printf.sprintf "fidelity.top%d_recall" k) r)
     t.topk_recall
 
-let to_json t =
-  Json.Obj
-    [ ("pairs", Json.num_of_int t.pairs);
-      ("mape", Json.Num t.mape);
-      ("rank_accuracy", Json.Num t.rank_accuracy);
-      ("kendall_tau", Json.Num t.kendall_tau);
-      ("topk_recall",
-       Json.Obj
-         (List.map
-            (fun (k, r) -> (string_of_int k, Json.Num r))
-            t.topk_recall)) ]
-
 let render t =
   let tbl = Mcf_util.Table.create ~headers:[ "fidelity metric"; "value" ] in
   Mcf_util.Table.add_row tbl [ "estimate/measure pairs"; string_of_int t.pairs ];

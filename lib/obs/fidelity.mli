@@ -42,8 +42,6 @@ val publish : t -> unit
 (** Set the [fidelity.pairs], [fidelity.mape], [fidelity.rank_accuracy],
     [fidelity.kendall_tau] and [fidelity.top<k>_recall] gauges. *)
 
-val to_json : t -> Mcf_util.Json.t
-
 val render : t -> string
 (** One summary table via {!Mcf_util.Table}. *)
 

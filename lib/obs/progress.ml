@@ -40,8 +40,6 @@ let st =
 
 let lock = Mutex.create ()
 let min_render_gap_s = 0.1
-
-let active () = Atomic.get enabled_flag
 let recording () = Atomic.get enabled_flag || Atomic.get tracked_flag
 
 let render_line () =

@@ -23,8 +23,6 @@ val disable : unit -> unit
 (** Stop accepting updates and erase the status line if one was drawn.
     No-op when already off. *)
 
-val active : unit -> bool
-
 val set_phase : string -> unit
 (** Announce a new phase (e.g. ["space.enumerate"]).  Clears the info
     field and forces a redraw. *)

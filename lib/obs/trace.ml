@@ -199,45 +199,18 @@ let to_chrome_json () =
          @ List.map counter_json (counter_events ())));
       ("displayTimeUnit", Str "ms") ]
 
-let flame () =
-  let es = events () in
-  let table : (string, string list * int ref * float ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  List.iter
-    (fun e ->
-      let key = String.concat "/" e.path in
-      match Hashtbl.find_opt table key with
-      | Some (_, count, total) ->
-        Stdlib.incr count;
-        total := !total +. e.dur_us
-      | None -> Hashtbl.add table key (e.path, ref 1, ref e.dur_us))
-    es;
-  let rows =
-    Hashtbl.fold (fun _ (path, c, t) acc -> (path, !c, !t) :: acc) table []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  let child_total path =
-    Mcf_util.Listx.sum_by
-      (fun (p, _, t) ->
-        if
-          List.length p = List.length path + 1
-          && Mcf_util.Listx.take (List.length path) p = path
-        then t
-        else 0.0)
-      rows
-  in
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun (path, count, total_us) ->
-      let depth = List.length path - 1 in
-      let name = match List.rev path with last :: _ -> last | [] -> "" in
-      let self_us = total_us -. child_total path in
-      Buffer.add_string buf
-        (Printf.sprintf "%-48s %7d calls  total %10s  self %10s\n"
-           (String.make (2 * depth) ' ' ^ name)
-           count
-           (Mcf_util.Table.fmt_time_s (total_us *. 1e-6))
-           (Mcf_util.Table.fmt_time_s (self_us *. 1e-6))))
-    rows;
-  Buffer.contents buf
+let write path =
+  let doc = Mcf_util.Json.to_string (to_chrome_json ()) in
+  (* Parse the document back before writing, so a trace file is never
+     unloadable. *)
+  match Mcf_util.Json.parse doc with
+  | Error e ->
+    Error (Printf.sprintf "trace serialization produced invalid JSON (%s)" e)
+  | Ok _ -> (
+    match
+      Mcf_util.Json.write_atomic path (fun oc ->
+          output_string oc doc;
+          output_char oc '\n')
+    with
+    | exception Sys_error e -> Error ("cannot write trace: " ^ e)
+    | () -> Ok (List.length (events ())))

@@ -4,8 +4,7 @@
     calling domain, the ancestry of enclosing spans, and optional
     key/value arguments.  Completed spans land in a domain-safe in-memory
     buffer and can be exported as Chrome [trace_event] JSON (open in
-    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}) or as a
-    plain-text flame summary.
+    [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}).
 
     Tracing is off by default and zero-cost when off: [with_span] is one
     atomic load and a branch, no allocation, no clock read.  Span
@@ -98,6 +97,7 @@ val to_chrome_json : unit -> Mcf_util.Json.t
 (** Chrome [trace_event] document: ["X"] (complete) events under
     [traceEvents], timestamps in microseconds, one [tid] per domain. *)
 
-val flame : unit -> string
-(** Plain-text flame summary: spans aggregated by path with call counts,
-    total and self time, children indented under parents. *)
+val write : string -> (int, string) result
+(** Write {!to_chrome_json} to a file, atomically
+    ({!Mcf_util.Json.write_atomic}), after parsing the document back;
+    returns the number of spans.  The error says which step failed. *)

@@ -40,77 +40,22 @@ type result = {
   stats : stats;
 }
 
-let position options v =
-  match Array.find_index (Int.equal v) options with
-  | Some p -> p
-  | None -> invalid_arg "Explore.run: a tile is not one of its axis's options"
-
-(* The code index: every pool entry as an int code — its tiling's id,
-   then each tile's position in its axis's [Candidate.tile_options]
-   array, in the candidate's sorted tile order — and a table from code to
-   the first pool index holding it.  Entries of one chain share the tile
-   order and the option arrays, so two codes are equal exactly when the
-   candidate keys are.  Also returns each tile position's option count,
-   the bound a mutation steps within.  The enumeration shares one tiling
-   value across a tiling's candidates and emits them together, so the
-   tiling string is built about once per tiling. *)
-let index_pool (pool : Space.entry array) =
-  let first = pool.(0) in
-  let options =
-    Array.of_list
-      (List.map
-         (fun (name, _) ->
-           let axis = Mcf_ir.Chain.axis first.ctx.chain name in
-           Array.of_list (Mcf_ir.Candidate.tile_options axis.size))
-         first.cand.tiles)
-  in
-  let tiling_ids = Hashtbl.create 64 in
-  let last = ref None in
-  let tiling_id tiling =
-    match !last with
-    | Some (t, tid) when t == tiling -> tid
-    | _ ->
-      let key = Mcf_ir.Tiling.to_string tiling in
-      let tid =
-        match Hashtbl.find_opt tiling_ids key with
-        | Some tid -> tid
-        | None ->
-          let tid = Hashtbl.length tiling_ids in
-          Hashtbl.add tiling_ids key tid;
-          tid
-      in
-      last := Some (tiling, tid);
-      tid
-  in
-  let index = Hashtbl.create (2 * Array.length pool) in
-  let codes =
-    Array.mapi
-      (fun id (e : Space.entry) ->
-        let code =
-          Array.make (1 + Array.length options) (tiling_id e.cand.tiling)
-        in
-        List.iteri
-          (fun p (_, v) -> code.(p + 1) <- position options.(p) v)
-          e.cand.tiles;
-        if not (Hashtbl.mem index code) then Hashtbl.add index code id;
-        code)
-      pool
-  in
-  (codes, index, Array.map Array.length options)
-
 let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
     ~scores ~rng ~clock spec entries =
   if Array.length scores <> List.length entries then
     invalid_arg "Explore.run: scores are not index-aligned with entries";
   match entries with
   | [] -> None
-  | _ ->
-    Mcf_obs.Metrics.incr c_runs;
+  | first :: _ ->
     let pool = Array.of_list entries in
     let n = Array.length pool in
-    let codes, index, option_counts =
-      Trace.with_span "explore.index" (fun () -> index_pool pool)
-    in
+    let ranks = Array.map (fun (e : Space.entry) -> e.rank) pool in
+    Array.iteri
+      (fun i r ->
+        if r < 0 || (i > 0 && r <= ranks.(i - 1)) then
+          invalid_arg "Explore.run: entries are not one enumeration's")
+      ranks;
+    Mcf_obs.Metrics.incr c_runs;
     (* The enumeration scored every entry once, in its fused streaming
        pass; a custom estimator (Chimera's data-movement objective, the
        no-alpha ablation) replaces only the estimate ranking, never the
@@ -124,7 +69,10 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
     Mcf_obs.Metrics.add c_estimated n;
     let estimate id = estimates.(id) in
     let generations = ref 0 in
-    let measured : (int, float option) Hashtbl.t = Hashtbl.create 64 in
+    (* [Some result] once measured; [result] is [None] for a failure. *)
+    let measured : float option option array = Array.make n None in
+    let n_measured = ref 0 in
+    let is_measured id = Option.is_some measured.(id) in
     let engine = match engine with Some e -> e | None -> Measure.create spec in
     let measure_s = ref 0.0 in
     (* One generation's fresh top-k, measured as a batch: stage 1 of the
@@ -135,16 +83,13 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
        fallback can re-pick a population id) collapse to one
        measurement, exactly as the old measured-table check did. *)
     let measure_batch topk =
-      let seen = Hashtbl.create 16 in
       let fresh =
-        List.filter_map
-          (fun (id, _) ->
-            if Hashtbl.mem measured id || Hashtbl.mem seen id then None
-            else begin
-              Hashtbl.add seen id ();
-              Some (id, pool.(id))
-            end)
-          topk
+        List.rev
+          (List.fold_left
+             (fun acc (id, _) ->
+               if is_measured id || List.mem_assoc id acc then acc
+               else (id, pool.(id)) :: acc)
+             [] topk)
       in
       if fresh <> [] then begin
         let (), dur_s =
@@ -156,7 +101,8 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
                 ~repeats:params.measure_repeats
                 ~commit:(fun id r ->
                   Mcf_obs.Metrics.incr c_measured;
-                  Hashtbl.add measured id r;
+                  measured.(id) <- Some r;
+                  incr n_measured;
                   (* Every estimate <-> measurement pair lands in the
                      recording; the raw material for Mcf_obs.Fidelity. *)
                   Mcf_obs.Recorder.emit "measure" (fun () ->
@@ -174,28 +120,30 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
         measure_s := !measure_s +. dur_s
       end
     in
-    (* Step one random axis's tile to a neighbouring option: the same
-       draws, bounds checks and retry budget as stepping the tile list
-       itself, but on the int code, so an attempt is an array copy and
-       one int-array lookup. *)
+    (* Step one random axis's tile to a neighbouring option: the space's
+       grid names the stepped point's rank and a binary search over the
+       rank-ordered pool finds it; a miss (the step left the pruned
+       space) retries, up to 2 x axes attempts. *)
+    let grid = first.ctx.grid in
+    let find rank =
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if ranks.(mid) < rank then lo := mid + 1 else hi := mid
+      done;
+      if ranks.(!lo) = rank then Some !lo else None
+    in
+    let axes = List.length first.ctx.chain.axes in
     let mutate id =
-      let code = codes.(id) in
-      let axes = Array.length option_counts in
-      let tries = axes * 2 in
       let rec attempt i =
-        if i >= tries then id
+        if i >= axes * 2 then id
         else begin
-          let p = Mcf_util.Rng.int rng axes in
+          let axis = Mcf_util.Rng.int rng axes in
           let dir = if Mcf_util.Rng.bool rng then 1 else -1 in
-          let j = code.(p + 1) + dir in
-          if j < 0 || j >= option_counts.(p) then attempt (i + 1)
-          else begin
-            let code' = Array.copy code in
-            code'.(p + 1) <- j;
-            match Hashtbl.find_opt index code' with
-            | Some id' -> id'
-            | None -> attempt (i + 1) (* mutation left the pruned space *)
-          end
+          match Option.bind (Space.neighbour grid ranks.(id) ~axis ~dir) find
+          with
+          | Some id' -> id'
+          | None -> attempt (i + 1)
         end
       in
       attempt 0
@@ -241,7 +189,7 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
         else begin
           let id = r.(!cursor) in
           incr cursor;
-          if Hashtbl.mem measured id then go acc k
+          if is_measured id then go acc k
           else go ((id, estimates.(id)) :: acc) (k - 1)
         end
       in
@@ -262,7 +210,7 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
       incr generations;
       Mcf_obs.Metrics.incr c_generations;
       Mcf_obs.Progress.generation ~gen:!generations
-        ~max_gen:params.max_generations ~measured:(Hashtbl.length measured);
+        ~max_gen:params.max_generations ~measured:!n_measured;
       Mcf_obs.Resource.sample ();
       Trace.with_span "explore.generation"
         ~args:(fun () -> [ ("gen", Trace.Int !generations) ])
@@ -277,9 +225,9 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
          When the population has gone stale (mutation keeps revisiting the
          measured elite), march down the global estimate ranking instead so
          every generation still buys fresh information. *)
-      let unmeasured id = not (Hashtbl.mem measured id) in
       let fresh =
-        Array.to_list scored |> List.filter (fun (id, _) -> unmeasured id)
+        Array.to_list scored
+        |> List.filter (fun (id, _) -> not (is_measured id))
       in
       let topk = Mcf_util.Listx.take params.top_k fresh in
       let topk =
@@ -290,7 +238,7 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
       let results =
         List.filter_map
           (fun (id, _) ->
-            match Hashtbl.find_opt measured id with
+            match measured.(id) with
             | Some (Some t) -> Some (id, t)
             | Some None | None -> None)
           topk
@@ -403,5 +351,5 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
           stats =
             { generations = !generations;
               estimated = n;
-              measured = Hashtbl.length measured } })
+              measured = !n_measured } })
       !best

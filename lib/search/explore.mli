@@ -64,10 +64,12 @@ val run :
     seeds the second, data-movement ranking of the initial population.
     @raise Invalid_argument if [scores] and [entries] differ in length.
 
-    [entries] must come from one chain, as {!Space.enumerate} returns
-    them: the loop mutates int codes built from each entry's tiling and
-    tile positions in {!Mcf_ir.Candidate.tile_options}.
-    @raise Invalid_argument if a tile is not one of its axis's options.
+    [entries] must be one enumeration's, as {!Space.enumerate} returns
+    them (a subsequence of it, reservoir-bounded or not): the loop
+    mutates each entry's rank with {!Space.neighbour} and finds the
+    stepped rank by binary search.
+    @raise Invalid_argument if a rank is negative (a {!Space.make_entry}
+    entry) or the ranks are not strictly increasing.
 
     [estimator], when given, replaces only the estimates — one call per
     entry, which must be pure; the Chimera baseline substitutes its

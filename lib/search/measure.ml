@@ -102,14 +102,6 @@ let simulate t (e : Space.entry) =
     | Error _ -> None
     | Ok v -> Some v.time_s)
 
-let lookup t (e : Space.entry) =
-  match t.cache with
-  | None -> None
-  | Some store ->
-    let ctx = e.Space.ctx in
-    Mcf_util.Shardmap.find store
-      (key_with ~spec_fp:t.spec_fp ~chain_fp:(chain_fp ctx.chain) ctx e.cand)
-
 let measure_one t (key : string option) (e : Space.entry) =
   Trace.observe_timed h_measure_s (fun () ->
       match (t.cache, key) with

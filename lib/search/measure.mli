@@ -75,10 +75,6 @@ val key_with :
 val chain_fp : Mcf_ir.Chain.t -> string
 (** Hex-hashed {!Mcf_ir.Chain.fingerprint} (the key's chain component). *)
 
-val lookup : t -> Space.entry -> float option option
-(** Peek the cache without simulating: [Some result] on a hit ([result]
-    itself is [None] for a cached compile/launch failure). *)
-
 val run_batch :
   t ->
   clock:Mcf_gpu.Clock.t ->

@@ -36,18 +36,35 @@ let default_options =
     max_padding = 0.05;
     shmem_slack = 1.2 }
 
+(* The search-point encoding, built once per (chain, rule 3,
+   max_padding).  A point of the pruned space is a rank: the emitting
+   tiling's ordinal times [n_combos] plus a combo index, whose digit for
+   axis [a] (in [chain.axes] order, the first axis slowest) is
+   [combo / strides.(a) mod |tiles.(a)|]. *)
+type grid = {
+  tiles : int array array;  (* rule-3 tile options per axis *)
+  trips : int array array;  (* ceil(size / tile), aligned with [tiles] *)
+  opt_pos : int array array;
+      (* each rule-3 tile's position in [Candidate.tile_options] *)
+  strides : int array;
+  sorted : int array;  (* sorted-name position -> [chain.axes] index *)
+  n_combos : int;
+}
+
 type ctx = {
   chain : Chain.t;
   rule1 : bool;
   dead_loop_elim : bool;
   hoisting : bool;
   elem_bytes : int;
+  grid : grid;
 }
 
 type entry = {
   cand : Candidate.t;
   ctx : ctx;
   cell : Lower.t Mcf_util.Once.t;
+  rank : int;
 }
 
 let lowered e = Mcf_util.Once.force e.cell
@@ -58,9 +75,10 @@ let lowered e = Mcf_util.Once.force e.cell
    it), so a tune lowers tens of candidates instead of the whole valid
    space.  The [space.lower] span and counter now meter exactly those
    forces. *)
-let make_entry ctx cand =
+let entry_at ~rank ctx cand =
   { cand;
     ctx;
+    rank;
     cell =
       Mcf_util.Once.make (fun () ->
           Mcf_obs.Trace.with_span "space.lower" (fun () ->
@@ -68,6 +86,8 @@ let make_entry ctx cand =
               Lower.lower ~rule1:ctx.rule1 ~dead_loop_elim:ctx.dead_loop_elim
                 ~hoisting:ctx.hoisting ~elem_bytes:ctx.elem_bytes ctx.chain
                 cand)) }
+
+let make_entry = entry_at ~rank:(-1)
 
 type funnel = {
   tilings_raw : int;
@@ -78,15 +98,6 @@ type funnel = {
   candidates_rule4 : int;
   candidates_valid : int;
 }
-
-let all_tilings opts chain =
-  if opts.include_flat then Tiling.enumerate chain
-  else Tiling.enumerate_deep chain
-
-let apply_rule1 chain ts =
-  Mcf_util.Listx.dedup_keep_order
-    ~key:(fun t -> Tiling.to_string (Tiling.sub_tiling chain t))
-    ts
 
 (* Rule 2 is structural: in the per-block expression, a reduction loop of
    some producer appearing before (outside) an axis of its intermediate
@@ -113,13 +124,6 @@ let violates_rule2 (chain : Chain.t) tiling =
 
 let rule2_rejects = violates_rule2
 
-let apply_rule2 chain ts = List.filter (fun t -> not (violates_rule2 chain t)) ts
-
-let tilings opts chain =
-  let ts = all_tilings opts chain in
-  let ts = if opts.rule1 then apply_rule1 chain ts else ts in
-  if opts.rule2 then apply_rule2 chain ts else ts
-
 let is_power_of_two v = v > 0 && v land (v - 1) = 0
 
 let rule3_ok opts (a : Axis.t) tile =
@@ -143,6 +147,50 @@ let tile_choices opts (chain : Chain.t) =
       let kept = if kept = [] then [ a.size ] else kept in
       (a.name, kept))
     chain.axes
+
+let grid opts (chain : Chain.t) =
+  let axes = Array.of_list chain.axes in
+  let tiles =
+    Array.of_list
+      (List.map (fun (_, l) -> Array.of_list l) (tile_choices opts chain))
+  in
+  let n = Array.length axes in
+  let strides = Array.make n 1 in
+  for a = n - 2 downto 0 do
+    strides.(a) <- strides.(a + 1) * Array.length tiles.(a + 1)
+  done;
+  let sorted = Array.init n Fun.id in
+  Array.sort (fun i j -> String.compare axes.(i).name axes.(j).name) sorted;
+  { tiles;
+    trips =
+      Array.map2
+        (fun (a : Axis.t) -> Array.map (fun t -> (a.size + t - 1) / t))
+        axes tiles;
+    opt_pos =
+      Array.map2
+        (fun (a : Axis.t) ts ->
+          let options = Array.of_list (Candidate.tile_options a.size) in
+          Array.map
+            (fun t -> Option.get (Array.find_index (Int.equal t) options))
+            ts)
+        axes tiles;
+    strides;
+    sorted;
+    n_combos = Array.fold_left (fun acc t -> acc * Array.length t) 1 tiles }
+
+(* Rule-3 choices are an ordered subsequence of [Candidate.tile_options],
+   so the adjacent option is kept exactly when it is the adjacent rule-3
+   choice. *)
+let neighbour g rank ~axis ~dir =
+  let a = g.sorted.(axis) in
+  let k = rank / g.strides.(a) mod Array.length g.tiles.(a) in
+  let k' = k + dir in
+  if
+    k' >= 0
+    && k' < Array.length g.tiles.(a)
+    && g.opt_pos.(a).(k') = g.opt_pos.(a).(k) + dir
+  then Some (rank + (dir * g.strides.(a)))
+  else None
 
 (* Closed form: n! deep + the flat product ([Tiling.count]) times the
    per-axis tile-option product.  The old implementation materialized
@@ -239,15 +287,15 @@ type verdict =
 
 (* Bounded top-C slice ordered by estimate (ties broken toward the
    earlier rank), or a plain accumulator when unbounded.  Items always
-   come back re-sorted by rank: downstream (the explorer's pool-index ids,
-   its unstable top-k sort) depends on entry order being a subsequence
-   of the enumeration order. *)
+   come back re-sorted by rank: downstream (the explorer's binary search
+   over ranks, its pool-index ids, its unstable top-k sort) depends on
+   entry order being a subsequence of the enumeration order. *)
 module Reservoir = struct
-  type item = { ientry : entry; iest : float; itraffic : float; irank : int }
+  type item = { ientry : entry; iest : float; itraffic : float }
 
   type t = {
     cap : int option;
-    mutable heap : item array;  (* max-heap by (iest, irank) when bounded *)
+    mutable heap : item array;  (* max-heap by (iest, rank) when bounded *)
     mutable n : int;
     mutable acc : item list;  (* reverse rank order when unbounded *)
   }
@@ -255,8 +303,10 @@ module Reservoir = struct
   let create cap = { cap; heap = [||]; n = 0; acc = [] }
 
   (* [a] ranks strictly after the point [(est, rank)]. *)
-  let gt_point a est rank = a.iest > est || (a.iest = est && a.irank > rank)
-  let gt a b = gt_point a b.iest b.irank
+  let gt_point a est rank =
+    a.iest > est || (a.iest = est && a.ientry.rank > rank)
+
+  let gt a b = gt_point a b.iest b.ientry.rank
 
   (* Whether [add] would keep a point scored [(est, rank)]: callers build
      the entry only then. *)
@@ -309,7 +359,7 @@ module Reservoir = struct
     | None -> Array.of_list (List.rev t.acc)
     | Some _ ->
       let a = Array.sub t.heap 0 t.n in
-      Array.sort (fun x y -> compare x.irank y.irank) a;
+      Array.sort (fun x y -> compare x.ientry.rank y.ientry.rank) a;
       a
 end
 
@@ -322,27 +372,16 @@ let enumerate_scored ?(options = default_options)
       let opts = options in
       let recording = Mcf_obs.Recorder.enabled () in
       Mcf_obs.Metrics.incr c_enumerations;
-      let choices =
-        Trace.with_span "space.rule3" (fun () -> tile_choices opts chain)
+      let g = Trace.with_span "space.rule3" (fun () -> grid opts chain) in
+      let names =
+        Array.of_list (List.map (fun (a : Axis.t) -> a.name) chain.axes)
       in
-      let names = Array.of_list (List.map fst choices) in
-      let choice_arrs =
-        Array.of_list (List.map (fun (_, l) -> Array.of_list l) choices)
-      in
-      let trip_arrs =
-        Array.map2
-          (fun (a : Axis.t) -> Array.map (fun t -> (a.size + t - 1) / t))
-          (Array.of_list chain.axes) choice_arrs
-      in
-      let n_axes = Array.length choice_arrs in
-      let n_combos =
-        Array.fold_left (fun acc a -> acc * Array.length a) 1 choice_arrs
-      in
+      let n_axes = Array.length names and n_combos = g.n_combos in
       (* Chunk point [i]: find its segment by binary search, then decode
-         its combo index by mixed radix straight into tile and trip arrays
-         in [chain.axes] order, row-major with the first axis slowest; the
-         positional index is part of the determinism contract.  Returns
-         the segment and the trip=1 mask. *)
+         its combo index through the grid straight into tile and trip
+         arrays in [chain.axes] order; the positional index is part of
+         the determinism contract.  Returns the segment and the trip=1
+         mask. *)
       let decode chunk i tiles trips =
         let lo = ref 0 and hi = ref (Array.length chunk.segs - 1) in
         while !lo < !hi do
@@ -350,15 +389,13 @@ let enumerate_scored ?(options = default_options)
           if chunk.seg_offsets.(mid) <= i then lo := mid else hi := mid - 1
         done;
         let s = chunk.segs.(!lo) in
-        let c = ref (s.combo_lo + (i - chunk.seg_offsets.(!lo))) in
+        let c = s.combo_lo + (i - chunk.seg_offsets.(!lo)) in
         let mask = ref 0 in
-        for a = n_axes - 1 downto 0 do
-          let radix = Array.length choice_arrs.(a) in
-          let k = !c mod radix in
-          tiles.(a) <- choice_arrs.(a).(k);
-          trips.(a) <- trip_arrs.(a).(k);
-          if trips.(a) = 1 then mask := !mask lor (1 lsl a);
-          c := !c / radix
+        for a = 0 to n_axes - 1 do
+          let k = c / g.strides.(a) mod Array.length g.tiles.(a) in
+          tiles.(a) <- g.tiles.(a).(k);
+          trips.(a) <- g.trips.(a).(k);
+          if trips.(a) = 1 then mask := !mask lor (1 lsl a)
         done;
         (s, !mask)
       in
@@ -376,7 +413,8 @@ let enumerate_scored ?(options = default_options)
           rule1 = opts.rule1;
           dead_loop_elim = opts.dead_loop_elim;
           hoisting = opts.hoisting;
-          elem_bytes = spec.elem_bytes }
+          elem_bytes = spec.elem_bytes;
+          grid = g }
       in
       let memo =
         Mcf_model.Analytic.Memo.create ~rule1:opts.rule1
@@ -470,10 +508,9 @@ let enumerate_scored ?(options = default_options)
               let rank = !n_points + i in
               if Reservoir.admits res est rank then
                 Reservoir.add res
-                  { ientry = make_entry ctx (cand_at chunk i);
+                  { ientry = entry_at ~rank ctx (cand_at chunk i);
                     iest = est;
-                    itraffic = traffic;
-                    irank = rank })
+                    itraffic = traffic })
           verdicts;
         n_points := !n_points + chunk.chunk_points;
         Mcf_obs.Progress.set_info
@@ -599,10 +636,10 @@ let enumerate_scored ?(options = default_options)
           (List.rev !ex2);
         emit_prune ~stage:"rule3" ~kind:"candidates" ~enabled:opts.rule3
           ~before:funnel.candidates_raw ~after:funnel.candidates_rule3
-          (List.map
-             (fun (a : Axis.t) ->
+          (List.mapi
+             (fun i (a : Axis.t) ->
                Printf.sprintf "%s: %d of %d tile options kept" a.name
-                 (List.length (List.assoc a.name choices))
+                 (Array.length g.tiles.(i))
                  (List.length (Candidate.tile_options a.size)))
              chain.axes);
         emit_prune ~stage:"rule4" ~kind:"candidates" ~enabled:opts.rule4

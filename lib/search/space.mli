@@ -36,14 +36,36 @@ type options = {
 val default_options : options
 (** Everything on, paper thresholds. *)
 
+type grid
+(** How a point of one pruned space is encoded, and the only place that
+    knows: a point is its enumeration rank, the emitting tiling's ordinal
+    times the rule-3 tile-combo count plus the combo index (a mixed radix
+    over the rule-3 tile options in [chain.axes] order, the first axis
+    slowest).  Built once per (chain, [rule3], [max_padding]). *)
+
+val grid : options -> Mcf_ir.Chain.t -> grid
+(** The grid of a chain under [options]' rule 3 (the other fields are
+    not read). *)
+
+val neighbour : grid -> int -> axis:int -> dir:int -> int option
+(** [neighbour g rank ~axis ~dir] is the rank of the point that differs
+    from [rank] only in axis [axis]'s tile, stepped [dir] (-1 or 1)
+    positions through {!Mcf_ir.Candidate.tile_options}.  [axis] counts
+    in sorted axis-name order (a candidate's tile-list order).  [None]
+    off either end of the options or when rule 3 pruned the adjacent
+    value.  The result need not be in a given pool (rules 1, 2 and 4,
+    validity and the reservoir drop points); look it up by rank. *)
+
 (** Everything needed to lower (or analytically cost) a candidate of this
-    space: the chain, the structural-pass switches and the element width. *)
+    space: the chain, the structural-pass switches, the element width and
+    the grid its entries' ranks index. *)
 type ctx = {
   chain : Mcf_ir.Chain.t;
   rule1 : bool;
   dead_loop_elim : bool;
   hoisting : bool;
   elem_bytes : int;
+  grid : grid;
 }
 
 type entry = {
@@ -53,6 +75,9 @@ type entry = {
       (** Lazily-forced lowering; access through {!lowered}.  Estimation
           uses the closed-form {!Mcf_model.Analytic} instead, so only
           candidates reaching measurement or codegen ever force it. *)
+  rank : int;
+      (** The point's enumeration rank in [ctx.grid] ({!grid}); [-1]
+          for an entry built by {!make_entry}. *)
 }
 
 val lowered : entry -> Mcf_ir.Lower.t
@@ -61,8 +86,9 @@ val lowered : entry -> Mcf_ir.Lower.t
     [space.candidates_lowered] counter. *)
 
 val make_entry : ctx -> Mcf_ir.Candidate.t -> entry
-(** Wrap a candidate with a lazy lowering cell (exposed for baselines and
-    tests that build entries outside {!enumerate}). *)
+(** Wrap a candidate with a lazy lowering cell and rank [-1] (exposed for
+    baselines and tests that build entries outside {!enumerate}; such
+    entries can be measured but not explored). *)
 
 type funnel = {
   tilings_raw : int;
@@ -73,9 +99,6 @@ type funnel = {
   candidates_rule4 : int;  (** Survivors of the closed-form precheck. *)
   candidates_valid : int;  (** After the softmax-legality check. *)
 }
-
-val tilings : options -> Mcf_ir.Chain.t -> Mcf_ir.Tiling.t list
-(** Structural expressions after Rules 1-2 (as enabled). *)
 
 val rule2_rejects : Mcf_ir.Chain.t -> Mcf_ir.Tiling.t -> bool
 (** The Rule-2 structural predicate on its own: true when the per-block
@@ -155,4 +178,6 @@ val enumerate_scored :
     eq. (2)-(5)'s total time ({!Mcf_model.Analytic.breakdown_of_eval})
     and the closed-form traffic scaled by [(blocks + sm_count) / blocks].
     These are the search's only model scores; {!Explore.run} takes them
-    as its required [scores] argument. *)
+    as its required [scores] argument, and the entries' ranks (in
+    strictly increasing order, as in every enumeration) as its search
+    points. *)

@@ -42,7 +42,6 @@ let offset t idx =
 
 let get t idx = t.buf.(offset t idx)
 let set t idx v = t.buf.(offset t idx) <- v
-let fill t v = Array.fill t.buf 0 (Array.length t.buf) v
 
 let copy t =
   { shape = Array.copy t.shape;
@@ -127,16 +126,3 @@ let approx_equal ?(tol = 1e-4) a b =
     if Float.abs (a.buf.(i) -. b.buf.(i)) > tol *. scale then ok := false
   done;
   !ok
-
-let to_string ?(max_elems = 8) t =
-  let dims =
-    t.shape |> Array.to_list |> List.map string_of_int |> String.concat "x"
-  in
-  let n = min max_elems (Array.length t.buf) in
-  let elems =
-    Array.sub t.buf 0 n |> Array.to_list
-    |> List.map (Printf.sprintf "%.4g")
-    |> String.concat "; "
-  in
-  let ellipsis = if Array.length t.buf > n then "; ..." else "" in
-  Printf.sprintf "tensor[%s][%s%s]" dims elems ellipsis

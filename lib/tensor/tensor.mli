@@ -30,8 +30,6 @@ val get : t -> int array -> float
 
 val set : t -> int array -> float -> unit
 
-val fill : t -> float -> unit
-
 val copy : t -> t
 
 val data : t -> float array
@@ -55,6 +53,3 @@ val max_abs_diff : t -> t -> float
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Relative-ish tolerance: |a-b| <= tol * (1 + max |a|, |b|).
     Default tol = 1e-4, loose enough for re-associated reductions. *)
-
-val to_string : ?max_elems:int -> t -> string
-(** Debug rendering: shape plus the first few entries. *)

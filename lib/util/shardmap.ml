@@ -47,8 +47,6 @@ let create ?(shards = 16) ?(capacity_per_shard = max_int) () =
             ready = 0 });
     capacity = capacity_per_shard }
 
-let shard_count t = Array.length t.shards
-
 let shard_of t key =
   let h = Int64.to_int (Hashing.fnv1a64 key) land max_int in
   t.shards.(h mod Array.length t.shards)

@@ -26,8 +26,6 @@ val create : ?shards:int -> ?capacity_per_shard:int -> unit -> 'a t
     kept per shard, least-recently-used evicted beyond it) defaults to
     unbounded.  @raise Invalid_argument when either is < 1. *)
 
-val shard_count : 'a t -> int
-
 val find : 'a t -> string -> 'a option
 (** [None] for absent {e and} pending keys (never blocks); a hit
     freshens the entry's LRU position. *)

@@ -105,6 +105,58 @@ let test_json_write_atomic () =
              3));
       Alcotest.(check string) "replaced" "new\n" (read ()))
 
+let test_artefact_writes_atomic () =
+  (* The trace and metrics dumps go through [Json.write_atomic]: a write
+     that fails (here the rename, onto a directory) leaves no temporary
+     behind and what was at the path intact; a clean write replaces the
+     file with a loadable document by rename, so a reader of the previous
+     file still sees it whole. *)
+  clean ();
+  Trace.start ();
+  Trace.with_span "artefact" ignore;
+  Trace.stop ();
+  let dir = Filename.temp_dir "mcf_artefact" "" in
+  let keep = Filename.concat dir "keep" in
+  let file = Filename.temp_file "mcf_artefact" ".json" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ keep; file; dir ^ ".tmp" ];
+      (try Sys.rmdir dir with Sys_error _ -> ());
+      clean ())
+    (fun () ->
+      Out_channel.with_open_bin keep (fun oc -> output_string oc "old");
+      let failed name = function
+        | Ok _ -> Alcotest.failf "%s: wrote over a directory" name
+        | Error e ->
+          Alcotest.(check bool)
+            (name ^ ": typed error") true
+            (String.starts_with ~prefix:("cannot write " ^ name) e);
+          Alcotest.(check bool)
+            (name ^ ": no .tmp left") false
+            (Sys.file_exists (dir ^ ".tmp"));
+          Alcotest.(check string)
+            (name ^ ": previous contents intact") "old"
+            (In_channel.with_open_bin keep In_channel.input_all)
+      in
+      failed "trace" (Trace.write dir);
+      failed "metrics" (Mcf_obs.Export.write_metrics dir);
+      let replaced name write =
+        Out_channel.with_open_bin file (fun oc -> output_string oc "old");
+        In_channel.with_open_bin file (fun ic ->
+            Alcotest.(check bool) (name ^ " written") true
+              (Result.is_ok (write file));
+            Alcotest.(check string)
+              (name ^ ": open reader sees the previous file") "old"
+              (In_channel.input_all ic));
+        Alcotest.(check bool) (name ^ " loads") true
+          (Result.is_ok
+             (Json.parse (In_channel.with_open_bin file In_channel.input_all)))
+      in
+      replaced "trace" Trace.write;
+      replaced "metrics" Mcf_obs.Export.write_metrics)
+
 (* --- Trace ------------------------------------------------------------------ *)
 
 let test_span_nesting () =
@@ -1041,7 +1093,9 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_parse_escapes;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "member" `Quick test_json_member;
-          Alcotest.test_case "write atomic" `Quick test_json_write_atomic ] );
+          Alcotest.test_case "write atomic" `Quick test_json_write_atomic;
+          Alcotest.test_case "trace and metrics writes atomic" `Quick
+            test_artefact_writes_atomic ] );
       ( "trace",
         [ Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "args + exceptions" `Quick

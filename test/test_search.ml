@@ -53,11 +53,25 @@ let test_rule3_padding_threshold () =
         true (pad <= 0.05))
     (List.assoc "m" choices)
 
+(* The distinct tilings of a pool, in stream order, and its funnel.  With
+   rule 4 off every rule-2 survivor of a GEMM chain keeps a valid point,
+   so these are exactly the tilings rules 1-2 let through. *)
+let pool_tilings options chain =
+  let entries, f =
+    Mcf_search.Space.enumerate ~options:{ options with rule4 = false } a100
+      chain
+  in
+  ( Mcf_util.Listx.dedup_keep_order ~key:Tiling.to_string
+      (List.map (fun (e : Mcf_search.Space.entry) -> e.cand.tiling) entries),
+    f )
+
 let test_rule2_structural () =
   let opts =
     { Mcf_search.Space.default_options with rule1 = true; rule2 = true }
   in
-  let tilings = Mcf_search.Space.tilings opts paper_gemm in
+  let tilings, f = pool_tilings opts paper_gemm in
+  Alcotest.(check int) "one pool tiling per rule-2 survivor" f.tilings_rule2
+    (List.length tilings);
   (* no surviving expression places k before n in the per-block program *)
   List.iter
     (fun t ->
@@ -73,12 +87,13 @@ let test_rule2_structural () =
 
 let test_flat_included_by_default () =
   let opts = Mcf_search.Space.default_options in
-  let tilings = Mcf_search.Space.tilings opts paper_gemm in
+  let tilings, _ = pool_tilings opts paper_gemm in
   Alcotest.(check bool) "flat survives pruning" true
     (List.exists Tiling.is_flat tilings);
-  let chimera =
-    Mcf_search.Space.tilings { opts with include_flat = false } paper_gemm
+  let chimera, f =
+    pool_tilings { opts with include_flat = false } paper_gemm
   in
+  Alcotest.(check int) "deep-only space walks n! tilings" 24 f.tilings_raw;
   Alcotest.(check bool) "deep-only space has no flat" true
     (not (List.exists Tiling.is_flat chimera))
 
@@ -144,6 +159,26 @@ let test_explore_rejects_misaligned_scores () =
     (run (Array.sub scores 0 (Array.length scores - 1)) entries);
   Alcotest.check_raises "no scores" rejected (run [||] entries);
   Alcotest.check_raises "scores for an empty space" rejected (run scores [])
+
+let test_explore_rejects_foreign_entries () =
+  (* The loop mutates enumeration ranks, so the pool must be one
+     enumeration's entries in rank order. *)
+  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
+  let run entries () =
+    let rng = Mcf_util.Rng.create 1 in
+    let clock = Mcf_gpu.Clock.create () in
+    ignore (Mcf_search.Explore.run ~scores ~rng ~clock a100 entries)
+  in
+  let rejected =
+    Invalid_argument "Explore.run: entries are not one enumeration's"
+  in
+  Alcotest.check_raises "make_entry entries" rejected
+    (run
+       (List.map
+          (fun (e : Mcf_search.Space.entry) ->
+            Mcf_search.Space.make_entry e.ctx e.cand)
+          entries));
+  Alcotest.check_raises "reversed enumeration" rejected (run (List.rev entries))
 
 let test_explore_near_optimal () =
   let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
@@ -693,6 +728,8 @@ let () =
             test_explore_custom_estimator;
           Alcotest.test_case "misaligned scores rejected" `Quick
             test_explore_rejects_misaligned_scores;
+          Alcotest.test_case "foreign entries rejected" `Quick
+            test_explore_rejects_foreign_entries;
           Alcotest.test_case "unlaunchable candidate" `Quick
             test_measure_failure_is_none ] );
       ( "tuner",

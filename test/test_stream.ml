@@ -349,6 +349,74 @@ let test_reservoir_tuner_winner_unchanged () =
     (Candidate.key full.best.cand)
     (Candidate.key bounded.best.cand)
 
+(* --- search-point encoding -------------------------------------------------- *)
+
+let s3 =
+  Mcf_workloads.Configs.(attention (Option.get (find_attention "S3")))
+
+let d5 = Mcf_workloads.Configs.(deep_chain (Option.get (find_deep "D5")))
+
+let test_neighbour_matches_pool_search () =
+  (* A mutation step by definition: the pool entry with the same tiling
+     and the p-th sorted tile moved one place through its axis's tile
+     options, found by searching the pool for the candidate.
+     [Space.neighbour] plus a rank lookup must name the same entry. *)
+  let check ?(options = Space.default_options) ?reservoir name chain =
+    let pool =
+      Array.of_list (fst (Space.enumerate ~options ?reservoir a100 chain))
+    in
+    let by_rank = Hashtbl.create 64 and by_key = Hashtbl.create 64 in
+    Array.iteri
+      (fun i (e : Space.entry) ->
+        Hashtbl.replace by_rank e.rank i;
+        if not (Hashtbl.mem by_key (Candidate.key e.cand)) then
+          Hashtbl.add by_key (Candidate.key e.cand) i)
+      pool;
+    let found = ref 0 in
+    Array.iter
+      (fun (e : Space.entry) ->
+        List.iteri
+          (fun p (axis, v) ->
+            let options =
+              Array.of_list
+                (Candidate.tile_options (Chain.axis chain axis).Axis.size)
+            in
+            let j = Option.get (Array.find_index (Int.equal v) options) in
+            List.iter
+              (fun dir ->
+                let expected =
+                  if j + dir < 0 || j + dir >= Array.length options then None
+                  else
+                    Candidate.make e.cand.tiling
+                      (List.mapi
+                         (fun q (n, t) ->
+                           (n, if q = p then options.(j + dir) else t))
+                         e.cand.tiles)
+                    |> Candidate.key |> Hashtbl.find_opt by_key
+                in
+                let got =
+                  Option.bind
+                    (Space.neighbour e.ctx.grid e.rank ~axis:p ~dir)
+                    (Hashtbl.find_opt by_rank)
+                in
+                if Option.is_some got then incr found;
+                Alcotest.(check (option int))
+                  (Printf.sprintf "%s: %s, %s %+d" name
+                     (Candidate.to_string e.cand) axis dir)
+                  expected got)
+              [ -1; 1 ])
+          e.cand.tiles)
+      pool;
+    Alcotest.(check bool) (name ^ ": some steps stay in the pool") true
+      (!found > 0)
+  in
+  let d = Space.default_options in
+  check "small_gemm" small_gemm;
+  check "S3" s3;
+  check ~reservoir:64 "D5/reservoir-64" d5;
+  check ~options:{ d with rule3 = false } "small_gemm/no-rule3" small_gemm;
+  check ~options:{ d with include_flat = false } "S3/no-flat" s3
+
 let () =
   Alcotest.run "mcf_stream"
     [ ( "tiling-seq",
@@ -372,4 +440,7 @@ let () =
             test_reservoir_tuner_winner_unchanged ] );
       ( "memo",
         [ Alcotest.test_case "counts every rule-3 point" `Quick
-            test_memo_counts_every_rule3_point ] ) ]
+            test_memo_counts_every_rule3_point ] );
+      ( "encoding",
+        [ Alcotest.test_case "neighbour = pool search" `Quick
+            test_neighbour_matches_pool_search ] ) ]
