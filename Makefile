@@ -29,8 +29,12 @@ trace-demo:
 # auto-promote or hide drift behind a stale cache; --force + diff fails
 # loudly instead.  Library code spawns domains only inside the shared
 # pool, so a stray Domain.spawn elsewhere in lib/ fails the guard too;
-# and only Space encodes a search point, so no other search module may
-# read Candidate.tile_options.
+# only Space encodes a search point, so no other search module may read
+# Candidate.tile_options; the enumeration's scorer is the search's one
+# caller of the analytical model, so lib/ names Analytic only in
+# lib/model/, Space and the fuzz oracles that check it; and every file
+# write but an append goes through Json.write_atomic, so open_out
+# appears only in json.ml.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -41,10 +45,17 @@ ci-guard:
 	  | grep -v '^lib/search/space\.ml:'; then \
 	  echo "ci-guard: Candidate.tile_options in lib/search/ outside space.ml"; \
 	  exit 1; fi
+	@if grep -rn 'Analytic\.' lib | grep -v -e '^lib/model/' \
+	  -e '^lib/search/space\.mli\?:' -e '^lib/fuzz/'; then \
+	  echo "ci-guard: Analytic. in lib/ outside lib/model/, space.ml and lib/fuzz/"; \
+	  exit 1; fi
+	@if grep -rn 'open_out ' lib bin bench | grep -v '^lib/util/json\.ml:'; then \
+	  echo "ci-guard: open_out in lib bin bench outside lib/util/json.ml"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, writers and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

@@ -676,10 +676,7 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       @ [ ("largest_workload", Str largest);
           ("largest_enumerate_speedup", Num largest_speedup) ])
   in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  Mcf_util.Json.write_atomic out (fun oc ->
       output_string oc (Mcf_util.Json.to_string doc);
       output_char oc '\n');
   (match history with
@@ -968,10 +965,7 @@ let run_serve_bench ~jobs ~smoke ~history ~out =
           ("warm_hit_rate", Num warm_hit_rate);
         ]
     in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    Mcf_util.Json.write_atomic out (fun oc ->
         output_string oc (Mcf_util.Json.to_string doc);
         output_char oc '\n');
     (match history with

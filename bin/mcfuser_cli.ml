@@ -1420,10 +1420,9 @@ let serve_cmd =
               (Mcf_serve.Server.url t);
             Option.iter
               (fun path ->
-                let oc = open_out path in
-                output_string oc (Mcf_serve.Server.url t);
-                output_char oc '\n';
-                close_out oc)
+                Mcf_util.Json.write_atomic path (fun oc ->
+                    output_string oc (Mcf_serve.Server.url t);
+                    output_char oc '\n'))
               port_file;
             let on_signal _ = Mcf_serve.Server.request_shutdown t in
             (try Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal)

@@ -11,14 +11,9 @@
       where Table IV's hours come from;
     - code quality: Ansor's generated kernels do not reach tensor-core
       peak (its auto-scheduling targets CUDA cores); math throughput is
-      derated by {!math_penalty};
-    - fusion coverage: chains with batch > {!max_fusable_batch} fall back
-      to unfused per-operator execution (the G12 failure of §VI-B). *)
-
-val math_penalty : float
-(** Ansor kernels reach ~1/3 of MMA peak. *)
-
-val max_fusable_batch : int
+      derated to ~1/3 of MMA peak;
+    - fusion coverage: chains with batch > 4 fall back to unfused
+      per-operator execution (the G12 failure of §VI-B). *)
 
 val trials : int ref
 (** Measurement budget per sub-graph (paper setting: 1000).  Mutable so

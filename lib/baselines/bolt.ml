@@ -1,5 +1,6 @@
 open Mcf_ir
 
+(* (T_m, T_k, T_h) choices; T_n is pinned to N. *)
 let template_menu =
   [ (64, 32, 64); (64, 32, 128); (64, 64, 64); (64, 64, 128);
     (128, 32, 64); (128, 32, 128); (128, 64, 64); (128, 64, 128);

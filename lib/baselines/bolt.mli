@@ -9,7 +9,4 @@
     devices at all (§VI-B); oversized shapes for which no template fits
     fall back to unfused CUTLASS operators (the G10-G12 behaviour). *)
 
-val template_menu : (int * int * int) list
-(** (T_m, T_k, T_h) choices; T_n is pinned to N. *)
-
 val backend : Backend.t

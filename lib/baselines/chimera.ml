@@ -4,21 +4,10 @@ let space_options =
     dead_loop_elim = false }
 
 (* Chimera's objective: minimize data movement under its block execution
-   layout; it accounts parallel occupancy but not redundant computation.
-   Evaluated closed-form (no lowering) — traffic and block count from
-   [Analytic] are bit-equal to the lowered walk's. *)
-let data_movement_estimator (spec : Mcf_gpu.Spec.t) (e : Mcf_search.Space.entry) =
-  let ctx = e.Mcf_search.Space.ctx in
-  let ev =
-    Mcf_model.Analytic.eval_candidate ~rule1:ctx.Mcf_search.Space.rule1
-      ~dead_loop_elim:ctx.Mcf_search.Space.dead_loop_elim
-      ~hoisting:ctx.Mcf_search.Space.hoisting
-      ~elem_bytes:ctx.Mcf_search.Space.elem_bytes ctx.Mcf_search.Space.chain
-      e.cand
-  in
-  let blocks = ev.Mcf_model.Analytic.blocks in
-  let alpha = (blocks +. float_of_int spec.sm_count) /. blocks in
-  ev.Mcf_model.Analytic.traffic_bytes /. spec.mem_bw *. alpha
+   layout; it accounts parallel occupancy (eq. (5)'s alpha) but not
+   redundant computation.  The enumeration applies it to each point's
+   closed-form breakdown. *)
+let data_movement (b : Mcf_model.Perf.breakdown) = b.t_mem *. b.alpha
 
 let tune spec (chain : Mcf_ir.Chain.t) =
   let seed =
@@ -32,12 +21,12 @@ let tune spec (chain : Mcf_ir.Chain.t) =
   let clock = Mcf_gpu.Clock.create () in
   let run () =
     let entries, scores, _ =
-      Mcf_search.Space.enumerate_scored ~options:space_options spec chain
+      Mcf_search.Space.enumerate_scored ~options:space_options
+        ~objective:data_movement spec chain
     in
     Mcf_gpu.Clock.charge clock 2.0;
     match
-      Mcf_search.Explore.run ~estimator:data_movement_estimator ~scores ~rng
-        ~clock spec entries
+      Mcf_search.Explore.run ~scores ~rng ~clock spec entries
     with
     | None -> Error (Backend.Unsupported "no viable candidate")
     | Some { best; best_time_s; _ } -> (

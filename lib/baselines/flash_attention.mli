@@ -10,6 +10,5 @@
 
 val tile_m : int
 val tile_n : int
-val max_head_dim : int
 
 val backend : Backend.t

@@ -2,12 +2,3 @@
     evaluation harness runs all systems through one code path. *)
 
 val backend : Backend.t
-
-val backend_of :
-  name:string ->
-  ?options:Mcf_search.Space.options ->
-  ?params:Mcf_search.Explore.params ->
-  unit ->
-  Backend.t
-(** Variants with modified search options — the ablation configurations
-    (no flat tiling, no dead-loop elimination, no slowdown factor, ...). *)

@@ -1,5 +1,6 @@
 open Mcf_ir
 
+(* The cuBLAS-style tile menu: (T_m, T_n, T_k). *)
 let vendor_tile_table =
   [ (256, 128, 32);
     (128, 256, 32);

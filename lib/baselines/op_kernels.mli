@@ -40,6 +40,3 @@ val softmax_kernels :
 (** The softmax of an attention score matrix.  [fused = true] (Relay/XLA
     style) emits one read+write kernel; [fused = false] (eager PyTorch)
     emits the scale / max-subtract-exp / normalize sequence. *)
-
-val vendor_tile_table : (int * int * int) list
-(** The cuBLAS-style tile menu, exposed for tests. *)

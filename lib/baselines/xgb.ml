@@ -136,8 +136,6 @@ let predict t x =
     (fun acc tree -> acc +. (t.learning_rate *. eval_tree tree x))
     t.base t.trees
 
-let n_trees t = List.length t.trees
-
 let log1 v = log (1.0 +. Float.abs v)
 
 let feature_vector (l : Mcf_ir.Lower.t) =

@@ -16,16 +16,12 @@ type params = {
   min_samples_split : int;
 }
 
-val default_params : params
-
 val train : ?params:params -> (float array * float) list -> t
 (** [train samples] fits on (features, target) pairs.
     @raise Invalid_argument on an empty training set or inconsistent
     feature arity. *)
 
 val predict : t -> float array -> float
-
-val n_trees : t -> int
 
 val feature_vector : Mcf_ir.Lower.t -> float array
 (** The schedule features Ansor-style models consume: log-scaled traffic,

@@ -7,6 +7,7 @@ type detail = {
   total_bytes : int;
 }
 
+(* Bank-conflict padding added to each tile row (16 B = 8 fp16 lanes). *)
 let row_pad_bytes = 16
 
 (* Padded bytes of one tile: rows x (row bytes + bank padding). *)

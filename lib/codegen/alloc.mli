@@ -25,13 +25,6 @@ type detail = {
   total_bytes : int;
 }
 
-val row_pad_bytes : int
-(** Bank-conflict padding added to each tile row (16 B = 8 fp16 lanes). *)
-
-val register_accumulator_elems : int
-(** Output accumulators up to this many elements (fp32, across the
-    block's register file) never touch shared memory. *)
-
 val detail : Mcf_gpu.Spec.t -> Mcf_ir.Lower.t -> detail
 
 val actual_bytes : Mcf_gpu.Spec.t -> Mcf_ir.Lower.t -> int

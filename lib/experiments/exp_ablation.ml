@@ -32,18 +32,6 @@ let workload_mix () =
           (Mcf_workloads.Configs.find_attention name))
       [ "S2"; "S5"; "S9" ]
 
-(* Closed-form (no lowering): bit-equal to
-   [Perf.breakdown spec (Space.lowered e)] minus the alpha factor. *)
-let no_alpha_estimator spec (e : Mcf_search.Space.entry) =
-  let ctx = e.Mcf_search.Space.ctx in
-  let b =
-    Mcf_model.Analytic.breakdown ~rule1:ctx.Mcf_search.Space.rule1
-      ~dead_loop_elim:ctx.Mcf_search.Space.dead_loop_elim
-      ~hoisting:ctx.Mcf_search.Space.hoisting spec ctx.Mcf_search.Space.chain
-      e.cand
-  in
-  b.t_mem +. b.t_comp
-
 (* Pick the model's argmin over the whole space, one final measurement.
    The argmin is the first minimum of the enumeration's own estimates;
    only the winner is ever lowered. *)
@@ -64,15 +52,20 @@ let model_only spec chain =
       | Error _ -> { kernel_time_s = None; tuning_s = Some 4.0 }
       | Ok v -> { kernel_time_s = Some v.time_s; tuning_s = Some 5.2 }))
 
+let tune_no_alpha spec chain =
+  Mcf_search.Tuner.tune
+    ~objective:(fun (b : Mcf_model.Perf.breakdown) -> b.t_mem +. b.t_comp)
+    spec chain
+
 let run_variant spec chain v =
-  let tuned ?options ?estimator () =
-    match Mcf_search.Tuner.tune ?options ?estimator spec chain with
-    | Ok o ->
+  let cell = function
+    | Ok (o : Mcf_search.Tuner.outcome) ->
       { kernel_time_s = Some o.kernel_time_s;
         tuning_s = Some o.tuning_virtual_s }
     | Error Mcf_search.Tuner.No_viable_candidate ->
       { kernel_time_s = None; tuning_s = None }
   in
+  let tuned ?options () = cell (Mcf_search.Tuner.tune ?options spec chain) in
   let opts = Mcf_search.Space.default_options in
   match v.vname with
   | "full" -> tuned ()
@@ -80,7 +73,7 @@ let run_variant spec chain v =
   | "no-dead-loop-elim" ->
     tuned ~options:{ opts with dead_loop_elim = false } ()
   | "no-hoisting" -> tuned ~options:{ opts with hoisting = false } ()
-  | "no-alpha" -> tuned ~estimator:no_alpha_estimator ()
+  | "no-alpha" -> cell (tune_no_alpha spec chain)
   | "model-only" -> model_only spec chain
   | "no-rule12" -> tuned ~options:{ opts with rule1 = false; rule2 = false } ()
   | _ -> invalid_arg "unknown variant"

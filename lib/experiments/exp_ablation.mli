@@ -27,10 +27,15 @@ type cell = {
   tuning_s : float option;
 }
 
+val tune_no_alpha :
+  Mcf_gpu.Spec.t ->
+  Mcf_ir.Chain.t ->
+  (Mcf_search.Tuner.outcome, Mcf_search.Tuner.error) result
+(** The [no-alpha] variant's tuner run: the full search, ranked by
+    [t_mem + t_comp] instead of eq. (2)'s total. *)
+
 val compute :
   Mcf_gpu.Spec.t -> (string * (string * cell) list) list
 (** Per workload, per variant. *)
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -14,5 +14,3 @@ type workload = {
 val workloads : unit -> workload list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -29,5 +29,3 @@ val compute : ?per_workload:int -> Mcf_gpu.Spec.t -> stats * (float * float) lis
     Shm_max. *)
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

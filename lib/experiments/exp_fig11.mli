@@ -16,5 +16,3 @@ type workload_result = {
 val compute : ?samples:int -> Mcf_gpu.Spec.t -> workload_result list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

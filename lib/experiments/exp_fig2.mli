@@ -17,5 +17,3 @@ type point = {
 val compute : Mcf_gpu.Spec.t -> point list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -10,5 +10,3 @@
 val compute : Mcf_gpu.Spec.t -> Mcf_search.Space.funnel
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

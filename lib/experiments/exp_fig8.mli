@@ -29,8 +29,6 @@ val render_result : result -> string
 
 val render : Mcf_gpu.Spec.t -> panel -> string
 
-val title : string
-
 val geomean_speedup : result -> over:string -> of_:string -> float option
 (** Geometric-mean speedup of one backend over another across the rows
     where both ran. *)

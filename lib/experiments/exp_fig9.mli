@@ -12,5 +12,3 @@ val compute :
   (Mcf_workloads.Configs.bert_config * Mcf_frontend.Engine.report list) list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

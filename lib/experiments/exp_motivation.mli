@@ -18,5 +18,3 @@ type row = {
 val compute : Mcf_gpu.Spec.t -> Mcf_workloads.Configs.bert_config -> row list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -19,5 +19,3 @@ type row = {
 val compute : Mcf_gpu.Spec.t -> row list
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

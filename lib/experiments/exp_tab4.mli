@@ -8,5 +8,3 @@
     vs Ansor).  End-to-end part: the five engines on BERT. *)
 
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -8,15 +8,4 @@
     structural variety (online softmax, flat tilings, dead loops, padding)
     while staying fast enough to run on every benchmark invocation. *)
 
-type row = {
-  vname : string;
-  schedule : string;
-  max_diff : float;
-  pass : bool;
-}
-
-val compute : Mcf_gpu.Spec.t -> row list
-
 val render : Mcf_gpu.Spec.t -> string
-
-val title : string

@@ -20,7 +20,8 @@ let rec name = function
   | Bolt_engine -> "BOLT"
   | Mcfuser_with k -> "MCFuser+" ^ name k
 
-let ansor_e2e_trials_per_task = ref 450
+(* Ansor's end-to-end budget per unique operator task. *)
+let ansor_e2e_trials_per_task = 450
 
 (* Non-MBCI code generation characteristics per compiler.  BOLT's pattern
    table covers GEMM+bias(+ReLU) epilogues with CUTLASS; anything outside
@@ -232,7 +233,7 @@ let run kind spec (graph : Graph.t) =
           + if uses_mcfuser kind then 0 else 2 * List.length attns
         in
         Mcf_gpu.Clock.charge clock
-          (float_of_int (tasks * !ansor_e2e_trials_per_task) *. ansor_compile_s)
+          (float_of_int (tasks * ansor_e2e_trials_per_task) *. ansor_compile_s)
       | Mcfuser_with k -> charge_host k
     in
     charge_host kind;

@@ -34,6 +34,3 @@ val attention_fraction :
   Mcf_gpu.Spec.t -> Graph.t -> flops_fraction:bool -> float
 (** §II-A motivation: self-attention's share of FLOPs
     ([flops_fraction = true]) or of eager execution time (false). *)
-
-val ansor_e2e_trials_per_task : int ref
-(** Ansor's end-to-end budget per unique operator task (default 600). *)

@@ -31,14 +31,10 @@ val epi_to_string : epi -> string
 
 val epi_of_string : string -> (epi, string) result
 
-val spec_to_string : spec -> string
-
 val chain_of_spec : spec -> Chain.t
 (** @raise Invalid_argument when the genome is malformed (fewer than two
     column axes, or the built chain fails [Chain.validate] — a generator
     bug, not a user error). *)
-
-val random_spec : Mcf_util.Rng.t -> spec
 
 val random_candidate : Mcf_util.Rng.t -> Chain.t -> Candidate.t
 (** Uniform over [Tiling.enumerate chain] crossed with per-axis

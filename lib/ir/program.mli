@@ -92,8 +92,6 @@ val residency_multiplier : t -> Chain.tensor_spec -> int
     Fig. 6 (an axis of the tensor iterating inside the producer's
     reduction loop). *)
 
-val stmt_to_string : stmt -> string
-
 val to_string : t -> string
 (** Pseudo-code rendering in the style of Fig. 4. *)
 

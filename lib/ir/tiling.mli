@@ -47,9 +47,6 @@ val seq : Chain.t -> t Seq.t
 val seq_deep : Chain.t -> t Seq.t
 (** Lazy [enumerate_deep]. *)
 
-val seq_flat : Chain.t -> t Seq.t
-(** Lazy [enumerate_flat]. *)
-
 val count : Chain.t -> int
 (** [List.length (enumerate chain)] in closed form (n! for the deep
     family plus the flat product), without materializing anything. *)

@@ -552,14 +552,6 @@ let eval_candidate ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
   evaluate ~elem_bytes (summarize ?rule1 ?dead_loop_elim ?hoisting chain cand)
     cand
 
-let breakdown ?rule1 ?dead_loop_elim ?hoisting spec chain cand =
-  breakdown_of_eval spec
-    (eval_candidate ?rule1 ?dead_loop_elim ?hoisting
-       ~elem_bytes:spec.Mcf_gpu.Spec.elem_bytes chain cand)
-
-let estimate ?rule1 ?dead_loop_elim ?hoisting spec chain cand =
-  (breakdown ?rule1 ?dead_loop_elim ?hoisting spec chain cand).Perf.t_total
-
 let verdict ?rule1 ?dead_loop_elim ?hoisting chain cand =
   (summarize ?rule1 ?dead_loop_elim ?hoisting chain cand).sverdict
 
@@ -652,9 +644,8 @@ module Memo = struct
     in
     summary_at m ~sid:(sid m cand.tiling) ~mask (fun () -> cand)
 
-  let eval m cand = evaluate ~elem_bytes:m.elem_bytes (summary m cand) cand
-
-  let breakdown m spec cand = breakdown_of_eval spec (eval m cand)
-
-  let estimate m spec cand = (breakdown m spec cand).Perf.t_total
+  let estimate m spec cand =
+    (breakdown_of_eval spec
+       (evaluate ~elem_bytes:m.elem_bytes (summary m cand) cand))
+      .Perf.t_total
 end

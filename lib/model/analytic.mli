@@ -1,6 +1,6 @@
 (** Closed-form analytical model: eqs. (2)-(5) without lowering.
 
-    [breakdown spec chain cand] equals
+    [breakdown_of_eval spec (eval_candidate ... chain cand)] equals
     [Perf.breakdown spec (Lower.lower ... chain cand)] bit-for-bit, but is
     computed straight from [(chain, tiling, tiles)] by replaying the
     structural passes of {!Mcf_ir.Program.build} (grid split, dead-loop
@@ -77,26 +77,6 @@ val eval_candidate :
   Mcf_ir.Candidate.t ->
   eval
 
-val breakdown :
-  ?rule1:bool ->
-  ?dead_loop_elim:bool ->
-  ?hoisting:bool ->
-  Mcf_gpu.Spec.t ->
-  Mcf_ir.Chain.t ->
-  Mcf_ir.Candidate.t ->
-  Perf.breakdown
-(** [= Perf.breakdown spec (Lower.lower ... chain cand)], closed form. *)
-
-val estimate :
-  ?rule1:bool ->
-  ?dead_loop_elim:bool ->
-  ?hoisting:bool ->
-  Mcf_gpu.Spec.t ->
-  Mcf_ir.Chain.t ->
-  Mcf_ir.Candidate.t ->
-  float
-(** [t_total] only. *)
-
 val verdict :
   ?rule1:bool ->
   ?dead_loop_elim:bool ->
@@ -140,10 +120,7 @@ module Memo : sig
       forced only on a miss, to summarize; it must agree with [sid] and
       [mask]. *)
 
-  val summary : t -> Mcf_ir.Candidate.t -> summary
-  (** {!summary_at} with the candidate's own id and mask. *)
-
-  val breakdown : t -> Mcf_gpu.Spec.t -> Mcf_ir.Candidate.t -> Perf.breakdown
-
   val estimate : t -> Mcf_gpu.Spec.t -> Mcf_ir.Candidate.t -> float
+  (** Eq. (2)'s total time for a candidate, through its memoized
+      summary. *)
 end

@@ -40,7 +40,7 @@ type result = {
   stats : stats;
 }
 
-let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
+let run ?(params = default_params) ?measure:engine ?on_phase
     ~scores ~rng ~clock spec entries =
   if Array.length scores <> List.length entries then
     invalid_arg "Explore.run: scores are not index-aligned with entries";
@@ -56,15 +56,7 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
           invalid_arg "Explore.run: entries are not one enumeration's")
       ranks;
     Mcf_obs.Metrics.incr c_runs;
-    (* The enumeration scored every entry once, in its fused streaming
-       pass; a custom estimator (Chimera's data-movement objective, the
-       no-alpha ablation) replaces only the estimate ranking, never the
-       traffic one.  Estimators must be pure. *)
-    let estimates =
-      match estimator with
-      | None -> Array.map fst scores
-      | Some f -> Array.map (f spec) pool
-    in
+    let estimates = Array.map fst scores in
     let traffic = Array.map snd scores in
     Mcf_obs.Metrics.add c_estimated n;
     let estimate id = estimates.(id) in
@@ -155,7 +147,7 @@ let run ?(params = default_params) ?estimator ?measure:engine ?on_phase
        seeding both rankings guarantees the search dominates any
        single-objective analytical strategy (in particular Chimera's) over
        the same space.  Ranking keys are precomputed arrays, so the
-       comparator is two array reads — no estimator (or string hash)
+       comparator is two array reads — no model call (or string hash)
        inside the O(n log n) sort. *)
     let top_ids_by key_of =
       let ranked = Array.init n Fun.id in

@@ -45,7 +45,6 @@ type result = {
 
 val run :
   ?params:params ->
-  ?estimator:(Mcf_gpu.Spec.t -> Space.entry -> float) ->
   ?measure:Measure.t ->
   ?on_phase:(string -> float -> unit) ->
   scores:(float * float) array ->
@@ -60,8 +59,10 @@ val run :
     [entries] that {!Space.enumerate_scored} returns: the enumeration's
     fused streaming pass is the search's only scorer, so the explorer
     ranks by these as given and evaluates no model itself.  The estimate
-    is eq. (2)-(5)'s total time; traffic (scaled by eq. (5)'s alpha)
-    seeds the second, data-movement ranking of the initial population.
+    is the enumeration's objective (eq. (2)-(5)'s total time unless the
+    caller chose another); traffic (scaled by eq. (5)'s alpha) seeds the
+    second, data-movement ranking of the initial population.
+    [stats.estimated] counts the entries ranked.
     @raise Invalid_argument if [scores] and [entries] differ in length.
 
     [entries] must be one enumeration's, as {!Space.enumerate} returns
@@ -70,11 +71,6 @@ val run :
     stepped rank by binary search.
     @raise Invalid_argument if a rank is negative (a {!Space.make_entry}
     entry) or the ranks are not strictly increasing.
-
-    [estimator], when given, replaces only the estimates — one call per
-    entry, which must be pure; the Chimera baseline substitutes its
-    data-movement-only objective, the ablation a model without alpha.
-    [stats.estimated] counts the entries ranked.
 
     [measure] is the batched measurement engine each generation's fresh
     top-k goes through (defaults to a fresh cache-less {!Measure.create}

@@ -64,14 +64,6 @@ val spec : t -> Mcf_gpu.Spec.t
 
 val cache : t -> cache option
 
-val key_with :
-  spec_fp:string ->
-  chain_fp:string ->
-  Space.ctx ->
-  Mcf_ir.Candidate.t ->
-  string
-(** The raw cache key; exposed for tests and the fuzz oracle. *)
-
 val chain_fp : Mcf_ir.Chain.t -> string
 (** Hex-hashed {!Mcf_ir.Chain.fingerprint} (the key's chain component). *)
 

@@ -21,8 +21,6 @@ type options = {
   include_flat : bool;
   dead_loop_elim : bool;
   hoisting : bool;
-  max_padding : float;
-  shmem_slack : float;
 }
 
 let default_options =
@@ -32,14 +30,15 @@ let default_options =
     rule4 = true;
     include_flat = true;
     dead_loop_elim = true;
-    hoisting = true;
-    max_padding = 0.05;
-    shmem_slack = 1.2 }
+    hoisting = true }
 
-(* The search-point encoding, built once per (chain, rule 3,
-   max_padding).  A point of the pruned space is a rank: the emitting
-   tiling's ordinal times [n_combos] plus a combo index, whose digit for
-   axis [a] (in [chain.axes] order, the first axis slowest) is
+let max_padding = 0.05
+let shmem_slack = 1.2
+
+(* The search-point encoding, built once per (chain, rule 3).  A point
+   of the pruned space is a rank: the emitting tiling's ordinal times
+   [n_combos] plus a combo index, whose digit for axis [a] (in
+   [chain.axes] order, the first axis slowest) is
    [combo / strides.(a) mod |tiles.(a)|]. *)
 type grid = {
   tiles : int array array;  (* rule-3 tile options per axis *)
@@ -126,14 +125,14 @@ let rule2_rejects = violates_rule2
 
 let is_power_of_two v = v > 0 && v land (v - 1) = 0
 
-let rule3_ok opts (a : Axis.t) tile =
+let rule3_ok (a : Axis.t) tile =
   let trips = (a.size + tile - 1) / tile in
   if is_power_of_two a.size then trips * tile = a.size
   else begin
     let padding =
       float_of_int ((trips * tile) - a.size) /. float_of_int a.size
     in
-    padding <= opts.max_padding
+    padding <= max_padding
   end
 
 let tile_choices opts (chain : Chain.t) =
@@ -141,7 +140,7 @@ let tile_choices opts (chain : Chain.t) =
     (fun (a : Axis.t) ->
       let all = Candidate.tile_options a.size in
       let kept =
-        if opts.rule3 then List.filter (rule3_ok opts a) all else all
+        if opts.rule3 then List.filter (rule3_ok a) all else all
       in
       (* never let an axis end up with zero options *)
       let kept = if kept = [] then [ a.size ] else kept in
@@ -283,9 +282,9 @@ let chunk_target = 4096
 type verdict =
   | V_rule4_rejected
   | V_invalid
-  | V_valid of float * float  (* estimate, traffic *)
+  | V_valid of float * float  (* objective score, traffic *)
 
-(* Bounded top-C slice ordered by estimate (ties broken toward the
+(* Bounded top-C slice ordered by score (ties broken toward the
    earlier rank), or a plain accumulator when unbounded.  Items always
    come back re-sorted by rank: downstream (the explorer's binary search
    over ranks, its pool-index ids, its unstable top-k sort) depends on
@@ -364,6 +363,7 @@ module Reservoir = struct
 end
 
 let enumerate_scored ?(options = default_options)
+    ?(objective = fun (b : Mcf_model.Perf.breakdown) -> b.t_total)
     ?(on_phase = fun _ _ -> ()) ?reservoir (spec : Mcf_gpu.Spec.t) chain =
   let module Trace = Mcf_obs.Trace in
   Trace.with_span "space.enumerate"
@@ -423,17 +423,18 @@ let enumerate_scored ?(options = default_options)
       in
       let sm_countf = float_of_int spec.Mcf_gpu.Spec.sm_count in
       let budget =
-        opts.shmem_slack *. float_of_int spec.Mcf_gpu.Spec.smem_per_block
+        shmem_slack *. float_of_int spec.Mcf_gpu.Spec.smem_per_block
       in
       let pool = Mcf_util.Pool.get () in
       (* Fused per-point scorer, in index space: decode the point, fetch
          its memoized summary by (structural id, trip=1 mask), then the
          eq. (1) footprint for rule 4, the closed-form validity verdict
-         and the analytical estimate all from the same arrays — no
+         and the analytical breakdown all from the same arrays — no
          candidate is built unless the summary is missing, and no
          Lower.lower anywhere (exactness against the lowered walk is
          enforced by the sweeps in test_model.ml).  These are the only
-         model scores the search computes: the explorer ranks by them as
+         model scores the search computes, and [objective] is the only
+         place a breakdown becomes a score: the explorer ranks by them as
          handed over. *)
       let score chunk i =
         let tiles = Array.make n_axes 0 and trips = Array.make n_axes 0 in
@@ -457,8 +458,7 @@ let enumerate_scored ?(options = default_options)
           in
           if Result.is_ok ev.Mcf_model.Analytic.everdict then begin
             let est =
-              (Mcf_model.Analytic.breakdown_of_eval spec ev)
-                .Mcf_model.Perf.t_total
+              objective (Mcf_model.Analytic.breakdown_of_eval spec ev)
             in
             let traffic =
               ev.Mcf_model.Analytic.traffic_bytes

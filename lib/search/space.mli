@@ -29,19 +29,24 @@ type options = {
   include_flat : bool;  (** Off reproduces Chimera's deep-only space. *)
   dead_loop_elim : bool;  (** Off reproduces Ansor/Chimera hoisting. *)
   hoisting : bool;
-  max_padding : float;  (** Rule 3 threshold (paper: 0.05). *)
-  shmem_slack : float;  (** Rule 4 slack (paper: 1.2). *)
 }
 
 val default_options : options
-(** Everything on, paper thresholds. *)
+(** Everything on. *)
+
+val max_padding : float
+(** Rule 3's padding-ratio threshold (paper: 0.05). *)
+
+val shmem_slack : float
+(** Rule 4's slack over the device's shared memory per block (paper:
+    1.2). *)
 
 type grid
 (** How a point of one pruned space is encoded, and the only place that
     knows: a point is its enumeration rank, the emitting tiling's ordinal
     times the rule-3 tile-combo count plus the combo index (a mixed radix
     over the rule-3 tile options in [chain.axes] order, the first axis
-    slowest).  Built once per (chain, [rule3], [max_padding]). *)
+    slowest).  Built once per (chain, [rule3]). *)
 
 val grid : options -> Mcf_ir.Chain.t -> grid
 (** The grid of a chain under [options]' rule 3 (the other fields are
@@ -168,6 +173,7 @@ val enumerate :
 
 val enumerate_scored :
   ?options:options ->
+  ?objective:(Mcf_model.Perf.breakdown -> float) ->
   ?on_phase:(string -> float -> unit) ->
   ?reservoir:int ->
   Mcf_gpu.Spec.t ->
@@ -175,8 +181,14 @@ val enumerate_scored :
   entry list * (float * float) array * funnel
 (** {!enumerate} plus the per-entry [(estimate, traffic)] scores the
     fused streaming pass computed — index-aligned with the entry list:
-    eq. (2)-(5)'s total time ({!Mcf_model.Analytic.breakdown_of_eval})
-    and the closed-form traffic scaled by [(blocks + sm_count) / blocks].
+    [objective] applied to the point's eq. (2)-(5) breakdown
+    ({!Mcf_model.Analytic.breakdown_of_eval}), and the closed-form
+    traffic scaled by [(blocks + sm_count) / blocks].  [objective]
+    defaults to [t_total], the paper's model; the MCFuser-Chimera
+    baseline passes its data-movement objective and the ablation a model
+    without alpha.  With [reservoir] also set, the reservoir keeps the
+    best points by [objective].
+
     These are the search's only model scores; {!Explore.run} takes them
     as its required [scores] argument, and the entries' ranks (in
     strictly increasing order, as in every enumeration) as its search

@@ -25,7 +25,7 @@ module Log = (val Logs.src_log Explore.log_src : Logs.LOG)
 
 let c_tunes = Mcf_obs.Metrics.counter "tuner.tunes"
 
-let tune ?options ?params ?estimator ?seed ?reservoir ?measure
+let tune ?options ?params ?objective ?seed ?reservoir ?measure
     (spec : Mcf_gpu.Spec.t) (chain : Mcf_ir.Chain.t) =
   let opts = Option.value options ~default:Space.default_options in
   let prm = Option.value params ~default:Explore.default_params in
@@ -55,8 +55,8 @@ let tune ?options ?params ?estimator ?seed ?reservoir ?measure
              ("include_flat", Bool opts.include_flat);
              ("dead_loop_elim", Bool opts.dead_loop_elim);
              ("hoisting", Bool opts.hoisting);
-             ("max_padding", Num opts.max_padding);
-             ("shmem_slack", Num opts.shmem_slack) ]);
+             ("max_padding", Num Space.max_padding);
+             ("shmem_slack", Num Space.shmem_slack) ]);
         ("params",
          Obj
            [ ("population", num_of_int prm.Explore.population);
@@ -94,7 +94,8 @@ let tune ?options ?params ?estimator ?seed ?reservoir ?measure
   let run () =
     let entries, scores, funnel =
       phase "tuner.enumerate" (fun on_phase ->
-          Space.enumerate_scored ~options:opts ~on_phase ?reservoir spec chain)
+          Space.enumerate_scored ~options:opts ?objective ~on_phase ?reservoir
+            spec chain)
     in
     Log.info (fun m ->
         m "%s on %s: %d candidates after pruning (raw %.3g)"
@@ -107,7 +108,7 @@ let tune ?options ?params ?estimator ?seed ?reservoir ?measure
        in the breakdown. *)
     let explored =
       phase "tuner.explore" (fun on_phase ->
-          Explore.run ~params:prm ?estimator ~scores ?measure ~on_phase ~rng
+          Explore.run ~params:prm ~scores ?measure ~on_phase ~rng
             ~clock spec entries)
     in
     match explored with

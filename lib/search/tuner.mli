@@ -36,7 +36,7 @@ type error =
 val tune :
   ?options:Space.options ->
   ?params:Explore.params ->
-  ?estimator:(Mcf_gpu.Spec.t -> Space.entry -> float) ->
+  ?objective:(Mcf_model.Perf.breakdown -> float) ->
   ?seed:int ->
   ?reservoir:int ->
   ?measure:Measure.t ->
@@ -45,6 +45,11 @@ val tune :
   (outcome, error) result
 (** Deterministic for a fixed [seed] (default derived from the chain
     name and device).
+
+    [objective] turns a candidate's eq. (2)-(5) breakdown into the score
+    the search ranks by (default [t_total]); it is handed to
+    {!Space.enumerate_scored}, which applies it while it enumerates, so
+    the reservoir also keeps the best points by it.
 
     [measure] is the batched measurement engine handed to the explorer
     (defaults to a fresh cache-less one); attach a

@@ -5,7 +5,7 @@ type line = Row of string list | Rule
 type t = {
   headers : string list;
   arity : int;
-  mutable aligns : align list;
+  aligns : align list;
   mutable lines : line list; (* reversed *)
 }
 
@@ -14,11 +14,6 @@ let default_aligns n = List.init n (fun i -> if i = 0 then Left else Right)
 let create ~headers =
   let arity = List.length headers in
   { headers; arity; aligns = default_aligns arity; lines = [] }
-
-let set_align t aligns =
-  if List.length aligns <> t.arity then
-    invalid_arg "Table.set_align: arity mismatch";
-  t.aligns <- aligns
 
 let add_row t cells =
   if List.length cells <> t.arity then

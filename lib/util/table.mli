@@ -4,17 +4,11 @@
     module keeps the formatting consistent (column alignment, separators,
     optional markdown output for EXPERIMENTS.md). *)
 
-type align = Left | Right
-
 type t
 (** A table under construction. *)
 
 val create : headers:string list -> t
 (** Column count is fixed by [headers]. *)
-
-val set_align : t -> align list -> unit
-(** Per-column alignment; default is [Left] for the first column and
-    [Right] for the rest. *)
 
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument when the arity differs from the headers. *)

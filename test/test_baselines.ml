@@ -264,6 +264,66 @@ let test_mcfuser_beats_flash_on_s1 () =
       (f.time_s < fa.time_s)
   | _ -> Alcotest.fail "backends failed"
 
+(* Chimera's data-movement objective and the ablation's no-alpha model
+   rank the same enumeration as the full tuner; pin what each search
+   picks: winner key, measured time and virtual tuning seconds. *)
+let objective_fingerprint (name, wl) =
+  let chain =
+    match Mcf_serve.Protocol.chain_of_workload wl with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let label = Printf.sprintf "%s %s" name wl in
+  let row key time_s virtual_s =
+    (label, key, Printf.sprintf "%.17g %.17g" time_s virtual_s)
+  in
+  match name with
+  | "Chimera" -> (
+    match B.Chimera.backend.tune a100 chain with
+    | Error _ -> (label, "unsupported", "")
+    | Ok o ->
+      (* A fused kernel is named [<chain>[<candidate key>]]. *)
+      let kname = (List.hd o.kernels).Mcf_gpu.Kernel.kname in
+      let skip = String.length chain.cname + 1 in
+      row
+        (String.sub kname skip (String.length kname - skip - 1))
+        o.time_s o.tuning_virtual_s)
+  | _ -> (
+    match Mcf_experiments.Exp_ablation.tune_no_alpha a100 chain with
+    | Error _ -> (label, "no viable candidate", "")
+    | Ok o ->
+      row
+        (Mcf_ir.Candidate.key o.best.cand)
+        o.kernel_time_s o.tuning_virtual_s)
+
+let objective_golden =
+  [ ( "Chimera G1",
+      "mnkh {h=16 k=64 m=32 n=256}",
+      "4.9041553456897276e-06 18.855566986404874" );
+    ( "no-alpha G1",
+      "mn(k,h) {h=64 k=64 m=64 n=64}",
+      "6.3442859514457476e-06 56.978743767266472" );
+    ( "Chimera G4",
+      "mnkh {h=64 k=128 m=32 n=256}",
+      "9.4644191625529078e-06 38.103937567774395" );
+    ( "no-alpha G4",
+      "mn(k,h) {h=128 k=128 m=64 n=128}",
+      "1.9550944817948204e-05 53.371611019165357" );
+    ( "Chimera S3",
+      "mnkh {h=64 k=32 m=64 n=128}",
+      "1.10133675288221e-05 35.096051861326742" );
+    ( "no-alpha S3",
+      "mnkh {h=64 k=64 m=128 n=256}",
+      "1.2827107921822133e-05 44.939560197170792" ) ]
+
+let test_objective_golden () =
+  Alcotest.(check (list (triple string string string)))
+    "objective outcomes" objective_golden
+    (List.map objective_fingerprint
+       (List.concat_map
+          (fun wl -> [ ("Chimera", wl); ("no-alpha", wl) ])
+          [ "G1"; "G4"; "S3" ]))
+
 let () =
   Alcotest.run "mcf_baselines"
     [ ( "op-kernels",
@@ -310,4 +370,6 @@ let () =
             test_mcfuser_backend_wraps_tuner;
           Alcotest.test_case "beats pytorch" `Quick test_mcfuser_beats_pytorch;
           Alcotest.test_case "beats flash-attention" `Quick
-            test_mcfuser_beats_flash_on_s1 ] ) ]
+            test_mcfuser_beats_flash_on_s1;
+          Alcotest.test_case "objective golden outcomes" `Quick
+            test_objective_golden ] ) ]

@@ -218,14 +218,13 @@ let test_explore_deterministic_given_seed () =
   Alcotest.(check string) "same seed, same result" (run 99) (run 99)
 
 let test_explore_custom_estimator () =
-  (* a constant estimator degrades ranking but must not break the search *)
-  let entries, scores, _ = Mcf_search.Space.enumerate_scored a100 small_gemm in
+  (* a constant objective degrades ranking but must not break the search *)
+  let entries, scores, _ =
+    Mcf_search.Space.enumerate_scored ~objective:(fun _ -> 1.0) a100 small_gemm
+  in
   let rng = Mcf_util.Rng.create 5 in
   let clock = Mcf_gpu.Clock.create () in
-  match
-    Mcf_search.Explore.run ~estimator:(fun _ _ -> 1.0) ~scores ~rng ~clock a100
-      entries
-  with
+  match Mcf_search.Explore.run ~scores ~rng ~clock a100 entries with
   | Some r -> Alcotest.(check bool) "still returns" true (r.best_time_s > 0.0)
   | None -> Alcotest.fail "search found nothing"
 

@@ -134,7 +134,7 @@ let brute_force (opts : Space.options) chain : Space.funnel * string list =
               ~hoisting:opts.hoisting ~elem_bytes:a100.elem_bytes chain cand
           in
           if (not opts.rule4)
-             || Mcf_model.Shmem.within_budget a100 ~slack:opts.shmem_slack l
+             || Mcf_model.Shmem.within_budget a100 ~slack:Space.shmem_slack l
           then begin
             incr fits;
             if Result.is_ok l.validity then kept := Candidate.key cand :: !kept
@@ -231,28 +231,40 @@ let test_stream_equals_brute_force () =
 
 let test_streamed_scores_are_analytic () =
   (* The stream is the search's only scorer: every (estimate, traffic)
-     pair it returns must be eq. (2)-(5)'s total time and the
-     alpha-scaled traffic of the closed-form model under the same
-     switches, bit for bit. *)
+     pair it returns must be the objective applied to eq. (2)-(5)'s
+     breakdown and the alpha-scaled traffic of the closed-form model
+     under the same switches, bit for bit — for the paper's total time,
+     Chimera's data-movement objective and the ablation's no-alpha
+     model alike. *)
+  let objectives : (string * (Mcf_model.Perf.breakdown -> float) option) list =
+    [ ("t_total", None);
+      ("chimera", Some (fun b -> b.t_mem *. b.alpha));
+      ("no-alpha", Some (fun b -> b.t_mem +. b.t_comp)) ]
+  in
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
           List.iter
-            (fun (name, (options : Space.options), chain) ->
+            (fun ((name, (options : Space.options), chain), (oname, objective))
+               ->
               let rule1 = options.rule1
               and dead_loop_elim = options.dead_loop_elim
               and hoisting = options.hoisting in
               let entries, scores, _ =
-                Space.enumerate_scored ~options a100 chain
+                Space.enumerate_scored ~options ?objective a100 chain
+              in
+              let name = Printf.sprintf "%s/%s@jobs=%d" name oname jobs in
+              let apply =
+                Option.value objective
+                  ~default:(fun b -> b.Mcf_model.Perf.t_total)
               in
               Alcotest.(check int)
-                (Printf.sprintf "%s@jobs=%d: one score per entry" name jobs)
+                (name ^ ": one score per entry")
                 (List.length entries) (Array.length scores);
               List.iteri
                 (fun i (e : Space.entry) ->
                   let what =
-                    Printf.sprintf "%s@jobs=%d: %s" name jobs
-                      (Candidate.to_string e.cand)
+                    Printf.sprintf "%s: %s" name (Candidate.to_string e.cand)
                   in
                   let ev =
                     Mcf_model.Analytic.eval_candidate ~rule1 ~dead_loop_elim
@@ -263,13 +275,14 @@ let test_streamed_scores_are_analytic () =
                   in
                   let est, traffic = scores.(i) in
                   Alcotest.(check (float 0.0)) (what ^ " estimate")
-                    (Mcf_model.Analytic.breakdown_of_eval a100 ev)
-                      .Mcf_model.Perf.t_total
+                    (apply (Mcf_model.Analytic.breakdown_of_eval a100 ev))
                     est;
                   Alcotest.(check (float 0.0)) (what ^ " traffic")
                     (ev.traffic_bytes *. alpha) traffic)
                 entries)
-            variant_cases))
+            (List.concat_map
+               (fun case -> List.map (fun o -> (case, o)) objectives)
+               variant_cases)))
     [ 1; 4 ]
 
 let test_reservoir_keeps_best_by_estimate () =
