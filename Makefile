@@ -32,9 +32,11 @@ trace-demo:
 # only Space encodes a search point, so no other search module may read
 # Candidate.tile_options; the enumeration's scorer is the search's one
 # caller of the analytical model, so lib/ names Analytic only in
-# lib/model/, Space and the fuzz oracles that check it; and every file
-# write but an append goes through Json.write_atomic, so open_out
-# appears only in json.ml.
+# lib/model/, Space and the fuzz oracles that check it; the raw tiling
+# walk (Tiling.seq, Tiling.seq_deep) serves only Space's rule-1-off path
+# and recorder prefix, so lib/ names it only in tiling.ml and space.ml;
+# and every file write but an append goes through Json.write_atomic, so
+# open_out appears only in json.ml.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -49,13 +51,17 @@ ci-guard:
 	  -e '^lib/search/space\.mli\?:' -e '^lib/fuzz/'; then \
 	  echo "ci-guard: Analytic. in lib/ outside lib/model/, space.ml and lib/fuzz/"; \
 	  exit 1; fi
+	@if grep -rn 'Tiling\.seq' lib | grep -v -e '^lib/ir/tiling\.ml:' \
+	  -e '^lib/search/space\.ml:'; then \
+	  echo "ci-guard: Tiling.seq in lib/ outside tiling.ml and space.ml"; \
+	  exit 1; fi
 	@if grep -rn 'open_out ' lib bin bench | grep -v '^lib/util/json\.ml:'; then \
 	  echo "ci-guard: open_out in lib bin bench outside lib/util/json.ml"; \
 	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, writers and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

@@ -41,15 +41,38 @@ val enumerate : Chain.t -> t list
 
 val seq : Chain.t -> t Seq.t
 (** Lazy [enumerate]: the same expressions in the same order, produced
-    on demand.  The streaming enumeration pipeline pulls from this so a
-    5–8-block chain's n! deep family never has to be resident. *)
+    on demand.  The search walks this raw stream only with rule 1 off,
+    and, when recording, for a short prefix that yields the flight
+    recorder's exemplars; with rule 1 on it walks the sub-tilings
+    instead ({!first_of_sub_tiling}). *)
 
 val seq_deep : Chain.t -> t Seq.t
 (** Lazy [enumerate_deep]. *)
 
-val count : Chain.t -> int
+val flat_parts : Chain.t -> (Axis.t list * Axis.t list list) option
+(** The flat family's components: the shared axes (the nested prefix)
+    and each block's private group, in the orders [enumerate_flat]
+    permutes them from; [None] when the family is empty. *)
+
+val count : ?include_flat:bool -> Chain.t -> int
 (** [List.length (enumerate chain)] in closed form (n! for the deep
-    family plus the flat product), without materializing anything. *)
+    family plus the flat product), without materializing anything.
+    With [~include_flat:false] (default [true]), the deep family's n!
+    alone. *)
+
+val count_sub_tilings : ?include_flat:bool -> Chain.t -> int
+(** The number of distinct [sub_tiling]s over the same families (rule
+    1's classes): r! for the deep family, where r counts the reduce
+    axes, plus the product of the factorials of the flat components'
+    reduce counts. *)
+
+val first_of_sub_tiling : Chain.t -> t -> t
+(** [first_of_sub_tiling chain s] is the first tiling of [seq chain]
+    whose [sub_tiling] is [s].  Ordering sub-tilings by their reduce
+    axes' positions, family first, then component by component, orders
+    their first tilings the same way.
+    @raise Invalid_argument for a flat [s] when the chain has no flat
+    family. *)
 
 val is_flat : t -> bool
 
@@ -60,3 +83,8 @@ val sub_tiling : Chain.t -> t -> t
 
 val equal : t -> t -> bool
 (** Structural equality (axes compared by name). *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by {!equal}.  [to_string] joins axis names without a
+    separator, so two distinct tilings can print alike; key by the
+    tiling, not by its string. *)

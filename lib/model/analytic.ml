@@ -567,7 +567,7 @@ module Memo = struct
     hoisting : bool;
     elem_bytes : int;
     n_axes : int;
-    sids : (string, int) Hashtbl.t;  (* under [lock] *)
+    sids : int Tiling.Tbl.t;  (* under [lock] *)
     table : summary Imap.t Atomic.t;
         (* Read without the lock; replaced, never mutated, under [lock]. *)
     lock : Mutex.t;
@@ -581,7 +581,7 @@ module Memo = struct
       hoisting;
       elem_bytes;
       n_axes = List.length chain.axes;
-      sids = Hashtbl.create 64;
+      sids = Tiling.Tbl.create 64;
       table = Atomic.make Imap.empty;
       lock = Mutex.create () }
 
@@ -595,16 +595,15 @@ module Memo = struct
      trip=1 mask (bit [i] for the chain's [i]-th axis). *)
   let sid m tiling =
     let k =
-      if m.rule1 then Tiling.to_string (Tiling.sub_tiling m.chain tiling)
-      else Tiling.to_string tiling
+      if m.rule1 then Tiling.sub_tiling m.chain tiling else tiling
     in
     Mutex.lock m.lock;
     let id =
-      match Hashtbl.find_opt m.sids k with
+      match Tiling.Tbl.find_opt m.sids k with
       | Some id -> id
       | None ->
-        let id = Hashtbl.length m.sids in
-        Hashtbl.add m.sids k id;
+        let id = Tiling.Tbl.length m.sids in
+        Tiling.Tbl.add m.sids k id;
         id
     in
     Mutex.unlock m.lock;

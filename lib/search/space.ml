@@ -123,6 +123,59 @@ let violates_rule2 (chain : Chain.t) tiling =
 
 let rule2_rejects = violates_rule2
 
+(* Rules 1-2 without the raw walk.  A rule-1 class is a sub-tiling: one
+   order of the reduce axes per component of a family (all axes for the
+   deep family; the shared prefix, then each private group, for the flat
+   one).  The walk extends the order one reduce axis at a time, lowest
+   position first, so classes come out in the order of their first raw
+   tilings ([Tiling.first_of_sub_tiling]), which is the raw walk's order.
+   Rule 2 as a mask: placing axis [i] after any axis of [forbid.(i)]
+   (a reduce axis of some producer whose intermediate output spans [i])
+   is a violation, which no extension undoes, so the walk drops the
+   prefix with every extension.  Returns the surviving sub-tilings. *)
+let walk_sub_tilings (chain : Chain.t) ~rule2 ~include_flat =
+  let kept = ref [] in
+  let index = Hashtbl.create 16 in
+  List.iteri (fun i (a : Axis.t) -> Hashtbl.add index a.name i) chain.axes;
+  let idx (a : Axis.t) = Hashtbl.find index a.name in
+  let forbid = Array.make (List.length chain.axes) 0 in
+  if rule2 then
+    List.iter
+      (fun (ts : Chain.tensor_spec) ->
+        match Chain.producer_of chain ts with
+        | Some p when ts.storage = Chain.Intermediate ->
+          let m =
+            List.fold_left (fun m a -> m lor (1 lsl idx a)) 0 p.reduce_axes
+          in
+          List.iter (fun a -> forbid.(idx a) <- forbid.(idx a) lor m) ts.taxes
+        | _ -> ())
+      chain.tensors;
+  let rec components placed orders mk = function
+    | [] -> kept := mk (List.rev orders) :: !kept
+    | comp :: rest ->
+      let rec extend placed order = function
+        | [] -> components placed (List.rev order :: orders) mk rest
+        | remaining ->
+          List.iter
+            (fun a ->
+              if placed land forbid.(idx a) = 0 then
+                extend
+                  (placed lor (1 lsl idx a))
+                  (a :: order)
+                  (List.filter (fun b -> not (Axis.equal a b)) remaining))
+            remaining
+      in
+      extend placed [] (List.filter Axis.is_reduce comp)
+  in
+  components 0 [] (fun orders -> Tiling.Deep (List.hd orders)) [ chain.axes ];
+  (match Tiling.flat_parts chain with
+  | Some (shared, privates) when include_flat ->
+    components 0 []
+      (fun orders -> Tiling.Flat (List.hd orders, List.tl orders))
+      (shared :: privates)
+  | _ -> ());
+  List.rev !kept
+
 let is_power_of_two v = v > 0 && v land (v - 1) = 0
 
 let rule3_ok (a : Axis.t) tile =
@@ -191,18 +244,16 @@ let neighbour g rank ~axis ~dir =
   then Some (rank + (dir * g.strides.(a)))
   else None
 
-(* Closed form: n! deep + the flat product ([Tiling.count]) times the
-   per-axis tile-option product.  The old implementation materialized
-   [Tiling.enumerate] just to take its length — fatal for the deep-chain
-   family where the list alone is (blocks + 2)! elements. *)
-let raw_cardinality (chain : Chain.t) =
+(* Closed form: the tiling count ([Tiling.count], deep-only without the
+   flat family) times the per-axis tile-option product. *)
+let raw_cardinality ?include_flat (chain : Chain.t) =
   let tile_count =
     List.fold_left
       (fun acc (a : Axis.t) ->
         acc *. float_of_int (List.length (Candidate.tile_options a.size)))
       1.0 chain.axes
   in
-  float_of_int (Tiling.count chain) *. tile_count
+  float_of_int (Tiling.count ?include_flat chain) *. tile_count
 
 (* The flight recorder's prune-attribution event for one rule, with up to
    three exemplar strings: canonical per-block sub-tiling expressions a
@@ -249,24 +300,35 @@ let add_funnel_metrics ~total funnel =
 (* ------------------------------------------------------------------ *)
 (* Streaming enumeration (the default path).
 
-   The front half of the search is one in-domain stream with bounded
-   memory: the walk over [Tiling.seq] applies the structural rules (1:
-   sub-tiling dedup, 2: residency scan) as it goes and packs the
-   survivors' tile-combo index ranges into fixed-size chunks; each full
-   chunk is scored on the shared [Mcf_util.Pool] with one fused
-   per-point map — rule-4 shmem precheck, closed-form validity verdict
-   and the analytical estimate in a single pass — and drained
-   sequentially in rank order into funnel counters, recorder exemplars
-   and the reservoir before the walk resumes.
+   The front half of the search is a structural walk followed by one
+   in-domain stream with bounded memory.  With rule 1 on, the walk
+   visits rule-1 classes, not raw tilings: each class is an order of
+   the reduce axes ([walk_sub_tilings]), rule 2 prunes a violating
+   prefix with all its extensions, and each survivor is replaced by its
+   first raw tiling ([Tiling.first_of_sub_tiling]).  The classes come
+   out in the order of those first tilings, so the survivors are exactly
+   the tilings the raw walk would keep, in the raw walk's order, and the
+   funnel's raw and rule-1 counts are closed forms.  The raw
+   [Tiling.seq] walk runs only with rule 1 off, and, when recording, as
+   a prefix that collects the rule-1 and rule-2 exemplars and stops.
 
-   Peak heap is O(reservoir + chunk), never O(space).  The point order
-   is fixed (tilings in [Tiling.enumerate] order, each tiling's tile
-   combos row-major with the first axis slowest), every drain is
-   sequential, and the reservoir re-sorts by rank — so the candidate
-   list, the funnel and the eventual tuner outcome are bit-identical at
-   any --jobs, with recording on or off.  test_stream.ml pins the list
-   and the funnel against a brute-force filter over the raw cross
-   product. *)
+   The survivors' tile-combo index ranges are packed into fixed-size
+   chunks; each full chunk is scored on the shared [Mcf_util.Pool] with
+   one fused per-point map — rule-4 shmem precheck, closed-form validity
+   verdict and the analytical estimate in a single pass — and drained
+   sequentially in rank order into funnel counters, recorder exemplars
+   and the reservoir before the next chunk is packed.
+
+   Peak heap is O(reservoir + chunk), never O(space); the quotient walk
+   also holds its survivors, one tiling per kept class, until it ends.
+   The point order is fixed (tilings in [Tiling.enumerate] order, each
+   tiling's tile combos row-major with the first axis slowest), every
+   drain is sequential, and the reservoir re-sorts by rank — so the
+   candidate list, the funnel and the eventual tuner outcome are
+   bit-identical at any --jobs, with recording on or off.
+   test_stream.ml pins the list and the funnel against a brute-force
+   filter over the raw cross product, and the recorder's exemplars
+   against the raw walk. *)
 
 type seg = {
   stiling : Tiling.t;
@@ -525,16 +587,6 @@ let enumerate_scored ?(options = default_options)
            enumeration. *)
         Thread.yield ()
       in
-      (* The walk: lazily generate the tiling expressions, prune
-         structurally, and hand each full chunk of combo ranges to
-         [consume] before generating more. *)
-      let source =
-        if opts.include_flat then Tiling.seq chain else Tiling.seq_deep chain
-      in
-      let seen = Hashtbl.create 1024 in
-      let raw = ref 0 and n1 = ref 0 and n2 = ref 0 in
-      let ex1 = ref [] and ex1_n = ref 0 and ex1_seen = Hashtbl.create 8 in
-      let ex2 = ref [] and ex2_n = ref 0 and ex2_seen = Hashtbl.create 8 in
       let pending = ref [] and pending_pts = ref 0 in
       let flush () =
         if !pending_pts > 0 then begin
@@ -563,52 +615,77 @@ let enumerate_scored ?(options = default_options)
           if !pending_pts >= chunk_target then flush ()
         done
       in
-      (* First three distinct removed sub-tiling keys, in stream order. *)
-      let note_exemplar tbl lst count k =
-        if !count < 3 && not (Hashtbl.mem tbl k) then begin
-          Hashtbl.add tbl k ();
-          lst := k :: !lst;
-          incr count
-        end
+      (* The recorder's exemplars: the first three distinct sub-tilings
+         each structural rule removed, in raw-walk order. *)
+      let ex1 = ref [] and ex2 = ref [] in
+      let note lst sub =
+        if List.length !lst < 3 && not (List.exists (Tiling.equal sub) !lst)
+        then lst := !lst @ [ sub ]
       in
-      let consider t =
-        incr raw;
-        let key =
-          if opts.rule1 || (recording && opts.rule2) then
-            Tiling.to_string (Tiling.sub_tiling chain t)
-          else ""
-        in
-        let kept1 =
-          if not opts.rule1 then true
-          else if Hashtbl.mem seen key then begin
-            if recording then note_exemplar ex1_seen ex1 ex1_n key;
-            false
+      (* Rules 1-2 one raw tiling at a time, in [Tiling.seq] order: the
+         walk itself when rule 1 is off, streaming each survivor into
+         [emit_tiling], and otherwise, only when recording, a prefix of it
+         that stops once both exemplar lists are full and emits nothing.
+         Returns the rule-1 and rule-2 counts. *)
+      let raw_walk ~prefix =
+        let seen = Tiling.Tbl.create 1024 in
+        let n1 = ref 0 and n2 = ref 0 in
+        let consider t =
+          let sub = Tiling.sub_tiling chain t in
+          if opts.rule1 && Tiling.Tbl.mem seen sub then begin
+            if recording then note ex1 sub
           end
           else begin
-            Hashtbl.add seen key ();
-            true
+            if opts.rule1 then Tiling.Tbl.add seen sub ();
+            incr n1;
+            if opts.rule2 && violates_rule2 chain t then begin
+              if recording then note ex2 sub
+            end
+            else if not prefix then begin
+              incr n2;
+              emit_tiling t
+            end
           end
         in
-        if kept1 then begin
-          incr n1;
-          if opts.rule2 && violates_rule2 chain t then begin
-            if recording then note_exemplar ex2_seen ex2 ex2_n key
-          end
-          else begin
-            incr n2;
-            emit_tiling t
-          end
-        end
+        let full () =
+          List.length !ex1 >= 3 && ((not opts.rule2) || List.length !ex2 >= 3)
+        in
+        let rec go s =
+          if not (prefix && full ()) then
+            match s () with
+            | Seq.Nil -> ()
+            | Seq.Cons (t, s) ->
+              consider t;
+              go s
+        in
+        go
+          (if opts.include_flat then Tiling.seq chain
+           else Tiling.seq_deep chain);
+        (!n1, !n2)
       in
-      let under cond name f = if cond then Trace.with_span name f else f () in
-      Trace.with_span "space.tilings" (fun () ->
-          under opts.rule1 "space.rule1" (fun () ->
-              under opts.rule2 "space.rule2" (fun () ->
-                  Seq.iter consider source;
-                  flush ())));
+      (* [space.walk] times rules 1-2; the [space.precheck] chunks the
+         raw walk scores as it streams are child spans, outside its self
+         time.  The quotient walk's survivors are few, so it finishes
+         before they are emitted. *)
+      let tilings_rule1, n2 =
+        if opts.rule1 then begin
+          let tilings =
+            Trace.with_span "space.walk" (fun () ->
+                if recording then ignore (raw_walk ~prefix:true);
+                walk_sub_tilings chain ~rule2:opts.rule2
+                  ~include_flat:opts.include_flat
+                |> List.map (Tiling.first_of_sub_tiling chain))
+          in
+          List.iter emit_tiling tilings;
+          ( Tiling.count_sub_tilings ~include_flat:opts.include_flat chain,
+            List.length tilings )
+        end
+        else Trace.with_span "space.walk" (fun () -> raw_walk ~prefix:false)
+      in
+      flush ();
       on_phase "space.precheck" !score_s;
-      let total = !n2 * n_combos in
-      let candidates_rule3 = float_of_int !n2 *. float_of_int n_combos in
+      let total = n2 * n_combos in
+      let candidates_rule3 = float_of_int n2 *. float_of_int n_combos in
       let items = Reservoir.to_ranked res in
       let survivors =
         Array.to_list (Array.map (fun it -> it.Reservoir.ientry) items)
@@ -617,10 +694,11 @@ let enumerate_scored ?(options = default_options)
         Array.map (fun it -> (it.Reservoir.iest, it.Reservoir.itraffic)) items
       in
       let funnel =
-        { tilings_raw = !raw;
-          tilings_rule1 = !n1;
-          tilings_rule2 = !n2;
-          candidates_raw = raw_cardinality chain;
+        { tilings_raw = Tiling.count ~include_flat:opts.include_flat chain;
+          tilings_rule1;
+          tilings_rule2 = n2;
+          candidates_raw =
+            raw_cardinality ~include_flat:opts.include_flat chain;
           candidates_rule3;
           candidates_rule4 = !n_rule4;
           candidates_valid = !n_valid }
@@ -630,10 +708,10 @@ let enumerate_scored ?(options = default_options)
         let fi = float_of_int in
         emit_prune ~stage:"rule1" ~kind:"tilings" ~enabled:opts.rule1
           ~before:(fi funnel.tilings_raw) ~after:(fi funnel.tilings_rule1)
-          (List.rev !ex1);
+          (List.map Tiling.to_string !ex1);
         emit_prune ~stage:"rule2" ~kind:"tilings" ~enabled:opts.rule2
           ~before:(fi funnel.tilings_rule1) ~after:(fi funnel.tilings_rule2)
-          (List.rev !ex2);
+          (List.map Tiling.to_string !ex2);
         emit_prune ~stage:"rule3" ~kind:"candidates" ~enabled:opts.rule3
           ~before:funnel.candidates_raw ~after:funnel.candidates_rule3
           (List.mapi

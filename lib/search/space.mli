@@ -117,8 +117,10 @@ val tile_choices :
   options -> Mcf_ir.Chain.t -> (string * int list) list
 (** Per-axis tile options after Rule 3 (as enabled). *)
 
-val raw_cardinality : Mcf_ir.Chain.t -> float
-(** |tilings| x prod |all tile options|, before any pruning. *)
+val raw_cardinality : ?include_flat:bool -> Mcf_ir.Chain.t -> float
+(** |tilings| x prod |all tile options|, before any pruning; the
+    tilings are the deep family alone with [~include_flat:false]
+    (default [true]). *)
 
 val funnel_json : funnel -> Mcf_util.Json.t
 (** The funnel as the recorder's ["space"] event payload (integer
@@ -133,18 +135,23 @@ val enumerate :
   entry list * funnel
 (** Build the pruned space for a device, with the Fig. 7 funnel.
 
-    This is the streaming pipeline, run in the calling domain: the walk
-    over the tiling expressions is lazy (rules 1–2 applied as the stream
-    flows) and packs tile-combo index ranges into ~4096-point chunks;
-    each full chunk is scored on the shared {!Mcf_util.Pool} with one
-    fused precheck → validity → estimate pass and drained sequentially
-    in rank order before the walk resumes.  Scoring runs in index space:
+    This is the streaming pipeline, run in the calling domain.  Rules
+    1–2 come first: with rule 1 on, the walk visits the rule-1 classes
+    (orders of the reduce axes), drops every order rule 2 rejects with
+    all its extensions, and keeps each survivor's first raw tiling, in
+    raw order; a walk over every raw tiling runs only with rule 1 off
+    and, when recording, for the exemplars.  The survivors'
+    tile-combo index ranges are packed into ~4096-point chunks; each
+    full chunk is scored on the shared {!Mcf_util.Pool} with one fused
+    precheck → validity → estimate pass and drained sequentially in rank
+    order before the next chunk is packed.  Scoring runs in index space:
     a point's combo index decodes into tile/trip arrays and a trip=1
     mask, one {!Mcf_model.Analytic.Memo} lookup by (structural id, mask)
     yields the summary both the rule-4 footprint and the estimate read,
     and no candidate is built unless the summary is missing or the
-    reservoir admits the point.  Peak heap is
-    O(reservoir + chunk), not O(space), and the result — candidates,
+    reservoir admits the point.  Peak heap is O(reservoir + chunk), not
+    O(space) (the quotient walk also holds one tiling per kept class
+    until it ends), and the result — candidates,
     their order, the funnel — is bit-identical at any [--jobs] (pinned
     against a brute-force filter over the raw cross product in
     test_stream.ml).  The drain yields the runtime lock once per

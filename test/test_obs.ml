@@ -469,8 +469,8 @@ let test_tuner_trace_covers_pipeline () =
   List.iter
     (fun n ->
       if not (List.mem n names) then Alcotest.failf "span %S missing" n)
-    [ "tuner.tune"; "tuner.enumerate"; "space.enumerate"; "space.tilings";
-      "space.rule1"; "space.rule2"; "space.rule3"; "space.lower";
+    [ "tuner.tune"; "tuner.enumerate"; "space.enumerate"; "space.walk";
+      "space.precheck"; "space.rule3"; "space.lower";
       "tuner.explore"; "explore.generation"; "tuner.measure"; "tuner.codegen"
     ];
   (* every span nests under the root *)

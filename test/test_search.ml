@@ -491,7 +491,10 @@ let golden_outcomes () =
           List.map (golden_fingerprint spec name) [ 1; 2; 3 ])
         [ "G1"; "G4"; "G10"; "S3"; "S9" ])
     [ a100; Mcf_gpu.Spec.rtx3080 ]
-  @ List.map (golden_fingerprint ~reservoir:512 a100 "D5") [ 1; 2; 3 ]
+  @ List.concat_map
+      (fun name ->
+        List.map (golden_fingerprint ~reservoir:512 a100 name) [ 1; 2; 3 ])
+      [ "D5"; "D6" ]
 
 let golden_table =
   [ ( "G1 A100 seed=1",
@@ -592,7 +595,16 @@ let golden_table =
       "3ed36664d784f6b6 404543ffff19ac31 10/512/64" );
     ( "D5 A100 seed=3",
       "mx4x3x2x1x0x5 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64}",
-      "3ed32c9c5c638f38 4045de1f242cfed4 10/512/66" ) ]
+      "3ed32c9c5c638f38 4045de1f242cfed4 10/512/66" );
+    ( "D6 A100 seed=1",
+      "mx5x4x3x2x1x0x6 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64 x6=32}",
+      "3ed3a780b0d946dc 40445cd2b16d1b33 10/512/61" );
+    ( "D6 A100 seed=2",
+      "mx5x4x3x2x1x0x6 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64 x6=32}",
+      "3ed3a780b0d946dc 40462b32f2073f90 10/512/67" );
+    ( "D6 A100 seed=3",
+      "mx5x4x3x2x1(x0,,,,,x6) {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=32 x6=32}",
+      "3ed47db6ce5bd121 403c150109232b00 5/512/40" ) ]
 
 let test_tuner_golden_outcomes () =
   Alcotest.(check (list (triple string string string)))

@@ -15,6 +15,8 @@ let attn = Chain.attention ~heads:8 ~m:512 ~n:512 ~k:64 ~h:64 ()
 let gemm3 = Chain.gemm_chain3 ~m:256 ~n:128 ~k:64 ~h:64 ~p:64 ()
 
 let deep5 = Chain.gemm_chain_n ~m:32 ~dims:[ 16; 16; 16; 16; 16; 16 ] ()
+let deep name = Mcf_workloads.Configs.(deep_chain (Option.get (find_deep name)))
+let d5 = deep "D5"
 
 let with_jobs jobs f =
   let saved = Mcf_util.Pool.jobs () in
@@ -150,8 +152,7 @@ let brute_force (opts : Space.options) chain : Space.funnel * string list =
   ( { tilings_raw = List.length raw;
       tilings_rule1 = List.length ts1;
       tilings_rule2 = List.length ts2;
-      candidates_raw =
-        float_of_int (List.length (Tiling.enumerate chain)) *. tile_points;
+      candidates_raw = float_of_int (List.length raw) *. tile_points;
       candidates_rule3 =
         float_of_int (List.length ts2) *. float_of_int (List.length combos);
       candidates_rule4 = !fits;
@@ -173,12 +174,62 @@ let check_funnels name (a : Space.funnel) (b : Space.funnel) =
   Alcotest.(check int) (name ^ ": candidates_valid") a.candidates_valid
     b.candidates_valid
 
+(* Rules 1-2 straight from their definitions over the raw [Tiling.seq]
+   walk under the default options: the tiling counts after each rule,
+   and the recorder's exemplars — the first three distinct sub-tilings
+   rule 1 drops as repeats, and the first three rule 2 rejects. *)
+let raw_rule_filter chain =
+  let seen = Hashtbl.create 1024 in
+  let raw = ref 0 and n1 = ref 0 and n2 = ref 0 in
+  let ex1 = ref [] and ex2 = ref [] in
+  let note lst k =
+    if List.length !lst < 3 && not (List.mem k !lst) then lst := !lst @ [ k ]
+  in
+  Seq.iter
+    (fun t ->
+      incr raw;
+      let k = Tiling.to_string (Tiling.sub_tiling chain t) in
+      if Hashtbl.mem seen k then note ex1 k
+      else begin
+        Hashtbl.add seen k ();
+        incr n1;
+        if Space.rule2_rejects chain t then note ex2 k else incr n2
+      end)
+    (Tiling.seq chain);
+  (!raw, !n1, !n2, !ex1, !ex2)
+
 let chains =
   [ ("small_gemm", small_gemm);
     ("paper_gemm", paper_gemm);
     ("attention", attn);
     ("gemm3", gemm3);
     ("deep-5", deep5) ]
+
+let test_first_of_sub_tiling () =
+  (* Each rule-1 class's first tiling and the class count, against a
+     scan of the raw walk, with and without the flat family. *)
+  List.iter
+    (fun (name, chain) ->
+      List.iter
+        (fun include_flat ->
+          let name = Printf.sprintf "%s/flat=%b" name include_flat in
+          let seen = Hashtbl.create 64 in
+          Seq.iter
+            (fun t ->
+              let sub = Tiling.sub_tiling chain t in
+              let k = Tiling.to_string sub in
+              if not (Hashtbl.mem seen k) then begin
+                Hashtbl.add seen k ();
+                Alcotest.(check string)
+                  (name ^ ": first of " ^ k)
+                  (Tiling.to_string t)
+                  (Tiling.to_string (Tiling.first_of_sub_tiling chain sub))
+              end)
+            (if include_flat then Tiling.seq chain else Tiling.seq_deep chain);
+          Alcotest.(check int) (name ^ ": classes") (Hashtbl.length seen)
+            (Tiling.count_sub_tilings ~include_flat chain))
+        [ true; false ])
+    chains
 
 (* The default options, then each switch turned off on its own.  With
    rule 1 off many kept tilings share a sub-tiling, so the scorer's
@@ -228,6 +279,80 @@ let test_stream_equals_brute_force () =
                 (name ^ ": candidates") bkeys (entry_keys se))
             variant_cases oracle))
     [ 1; 4 ]
+
+let prune_event stage events =
+  let open Mcf_util.Json in
+  List.find
+    (fun ev ->
+      member "ev" ev = Some (Str "prune")
+      && member "stage" ev = Some (Str stage))
+    events
+
+let test_structural_prune_events () =
+  (* The recorder's rule-1 and rule-2 attribution — counts and the
+     exemplars — must be what the raw walk gives, at any pool size. *)
+  let cases = chains @ [ ("D5", d5); ("D6", deep "D6") ] in
+  let expected = List.map (fun (_, chain) -> raw_rule_filter chain) cases in
+  let show before after exemplars =
+    Printf.sprintf "before=%d after=%d exemplars=[%s]" before after
+      (String.concat "; " exemplars)
+  in
+  let field ev k =
+    match Mcf_util.Json.member k ev with
+    | Some (Mcf_util.Json.Num v) -> int_of_float v
+    | _ -> Alcotest.failf "prune event without %s" k
+  in
+  let exemplars ev =
+    match Mcf_util.Json.member "exemplars" ev with
+    | Some (Mcf_util.Json.List l) ->
+      List.map (function Mcf_util.Json.Str s -> s | _ -> "?") l
+    | _ -> Alcotest.fail "prune event without exemplars"
+  in
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          List.iter2
+            (fun (name, chain) (raw, n1, n2, ex1, ex2) ->
+              Mcf_obs.Recorder.start ();
+              let events =
+                Fun.protect
+                  ~finally:(fun () ->
+                    Mcf_obs.Recorder.stop ();
+                    Mcf_obs.Recorder.reset ())
+                  (fun () ->
+                    ignore (Space.enumerate a100 chain);
+                    Mcf_obs.Recorder.events ())
+              in
+              List.iter
+                (fun (stage, want) ->
+                  let ev = prune_event stage events in
+                  Alcotest.(check string)
+                    (Printf.sprintf "%s@jobs=%d: %s" name jobs stage)
+                    want
+                    (show (field ev "before") (field ev "after")
+                       (exemplars ev)))
+                [ ("rule1", show raw n1 ex1); ("rule2", show n1 n2 ex2) ])
+            cases expected))
+    [ 1; 4 ]
+
+let test_deep_funnel_counts () =
+  (* The structural funnel of the deep chains, no lowering involved:
+     D5-D7 against the raw walk, D8 (3.7M raw tilings) against its closed
+     forms — 10! + 8! raw, 8! + 7! rule-1 classes, 2 rule-2 survivors. *)
+  let check name chain (raw, n1, n2) =
+    let _, f = Space.enumerate ~reservoir:1 a100 chain in
+    Alcotest.(check (list int))
+      (name ^ ": raw / rule 1 / rule 2")
+      [ raw; n1; n2 ]
+      [ f.tilings_raw; f.tilings_rule1; f.tilings_rule2 ]
+  in
+  List.iter
+    (fun name ->
+      let chain = deep name in
+      let raw, n1, n2, _, _ = raw_rule_filter chain in
+      check name chain (raw, n1, n2))
+    [ "D5"; "D6"; "D7" ];
+  check "D8" (deep "D8") (3_669_120, 45_360, 2)
 
 let test_streamed_scores_are_analytic () =
   (* The stream is the search's only scorer: every (estimate, traffic)
@@ -367,8 +492,6 @@ let test_reservoir_tuner_winner_unchanged () =
 let s3 =
   Mcf_workloads.Configs.(attention (Option.get (find_attention "S3")))
 
-let d5 = Mcf_workloads.Configs.(deep_chain (Option.get (find_deep "D5")))
-
 let test_neighbour_matches_pool_search () =
   (* A mutation step by definition: the pool entry with the same tiling
      and the p-th sorted tile moved one place through its axis's tile
@@ -435,7 +558,9 @@ let () =
     [ ( "tiling-seq",
         [ Alcotest.test_case "seq = enumerate" `Quick
             test_seq_matches_enumerate;
-          Alcotest.test_case "paper count" `Quick test_count_paper_example ] );
+          Alcotest.test_case "paper count" `Quick test_count_paper_example;
+          Alcotest.test_case "first of sub-tiling" `Quick
+            test_first_of_sub_tiling ] );
       ( "deep-chains",
         [ Alcotest.test_case "configs validate" `Quick
             test_deep_configs_validate;
@@ -444,6 +569,10 @@ let () =
       ( "equivalence",
         [ Alcotest.test_case "stream = brute force" `Quick
             test_stream_equals_brute_force;
+          Alcotest.test_case "structural prune events" `Quick
+            test_structural_prune_events;
+          Alcotest.test_case "deep funnel counts" `Quick
+            test_deep_funnel_counts;
           Alcotest.test_case "streamed scores" `Quick
             test_streamed_scores_are_analytic ] );
       ( "reservoir",
