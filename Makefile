@@ -107,8 +107,10 @@ perf-smoke:
 # (6-block deep chain streamed through a reservoir vs unbounded, with its
 # own in-bench coverage and heap gates) feeds a fresh temp history twice,
 # then the perf gate must explicitly check the streamed run's
-# peak_heap_words ceiling — the bounded-memory regression guard — and its
-# alloc_words_per_point, a deterministic count at one job.
+# peak_heap_words ceiling — the bounded-memory regression guard — its
+# alloc_words_per_point, a deterministic count at one job, and its
+# summaries_per_enumeration, the analytic summaries the scorer built
+# (deterministic at any job count).
 bench-stream-smoke:
 	rm -f /tmp/mcfuser-history-stream.jsonl
 	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
@@ -121,6 +123,8 @@ bench-stream-smoke:
 	  --gate --tolerance 0.5 > /tmp/mcfuser-stream-gate.txt
 	grep -q "D6-smoke-stream peak_heap_words" /tmp/mcfuser-stream-gate.txt
 	grep -q "D6-smoke-stream alloc_words_per_point" \
+	  /tmp/mcfuser-stream-gate.txt
+	grep -q "D6-smoke-stream summaries_per_enumeration" \
 	  /tmp/mcfuser-stream-gate.txt
 	@echo "bench-stream-smoke: streamed deep-chain heap gate ok"
 

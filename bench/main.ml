@@ -232,11 +232,17 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let _bentries, bf = Mcf_search.Space.enumerate spec baseline_chain in
   let baseline_s = Unix.gettimeofday () -. t0 in
   let bpoints = bf.Mcf_search.Space.candidates_rule3 in
+  let misses0 = Mcf_obs.Metrics.counter_value "model.memo.misses" in
   let t0 = Unix.gettimeofday () in
   let dentries, _scores, df =
     Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain
   in
   let deep_s = Unix.gettimeofday () -. t0 in
+  (* Summaries the scorer built: one per (kept tiling, trip=1 pattern of
+     the bits a summary reads), a count that is the same at any --jobs. *)
+  let summaries =
+    float_of_int (Mcf_obs.Metrics.counter_value "model.memo.misses" - misses0)
+  in
   let deep_peak = Mcf_obs.Resource.peak_heap_words () in
   let t0 = Unix.gettimeofday () in
   let _uentries, _uscores, _uf =
@@ -302,9 +308,10 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
     df.Mcf_search.Space.candidates_valid;
   Printf.printf
     "  %-9s streamed at 1 job %.3fs, at %d jobs %.3fs (best of %d): \
-     %.2fx; %.0f words allocated per point at 1 job\n%!"
+     %.2fx; %.0f words allocated per point at 1 job, %.0f summaries per \
+     enumeration\n%!"
     deep_name stream_seq_s jobs stream_par_s reps stream_speedup
-    alloc_words_per_point;
+    alloc_words_per_point summaries;
   let section =
     Mcf_util.Json.Obj
       [ ("baseline",
@@ -322,7 +329,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
              ("points", Num dpoints);
              ("wall_s", Num deep_s);
              ("points_per_s", Num dpoints_per_s);
-             ("peak_heap_words", Num deep_peak) ]);
+             ("peak_heap_words", Num deep_peak);
+             ("summaries", Num summaries) ]);
         ("deep_unbounded",
          Mcf_util.Json.Obj
            [ ("wall_s", Num unbounded_s);
@@ -339,8 +347,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   in
   (* A workload-shaped row so [History.of_search_doc] picks the streamed
      run up: the perf gate then tracks its throughput (higher is better),
-     heap high-water mark and allocation per point (lower is better)
-     across runs. *)
+     heap high-water mark, allocation per point and summaries built
+     (lower is better) across runs. *)
   let history_row =
     Mcf_util.Json.Obj
       [ ("name", Str (deep_name ^ "-stream"));
@@ -354,7 +362,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
                  ("wall_s", Num deep_s);
                  ("points_per_s", Num dpoints_per_s) ] ]);
         ("peak_heap_words", Num deep_peak);
-        ("alloc_words_per_point", Num alloc_words_per_point) ]
+        ("alloc_words_per_point", Num alloc_words_per_point);
+        ("summaries_per_enumeration", Num summaries) ]
   in
   (section, history_row, points_ratio, heap_saving, stream_speedup)
 

@@ -91,6 +91,24 @@ let check_interp (c : Gen.case) =
 
 (* --- oracle 2: analytic model vs lowered walk ------------------------------ *)
 
+(* The candidate with the trip=1 bit flipped, where the axis's size
+   allows (the smallest tile option for a trip-1 axis, the full extent
+   otherwise), on every axis whose bit [memo]'s key leaves out: the grid
+   axes, by the memo's own account.  Same key, different candidate. *)
+let grid_twin memo (chain : Chain.t) (cand : Candidate.t) =
+  let keep =
+    Mcf_model.Analytic.Memo.(relevant memo ~sid:(sid memo cand.tiling))
+  in
+  Candidate.make cand.tiling
+    (List.mapi
+       (fun i (a : Axis.t) ->
+         let t = Candidate.tile cand a in
+         if keep land (1 lsl i) <> 0 then (a.name, t)
+         else if Candidate.trip cand a = 1 then
+           (a.name, List.hd (Candidate.tile_options a.size))
+         else (a.name, a.size))
+       chain.axes)
+
 let check_analytic (c : Gen.case) =
   let ev =
     Mcf_model.Analytic.eval_candidate ~rule1:c.rule1 ~dead_loop_elim:c.dle
@@ -107,6 +125,23 @@ let check_analytic (c : Gen.case) =
         ("blocks", ev.blocks, float_of_int lw.Lower.blocks);
         ("traffic_bytes", ev.traffic_bytes, Lower.total_traffic_bytes lw)
       ]
+  in
+  (* The memoized path, through a memo the grid twin filled first: the
+     candidate then gets the twin's summary, so a key that leaves out a
+     bit the summary reads shows up as a mismatch. *)
+  let mismatches =
+    let memo =
+      Mcf_model.Analytic.Memo.create ~rule1:c.rule1 ~dead_loop_elim:c.dle
+        ~hoisting:c.hoist ~elem_bytes:c.elem_bytes c.chain
+    in
+    ignore
+      (Mcf_model.Analytic.Memo.estimate memo c.device
+         (grid_twin memo c.chain c.cand));
+    let got = Mcf_model.Analytic.Memo.estimate memo c.device c.cand in
+    let want = (Mcf_model.Perf.breakdown c.device lw).t_total in
+    if Float.equal got want then mismatches
+    else
+      Printf.sprintf "memo estimate: %h <> lowered %h" got want :: mismatches
   in
   let mismatches =
     if ev.everdict = lw.Lower.validity then mismatches

@@ -31,6 +31,18 @@ val drop_live_loops : Mcf_ir.Program.t -> Mcf_ir.Program.t
     in-block loop (dead-loop elimination applied to live loops), dropping
     all but one tile of work. *)
 
+val grid_twin :
+  Mcf_model.Analytic.Memo.t ->
+  Mcf_ir.Chain.t ->
+  Mcf_ir.Candidate.t ->
+  Mcf_ir.Candidate.t
+(** The candidate with the trip=1 bit flipped, where the axis's size
+    allows, on every axis the memo's key leaves out
+    ({!Mcf_model.Analytic.Memo.relevant}): the same summary key, a
+    different candidate.  The analytic oracle queries a fresh memo with
+    it before the candidate, so the candidate is scored with the twin's
+    summary. *)
+
 val all : t list
 (** interp, analytic, shmem, pruning, tuner, emit — in that order. *)
 

@@ -47,8 +47,8 @@ let split_spatial ~rule1 axes =
     span [] axes
   end
 
-let structure ~rule1 (cand : Candidate.t) =
-  match cand.tiling with
+let structure ~rule1 (tiling : Tiling.t) =
+  match tiling with
   | Tiling.Deep perm ->
     let grid, body = split_spatial ~rule1 perm in
     (grid, nest None body [])
@@ -324,7 +324,7 @@ let validate chain (cand : Candidate.t) ~grid ~cpath_of ~epath_of ~spath_of =
 
 let summarize ?(rule1 = true) ?(dead_loop_elim = true) ?(hoisting = true)
     (chain : Chain.t) (cand : Candidate.t) =
-  let grid, roots = structure ~rule1 cand in
+  let grid, roots = structure ~rule1 cand.tiling in
   let roots = if dead_loop_elim then splice_unit cand roots else roots in
   let saxes = Array.of_list chain.axes in
   let idx_of (a : Axis.t) =
@@ -568,6 +568,9 @@ module Memo = struct
     elem_bytes : int;
     n_axes : int;
     sids : int Tiling.Tbl.t;  (* under [lock] *)
+    relevant : int array Atomic.t;
+        (* Per structural id, the trip=1 bits its summaries read.  Grown
+           and written under [lock], read without it. *)
     table : summary Imap.t Atomic.t;
         (* Read without the lock; replaced, never mutated, under [lock]. *)
     lock : Mutex.t;
@@ -582,17 +585,44 @@ module Memo = struct
       elem_bytes;
       n_axes = List.length chain.axes;
       sids = Tiling.Tbl.create 64;
+      relevant = Atomic.make (Array.make 16 0);
       table = Atomic.make Imap.empty;
       lock = Mutex.create () }
 
-  (* The summary depends on the tiling expression and on which trips are 1
-     (dead-loop splicing, online softmax) — never on the tile magnitudes,
-     which enter only at evaluation time.  Under rule 1 the structural id
-     interns the canonical per-block sub-tiling: rule-1 dedup keeps one
-     tiling per sub-expression in the space, so within a memo the id
-     identifies the tiling, and candidates differing only in grid-loop
-     order share one summary.  The table key packs the id above the
-     trip=1 mask (bit [i] for the chain's [i]-th axis). *)
+  (* Bit [i] set when [pred] holds for the chain's [i]-th axis. *)
+  let axis_mask m pred =
+    List.fold_left
+      (fun (acc, bit) a -> ((if pred a then acc lor bit else acc), bit lsl 1))
+      (0, 1) m.chain.axes
+    |> fst
+
+  (* The trip=1 bits [summarize] reads for a tiling: [splice_unit] walks
+     the body nest only, [validate]'s blind-epilogue check skips grid
+     axes, and [sonline] reads the softmax axes — so every axis but the
+     grid's, plus the softmax axes.  The grid depends on the tiling only
+     through what the structural id keeps (rule 1 puts every spatial axis
+     in it), so the mask is a function of the id. *)
+  let relevant_mask m tiling =
+    let grid, _ = structure ~rule1:m.rule1 tiling in
+    let softmax (a : Axis.t) =
+      List.exists
+        (fun (b : Chain.block) ->
+          match b.epilogue with
+          | Chain.Softmax { saxis; _ } -> Axis.equal saxis a
+          | Chain.No_epilogue | Chain.Scale _ | Chain.Unary _ -> false)
+        m.chain.blocks
+    in
+    axis_mask m (fun a -> softmax a || not (Axis.mem a grid))
+
+  (* The summary depends on the tiling expression and on the trip=1 bits
+     of [relevant_mask] — never on the tile magnitudes, which enter only
+     at evaluation time.  Under rule 1 the structural id interns the
+     canonical per-block sub-tiling: rule-1 dedup keeps one tiling per
+     sub-expression in the space, so within a memo the id identifies the
+     tiling, and candidates differing only in grid-loop order share one
+     summary.  The table key packs the id above the relevant bits of the
+     trip=1 mask (bit [i] for the chain's [i]-th axis), so points that
+     differ only in grid-axis trips share one summary too. *)
   let sid m tiling =
     let k =
       if m.rule1 then Tiling.sub_tiling m.chain tiling else tiling
@@ -604,16 +634,25 @@ module Memo = struct
       | None ->
         let id = Tiling.Tbl.length m.sids in
         Tiling.Tbl.add m.sids k id;
+        let r = Atomic.get m.relevant in
+        let r =
+          if id < Array.length r then r
+          else Array.init (2 * id) (fun i -> if i < id then r.(i) else 0)
+        in
+        r.(id) <- relevant_mask m tiling;
+        Atomic.set m.relevant r;
         id
     in
     Mutex.unlock m.lock;
     id
 
-  (* A scorer looks a summary up for every point from every pool domain,
-     so hits read an immutable snapshot and take no lock; only inserts
-     serialize on [lock]. *)
+  let relevant m ~sid = (Atomic.get m.relevant).(sid)
+
+  (* A scorer looks a summary up for every run of points from every pool
+     domain, so hits read an immutable snapshot and take no lock; only
+     inserts serialize on [lock]. *)
   let summary_at m ~sid ~mask cand_of =
-    let k = (sid lsl m.n_axes) lor mask in
+    let k = (sid lsl m.n_axes) lor (mask land relevant m ~sid) in
     match Imap.find_opt k (Atomic.get m.table) with
     | Some s ->
       Mcf_obs.Metrics.incr c_memo_hits;
@@ -621,26 +660,25 @@ module Memo = struct
     | None ->
       (* Summarize outside the lock: the function is pure, so a racing
          duplicate computation is wasted work at worst, and workers never
-         serialize on each other's summaries. *)
-      Mcf_obs.Metrics.incr c_memo_misses;
+         serialize on each other's summaries.  Only the insert counts as
+         a miss (the racer that loses counts a hit), so [misses] is the
+         number of summaries the table holds at any pool size. *)
       let s =
         summarize ~rule1:m.rule1 ~dead_loop_elim:m.dead_loop_elim
           ~hoisting:m.hoisting m.chain (cand_of ())
       in
       Mutex.lock m.lock;
       let t = Atomic.get m.table in
-      if not (Imap.mem k t) then Atomic.set m.table (Imap.add k s t);
+      let fresh = not (Imap.mem k t) in
+      if fresh then Atomic.set m.table (Imap.add k s t);
       Mutex.unlock m.lock;
+      Mcf_obs.Metrics.incr (if fresh then c_memo_misses else c_memo_hits);
       s
 
+  let reused _m n = Mcf_obs.Metrics.add c_memo_hits n
+
   let summary m (cand : Candidate.t) =
-    let mask =
-      List.fold_left
-        (fun (acc, bit) (a : Axis.t) ->
-          ((if Candidate.trip cand a = 1 then acc lor bit else acc), bit lsl 1))
-        (0, 1) m.chain.axes
-      |> fst
-    in
+    let mask = axis_mask m (fun a -> Candidate.trip cand a = 1) in
     summary_at m ~sid:(sid m cand.tiling) ~mask (fun () -> cand)
 
   let estimate m spec cand =

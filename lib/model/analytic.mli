@@ -20,8 +20,9 @@
 
 (** Symbolic program summary: placed-statement paths, the eq. (1)
     footprint terms and structural facts.  Depends on the tiling
-    expression and on which trip counts equal 1 — never on tile
-    magnitudes, which enter only at {!footprint} / {!evaluate} time. *)
+    expression and on which trip counts of the non-grid and softmax axes
+    equal 1 ({!Memo.relevant}) — never on tile magnitudes, which enter
+    only at {!footprint} / {!evaluate} time. *)
 type summary
 
 val summarize :
@@ -88,14 +89,19 @@ val verdict :
 
 (** Summary memoization for search hot loops.
 
-    Keyed by an int: a structural id above the trip=1 mask over the
-    chain's axes, [sid lsl n_axes lor mask] — exactly the inputs the
-    summary depends on.  The structural id interns the rule-1 canonical
-    per-block sub-tiling expression (the full expression when rule 1 is
-    off).  Hits and misses are surfaced as the [model.memo.hits] /
-    [model.memo.misses] counters.  Domain-safe: lookups take a mutex,
-    summaries are computed outside it (pure, so a racing duplicate is
-    only wasted work). *)
+    Keyed by an int: a structural id above the trip=1 bits the summary
+    reads, [sid lsl n_axes lor (mask land relevant)] — exactly the inputs
+    the summary depends on.  The structural id interns the rule-1
+    canonical per-block sub-tiling expression (the full expression when
+    rule 1 is off).  A summary reads a trip only through dead-loop
+    splicing (the body nest), the blind-epilogue check (which skips grid
+    axes) and online softmax (the softmax axes), so a grid axis's trip=1
+    bit is dropped from the key unless it is a softmax axis; with rule 1
+    on every spatial axis is a grid axis.  Hits and misses are surfaced
+    as the [model.memo.hits] / [model.memo.misses] counters.
+    Domain-safe: hits read an immutable snapshot without a lock; only
+    inserts and interning take a mutex, and summaries are computed
+    outside it (pure, so a racing duplicate is only wasted work). *)
 module Memo : sig
   type t
 
@@ -110,15 +116,27 @@ module Memo : sig
       never share an instance across flag settings. *)
 
   val sid : t -> Mcf_ir.Tiling.t -> int
-  (** The tiling's structural id, interned on first sight.  Ids are dense
-      from 0 in first-sight order. *)
+  (** The tiling's structural id, interned on first sight, which also
+      records the id's {!relevant} mask.  Ids are dense from 0 in
+      first-sight order. *)
+
+  val relevant : t -> sid:int -> int
+  (** The trip=1 bits (bit [i] for the [i]-th axis of [chain.axes]) a
+      summary of the structural id reads: every non-grid axis, plus the
+      softmax axes.  Two masks that agree on these bits give the same
+      summary. *)
 
   val summary_at :
     t -> sid:int -> mask:int -> (unit -> Mcf_ir.Candidate.t) -> summary
   (** The summary for a structural id and a trip=1 mask (bit [i] set when
-      the [i]-th axis of [chain.axes] has trip 1).  The candidate thunk is
-      forced only on a miss, to summarize; it must agree with [sid] and
-      [mask]. *)
+      the [i]-th axis of [chain.axes] has trip 1), looked up by
+      [mask land relevant t ~sid].  The candidate thunk is forced only on
+      a miss, to summarize; it must agree with [sid] and [mask]. *)
+
+  val reused : t -> int -> unit
+  (** Count [n] lookups a caller answered from a summary it already held
+      for the same key, as [model.memo.hits]: a scorer stepping a run of
+      points with one key looks the summary up once. *)
 
   val estimate : t -> Mcf_gpu.Spec.t -> Mcf_ir.Candidate.t -> float
   (** Eq. (2)'s total time for a candidate, through its memoized

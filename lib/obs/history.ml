@@ -118,6 +118,7 @@ let of_search_doc ?time ?rev doc =
             @ metric "sequential_per_s" (Json.member "measure" w)
             @ metric "peak_heap_words" (Some w)
             @ metric "alloc_words_per_point" (Some w)
+            @ metric "summaries_per_enumeration" (Some w)
           in
           if metrics = [] then None
           else Some { time; rev; device; workload; metrics }

@@ -3,7 +3,8 @@
     Bench runs append one JSONL entry per workload to a history file
     (default [BENCH_history.jsonl]): timestamp, git revision, device,
     workload, and a flat metric map ([points_per_s], [tune_wall_s],
-    [best_time_s], [peak_heap_words], [alloc_words_per_point], ...).
+    [best_time_s], [peak_heap_words], [alloc_words_per_point],
+    [summaries_per_enumeration], ...).
     [mcfuser
     perf] then renders per-workload trends as sparkline tables and, with
     [--gate], compares the newest run against a {e robust baseline} —
@@ -53,7 +54,8 @@ val current_rev : unit -> string
 val of_search_doc : ?time:float -> ?rev:string -> Mcf_util.Json.t -> entry list
 (** Convert a [BENCH_search.json] document into one entry per workload,
     taking the highest-[--jobs] row of each measurement table, plus a
-    workload's top-level [peak_heap_words] and [alloc_words_per_point].
+    workload's top-level [peak_heap_words], [alloc_words_per_point] and
+    [summaries_per_enumeration].
     [time] defaults to now, [rev] to {!current_rev}. *)
 
 type verdict = {

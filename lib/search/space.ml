@@ -313,11 +313,16 @@ let add_funnel_metrics ~total funnel =
    a prefix that collects the rule-1 and rule-2 exemplars and stops.
 
    The survivors' tile-combo index ranges are packed into fixed-size
-   chunks; each full chunk is scored on the shared [Mcf_util.Pool] with
-   one fused per-point map — rule-4 shmem precheck, closed-form validity
-   verdict and the analytical estimate in a single pass — and drained
-   sequentially in rank order into funnel counters, recorder exemplars
-   and the reservoir before the next chunk is packed.
+   chunks; each full chunk is scored on the shared [Mcf_util.Pool], one
+   index range per task, with a fused pass — rule-4 shmem precheck,
+   closed-form validity verdict and the analytical estimate — that steps
+   the range's combos as an odometer and looks a memoized summary up
+   once per run of points sharing its key.  The outcomes land in one int
+   and two float arrays, drained sequentially in rank order into funnel
+   counters, recorder exemplars and the reservoir before the next chunk
+   is packed.  The reservoir holds (rank, score, traffic, tiling) items;
+   entries (candidate and lazy lowering cell) are built only for the
+   items it returns.
 
    Peak heap is O(reservoir + chunk), never O(space); the quotient walk
    also holds its survivors, one tiling per kept class, until it ends.
@@ -333,6 +338,7 @@ let add_funnel_metrics ~total funnel =
 type seg = {
   stiling : Tiling.t;
   ssid : int;  (* the tiling's [Analytic.Memo.sid] *)
+  srelevant : int;  (* its [Analytic.Memo.relevant] trip=1 bits *)
   combo_lo : int;
   combo_len : int;
 }
@@ -341,10 +347,11 @@ type chunk = { segs : seg array; seg_offsets : int array; chunk_points : int }
 
 let chunk_target = 4096
 
-type verdict =
-  | V_rule4_rejected
-  | V_invalid
-  | V_valid of float * float  (* objective score, traffic *)
+(* A scored point's outcome, one int per point; a valid point's objective
+   score and traffic sit in two float arrays beside it. *)
+let rule4_rejected = 0
+let invalid = 1
+let valid = 2
 
 (* Bounded top-C slice ordered by score (ties broken toward the
    earlier rank), or a plain accumulator when unbounded.  Items always
@@ -352,7 +359,14 @@ type verdict =
    over ranks, its pool-index ids, its unstable top-k sort) depends on
    entry order being a subsequence of the enumeration order. *)
 module Reservoir = struct
-  type item = { ientry : entry; iest : float; itraffic : float }
+  (* A kept point, not yet an entry: the caller builds entries only for
+     the items [to_ranked] returns. *)
+  type item = {
+    irank : int;
+    iest : float;
+    itraffic : float;
+    itiling : Tiling.t;
+  }
 
   type t = {
     cap : int option;
@@ -365,12 +379,12 @@ module Reservoir = struct
 
   (* [a] ranks strictly after the point [(est, rank)]. *)
   let gt_point a est rank =
-    a.iest > est || (a.iest = est && a.ientry.rank > rank)
+    a.iest > est || (a.iest = est && a.irank > rank)
 
-  let gt a b = gt_point a b.iest b.ientry.rank
+  let gt a b = gt_point a b.iest b.irank
 
   (* Whether [add] would keep a point scored [(est, rank)]: callers build
-     the entry only then. *)
+     the item only then. *)
   let admits t est rank =
     match t.cap with
     | None -> true
@@ -420,7 +434,7 @@ module Reservoir = struct
     | None -> Array.of_list (List.rev t.acc)
     | Some _ ->
       let a = Array.sub t.heap 0 t.n in
-      Array.sort (fun x y -> compare x.ientry.rank y.ientry.rank) a;
+      Array.sort (fun x y -> compare x.irank y.irank) a;
       a
 end
 
@@ -439,36 +453,15 @@ let enumerate_scored ?(options = default_options)
         Array.of_list (List.map (fun (a : Axis.t) -> a.name) chain.axes)
       in
       let n_axes = Array.length names and n_combos = g.n_combos in
-      (* Chunk point [i]: find its segment by binary search, then decode
-         its combo index through the grid straight into tile and trip
-         arrays in [chain.axes] order; the positional index is part of
-         the determinism contract.  Returns the segment and the trip=1
-         mask. *)
-      let decode chunk i tiles trips =
-        let lo = ref 0 and hi = ref (Array.length chunk.segs - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi + 1) / 2 in
-          if chunk.seg_offsets.(mid) <= i then lo := mid else hi := mid - 1
-        done;
-        let s = chunk.segs.(!lo) in
-        let c = s.combo_lo + (i - chunk.seg_offsets.(!lo)) in
-        let mask = ref 0 in
-        for a = 0 to n_axes - 1 do
-          let k = c / g.strides.(a) mod Array.length g.tiles.(a) in
-          tiles.(a) <- g.tiles.(a).(k);
-          trips.(a) <- g.trips.(a).(k);
-          if trips.(a) = 1 then mask := !mask lor (1 lsl a)
-        done;
-        (s, !mask)
-      in
       let make_cand tiling tiles =
         Candidate.make tiling
           (List.init n_axes (fun a -> (names.(a), tiles.(a))))
       in
-      let cand_at chunk i =
-        let tiles = Array.make n_axes 0 in
-        let s, _ = decode chunk i tiles (Array.make n_axes 0) in
-        make_cand s.stiling tiles
+      (* A combo index's digit for axis [a], in [chain.axes] order. *)
+      let digit c a = c / g.strides.(a) mod Array.length g.tiles.(a) in
+      let cand_of tiling combo =
+        make_cand tiling
+          (Array.init n_axes (fun a -> g.tiles.(a).(digit combo a)))
       in
       let ctx =
         { chain;
@@ -488,93 +481,156 @@ let enumerate_scored ?(options = default_options)
         shmem_slack *. float_of_int spec.Mcf_gpu.Spec.smem_per_block
       in
       let pool = Mcf_util.Pool.get () in
-      (* Fused per-point scorer, in index space: decode the point, fetch
-         its memoized summary by (structural id, trip=1 mask), then the
-         eq. (1) footprint for rule 4, the closed-form validity verdict
-         and the analytical breakdown all from the same arrays — no
-         candidate is built unless the summary is missing, and no
-         Lower.lower anywhere (exactness against the lowered walk is
-         enforced by the sweeps in test_model.ml).  These are the only
-         model scores the search computes, and [objective] is the only
-         place a breakdown becomes a score: the explorer ranks by them as
-         handed over. *)
-      let score chunk i =
+      (* Fused scorer over chunk points [\[lo, hi)], in index space: decode
+         the first point, then step the combos as an odometer (last axis
+         fastest, as the combo index counts), updating the tile/trip
+         arrays and the trip=1 mask in place.  The memoized summary is
+         looked up once per run of points sharing (structural id, the
+         mask's relevant bits) — a grid axis's tile moves the mask but
+         not the summary — and the run's other points are counted as
+         memo hits in bulk.  The eq. (1) footprint for rule 4, the
+         closed-form validity verdict and the analytical breakdown all
+         read that summary and the same arrays; no candidate is built
+         unless the summary is missing, and no Lower.lower anywhere
+         (exactness against the lowered walk is enforced by the sweeps in
+         test_model.ml).  These are the only model scores the search
+         computes, and [objective] is the only place a breakdown becomes
+         a score: the explorer ranks by them as handed over. *)
+      let score_range chunk status ests traffics lo hi =
         let tiles = Array.make n_axes 0 and trips = Array.make n_axes 0 in
-        let s, mask = decode chunk i tiles trips in
-        let summary =
-          Mcf_model.Analytic.Memo.summary_at memo ~sid:s.ssid ~mask (fun () ->
-              make_cand s.stiling tiles)
+        let digits = Array.make n_axes 0 and mask = ref 0 in
+        let set a k =
+          digits.(a) <- k;
+          tiles.(a) <- g.tiles.(a).(k);
+          trips.(a) <- g.trips.(a).(k);
+          mask :=
+            if trips.(a) = 1 then !mask lor (1 lsl a)
+            else !mask land lnot (1 lsl a)
         in
-        if
-          opts.rule4
-          && not
-               (float_of_int
-                  (Mcf_model.Analytic.footprint ~elem_bytes:spec.elem_bytes
-                     summary ~tiles ~trips)
-               <= budget)
-        then V_rule4_rejected
-        else begin
-          let ev =
-            Mcf_model.Analytic.evaluate_tiles ~elem_bytes:spec.elem_bytes
-              summary ~tiles ~trips
-          in
-          if Result.is_ok ev.Mcf_model.Analytic.everdict then begin
-            let est =
-              objective (Mcf_model.Analytic.breakdown_of_eval spec ev)
-            in
-            let traffic =
-              ev.Mcf_model.Analytic.traffic_bytes
-              *. ((ev.Mcf_model.Analytic.blocks +. sm_countf)
-                 /. ev.Mcf_model.Analytic.blocks)
-            in
-            V_valid (est, traffic)
+        (* One odometer step: bump the last axis, carrying into the slower
+           axes while a digit wraps. *)
+        let rec step a =
+          let k = digits.(a) + 1 in
+          let k = if k = Array.length g.tiles.(a) then 0 else k in
+          set a k;
+          if k = 0 then step (a - 1)
+        in
+        let si = ref 0 in
+        while
+          !si + 1 < Array.length chunk.segs && chunk.seg_offsets.(!si + 1) <= lo
+        do
+          incr si
+        done;
+        let seg_end = ref 0 in
+        let enter_seg c =
+          seg_end := chunk.seg_offsets.(!si) + chunk.segs.(!si).combo_len;
+          for a = 0 to n_axes - 1 do
+            set a (digit c a)
+          done
+        in
+        enter_seg (chunk.segs.(!si).combo_lo + lo - chunk.seg_offsets.(!si));
+        let held = ref None and held_key = ref (-1) and reused = ref 0 in
+        for i = lo to hi - 1 do
+          if i = !seg_end then begin
+            incr si;
+            enter_seg chunk.segs.(!si).combo_lo
           end
-          else V_invalid
-        end
+          else if i > lo then step (n_axes - 1);
+          let s = chunk.segs.(!si) in
+          let key = (s.ssid lsl n_axes) lor (!mask land s.srelevant) in
+          let summary =
+            match !held with
+            | Some sm when !held_key = key ->
+              incr reused;
+              sm
+            | Some _ | None ->
+              let sm =
+                Mcf_model.Analytic.Memo.summary_at memo ~sid:s.ssid ~mask:!mask
+                  (fun () -> make_cand s.stiling tiles)
+              in
+              held := Some sm;
+              held_key := key;
+              sm
+          in
+          if
+            opts.rule4
+            && not
+                 (float_of_int
+                    (Mcf_model.Analytic.footprint ~elem_bytes:spec.elem_bytes
+                       summary ~tiles ~trips)
+                 <= budget)
+          then status.(i) <- rule4_rejected
+          else begin
+            let ev =
+              Mcf_model.Analytic.evaluate_tiles ~elem_bytes:spec.elem_bytes
+                summary ~tiles ~trips
+            in
+            if Result.is_ok ev.Mcf_model.Analytic.everdict then begin
+              status.(i) <- valid;
+              ests.(i) <-
+                objective (Mcf_model.Analytic.breakdown_of_eval spec ev);
+              traffics.(i) <-
+                ev.Mcf_model.Analytic.traffic_bytes
+                *. ((ev.Mcf_model.Analytic.blocks +. sm_countf)
+                   /. ev.Mcf_model.Analytic.blocks)
+            end
+            else status.(i) <- invalid
+          end
+        done;
+        Mcf_model.Analytic.Memo.reused memo !reused
       in
       let res = Reservoir.create (Option.map (max 1) reservoir) in
       let n_points = ref 0 and n_rule4 = ref 0 and n_valid = ref 0 in
       let rule4_ex = ref [] and rule4_ex_n = ref 0 in
       let invalid_ex = ref [] and invalid_ex_n = ref 0 in
       let score_s = ref 0.0 in
+      let exemplar ex n tiling combo =
+        if recording && !n < 3 then begin
+          ex := Candidate.to_string (cand_of tiling combo) :: !ex;
+          incr n
+        end
+      in
       let consume chunk =
-        let verdicts, dt =
+        let n = chunk.chunk_points in
+        let status = Array.make n rule4_rejected in
+        let ests = Array.make n 0.0 and traffics = Array.make n 0.0 in
+        let (), dt =
           Trace.timed "space.precheck"
-            ~args:(fun () -> [ ("points", Trace.Int chunk.chunk_points) ])
+            ~args:(fun () -> [ ("points", Trace.Int n) ])
             (fun () ->
-              Mcf_util.Pool.init ~min_chunk_work:64 pool chunk.chunk_points
-                (score chunk))
+              Mcf_util.Pool.run_range ~min_chunk_work:64 pool n
+                (score_range chunk status ests traffics))
         in
         score_s := !score_s +. dt;
         (* Sequential drain, in rank order: funnel counters, recorder
            exemplars and the reservoir are all single-threaded, so
            recordings and results stay deterministic at any pool size. *)
         Array.iteri
-          (fun i v ->
-            match v with
-            | V_rule4_rejected ->
-              if recording && !rule4_ex_n < 3 then begin
-                rule4_ex := Candidate.to_string (cand_at chunk i) :: !rule4_ex;
-                incr rule4_ex_n
+          (fun si s ->
+            let off = chunk.seg_offsets.(si) in
+            for j = 0 to s.combo_len - 1 do
+              let i = off + j in
+              let v = status.(i) in
+              if v = rule4_rejected then
+                exemplar rule4_ex rule4_ex_n s.stiling (s.combo_lo + j)
+              else if v = invalid then begin
+                incr n_rule4;
+                exemplar invalid_ex invalid_ex_n s.stiling (s.combo_lo + j)
               end
-            | V_invalid ->
-              incr n_rule4;
-              if recording && !invalid_ex_n < 3 then begin
-                invalid_ex :=
-                  Candidate.to_string (cand_at chunk i) :: !invalid_ex;
-                incr invalid_ex_n
+              else begin
+                incr n_rule4;
+                incr n_valid;
+                let rank = !n_points + i and est = ests.(i) in
+                if Reservoir.admits res est rank then
+                  Reservoir.add res
+                    { irank = rank;
+                      iest = est;
+                      itraffic = traffics.(i);
+                      itiling = s.stiling }
               end
-            | V_valid (est, traffic) ->
-              incr n_rule4;
-              incr n_valid;
-              let rank = !n_points + i in
-              if Reservoir.admits res est rank then
-                Reservoir.add res
-                  { ientry = entry_at ~rank ctx (cand_at chunk i);
-                    iest = est;
-                    itraffic = traffic })
-          verdicts;
-        n_points := !n_points + chunk.chunk_points;
+            done)
+          chunk.segs;
+        n_points := !n_points + n;
         Mcf_obs.Progress.set_info
           (Printf.sprintf "%d points streamed" !n_points);
         (* Telemetry tick per chunk: the rsrc.* gauges sample heap and
@@ -605,11 +661,13 @@ let enumerate_scored ?(options = default_options)
       in
       let emit_tiling t =
         let ssid = Mcf_model.Analytic.Memo.sid memo t in
+        let srelevant = Mcf_model.Analytic.Memo.relevant memo ~sid:ssid in
         let lo = ref 0 in
         while !lo < n_combos do
           let len = min (chunk_target - !pending_pts) (n_combos - !lo) in
           pending :=
-            { stiling = t; ssid; combo_lo = !lo; combo_len = len } :: !pending;
+            { stiling = t; ssid; srelevant; combo_lo = !lo; combo_len = len }
+            :: !pending;
           pending_pts := !pending_pts + len;
           lo := !lo + len;
           if !pending_pts >= chunk_target then flush ()
@@ -688,7 +746,12 @@ let enumerate_scored ?(options = default_options)
       let candidates_rule3 = float_of_int n2 *. float_of_int n_combos in
       let items = Reservoir.to_ranked res in
       let survivors =
-        Array.to_list (Array.map (fun it -> it.Reservoir.ientry) items)
+        Array.to_list
+          (Array.map
+             (fun (it : Reservoir.item) ->
+               entry_at ~rank:it.irank ctx
+                 (cand_of it.itiling (it.irank mod n_combos)))
+             items)
       in
       let scores =
         Array.map (fun it -> (it.Reservoir.iest, it.Reservoir.itraffic)) items

@@ -145,14 +145,17 @@ val enumerate :
     full chunk is scored on the shared {!Mcf_util.Pool} with one fused
     precheck → validity → estimate pass and drained sequentially in rank
     order before the next chunk is packed.  Scoring runs in index space:
-    a point's combo index decodes into tile/trip arrays and a trip=1
-    mask, one {!Mcf_model.Analytic.Memo} lookup by (structural id, mask)
-    yields the summary both the rule-4 footprint and the estimate read,
-    and no candidate is built unless the summary is missing or the
-    reservoir admits the point.  Peak heap is O(reservoir + chunk), not
-    O(space) (the quotient walk also holds one tiling per kept class
-    until it ends), and the result — candidates,
-    their order, the funnel — is bit-identical at any [--jobs] (pinned
+    each pool task decodes its range's first combo index into tile/trip
+    arrays and a trip=1 mask, then steps the rest as an odometer; one
+    {!Mcf_model.Analytic.Memo} lookup per run of points sharing
+    (structural id, the mask's {!Mcf_model.Analytic.Memo.relevant} bits)
+    yields the summary both the rule-4 footprint and the estimate read.
+    No candidate is built unless the summary is missing, and entries are
+    built only for the reservoir's survivors, once the stream ends.
+    Peak heap is O(reservoir + chunk), not O(space) (the quotient walk
+    also holds one tiling per kept class until it ends), and the result
+    — candidates, their order, the funnel — is bit-identical at any
+    [--jobs] (pinned
     against a brute-force filter over the raw cross product in
     test_stream.ml).  The drain yields the runtime lock once per
     chunk ([Thread.yield]), so other threads of the calling domain (the

@@ -350,6 +350,124 @@ let test_analytic_memo () =
   Alcotest.(check int) "one summary computed" 1 misses;
   Alcotest.(check int) "two summary hits" 2 hits
 
+(* --- the memo key: only the trip=1 bits a summary reads -------------------
+
+   [Memo] keys a summary by its structural id and the trip=1 bits of the
+   non-grid and softmax axes, so a point whose grid-axis trips differ
+   from an earlier point's reuses that point's summary.  Exactness: for
+   every kept tiling and every tile vector picking the smallest or the
+   full tile per axis (every trip=1 mask), first query one memo with the
+   candidate's grid twin (the trip=1 bits the key leaves out flipped),
+   then with the candidate; the summary it returns must evaluate
+   bit-equal to a fresh [summarize] of the candidate.  One memo serves a
+   whole sweep, so a key that drops a bit the summary reads hands some
+   point a summary built for another mask. *)
+
+let check_memo_key_exact ~name chain =
+  let axes = chain.Chain.axes in
+  let mask_of c =
+    List.fold_left
+      (fun (acc, bit) (a : Axis.t) ->
+        ((if Candidate.trip c a = 1 then acc lor bit else acc), bit lsl 1))
+      (0, 1) axes
+    |> fst
+  in
+  let extremes (a : Axis.t) =
+    let opts = Candidate.tile_options a.size in
+    List.sort_uniq compare [ List.hd opts; a.size ]
+  in
+  let vectors =
+    Mcf_util.Listx.cartesian
+      (List.map
+         (fun (a : Axis.t) -> List.map (fun t -> (a.name, t)) (extremes a))
+         axes)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (rule1, dle, hoisting) ->
+      let seen = Tiling.Tbl.create 64 in
+      let kept =
+        List.filter
+          (fun t ->
+            let k = if rule1 then Tiling.sub_tiling chain t else t in
+            if Tiling.Tbl.mem seen k then false
+            else begin
+              Tiling.Tbl.add seen k ();
+              not (Mcf_search.Space.rule2_rejects chain t)
+            end)
+          (Tiling.enumerate chain)
+      in
+      let memo =
+        Mcf_model.Analytic.Memo.create ~rule1 ~dead_loop_elim:dle ~hoisting
+          ~elem_bytes:2 chain
+      in
+      let lookup c =
+        Mcf_model.Analytic.Memo.summary_at memo
+          ~sid:(Mcf_model.Analytic.Memo.sid memo c.Candidate.tiling)
+          ~mask:(mask_of c) (fun () -> c)
+      in
+      List.iter
+        (fun tiling ->
+          List.iter
+            (fun tiles ->
+              let c = Candidate.make tiling tiles in
+              ignore (lookup (Mcf_fuzz.Oracle.grid_twin memo chain c));
+              let got = lookup c in
+              let want =
+                Mcf_model.Analytic.summarize ~rule1 ~dead_loop_elim:dle
+                  ~hoisting chain c
+              in
+              incr checked;
+              let fail what =
+                Alcotest.failf
+                  "%s: memoized summary's %s differs from a fresh one for %s \
+                   (rule1=%b dead_loop_elim=%b hoisting=%b)"
+                  name what (Candidate.key c) rule1 dle hoisting
+              in
+              let tiles, trips = Mcf_model.Analytic.tile_arrays want c in
+              let fp s =
+                Mcf_model.Analytic.footprint ~elem_bytes:2 s ~tiles ~trips
+              in
+              if fp got <> fp want then fail "footprint";
+              let eg = Mcf_model.Analytic.evaluate ~elem_bytes:2 got c in
+              let ew = Mcf_model.Analytic.evaluate ~elem_bytes:2 want c in
+              List.iter
+                (fun (field, (x : float), (y : float)) ->
+                  if not (Float.equal x y) then fail field)
+                [ ("bytes_per_block", eg.bytes_per_block, ew.bytes_per_block);
+                  ("flops_per_block", eg.flops_per_block, ew.flops_per_block);
+                  ("blocks", eg.blocks, ew.blocks);
+                  ("traffic_bytes", eg.traffic_bytes, ew.traffic_bytes) ];
+              if eg.everdict <> ew.everdict then fail "verdict")
+            vectors)
+        kept)
+    (List.concat_map
+       (fun r1 ->
+         List.concat_map
+           (fun dle -> List.map (fun h -> (r1, dle, h)) [ true; false ])
+           [ true; false ])
+       [ true; false ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: swept a non-trivial space (%d points)" name !checked)
+    true (!checked > 100)
+
+let test_memo_key_gemm () =
+  check_memo_key_exact ~name:"gemm"
+    (Chain.gemm_chain ~m:128 ~n:64 ~k:32 ~h:32 ())
+
+let test_memo_key_attention () =
+  check_memo_key_exact ~name:"attention"
+    (Chain.attention ~heads:2 ~m:64 ~n:64 ~k:32 ~h:32 ())
+
+let test_memo_key_mlp () =
+  check_memo_key_exact ~name:"mlp" (Chain.mlp_chain ~m:64 ~n:64 ~k:32 ~h:32 ())
+
+let test_memo_key_d5 () =
+  match Mcf_workloads.Configs.find_deep "D5" with
+  | Some d ->
+    check_memo_key_exact ~name:"D5" (Mcf_workloads.Configs.deep_chain d)
+  | None -> Alcotest.fail "D5 is not a deep workload"
+
 let () =
   Alcotest.run "mcf_model"
     [ ( "shmem (eq 1)",
@@ -389,5 +507,10 @@ let () =
           Alcotest.test_case "mlp (unary epilogue)" `Quick test_analytic_mlp;
           Alcotest.test_case "summary memoization" `Quick test_analytic_memo ]
       );
+      ( "memo key",
+        [ Alcotest.test_case "gemm chain" `Quick test_memo_key_gemm;
+          Alcotest.test_case "attention" `Quick test_memo_key_attention;
+          Alcotest.test_case "mlp (unary epilogue)" `Quick test_memo_key_mlp;
+          Alcotest.test_case "D5" `Quick test_memo_key_d5 ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_model_positive ] ) ]

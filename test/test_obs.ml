@@ -1004,7 +1004,8 @@ let test_history_of_search_doc () =
                           ("estimates_per_s", Json.Num 5.0);
                           ("best_time_s", Json.Num 1e-6) ] ]);
                  ("peak_heap_words", Json.Num 1000.0);
-                 ("alloc_words_per_point", Json.Num 250.0) ] ]) ]
+                 ("alloc_words_per_point", Json.Num 250.0);
+                 ("summaries_per_enumeration", Json.Num 192.0) ] ]) ]
   in
   match History.of_search_doc ~time:1.0 ~rev:"r" doc with
   | [ e ] ->
@@ -1020,7 +1021,9 @@ let test_history_of_search_doc () =
     Alcotest.(check (option (float 0.0))) "peak heap" (Some 1000.0)
       (metric "peak_heap_words");
     Alcotest.(check (option (float 0.0))) "alloc per point" (Some 250.0)
-      (metric "alloc_words_per_point")
+      (metric "alloc_words_per_point");
+    Alcotest.(check (option (float 0.0))) "summaries" (Some 192.0)
+      (metric "summaries_per_enumeration")
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
 
 let test_history_direction_and_render () =
@@ -1032,6 +1035,8 @@ let test_history_direction_and_render () =
     (History.higher_is_better "peak_heap_words");
   Alcotest.(check bool) "alloc words per point is lower-better" false
     (History.higher_is_better "alloc_words_per_point");
+  Alcotest.(check bool) "summaries per enumeration is lower-better" false
+    (History.higher_is_better "summaries_per_enumeration");
   let es =
     [ hist_entry ~time:1.0 [ ("points_per_s", 100.0) ];
       hist_entry ~time:2.0 [ ("points_per_s", 200.0) ] ]

@@ -413,8 +413,8 @@ let test_streamed_scores_are_analytic () =
 let test_reservoir_keeps_best_by_estimate () =
   (* The kept slice must be exactly the top-[cap] of the unbounded run by
      (estimate, rank), in original enumeration order — the drain only
-     builds a candidate for a point the reservoir admits, so this pins
-     the admission test against the heap's own ordering. *)
+     adds an item for a point the reservoir admits, so this pins the
+     admission test against the heap's own ordering. *)
   let check ?(options = Space.default_options) name chain cap =
     let full, scores, ff = Space.enumerate_scored ~options a100 chain in
     let cap = match cap with Some c -> c | None -> ff.candidates_valid / 2 in
@@ -472,6 +472,25 @@ let test_memo_counts_every_rule3_point () =
   Alcotest.(check int) "memo lookups = rule-3 points"
     (int_of_float f.candidates_rule3)
     (count () - before)
+
+let test_memo_summary_counts () =
+  (* A summary is keyed by the trip=1 bits it reads, and with rule 1 on
+     every spatial axis is a grid axis whose bit it never reads: one
+     default enumeration builds one summary per (kept tiling, trip=1
+     pattern of the non-grid axes), at any pool size. *)
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          List.iter
+            (fun (name, want) ->
+              let before = Mcf_obs.Metrics.counter_value "model.memo.misses" in
+              ignore (Space.enumerate_scored ~reservoir:512 a100 (deep name));
+              Alcotest.(check int)
+                (Printf.sprintf "%s@jobs=%d summaries" name jobs)
+                want
+                (Mcf_obs.Metrics.counter_value "model.memo.misses" - before))
+            [ ("D5", 96); ("D6", 192) ]))
+    [ 1; 4 ]
 
 let test_reservoir_tuner_winner_unchanged () =
   (* small_gemm has ~100 valid candidates; a reservoir big enough to hold
@@ -582,7 +601,9 @@ let () =
             test_reservoir_tuner_winner_unchanged ] );
       ( "memo",
         [ Alcotest.test_case "counts every rule-3 point" `Quick
-            test_memo_counts_every_rule3_point ] );
+            test_memo_counts_every_rule3_point;
+          Alcotest.test_case "summaries per enumeration" `Quick
+            test_memo_summary_counts ] );
       ( "encoding",
         [ Alcotest.test_case "neighbour = pool search" `Quick
             test_neighbour_matches_pool_search ] ) ]
