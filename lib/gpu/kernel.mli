@@ -43,7 +43,11 @@ type t = {
 }
 
 val fingerprint : t -> string
-(** Stable textual identity used to seed deterministic measurement noise. *)
+(** Stable textual identity used to seed deterministic measurement noise:
+    [kname|g<blocks>|s<smem>], then [|<label><L|S><bytes>/<unique>/<row>]
+    per access and [|C<clabel><flops>/<m>/<n>/<k>] per compute, ints as
+    [%d] and floats as [%.0f].  These bytes fix every noisy measured time,
+    so a change to them changes every measurement. *)
 
 val total_flops : t -> float
 (** FLOPs across the whole grid. *)

@@ -30,13 +30,10 @@ let tile_options ?(min_tile = 16) size =
     if List.mem size multiples then multiples else multiples @ [ size ]
   end
 
-let to_string t =
-  let tiles =
-    t.tiles
-    |> List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-    |> String.concat " "
-  in
-  Printf.sprintf "%s {%s}" (Tiling.to_string t.tiling) tiles
+let tiles_string sep t =
+  String.concat sep (List.map (fun (n, v) -> n ^ "=" ^ string_of_int v) t.tiles)
+
+let to_string t = Tiling.to_string t.tiling ^ " {" ^ tiles_string " " t ^ "}"
 
 (* The schedule-cache line format, predating this function: kind-tagged
    axis-name lists for the tiling, then the sorted tile vector.  Changing
@@ -52,12 +49,7 @@ let serialize t =
       "flat:" ^ names prefix ^ "/"
       ^ String.concat "/" (List.map names groups)
   in
-  let tiles =
-    t.tiles
-    |> List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v)
-    |> String.concat ","
-  in
-  tiling ^ ";" ^ tiles
+  tiling ^ ";" ^ tiles_string "," t
 
 let key = to_string
 

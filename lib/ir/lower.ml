@@ -258,7 +258,7 @@ let to_kernel t ~smem_bytes =
       t.computes
   in
   { Mcf_gpu.Kernel.kname =
-      Printf.sprintf "%s[%s]" chain.cname (Candidate.key t.program.cand);
+      String.concat "" [ chain.cname; "["; Candidate.key t.program.cand; "]" ];
     blocks = t.blocks;
     smem_bytes;
     accesses;

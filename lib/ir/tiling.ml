@@ -5,8 +5,9 @@ type t =
 let to_string = function
   | Deep axes -> Axis.names axes
   | Flat (prefix, groups) ->
-    Printf.sprintf "%s(%s)" (Axis.names prefix)
-      (String.concat "," (List.map Axis.names groups))
+    Axis.names prefix ^ "("
+    ^ String.concat "," (List.map Axis.names groups)
+    ^ ")"
 
 let axes = function
   | Deep l -> l

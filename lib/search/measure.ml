@@ -36,8 +36,10 @@ let candidate_fp (ctx : Space.ctx) (cand : Mcf_ir.Candidate.t) =
   Mcf_ir.Candidate.serialize { cand with tiling }
 
 let key_with ~spec_fp ~chain_fp (ctx : Space.ctx) cand =
-  Printf.sprintf "%s|%s|r1=%b,dle=%b,h=%b,eb=%d|%s" spec_fp chain_fp ctx.rule1
-    ctx.dead_loop_elim ctx.hoisting ctx.elem_bytes (candidate_fp ctx cand)
+  String.concat ""
+    [ spec_fp; "|"; chain_fp; "|r1="; string_of_bool ctx.rule1; ",dle=";
+      string_of_bool ctx.dead_loop_elim; ",h="; string_of_bool ctx.hoisting;
+      ",eb="; string_of_int ctx.elem_bytes; "|"; candidate_fp ctx cand ]
 
 (* --- persistence (JSONL) ----------------------------------------------- *)
 

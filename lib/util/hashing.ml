@@ -1,13 +1,16 @@
 let offset_basis = 0xCBF29CE484222325L
 let prime = 0x100000001B3L
 
+(* An index loop over a local accumulator: the compiler keeps [h]
+   unboxed, so hashing allocates only the result. *)
 let combine h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        prime
+  done;
   !h
 
 let fnv1a64 s = combine offset_basis s

@@ -230,6 +230,130 @@ let test_fingerprint_sensitivity () =
   Alcotest.(check bool) "blocks in fingerprint" true
     (Kernel.fingerprint base_kernel <> Kernel.fingerprint k2)
 
+(* The fingerprint as first written, with [Printf]: the byte format that
+   fixes every noisy time, and the oracle [Kernel.fingerprint] must match. *)
+let printf_fingerprint (k : Kernel.t) =
+  String.concat ""
+    ((Printf.sprintf "%s|g%d|s%d" k.kname k.blocks k.smem_bytes
+     :: List.map
+          (fun (a : Kernel.access) ->
+            Printf.sprintf "|%s%c%.0f/%.0f/%d" a.label
+              (match a.direction with Kernel.Load -> 'L' | Kernel.Store -> 'S')
+              a.bytes_per_block a.unique_bytes a.row_bytes)
+          k.accesses)
+    @ List.map
+        (fun (c : Kernel.compute) ->
+          Printf.sprintf "|C%s%.0f/%d/%d/%d" c.clabel c.flops_per_block
+            c.tile_m c.tile_n c.tile_k)
+        k.computes)
+
+let compiled_kernels ?reservoir spec chain =
+  fst (Mcf_search.Space.enumerate ?reservoir spec chain)
+  |> List.filter_map (fun e ->
+         Result.to_option
+           (Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e)))
+
+let deep name =
+  Mcf_workloads.Configs.(deep_chain (Option.get (find_deep name)))
+
+(* The compiled kernel of every valid candidate of Tables II and III on
+   both devices, and of D5/D6 at reservoir 256. *)
+let space_kernels =
+  lazy
+    (let module W = Mcf_workloads.Configs in
+     let chains =
+       List.map W.gemm_chain W.gemm_chains
+       @ List.map W.attention W.attentions
+     in
+     let with_spec ?reservoir spec chain =
+       List.map (fun k -> (spec, k)) (compiled_kernels ?reservoir spec chain)
+     in
+     List.concat_map
+       (fun spec -> List.concat_map (with_spec spec) chains)
+       [ a100; Spec.rtx3080 ]
+     @ List.concat_map (with_spec ~reservoir:256 a100) [ deep "D5"; deep "D6" ])
+
+let test_fingerprint_matches_printf () =
+  let kernels = Lazy.force space_kernels in
+  Alcotest.(check bool) "thousands of kernels" true (List.length kernels > 10_000);
+  (* Report only the first mismatch: a check per kernel floods the log. *)
+  (match
+     List.find_opt
+       (fun ((_ : Spec.t), k) -> printf_fingerprint k <> Kernel.fingerprint k)
+       kernels
+   with
+  | None -> ()
+  | Some (_, k) ->
+    Alcotest.(check string) k.Kernel.kname (printf_fingerprint k)
+      (Kernel.fingerprint k));
+  let edge x =
+    { base_kernel with
+      Kernel.accesses =
+        [ { (List.hd base_kernel.accesses) with
+            Kernel.bytes_per_block = x;
+            unique_bytes = -.x } ];
+      computes =
+        [ { (List.hd base_kernel.computes) with Kernel.flops_per_block = x } ] }
+  in
+  List.iter
+    (fun x ->
+      let k = edge x in
+      Alcotest.(check string) (Printf.sprintf "%h" x) (printf_fingerprint k)
+        (Kernel.fingerprint k))
+    [ 0.0; -0.0; 0.5; 1.5; 2.5; 3.5; -2.5; 7.0; -7.0; 1e20; 0x1p53; 0x1p53 +. 2.0;
+      0x1p53 -. 1.0; Float.nan; Float.infinity; Float.neg_infinity;
+      float_of_int max_int ];
+  Alcotest.(check string) "-0.0 prints -0" "k|g256|s32768|AL-0/0/256|CC-0/128/128/64"
+    (Kernel.fingerprint (edge (-0.0)));
+  let big = { base_kernel with Kernel.blocks = min_int; smem_bytes = max_int } in
+  Alcotest.(check string) "min_int/max_int" (printf_fingerprint big)
+    (Kernel.fingerprint big)
+
+(* Every noisy time is the clean time scaled by the FNV of the Printf
+   fingerprint and the device name, to the bit. *)
+let test_noise_seeded_by_printf_fingerprint () =
+  let bits (spec : Spec.t) k =
+    let h =
+      Mcf_util.Hashing.combine
+        (Mcf_util.Hashing.fnv1a64 (printf_fingerprint k))
+        spec.name
+    in
+    let noise = 1.0 +. (0.06 *. (Mcf_util.Hashing.to_unit_float h -. 0.5)) in
+    ( Int64.bits_of_float (Sim.time_exn ~noise:false spec k *. noise),
+      Int64.bits_of_float (Sim.time_exn spec k) )
+  in
+  match
+    List.find_opt
+      (fun (spec, k) ->
+        let want, got = bits spec k in
+        want <> got)
+      (Lazy.force space_kernels)
+  with
+  | None -> ()
+  | Some (spec, k) ->
+    let want, got = bits spec k in
+    Alcotest.(check int64) k.Kernel.kname want got
+
+(* Seeding the noise costs no more than the run it seeds: minor words are
+   deterministic, so this needs no timing gate. *)
+let test_noise_allocation () =
+  let words noise k =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10 do
+      ignore (Sim.run ~noise a100 k)
+    done;
+    (Gc.minor_words () -. before) /. 10.0
+  in
+  List.iter
+    (fun (chain, reservoir) ->
+      let k = List.hd (compiled_kernels ?reservoir a100 chain) in
+      let quiet = words false k and noisy = words true k in
+      if noisy > 2.0 *. quiet then
+        Alcotest.failf "%s: %.0f words with noise, %.0f without" chain.Mcf_ir.Chain.cname
+          noisy quiet)
+    [ (Mcf_workloads.Configs.(gemm_chain (List.hd gemm_chains)), None);
+      (deep "D6", Some 256) ]
+
 let test_per_block_bandwidth_cap () =
   (* the same total traffic is slower when one block must move it alone *)
   let total = 1.0e8 in
@@ -357,6 +481,11 @@ let () =
             test_run_sequence_error;
           Alcotest.test_case "kernel totals" `Quick test_kernel_totals;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint_sensitivity;
+          Alcotest.test_case "fingerprint = Printf oracle" `Quick
+            test_fingerprint_matches_printf;
+          Alcotest.test_case "noise seeded by Printf fingerprint" `Quick
+            test_noise_seeded_by_printf_fingerprint;
+          Alcotest.test_case "noise allocation" `Quick test_noise_allocation;
           Alcotest.test_case "explain" `Quick test_explain;
           Alcotest.test_case "per-block bandwidth cap" `Quick
             test_per_block_bandwidth_cap ] );

@@ -133,6 +133,52 @@ let test_rng_copy () =
   let b = Rng.copy a in
   Alcotest.(check int64) "copy replays" (Rng.int64 a) (Rng.int64 b)
 
+(* xoshiro256** through splitmix64 seeding: the reference generator's
+   first outputs (seed 0 starts 0x99ec5f36cb75f2b4), pinned so a change to
+   the state's representation cannot move any seeded stream. *)
+let test_rng_known_answers () =
+  let first8 seed =
+    let r = Rng.create seed in
+    List.init 8 (fun _ -> Rng.int64 r)
+  in
+  let check seed want =
+    Alcotest.(check (list int64)) (Printf.sprintf "seed %d" seed) want
+      (first8 seed)
+  in
+  check 0
+    [ 0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL; 0x1a5f849d4933e6e0L;
+      0x6aa594f1262d2d2cL; 0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL ];
+  check 1
+    [ 0xb3f2af6d0fc710c5L; 0x853b559647364ceaL; 0x92f89756082a4514L;
+      0x642e1c7bc266a3a7L; 0xb27a48e29a233673L; 0x24c123126ffda722L;
+      0x123004ef8df510e6L; 0x61954dcc47b1e89dL ];
+  check 42
+    [ 0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L;
+      0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L ];
+  let r = Rng.create 42 in
+  let s = Rng.split r in
+  Alcotest.(check int64) "split child" 0x8ee445d14631c453L (Rng.int64 s);
+  Alcotest.(check int64) "split advances parent once" 0x6104d9866d113a7eL
+    (Rng.int64 r)
+
+(* The state is unboxed: a draw allocates nothing, or only its boxed
+   result when it returns an [int64]. *)
+let test_rng_draws_do_not_allocate () =
+  let r = Rng.create 3 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      f ()
+    done;
+    (Gc.minor_words () -. before) /. 1000.0
+  in
+  check_float "Rng.int" 0.0 (words (fun () -> ignore (Rng.int r 17)));
+  check_float "Rng.bool" 0.0 (words (fun () -> ignore (Rng.bool r)));
+  Alcotest.(check bool) "Rng.int64: its result only" true
+    (words (fun () -> ignore (Rng.int64 r)) <= 3.0)
+
 (* --- Stats --------------------------------------------------------------- *)
 
 let test_mean () =
@@ -262,6 +308,14 @@ let test_hashing () =
   Alcotest.(check bool) "unit range" true (u >= 0.0 && u < 1.0);
   Alcotest.(check int64) "combine = concat" (Hashing.fnv1a64 "ab")
     (Hashing.combine (Hashing.fnv1a64 "a") "b")
+
+(* FNV-1a 64 reference vectors (offset basis, one byte, a word). *)
+let test_fnv_known_answers () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check int64) (Printf.sprintf "%S" s) want
+        (Hashing.fnv1a64 s))
+    [ ("", 0xcbf29ce484222325L); ("a", 0xaf63dc4c8601ec8cL);
+      ("foobar", 0x85944171f73967e8L) ]
 
 (* --- Table / Chart ------------------------------------------------------- *)
 
@@ -642,7 +696,10 @@ let () =
             test_rng_sample_without_replacement;
           Alcotest.test_case "split independent" `Quick
             test_rng_split_independent;
-          Alcotest.test_case "copy replays" `Quick test_rng_copy ] );
+          Alcotest.test_case "copy replays" `Quick test_rng_copy;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_rng_draws_do_not_allocate ] );
       ( "stats",
         [ Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "geomean" `Quick test_geomean;
@@ -663,7 +720,10 @@ let () =
           Alcotest.test_case "sum_by" `Quick test_sum_by;
           Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "interleavings" `Quick test_interleavings ] );
-      ("hashing", [ Alcotest.test_case "fnv1a" `Quick test_hashing ]);
+      ( "hashing",
+        [ Alcotest.test_case "fnv1a" `Quick test_hashing;
+          Alcotest.test_case "fnv1a known answers" `Quick
+            test_fnv_known_answers ] );
       ( "render",
         [ Alcotest.test_case "table" `Quick test_table_render;
           Alcotest.test_case "markdown" `Quick test_table_markdown;
