@@ -611,6 +611,219 @@ let test_tuner_golden_outcomes () =
     "outcome fingerprints" golden_table
     (golden_outcomes ())
 
+(* Search regret against the exhaustive optimum: every entry the
+   enumeration returns is measured through [Measure], the tuner runs
+   with its default seed, and the row records the optimum (ties toward
+   the earlier entry), the winner, the regret, the optimum's rank in the
+   model's (estimate, entry) order and the measured count.  Besides
+   guarding search quality, the table pins the lowering of every
+   returned entry, not only of the winners. *)
+let table_names =
+  List.map
+    (fun (g : Mcf_workloads.Configs.gemm_config) -> g.gname)
+    Mcf_workloads.Configs.gemm_chains
+  @ List.map
+      (fun (s : Mcf_workloads.Configs.attention_config) -> s.sname)
+      Mcf_workloads.Configs.attentions
+
+let regret_row ?reservoir spec name =
+  let chain =
+    match Mcf_serve.Protocol.chain_of_workload name with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let entries, scores, _ =
+    Mcf_search.Space.enumerate_scored ?reservoir spec chain
+  in
+  let entries = Array.of_list entries in
+  let times = Array.make (Array.length entries) None in
+  Mcf_search.Measure.run_batch
+    (Mcf_search.Measure.create spec)
+    ~clock:(Mcf_gpu.Clock.create ()) ~compile_cost_s:0.0 ~repeats:1
+    ~commit:(fun i t -> times.(i) <- t)
+    (List.init (Array.length entries) (fun i -> (i, entries.(i))));
+  let opt = ref (-1) in
+  Array.iteri
+    (fun i t ->
+      match (t, !opt) with
+      | Some t, o when o < 0 || t < Option.get times.(o) -> opt := i
+      | _ -> ())
+    times;
+  let opt = !opt in
+  let opt_s = Option.get times.(opt) in
+  let before (i : int) =
+    let ei = fst scores.(i) and eo = fst scores.(opt) in
+    ei < eo || (ei = eo && i < opt)
+  in
+  let rank =
+    Seq.fold_left
+      (fun acc i -> if before i then acc + 1 else acc)
+      0
+      (Seq.init (Array.length entries) Fun.id)
+  in
+  let label =
+    Printf.sprintf "%s %s%s" name spec.Mcf_gpu.Spec.name
+      (match reservoir with
+      | Some r -> Printf.sprintf " res=%d" r
+      | None -> "")
+  in
+  match Mcf_search.Tuner.tune ?reservoir spec chain with
+  | Error _ -> Alcotest.failf "%s: no viable candidate" label
+  | Ok o ->
+    ( label,
+      Printf.sprintf "opt %s %016Lx rank=%d"
+        (Candidate.key entries.(opt).cand)
+        (Int64.bits_of_float opt_s) rank,
+      Printf.sprintf "won %s %016Lx regret=%.2f%% measured=%d"
+        (Candidate.key o.best.cand)
+        (Int64.bits_of_float o.kernel_time_s)
+        (100.0 *. ((o.kernel_time_s /. opt_s) -. 1.0))
+        o.search_stats.measured )
+
+let regret_rows () =
+  List.concat_map
+    (fun spec -> List.map (regret_row spec) table_names)
+    [ a100; Mcf_gpu.Spec.rtx3080 ]
+  @ List.map (regret_row ~reservoir:512 a100) [ "D5"; "D6" ]
+
+let regret_table =
+  [ ( "G1 A100",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3ed375fa1a34d133 rank=77",
+      "won mnkh {h=32 k=32 m=16 n=256} 3ed3f692c9b7181d regret=2.58% measured=32" );
+    ( "G2 A100",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3ed4593e539647fe rank=63",
+      "won mnkh {h=64 k=64 m=16 n=256} 3ed4593e539647fe regret=0.00% measured=58" );
+    ( "G3 A100",
+      "opt mnkh {h=128 k=64 m=16 n=256} 3ed5624fd67ed54a rank=124",
+      "won mnkh {h=128 k=32 m=16 n=256} 3ed5b395b5b4c472 regret=1.48% measured=57" );
+    ( "G4 A100",
+      "opt mnkh {h=128 k=256 m=16 n=128} 3ee19aa0aa445f84 rank=52",
+      "won mnkh {h=128 k=256 m=16 n=128} 3ee19aa0aa445f84 regret=0.00% measured=64" );
+    ( "G5 A100",
+      "opt mnkh {h=128 k=512 m=16 n=64} 3ee807f21dc16008 rank=138",
+      "won mnkh {h=128 k=256 m=16 n=128} 3ee81875f9ce4a10 regret=0.27% measured=62" );
+    ( "G6 A100",
+      "opt mn(k,h) {h=256 k=256 m=16 n=128} 3ef20b7394d23b39 rank=136",
+      "won mn(k,h) {h=64 k=64 m=16 n=512} 3ef2a6856a0f126a regret=3.36% measured=53" );
+    ( "G7 A100",
+      "opt mnkh {h=64 k=128 m=16 n=256} 3ed9995f1782148b rank=58",
+      "won mnkh {h=64 k=128 m=16 n=128} 3eda67db767b7b21 regret=3.15% measured=50" );
+    ( "G8 A100",
+      "opt mn(k,h) {h=128 k=128 m=16 n=128} 3edd015d53bbb827 rank=212",
+      "won mn(k,h) {h=64 k=32 m=16 n=512} 3edd8da95b47f3da regret=1.89% measured=66" );
+    ( "G9 A100",
+      "opt mnkh {h=128 k=128 m=32 n=256} 3ee16bddb6fef5f3 rank=57",
+      "won mn(k,h) {h=128 k=128 m=32 n=256} 3ee181f95221225d regret=0.50% measured=59" );
+    ( "G10 A100",
+      "opt mn(k,h) {h=128 k=128 m=16 n=256} 3ee4a1cc0ba42d59 rank=223",
+      "won mnkh {h=128 k=128 m=16 n=128} 3ee583bf69152264 regret=4.28% measured=66" );
+    ( "G11 A100",
+      "opt mn(k,h) {h=64 k=128 m=32 n=64} 3ef2ca37b9f09d55 rank=141",
+      "won mnkh {h=128 k=128 m=64 n=128} 3ef4927227fa23cb regret=9.48% measured=62" );
+    ( "G12 A100",
+      "opt mn(k,h) {h=64 k=128 m=64 n=64} 3efb6484220d0a5d rank=42",
+      "won mn(k,h) {h=64 k=128 m=64 n=64} 3efb6484220d0a5d regret=0.00% measured=69" );
+    ( "S1 A100",
+      "opt mn(k,h) {h=64 k=64 m=32 n=64} 3ee1a1d918da1f8f rank=111",
+      "won mn(k,h) {h=32 k=64 m=64 n=256} 3ee2c0982f1fe5e2 regret=6.35% measured=45" );
+    ( "S2 A100",
+      "opt mnkh {h=64 k=64 m=64 n=256} 3ee3235748dc9b80 rank=13",
+      "won mnkh {h=64 k=64 m=64 n=256} 3ee3235748dc9b80 regret=0.00% measured=70" );
+    ( "S3 A100",
+      "opt mn(k,h) {h=32 k=64 m=64 n=128} 3ee69c506fa5a23a rank=33",
+      "won mn(k,h) {h=16 k=16 m=64 n=256} 3eea332af0282578 regret=15.87% measured=54" );
+    ( "S4 A100",
+      "opt mnkh {h=64 k=64 m=32 n=256} 3ed860eb8d7a6383 rank=35",
+      "won mn(k,h) {h=64 k=32 m=32 n=256} 3ed950ef18f5503d regret=3.85% measured=53" );
+    ( "S5 A100",
+      "opt mn(k,h) {h=64 k=64 m=64 n=256} 3edb86d736a42081 rank=11",
+      "won mn(k,h) {h=64 k=64 m=64 n=256} 3edb86d736a42081 regret=0.00% measured=63" );
+    ( "S6 A100",
+      "opt mn(k,h) {h=80 k=80 m=64 n=256} 3ede28138dc21e98 rank=5",
+      "won mn(k,h) {h=80 k=80 m=64 n=256} 3ede28138dc21e98 regret=0.00% measured=62" );
+    ( "S7 A100",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3ed3e9902e07df16 rank=43",
+      "won mnkh {h=32 k=64 m=16 n=256} 3ed41469973fdf00 regret=0.84% measured=61" );
+    ( "S8 A100",
+      "opt mnkh {h=32 k=64 m=16 n=384} 3ed5a93078a3e50b rank=179",
+      "won mnkh {h=32 k=32 m=32 n=384} 3ed7636a303f9bd6 regret=7.97% measured=79" );
+    ( "S9 A100",
+      "opt mnkh {h=64 k=32 m=16 n=512} 3ed7e906dc19ddcd rank=126",
+      "won mnkh {h=64 k=32 m=16 n=512} 3ed7e906dc19ddcd regret=0.00% measured=59" );
+    ( "G1 RTX3080",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3ed54ec1d02192b2 rank=75",
+      "won mnkh {h=32 k=64 m=32 n=256} 3ed65fa910b5841c regret=5.00% measured=59" );
+    ( "G2 RTX3080",
+      "opt mnkh {h=32 k=64 m=32 n=256} 3ed6e499f29a1fae rank=13",
+      "won mnkh {h=32 k=64 m=32 n=256} 3ed6e499f29a1fae regret=0.00% measured=68" );
+    ( "G3 RTX3080",
+      "opt mnkh {h=64 k=64 m=32 n=128} 3ed9318b3f223e37 rank=23",
+      "won mnkh {h=64 k=64 m=32 n=128} 3ed9318b3f223e37 regret=0.00% measured=61" );
+    ( "G4 RTX3080",
+      "opt mnkh {h=128 k=256 m=16 n=64} 3ee9bee269d1a5bf rank=68",
+      "won mnkh {h=128 k=256 m=16 n=64} 3ee9bee269d1a5bf regret=0.00% measured=66" );
+    ( "G5 RTX3080",
+      "opt mn(k,h) {h=128 k=128 m=16 n=128} 3ef2b4493651b84c rank=134",
+      "won mn(k,h) {h=32 k=128 m=16 n=256} 3ef3892842d8fd5f regret=4.45% measured=65" );
+    ( "G6 RTX3080",
+      "opt mn(k,h) {h=64 k=256 m=16 n=128} 3efb902c6849dc87 rank=111",
+      "won mn(k,h) {h=32 k=64 m=16 n=256} 3efdb7278989d4d9 regret=7.81% measured=57" );
+    ( "G7 RTX3080",
+      "opt mnkh {h=64 k=128 m=16 n=128} 3ee119523cf12fc1 rank=84",
+      "won mnkh {h=64 k=32 m=16 n=256} 3ee20896aaa704fb regret=5.47% measured=66" );
+    ( "G8 RTX3080",
+      "opt mn(k,h) {h=128 k=128 m=16 n=128} 3ee37cd9147fd87d rank=174",
+      "won mnkh {h=128 k=128 m=16 n=128} 3ee4225a8d79a41d regret=3.32% measured=69" );
+    ( "G9 RTX3080",
+      "opt mnkh {h=128 k=128 m=32 n=128} 3ee860e8f0736324 rank=44",
+      "won mnkh {h=128 k=128 m=32 n=128} 3ee860e8f0736324 regret=0.00% measured=53" );
+    ( "G10 RTX3080",
+      "opt mn(k,h) {h=128 k=128 m=16 n=128} 3eedb8cada8215ab rank=174",
+      "won mnkh {h=64 k=128 m=32 n=128} 3eefe88f2fb8211d regret=7.36% measured=66" );
+    ( "G11 RTX3080",
+      "opt mn(k,h) {h=64 k=128 m=64 n=128} 3effcbc02c06debe rank=21",
+      "won mn(k,h) {h=64 k=128 m=64 n=128} 3effcbc02c06debe regret=0.00% measured=69" );
+    ( "G12 RTX3080",
+      "opt mn(k,h) {h=128 k=128 m=128 n=64} 3f0b3ada678b416f rank=14",
+      "won mn(k,h) {h=128 k=128 m=128 n=64} 3f0b3ada678b416f regret=0.00% measured=84" );
+    ( "S1 RTX3080",
+      "opt mn(k,h) {h=32 k=64 m=64 n=256} 3eea02e19fbf7b03 rank=5",
+      "won mn(k,h) {h=32 k=64 m=64 n=256} 3eea02e19fbf7b03 regret=0.00% measured=66" );
+    ( "S2 RTX3080",
+      "opt mn(k,h) {h=32 k=64 m=64 n=64} 3ef2b551a2d56ecb rank=23",
+      "won mn(k,h) {h=32 k=64 m=64 n=64} 3ef2b551a2d56ecb regret=0.00% measured=62" );
+    ( "S3 RTX3080",
+      "opt mnkh {h=64 k=64 m=128 n=128} 3ef46667d25bacb0 rank=3",
+      "won mnkh {h=64 k=64 m=128 n=128} 3ef46667d25bacb0 regret=0.00% measured=65" );
+    ( "S4 RTX3080",
+      "opt mnkh {h=64 k=64 m=32 n=64} 3ee11c35963c6add rank=69",
+      "won mnkh {h=64 k=32 m=64 n=256} 3ee1208a5e275379 regret=0.10% measured=59" );
+    ( "S5 RTX3080",
+      "opt mnkh {h=64 k=64 m=64 n=128} 3ee1658db8381901 rank=15",
+      "won mnkh {h=64 k=64 m=64 n=128} 3ee1658db8381901 regret=0.00% measured=66" );
+    ( "S6 RTX3080",
+      "opt mnkh {h=80 k=80 m=64 n=128} 3ee3dede0e866388 rank=7",
+      "won mnkh {h=80 k=80 m=64 n=128} 3ee3dede0e866388 regret=0.00% measured=59" );
+    ( "S7 RTX3080",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3ed5dd2597999f94 rank=62",
+      "won mnkh {h=32 k=64 m=16 n=256} 3ed615546eabe495 regret=1.00% measured=53" );
+    ( "S8 RTX3080",
+      "opt mnkh {h=64 k=32 m=16 n=384} 3ed90560797f8cc2 rank=260",
+      "won mnkh {h=32 k=32 m=32 n=384} 3edcca03a6941f70 regret=15.06% measured=50" );
+    ( "S9 RTX3080",
+      "opt mnkh {h=64 k=64 m=16 n=256} 3edc29564b337fa5 rank=128",
+      "won mn(k,h) {h=64 k=32 m=16 n=256} 3edd4d5b2febcf2b regret=4.05% measured=54" );
+    ( "D5 A100 res=512",
+      "opt mx4x3x2x1x0x5 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64} 3ed32c9c5c638f38 rank=10",
+      "won mx4x3x2x1x0x5 {m=16 x0=32 x1=64 x2=64 x3=64 x4=64 x5=32} 3ed36664d784f6b6 regret=1.18% measured=64" );
+    ( "D6 A100 res=512",
+      "opt mx5x4x3x2x1x0x6 {m=16 x0=64 x1=64 x2=64 x3=64 x4=64 x5=64 x6=32} 3ed3a780b0d946dc rank=61",
+      "won mx5x4x3x2x1x0x6 {m=16 x0=64 x1=64 x2=64 x3=64 x4=32 x5=64 x6=32} 3ed445f5b353a1e5 regret=3.15% measured=39" ) ]
+
+let test_tuner_regret () =
+  Alcotest.(check (list (triple string string string)))
+    "regret rows" regret_table (regret_rows ())
+
 (* --- Schedule_cache ----------------------------------------------------------- *)
 
 let test_cache_candidate_roundtrip () =
@@ -761,7 +974,8 @@ let () =
             test_tuner_sampler_identity;
           Alcotest.test_case "lowers lazily" `Quick test_tuner_lowers_lazily;
           Alcotest.test_case "golden outcomes" `Quick
-            test_tuner_golden_outcomes ] );
+            test_tuner_golden_outcomes;
+          Alcotest.test_case "regret" `Quick test_tuner_regret ] );
       ( "schedule-cache",
         [ Alcotest.test_case "candidate roundtrip" `Quick
             test_cache_candidate_roundtrip;
