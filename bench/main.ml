@@ -672,6 +672,7 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
          ("smoke", Bool smoke);
          ("jobs", List (List.map num jobs_list));
          ("cores", num (Domain.recommended_domain_count ()));
+         ("ocaml", Str Sys.ocaml_version);
          ("workloads", List workload_rows) ]
       @ (match enumeration with
         | Some (section, _, _, _, _) -> [ ("enumeration", section) ]
@@ -985,6 +986,8 @@ let run_serve_bench ~jobs ~smoke ~history ~out =
           rev = Mcf_obs.History.current_rev ();
           device = spec.name;
           workload = (if smoke then "smoke-serve" else "serve");
+          cores = Some (Domain.recommended_domain_count ());
+          ocaml = Some Sys.ocaml_version;
           metrics =
             [ ("requests_per_s", warm_rps);
               ("latency_p50_s", warm_p50);

@@ -530,7 +530,9 @@ let dot_cmd =
             | Error Mcf_search.Tuner.No_viable_candidate ->
               Error (`Msg "no viable candidate")
             | Ok o ->
-              print_string (Mcf_ir.Program.to_dot (Mcf_search.Space.lowered o.best).program);
+              print_string
+                (Mcf_ir.Program.to_dot
+                   (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
               Ok ()))
   in
   let term =
@@ -633,7 +635,9 @@ let schedule_cmd =
               Printf.printf "\n# generated Triton kernel\n";
               print_string (Mcf_search.Tuner.triton_source o);
               Printf.printf "\n# launch stub\n";
-              print_string (Mcf_codegen.Emit.launch_stub (Mcf_search.Space.lowered o.best).program);
+              print_string
+                (Mcf_codegen.Emit.launch_stub
+                   (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
               Printf.printf "\n# TIR view (SV-B round trip)\n";
               print_string
                 (Mcf_ir.Tir.pretty
@@ -802,7 +806,10 @@ let verify_cmd =
                     (ts.tname, Mcf_tensor.Tensor.random rng shape))
                   (Mcf_ir.Chain.input_tensors chain)
               in
-              let got = Mcf_interp.Interp.run (Mcf_search.Space.lowered o.best).program ~inputs in
+              let got =
+                Mcf_interp.Interp.run ~inputs
+                  (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+              in
               let want = Mcf_interp.Interp.reference chain ~inputs in
               let diff = Mcf_tensor.Tensor.max_abs_diff got want in
               Printf.printf

@@ -47,11 +47,12 @@ let () =
   | Ok o ->
     Printf.printf "\nwinning schedule: %s%s\n\n"
       (Mcf_ir.Candidate.to_string o.best.cand)
-      (if Mcf_ir.Program.online_softmax (Mcf_search.Space.lowered o.best).program then
+      (if (Mcf_search.Space.lowered o.best).online_softmax then
          "  (online softmax: the N dimension is tiled)"
        else "");
     print_string (Mcf_search.Tuner.pseudo_code o);
     Printf.printf "\ngenerated Triton kernel:\n\n";
     print_string (Mcf_search.Tuner.triton_source o);
     Printf.printf "\n%s\n"
-      (Mcf_codegen.Emit.launch_stub (Mcf_search.Space.lowered o.best).program)
+      (Mcf_codegen.Emit.launch_stub
+         (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)))

@@ -72,7 +72,10 @@ let () =
     | Ok o -> o
     | Error _ -> failwith "unfusable"
   in
-  let fused = Mcf_interp.Interp.run (Mcf_search.Space.lowered o.best).program ~inputs in
+  let fused =
+    Mcf_interp.Interp.run ~inputs
+      (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+  in
   (* direct reference: conv then pointwise conv, flattened to [pixels, c] *)
   let ref_conv = Ops.conv2d ~input:(Ops.conv2d ~input:image ~weights:w1) ~weights:w2 in
   let ho = height - ksize + 1 and wo = width - ksize + 1 in

@@ -78,7 +78,10 @@ let () =
         (ts.tname, Mcf_tensor.Tensor.random rng shape))
       (Mcf_ir.Chain.input_tensors small)
   in
-  let fused = Mcf_interp.Interp.run (Mcf_search.Space.lowered o.best).program ~inputs in
+  let fused =
+    Mcf_interp.Interp.run ~inputs
+      (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+  in
   let reference = Mcf_interp.Interp.reference small ~inputs in
   Printf.printf "\nnumeric check on 96x96x64x64: max |fused - reference| = %.2e -> %s\n"
     (Mcf_tensor.Tensor.max_abs_diff fused reference)

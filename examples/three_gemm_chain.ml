@@ -57,7 +57,10 @@ let () =
         (ts.tname, Mcf_tensor.Tensor.random rng shape))
       (Mcf_ir.Chain.input_tensors small)
   in
-  let fused = Mcf_interp.Interp.run (Mcf_search.Space.lowered o.best).program ~inputs in
+  let fused =
+    Mcf_interp.Interp.run ~inputs
+      (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+  in
   let reference = Mcf_interp.Interp.reference small ~inputs in
   Printf.printf "\nnumeric check (64x48x32x48x32): max diff %.2e -> %s\n"
     (Mcf_tensor.Tensor.max_abs_diff fused reference)

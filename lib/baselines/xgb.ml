@@ -139,7 +139,7 @@ let predict t x =
 let log1 v = log (1.0 +. Float.abs v)
 
 let feature_vector (l : Mcf_ir.Lower.t) =
-  let cand = l.program.Mcf_ir.Program.cand in
+  let cand = l.cand in
   let tiles = List.map snd cand.Mcf_ir.Candidate.tiles in
   let tile_feats =
     match tiles with

@@ -58,7 +58,10 @@ let compute (spec : Mcf_gpu.Spec.t) =
               (ts.tname, Mcf_tensor.Tensor.random rng shape))
             (Mcf_ir.Chain.input_tensors chain)
         in
-        let got = Mcf_interp.Interp.run (Mcf_search.Space.lowered o.best).program ~inputs in
+        let got =
+          Mcf_interp.Interp.run ~inputs
+            (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+        in
         let want = Mcf_interp.Interp.reference chain ~inputs in
         { vname;
           schedule = Mcf_ir.Candidate.to_string o.best.cand;

@@ -31,6 +31,22 @@ val drop_live_loops : Mcf_ir.Program.t -> Mcf_ir.Program.t
     in-block loop (dead-loop elimination applied to live loops), dropping
     all but one tile of work. *)
 
+val reference :
+  ?rule1:bool ->
+  ?dead_loop_elim:bool ->
+  ?hoisting:bool ->
+  elem_bytes:int ->
+  Mcf_ir.Chain.t ->
+  Mcf_ir.Candidate.t ->
+  Mcf_ir.Lower.t
+(** The reference walk: build the program and account it statement by
+    statement, looking every tile, trip and Compute path up by name.
+    Lowering and the closed-form model are held to it. *)
+
+val lower_mismatches : Mcf_ir.Lower.t -> Mcf_ir.Lower.t -> string list
+(** The fields but the program that differ between two lowerings (lists
+    in order, FLOPs bit for bit). *)
+
 val grid_twin :
   Mcf_model.Analytic.Memo.t ->
   Mcf_ir.Chain.t ->

@@ -21,32 +21,27 @@ type compute_info = {
 type residency_item = {
   rtensor : Chain.tensor_spec;
   tile_bytes : int;
+  rrow_elems : int;
   mult : int;
   double_buffered : bool;
 }
 
 type t = {
-  program : Program.t;
+  chain : Chain.t;
+  cand : Candidate.t;
+  program : Program.t Mcf_util.Once.t;
   elem_bytes : int;
   blocks : int;
   accesses : access list;
   computes : compute_info list;
   residency : residency_item list;
   online_softmax : bool;
+  softmax_rows : int;
   stmt_trips_total : int;
   validity : (unit, Program.invalid) result;
 }
 
-let tile_elems cand (ts : Chain.tensor_spec) =
-  List.fold_left (fun acc a -> acc * Candidate.tile cand a) 1 ts.taxes
-
-let row_elems cand (ts : Chain.tensor_spec) =
-  match List.rev ts.taxes with
-  | [] -> 1
-  | last :: _ -> Candidate.tile cand last
-
-let path_trips cand path =
-  List.fold_left (fun acc a -> acc * Candidate.trip cand a) 1 path
+let program t = Mcf_util.Once.force t.program
 
 (* CUDA-core (non-tensor-core) epilogue work is priced by inflating its
    FLOP count: vector pipes run at roughly 1/8 of the MMA peak. *)
@@ -56,159 +51,101 @@ let softmax_flops_per_elem = 6.0
 let online_rescale_flops_per_elem = 3.0
 let scale_flops_per_elem = 1.0
 
-let contraction_flops cand (b : Chain.block) =
-  let extents =
-    List.fold_left
-      (fun acc a -> acc *. float_of_int (Candidate.tile cand a))
-      1.0 (Chain.used_axes b)
-  in
-  2.0 *. extents
-
-let mma_tiles cand (b : Chain.block) =
-  let m, n =
-    match b.out.taxes with
-    | [ a ] -> (Candidate.tile cand a, 1)
-    | a1 :: rest ->
-      let last = List.nth rest (List.length rest - 1) in
-      (Candidate.tile cand a1, Candidate.tile cand last)
-    | [] -> (1, 1)
-  in
-  let k =
-    match b.reduce_axes with
-    | a :: _ -> Candidate.tile cand a
-    | [] -> 64
-  in
-  (m, n, k)
-
-let epilogue_flops program cand (b : Chain.block) =
-  let out_tile = float_of_int (tile_elems cand b.out) in
-  match b.epilogue with
-  | Chain.No_epilogue -> 0.0
-  | Chain.Scale _ -> scale_flops_per_elem *. out_tile
-  | Chain.Unary { uflops; _ } -> uflops *. out_tile
-  | Chain.Softmax _ ->
-    let base = softmax_flops_per_elem *. out_tile in
-    if Program.online_softmax program then begin
-      (* Online softmax rescales every consumer accumulator tile on each
-         softmax-axis step. *)
-      let rescale =
-        Mcf_util.Listx.sum_by
-          (fun (q : Chain.block) ->
-            online_rescale_flops_per_elem
-            *. float_of_int (tile_elems cand q.out))
-          (Chain.consumers_of program.Program.chain b.out)
-      in
-      base +. rescale
-    end
-    else base
-
-let of_program ~elem_bytes (program : Program.t) =
-  let cand = program.cand in
-  let chain = program.chain in
-  let placed = Program.placed_stmts program in
-  let residency_mult ts = Program.residency_multiplier program ts in
-  let accesses =
-    List.filter_map
-      (fun (path, stmt) ->
-        match stmt with
-        | Program.Load (ts, _) ->
-          Some
-            { tensor = ts;
-              direction = Dload;
-              tile_elems = tile_elems cand ts;
-              trips = path_trips cand path;
-              row_elems = row_elems cand ts }
-        | Program.Store (ts, _) ->
-          (* The whole resident region is flushed at once (Rule-2
-             multiplicity), e.g. a flat schedule stores its full
-             accumulator row-block after the reduction. *)
-          Some
-            { tensor = ts;
-              direction = Dstore;
-              tile_elems = tile_elems cand ts * residency_mult ts;
-              trips = path_trips cand path;
-              row_elems = row_elems cand ts }
-        | Program.Compute _ | Program.Epilogue _ -> None)
-      placed
-  in
-  let computes =
-    List.filter_map
-      (fun (path, stmt) ->
-        match stmt with
-        | Program.Compute b ->
-          let m, n, k = mma_tiles cand b in
-          Some
-            { block = b;
-              kind = `Contraction;
-              flops_per_exec = contraction_flops cand b;
-              ctrips = path_trips cand path;
-              tile_m = m;
-              tile_n = n;
-              tile_k = k }
-        | Program.Epilogue b ->
-          Some
-            { block = b;
-              kind = `Epilogue;
-              flops_per_exec = cuda_core_penalty *. epilogue_flops program cand b;
-              ctrips = path_trips cand path;
-              tile_m = 128;
-              tile_n = 128;
-              tile_k = 64 }
-        | Program.Load _ | Program.Store _ -> None)
-      placed
-  in
-  let loaded_in_loop ts =
-    List.exists
-      (fun (path, stmt) ->
-        match stmt with
-        | Program.Load (ts', _) -> ts'.Chain.tname = ts.Chain.tname && path <> []
-        | _ -> false)
-      placed
-  in
-  let residency =
-    List.filter_map
-      (fun (ts : Chain.tensor_spec) ->
-        let touched =
-          match ts.storage with
-          | Chain.Input ->
-            List.exists
-              (fun (_, s) ->
-                match s with
-                | Program.Load (ts', _) -> ts'.tname = ts.tname
-                | _ -> false)
-              placed
-          | Chain.Intermediate | Chain.Output -> true
-        in
-        if not touched then None
-        else
-          Some
-            { rtensor = ts;
-              tile_bytes = tile_elems cand ts * elem_bytes;
-              mult = residency_mult ts;
-              double_buffered = ts.storage = Chain.Input && loaded_in_loop ts })
-      chain.tensors
-  in
-  let stmt_trips_total =
-    List.fold_left (fun acc (path, _) -> acc + path_trips cand path) 0 placed
-  in
-  { program;
-    elem_bytes;
-    blocks = Program.grid_blocks program;
-    accesses;
-    computes;
-    residency;
-    online_softmax = Program.online_softmax program;
-    stmt_trips_total;
-    validity = Program.validate program }
-
 let lower_calls = Atomic.make 0
 
 let calls () = Atomic.get lower_calls
 
-let lower ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
+(* [acc] times the product of [arr] over the indices. *)
+let rec prod arr acc = function
+  | [] -> acc
+  | i :: rest -> prod arr (acc * arr.(i)) rest
+
+let at arr i ~default = if i < 0 then default else arr.(i)
+
+let epilogue_flops (s : Skeleton.t) ~tiles out = function
+  | Skeleton.Scale -> scale_flops_per_elem *. float_of_int (prod tiles 1 out)
+  | Skeleton.Unary uflops -> uflops *. float_of_int (prod tiles 1 out)
+  | Skeleton.Softmax consumer_outs ->
+    let base = softmax_flops_per_elem *. float_of_int (prod tiles 1 out) in
+    (* Online softmax rescales every consumer accumulator tile on each
+       softmax-axis step. *)
+    if s.online then
+      base
+      +. List.fold_left
+           (fun acc q ->
+             let tile = float_of_int (prod tiles 1 q) in
+             acc +. (online_rescale_flops_per_elem *. tile))
+           0.0 consumer_outs
+    else base
+
+let instantiate ~elem_bytes (s : Skeleton.t) cand ~tiles ~trips =
   Atomic.incr lower_calls;
-  of_program ~elem_bytes
-    (Program.build ?rule1 ?dead_loop_elim ?hoisting chain cand)
+  let accesses = ref [] and computes = ref [] and stmt_trips_total = ref 0 in
+  for i = Array.length s.stmts - 1 downto 0 do
+    let { Skeleton.op; path } = s.stmts.(i) in
+    let trips_here = prod trips 1 path in
+    stmt_trips_total := !stmt_trips_total + trips_here;
+    let compute block kind flops_per_exec (m, n, k) =
+      computes :=
+        { block;
+          kind;
+          flops_per_exec;
+          ctrips = trips_here;
+          tile_m = m;
+          tile_n = n;
+          tile_k = k }
+        :: !computes
+    in
+    match op with
+    | Skeleton.Access a ->
+      (* A Store flushes the whole resident region at once (Rule-2
+         multiplicity), e.g. a flat schedule stores its full accumulator
+         row-block after the reduction. *)
+      accesses :=
+        { tensor = a.atensor;
+          direction = (if a.store then Dstore else Dload);
+          tile_elems = prod trips (prod tiles 1 a.atile) a.amult;
+          trips = trips_here;
+          row_elems = at tiles a.arow ~default:1 }
+        :: !accesses
+    | Skeleton.Contraction c ->
+      compute c.cblock `Contraction
+        (2.0 *. float_of_int (prod tiles 1 c.used))
+        ( at tiles c.mma_m ~default:1,
+          at tiles c.mma_n ~default:1,
+          at tiles c.mma_k ~default:64 )
+    | Skeleton.Epilogue e ->
+      compute e.eblock `Epilogue
+        (cuda_core_penalty *. epilogue_flops s ~tiles e.out e.flavor)
+        (128, 128, 64)
+  done;
+  { chain = s.chain;
+    cand;
+    program = Mcf_util.Once.make (fun () -> s.build cand);
+    elem_bytes;
+    blocks = prod trips s.chain.batch s.grid;
+    accesses = !accesses;
+    computes = !computes;
+    residency =
+      Array.fold_right
+        (fun (r : Skeleton.resident) acc ->
+          { rtensor = r.rtensor;
+            tile_bytes = prod tiles 1 r.rtile * elem_bytes;
+            rrow_elems = at tiles r.rrow ~default:1;
+            mult = prod trips 1 r.rmult;
+            double_buffered = r.double_buffered }
+          :: acc)
+        s.residency [];
+    online_softmax = s.online;
+    softmax_rows =
+      List.fold_left (fun acc rows -> acc + prod tiles 1 rows) 0 s.softmax_rows;
+    stmt_trips_total = !stmt_trips_total;
+    validity = s.verdict }
+
+let lower ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
+  let s = Skeleton.make ?rule1 ?dead_loop_elim ?hoisting chain cand in
+  let tiles, trips = Skeleton.tile_arrays s cand in
+  instantiate ~elem_bytes s cand ~tiles ~trips
 
 let bytes_per_block t =
   Mcf_util.Listx.sum_by
@@ -223,7 +160,7 @@ let flops_per_block t =
     t.computes
 
 let to_kernel t ~smem_bytes =
-  let chain = t.program.Program.chain in
+  let chain = t.chain in
   let tensor_unique (ts : Chain.tensor_spec) =
     let elems =
       List.fold_left (fun acc a -> acc * a.Axis.size) 1 ts.taxes
@@ -258,7 +195,7 @@ let to_kernel t ~smem_bytes =
       t.computes
   in
   { Mcf_gpu.Kernel.kname =
-      String.concat "" [ chain.cname; "["; Candidate.key t.program.cand; "]" ];
+      String.concat "" [ chain.cname; "["; Candidate.key t.cand; "]" ];
     blocks = t.blocks;
     smem_bytes;
     accesses;

@@ -1,8 +1,10 @@
-(** Lowering: from a placed program to cost-model inputs and simulator
-    kernels.
+(** Lowering: from a program skeleton and a tile vector to cost-model
+    inputs and simulator kernels.
 
-    Every quantity the paper's analysis needs is derived here from
-    statement paths and trip counts:
+    A lowered candidate instantiates a {!Skeleton.t} with the candidate's
+    tile and trip arrays; no axis, tile or statement is looked up by name.
+    Every quantity the paper's analysis needs is derived from the
+    skeleton's statement paths and the trip counts:
 
     - data movement per memory statement = tile size x trip count of the
       surrounding loops (§III-B / eq. (3));
@@ -11,7 +13,11 @@
       neglects;
     - shared-memory residency per tensor, with the Rule-2 multiplier for
       partial-result tiles;
-    - thread-block count for the slowdown factor (eq. (5)). *)
+    - thread-block count for the slowdown factor (eq. (5)).
+
+    The placed {!Program.t} itself is built on demand ({!program}), only
+    for what reads the loop tree: pseudo-code, {!Mcf_codegen.Emit}, the
+    interpreter and the DAG rendering. *)
 
 type direction = Dload | Dstore
 
@@ -36,6 +42,7 @@ type compute_info = {
 type residency_item = {
   rtensor : Chain.tensor_spec;
   tile_bytes : int;  (** One tile, in bytes. *)
+  rrow_elems : int;  (** Contiguous innermost run of the tile. *)
   mult : int;  (** Simultaneously-resident tiles (Rule 2 analysis). *)
   double_buffered : bool;
       (** Input tiles streamed inside a loop get pipelined staging buffers
@@ -43,16 +50,26 @@ type residency_item = {
 }
 
 type t = {
-  program : Program.t;
+  chain : Chain.t;
+  cand : Candidate.t;
+  program : Program.t Mcf_util.Once.t;
+      (** Built on first {!program}, domain-safely. *)
   elem_bytes : int;
   blocks : int;
-  accesses : access list;
+  accesses : access list;  (** Loads and Stores, in program order. *)
   computes : compute_info list;
-  residency : residency_item list;
+      (** Contractions and epilogues, in program order. *)
+  residency : residency_item list;  (** In [chain.tensors] order. *)
   online_softmax : bool;
+  softmax_rows : int;
+      (** Tile rows covered by the running statistics of every softmax
+          block, summed. *)
   stmt_trips_total : int;
   validity : (unit, Program.invalid) result;
 }
+
+val program : t -> Program.t
+(** The placed program (built on first call). *)
 
 val lower :
   ?rule1:bool ->
@@ -62,16 +79,26 @@ val lower :
   Chain.t ->
   Candidate.t ->
   t
-(** Build, optimize and account a candidate.  The switches mirror
-    {!Program.build}. *)
+(** {!instantiate} from the candidate's own {!Skeleton.make}.  The
+    switches mirror {!Program.build}. *)
+
+val instantiate :
+  elem_bytes:int ->
+  Skeleton.t ->
+  Candidate.t ->
+  tiles:int array ->
+  trips:int array ->
+  t
+(** Account a candidate from a skeleton it shares (same tiling and trip=1
+    pattern) and its tile/trip arrays ({!Skeleton.tile_arrays}).  The
+    search instantiates its measured candidates from the skeletons its
+    precheck already built, so measurement builds no program. *)
 
 val calls : unit -> int
-(** Process-wide cumulative {!lower} invocation count.  The analytic fast
-    path exists so lowering runs only for measured/codegen candidates;
-    tests assert that by diffing this counter around a tune. *)
-
-val of_program : elem_bytes:int -> Program.t -> t
-(** Account an already-built program. *)
+(** Process-wide cumulative count of lowered candidates ({!lower} and
+    {!instantiate}).  The analytic fast path exists so lowering runs only
+    for measured/codegen candidates; tests assert that by diffing this
+    counter around a tune. *)
 
 val bytes_per_block : t -> float
 (** Global-memory traffic of one thread block. *)

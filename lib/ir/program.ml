@@ -77,41 +77,32 @@ let rec nest_axes cand group axes inner =
           group;
           body = nest_axes cand group rest inner } ]
 
-(* Split a tiling into (grid axes, per-block structure roots).  Rule 1
-   binds every hoistable spatial loop to blockIdx; without it only the
-   leading spatial prefix is bound. *)
+(* Split a loop order into (grid axes, in-block axes).  Rule 1 binds
+   every hoistable spatial loop to blockIdx; without it only the leading
+   spatial prefix is bound. *)
+let split_spatial ~rule1 axes =
+  if rule1 then List.partition Axis.is_spatial axes
+  else begin
+    let rec span acc = function
+      | a :: rest when Axis.is_spatial a -> span (a :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    span [] axes
+  end
+
+let grid_of ~rule1 (Tiling.Deep nested | Tiling.Flat (nested, _)) =
+  fst (split_spatial ~rule1 nested)
+
+(* Split a tiling into (grid axes, per-block structure roots). *)
 let split_grid ~rule1 cand tiling =
-  let build_flat prefix groups =
-    let grid, body_prefix =
-      if rule1 then List.partition Axis.is_spatial prefix
-      else begin
-        let rec span acc = function
-          | a :: rest when Axis.is_spatial a -> span (a :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        span [] prefix
-      end
-    in
-    let group_nodes =
-      List.concat
-        (List.mapi (fun i g -> nest_axes cand (Some i) g []) groups)
-    in
-    (grid, nest_axes cand None body_prefix group_nodes)
+  let nested, groups =
+    match tiling with Tiling.Deep p -> (p, []) | Tiling.Flat (p, g) -> (p, g)
   in
-  match tiling with
-  | Tiling.Deep perm ->
-    let grid, body =
-      if rule1 then List.partition Axis.is_spatial perm
-      else begin
-        let rec span acc = function
-          | a :: rest when Axis.is_spatial a -> span (a :: acc) rest
-          | rest -> (List.rev acc, rest)
-        in
-        span [] perm
-      end
-    in
-    (grid, nest_axes cand None body [])
-  | Tiling.Flat (prefix, groups) -> build_flat prefix groups
+  let grid, body = split_spatial ~rule1 nested in
+  let group_nodes =
+    List.concat (List.mapi (fun i g -> nest_axes cand (Some i) g []) groups)
+  in
+  (grid, nest_axes cand None body group_nodes)
 
 (* --- dead-loop elimination -------------------------------------------- *)
 
@@ -136,9 +127,10 @@ let scope_items = function Root t -> t.roots | In l -> l.body
 let set_scope_items scope items =
   match scope with Root t -> t.roots <- items | In l -> l.body <- items
 
-let rec subtree_axes = function
-  | Stmt _ -> []
-  | Loop l -> l.laxis :: List.concat_map subtree_axes l.body
+let rec subtree_has targets = function
+  | Stmt _ -> false
+  | Loop l ->
+    Axis.mem l.laxis targets || List.exists (subtree_has targets) l.body
 
 (* Descend to the deepest scope whose subtree still contains a target
    axis, restricted to loops visible to this block's sequential group.
@@ -154,7 +146,7 @@ let rec find_scope scope ~group_idx ~targets ~stop_axes =
     | Loop l ->
       if eligible l
          && (not (Axis.mem l.laxis stop_axes))
-         && List.exists (fun a -> Axis.mem a targets) (subtree_axes (Loop l))
+         && subtree_has targets (Loop l)
       then Some l
       else None
   in
@@ -162,10 +154,9 @@ let rec find_scope scope ~group_idx ~targets ~stop_axes =
   | Some l -> find_scope (In l) ~group_idx ~targets ~stop_axes
   | None -> scope
 
-let rec subtree_stmt_count = function
-  | Stmt _ -> 1
-  | Loop l ->
-    List.fold_left (fun acc n -> acc + subtree_stmt_count n) 0 l.body
+let rec has_stmt = function
+  | Stmt _ -> true
+  | Loop l -> List.exists has_stmt l.body
 
 (* Insert a statement for sequential group [group_idx].  The statement goes
    after everything already placed (blocks are processed in producer order)
@@ -174,9 +165,8 @@ let rec subtree_stmt_count = function
    later blocks, which must execute after the producer being inserted. *)
 let insert_ordered scope ~group_idx node =
   let must_precede = function
-    | Loop ({ group = Some g; _ } as l) ->
-      g > group_idx || subtree_stmt_count (Loop l) = 0
-    | Loop ({ group = None; _ } as l) -> subtree_stmt_count (Loop l) = 0
+    | Loop { group = Some g; _ } as n -> g > group_idx || not (has_stmt n)
+    | Loop { group = None; _ } as n -> not (has_stmt n)
     | Stmt _ -> false
   in
   let rec go acc = function
@@ -282,13 +272,6 @@ let placed_stmts t =
   in
   walk [] t.roots
 
-let stmt_trips t s =
-  let key = stmt_key s in
-  let path, _ =
-    List.find (fun (_, s') -> stmt_key s' = key) (placed_stmts t)
-  in
-  List.fold_left (fun acc a -> acc * Candidate.trip t.cand a) 1 path
-
 let grid_blocks t =
   List.fold_left
     (fun acc a -> acc * Candidate.trip t.cand a)
@@ -301,146 +284,6 @@ let online_softmax t =
       | Chain.Softmax { saxis; _ } -> Candidate.trip t.cand saxis > 1
       | Chain.No_epilogue | Chain.Scale _ | Chain.Unary _ -> false)
     t.chain.blocks
-
-let path_of t key =
-  List.find_map
-    (fun (path, s) -> if stmt_key s = key then Some path else None)
-    (placed_stmts t)
-
-let validate t =
-  let nonlinear () =
-    List.find_map
-      (fun (p : Chain.block) ->
-        if Chain.is_linear_through t.chain p then None
-        else begin
-          let bad_path key =
-            match path_of t key with
-            | None -> None
-            | Some path ->
-              List.find_opt (fun a -> Axis.mem a p.reduce_axes) path
-          in
-          let check key =
-            Option.map
-              (fun (a : Axis.t) ->
-                Nonlinear_partial_consume
-                  { producer = p.bname; loop = a.name })
-              (bad_path key)
-          in
-          let consumer_keys =
-            List.map
-              (fun (q : Chain.block) -> "C:" ^ q.bname)
-              (Chain.consumers_of t.chain p.out)
-          in
-          List.find_map check (("E:" ^ p.bname) :: consumer_keys)
-        end)
-      t.chain.blocks
-  in
-  (* The epilogue transforms exactly one resident tile of its output (the
-     one addressed by the loops enclosing it); a live loop over an output
-     axis that does not enclose the epilogue leaves that axis's other
-     tiles untouched. *)
-  let blind () =
-    List.find_map
-      (fun (p : Chain.block) ->
-        if not (has_epilogue p) then None
-        else
-          match path_of t ("E:" ^ p.bname) with
-          | None -> None
-          | Some epath ->
-            List.find_map
-              (fun (a : Axis.t) ->
-                if
-                  Candidate.trip t.cand a > 1
-                  && (not (Axis.mem a t.grid_axes))
-                  && not (Axis.mem a epath)
-                then
-                  Some (Blind_epilogue { producer = p.bname; axis = a.name })
-                else None)
-              p.out.taxes)
-      t.chain.blocks
-  in
-  let pos = Hashtbl.create 16 in
-  List.iteri
-    (fun i (_, s) ->
-      let k = stmt_key s in
-      if not (Hashtbl.mem pos k) then Hashtbl.add pos k i)
-    (placed_stmts t);
-  (* Statement order is program order: a consumer Compute that precedes
-     the producer's epilogue reads untransformed values. *)
-  let consumed_first () =
-    List.find_map
-      (fun (p : Chain.block) ->
-        if not (has_epilogue p) then None
-        else
-          match Hashtbl.find_opt pos ("E:" ^ p.bname) with
-          | None -> None
-          | Some ep ->
-            List.find_map
-              (fun (q : Chain.block) ->
-                match Hashtbl.find_opt pos ("C:" ^ q.bname) with
-                | Some cq when cq < ep ->
-                  Some
-                    (Consumed_before_epilogue
-                       { producer = p.bname; consumer = q.bname })
-                | Some _ | None -> None)
-              (Chain.consumers_of t.chain p.out))
-      t.chain.blocks
-  in
-  (* A consumer Compute can also statically precede its *producer's*
-     Compute: when the producer's scope sits after a loop that earlier
-     blocks already populated and the consumer descends into that loop
-     (its own output axis), no interleaving of the fixed nest runs the
-     producer first.  Such tiling orders are unrealizable without
-     redundant recomputation, so they are rejected outright. *)
-  let produced_first () =
-    List.find_map
-      (fun (p : Chain.block) ->
-        match Hashtbl.find_opt pos ("C:" ^ p.bname) with
-        | None -> None
-        | Some cp ->
-          List.find_map
-            (fun (q : Chain.block) ->
-              match Hashtbl.find_opt pos ("C:" ^ q.bname) with
-              | Some cq when cq < cp ->
-                Some
-                  (Consumed_before_produced
-                     { producer = p.bname; consumer = q.bname })
-              | Some _ | None -> None)
-            (Chain.consumers_of t.chain p.out))
-      t.chain.blocks
-  in
-  match nonlinear () with
-  | Some v -> Error v
-  | None -> (
-    match blind () with
-    | Some v -> Error v
-    | None -> (
-      match consumed_first () with
-      | Some v -> Error v
-      | None -> (
-        match produced_first () with Some v -> Error v | None -> Ok ())))
-
-let residency_multiplier t (ts : Chain.tensor_spec) =
-  match Chain.producer_of t.chain ts with
-  | None -> 1
-  | Some p -> (
-    match path_of t ("C:" ^ p.bname) with
-    | None -> 1
-    | Some path ->
-      (* An axis of the tensor iterating below the producer's reduction
-         loop forces one resident tile per iteration (Fig. 6(b)). *)
-      let rec scan seen_reduce mult = function
-        | [] -> mult
-        | a :: rest ->
-          let seen_reduce = seen_reduce || Axis.mem a p.reduce_axes in
-          let mult =
-            if seen_reduce && Axis.mem a ts.taxes then
-              mult * Candidate.trip t.cand a
-            else mult
-          in
-          scan seen_reduce mult rest
-      in
-      scan false 1 path)
 
 let dag_edges t =
   let edges = ref [] in

@@ -17,8 +17,9 @@
       analysis of Fig. 5).
 
     The result is a faithful executable structure: the interpreter runs it
-    on real tensors, and the accounting in {!Lower} derives traffic, FLOPs
-    and residency from statement paths and trip counts. *)
+    on real tensors, and {!Skeleton} reads its statement paths once, as
+    axis indices, for the validity verdict and for the accounting in
+    {!Lower}. *)
 
 type stmt =
   | Load of Chain.tensor_spec * Chain.block  (** tensor, consuming block *)
@@ -70,27 +71,20 @@ val build :
     [true]); the switches feed the ablation experiments and the
     Ansor/Chimera-style baselines. *)
 
-val validate : t -> (unit, invalid) result
+val grid_of : rule1:bool -> Tiling.t -> Axis.t list
+(** The loops {!build} binds to blockIdx for a tiling, outermost first:
+    every spatial loop of the nested part with [rule1], its leading
+    spatial run without. *)
 
 val placed_stmts : t -> (Axis.t list * stmt) list
 (** Every statement with its surrounding in-block loops (outermost first),
     in execution order. *)
-
-val stmt_trips : t -> stmt -> int
-(** Product of the surrounding loops' extents — how many times per thread
-    block the statement runs. @raise Not_found when absent. *)
 
 val grid_blocks : t -> int
 (** Thread blocks launched: batch x prod of grid-axis trip counts. *)
 
 val online_softmax : t -> bool
 (** True when a softmax axis is tiled, forcing online rescaling. *)
-
-val residency_multiplier : t -> Chain.tensor_spec -> int
-(** Number of tiles of this (non-input) tensor that must be resident in
-    shared memory simultaneously: > 1 exactly in the Rule-2 situations of
-    Fig. 6 (an axis of the tensor iterating inside the producer's
-    reduction loop). *)
 
 val to_string : t -> string
 (** Pseudo-code rendering in the style of Fig. 4. *)

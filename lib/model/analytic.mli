@@ -1,39 +1,28 @@
 (** Closed-form analytical model: eqs. (2)-(5) without lowering.
 
     [breakdown_of_eval spec (eval_candidate ... chain cand)] equals
-    [Perf.breakdown spec (Lower.lower ... chain cand)] bit-for-bit, but is
-    computed straight from [(chain, tiling, tiles)] by replaying the
-    structural passes of {!Mcf_ir.Program.build} (grid split, dead-loop
-    splicing, scope placement, hoisting) on a symbolic loop-nest
-    skeleton.  The same summary carries eq. (1)'s footprint terms, so the
-    rule-4 precheck ({!footprint}, {!Shmem.footprint_of_candidate}) reads
-    it too.  This is what lets the search score thousands of candidates
-    without materializing a single lowered program (the paper's
-    tuning-time win, Table IV).
+    [Perf.breakdown spec (Lower.lower ... chain cand)] bit-for-bit.  Both
+    read the same {!Mcf_ir.Skeleton.t}: a search's summary is the
+    skeleton of one real [Program.build] per {!Memo} key, and this module
+    evaluates it against a tile vector without instantiating a
+    [Lower.t].  The same skeleton carries eq. (1)'s footprint terms (its
+    residency items), so the rule-4 precheck ({!footprint},
+    {!Shmem.footprint_of_candidate}) reads it too.  This is what lets the
+    search score thousands of candidates without lowering a single one
+    (the paper's tuning-time win, Table IV).
 
     Exactness holds because every aggregate the lowered walk computes is a
     sum/product of integer-valued floats far below 2^53 — exact and
-    order-independent — and the per-term arithmetic here mirrors
-    {!Mcf_ir.Lower} operator-for-operator.  test_model.ml asserts
-    bit-equality of all four breakdown fields and the validity verdict
-    across workloads x flag combos. *)
+    order-independent — and the per-statement terms are
+    {!Mcf_ir.Lower.instantiate}'s, operator for operator.  test_model.ml
+    asserts bit-equality of all four breakdown fields against the
+    reference walk in the fuzz oracles, across workloads x flag
+    combos. *)
 
-(** Symbolic program summary: placed-statement paths, the eq. (1)
-    footprint terms and structural facts.  Depends on the tiling
-    expression and on which trip counts of the non-grid and softmax axes
-    equal 1 ({!Memo.relevant}) — never on tile magnitudes, which enter
-    only at {!footprint} / {!evaluate} time. *)
-type summary
-
-val summarize :
-  ?rule1:bool ->
-  ?dead_loop_elim:bool ->
-  ?hoisting:bool ->
-  Mcf_ir.Chain.t ->
-  Mcf_ir.Candidate.t ->
-  summary
-(** Replay {!Mcf_ir.Program.build}'s structural decisions symbolically.
-    The switches mirror [Program.build]. *)
+type summary = Mcf_ir.Skeleton.t
+(** Depends on the tiling expression and on which trip counts of the
+    non-grid and softmax axes equal 1 ({!Memo.relevant}) — never on tile
+    magnitudes, which enter only at {!footprint} / {!evaluate} time. *)
 
 type eval = {
   bytes_per_block : float;  (** = [Lower.bytes_per_block]. *)
@@ -41,13 +30,8 @@ type eval = {
   blocks : float;  (** = [float_of_int (Program.grid_blocks ...)]. *)
   traffic_bytes : float;  (** = [Lower.total_traffic_bytes]. *)
   everdict : (unit, Mcf_ir.Program.invalid) result;
-      (** = [Program.validate] — the softmax-legality verdict. *)
+      (** = [Skeleton.validate] — the softmax-legality verdict. *)
 }
-
-val tile_arrays : summary -> Mcf_ir.Candidate.t -> int array * int array
-(** [(tiles, trips)]: the candidate's tile extent and trip count per axis,
-    in [chain.axes] order — the index space {!footprint} and
-    {!evaluate_tiles} run in. *)
 
 val footprint :
   elem_bytes:int -> summary -> tiles:int array -> trips:int array -> int
@@ -61,11 +45,11 @@ val footprint :
 val evaluate_tiles :
   elem_bytes:int -> summary -> tiles:int array -> trips:int array -> eval
 (** Numeric evaluation of a summary for a tile vector given as
-    {!tile_arrays}.  No candidate is needed, so a search can score a point
-    straight from its decoded index. *)
+    {!Mcf_ir.Skeleton.tile_arrays}.  No candidate is needed, so a search
+    can score a point straight from its decoded index. *)
 
 val evaluate : elem_bytes:int -> summary -> Mcf_ir.Candidate.t -> eval
-(** {!evaluate_tiles} on the candidate's {!tile_arrays}. *)
+(** {!evaluate_tiles} on the candidate's tile arrays. *)
 
 val breakdown_of_eval : Mcf_gpu.Spec.t -> eval -> Perf.breakdown
 
@@ -77,15 +61,6 @@ val eval_candidate :
   Mcf_ir.Chain.t ->
   Mcf_ir.Candidate.t ->
   eval
-
-val verdict :
-  ?rule1:bool ->
-  ?dead_loop_elim:bool ->
-  ?hoisting:bool ->
-  Mcf_ir.Chain.t ->
-  Mcf_ir.Candidate.t ->
-  (unit, Mcf_ir.Program.invalid) result
-(** The softmax-legality verdict alone (= [(Lower.lower ...).validity]). *)
 
 (** Summary memoization for search hot loops.
 
@@ -131,7 +106,11 @@ module Memo : sig
   (** The summary for a structural id and a trip=1 mask (bit [i] set when
       the [i]-th axis of [chain.axes] has trip 1), looked up by
       [mask land relevant t ~sid].  The candidate thunk is forced only on
-      a miss, to summarize; it must agree with [sid] and [mask]. *)
+      a miss, to read its skeleton; it must agree with [sid] and [mask]. *)
+
+  val find : t -> sid:int -> mask:int -> summary
+  (** The summary {!summary_at} already holds for the key, without
+      counting a lookup.  @raise Not_found when none has filled it. *)
 
   val reused : t -> int -> unit
   (** Count [n] lookups a caller answered from a summary it already held

@@ -7,15 +7,12 @@ let within_budget (spec : Mcf_gpu.Spec.t) ~slack l =
   float_of_int (estimate_bytes l)
   <= slack *. float_of_int spec.smem_per_block
 
-(* [estimate_bytes (Lower.lower chain cand)] only depends on the loop
-   *structure* of the program — which loops survive into the thread-block
-   body, and where each producer's Compute lands — never on the placed
-   Loads/Stores.  [Analytic.summarize] already replays that structure for
-   eqs. (2)-(5) and keeps eq. (1)'s terms, so the closed form is the
-   summary's footprint. *)
+(* [estimate_bytes (Lower.lower chain cand)] sums the skeleton's
+   residency items over the candidate's tiles and trips: the closed form
+   is the skeleton's footprint. *)
 let footprint_of_candidate ?rule1 ?dead_loop_elim ~elem_bytes chain cand =
-  let s = Analytic.summarize ?rule1 ?dead_loop_elim chain cand in
-  let tiles, trips = Analytic.tile_arrays s cand in
+  let s = Mcf_ir.Skeleton.make ?rule1 ?dead_loop_elim chain cand in
+  let tiles, trips = Mcf_ir.Skeleton.tile_arrays s cand in
   Analytic.footprint ~elem_bytes s ~tiles ~trips
 
 let precheck_within_budget (spec : Mcf_gpu.Spec.t) ~slack ?rule1 ?dead_loop_elim

@@ -13,6 +13,8 @@ type entry = {
   rev : string;
   device : string;
   workload : string;
+  cores : int option;
+  ocaml : string option;
   metrics : (string * float) list;
 }
 
@@ -26,24 +28,34 @@ let higher_is_better name =
 
 let to_json e =
   Json.Obj
-    [ ("time", Json.Num e.time);
-      ("rev", Json.Str e.rev);
-      ("device", Json.Str e.device);
-      ("workload", Json.Str e.workload);
-      ("metrics", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) e.metrics));
-    ]
+    ([ ("time", Json.Num e.time);
+       ("rev", Json.Str e.rev);
+       ("device", Json.Str e.device);
+       ("workload", Json.Str e.workload) ]
+    @ Option.fold ~none:[] ~some:(fun c -> [ ("cores", Json.num_of_int c) ]) e.cores
+    @ Option.fold ~none:[] ~some:(fun v -> [ ("ocaml", Json.Str v) ]) e.ocaml
+    @ [ ("metrics",
+         Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) e.metrics)) ])
+
+let str k j = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+let num k j = match Json.member k j with Some (Json.Num v) -> Some v | _ -> None
+
+(* The host fields came after the first rows: absent, they are [None]. *)
+let cores_of j = Option.map int_of_float (num "cores" j)
 
 let of_json j =
-  let str k = match Json.member k j with Some (Json.Str s) -> Some s | _ -> None in
-  let num k = match Json.member k j with Some (Json.Num v) -> Some v | _ -> None in
-  match (num "time", str "rev", str "device", str "workload", Json.member "metrics" j) with
+  match
+    (num "time" j, str "rev" j, str "device" j, str "workload" j,
+     Json.member "metrics" j)
+  with
   | Some time, Some rev, Some device, Some workload, Some (Json.Obj ms) ->
     let metrics =
       List.filter_map
         (function k, Json.Num v -> Some (k, v) | _ -> None)
         ms
     in
-    Some { time; rev; device; workload; metrics }
+    let cores = cores_of j and ocaml = str "ocaml" j in
+    Some { time; rev; device; workload; cores; ocaml; metrics }
   | _ -> None
 
 let append ~path e =
@@ -77,10 +89,8 @@ let current_rev () =
 let of_search_doc ?time ?rev doc =
   let time = match time with Some t -> t | None -> Unix.gettimeofday () in
   let rev = match rev with Some r -> r | None -> current_rev () in
-  let device =
-    match Json.member "device" doc with Some (Json.Str d) -> d | _ -> "unknown"
-  in
-  let num k j = match Json.member k j with Some (Json.Num v) -> Some v | _ -> None in
+  let device = Option.value (str "device" doc) ~default:"unknown" in
+  let cores = cores_of doc and ocaml = str "ocaml" doc in
   let last = function [] -> None | l -> Some (List.nth l (List.length l - 1)) in
   match Json.member "workloads" doc with
   | Some (Json.List ws) ->
@@ -121,7 +131,7 @@ let of_search_doc ?time ?rev doc =
             @ metric "summaries_per_enumeration" (Some w)
           in
           if metrics = [] then None
-          else Some { time; rev; device; workload; metrics }
+          else Some { time; rev; device; workload; cores; ocaml; metrics }
         | _ -> None)
       ws
   | _ -> []
@@ -238,10 +248,15 @@ let render ?workload entries =
         if gi > 0 then Buffer.add_char buf '\n';
         let n = List.length es in
         let newest = List.nth es (n - 1) in
+        let host =
+          Option.fold ~none:"" ~some:(Printf.sprintf ", cores %d") newest.cores
+          ^ Option.fold ~none:"" ~some:(( ^ ) ", OCaml ") newest.ocaml
+        in
         Buffer.add_string buf
-          (Printf.sprintf "== %s/%s (%d run%s, latest rev %s) ==\n" device wl n
+          (Printf.sprintf "== %s/%s (%d run%s, latest rev %s%s) ==\n" device wl
+             n
              (if n = 1 then "" else "s")
-             newest.rev);
+             newest.rev host);
         Buffer.add_string buf
           (Printf.sprintf "  %-20s %12s %9s  %s\n" "metric" "latest" "delta"
              "trend");

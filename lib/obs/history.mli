@@ -2,7 +2,8 @@
 
     Bench runs append one JSONL entry per workload to a history file
     (default [BENCH_history.jsonl]): timestamp, git revision, device,
-    workload, and a flat metric map ([points_per_s], [tune_wall_s],
+    workload, the host's core count and OCaml version, and a flat metric
+    map ([points_per_s], [tune_wall_s],
     [best_time_s], [peak_heap_words], [alloc_words_per_point],
     [summaries_per_enumeration], ...).
     [mcfuser
@@ -29,6 +30,10 @@ type entry = {
   rev : string;  (** Git revision the run was built from. *)
   device : string;
   workload : string;
+  cores : int option;
+      (** [Domain.recommended_domain_count] of the host that ran the
+          bench; [None] in rows written before it was recorded. *)
+  ocaml : string option;  (** [Sys.ocaml_version]; likewise optional. *)
   metrics : (string * float) list;
 }
 
@@ -55,7 +60,8 @@ val of_search_doc : ?time:float -> ?rev:string -> Mcf_util.Json.t -> entry list
 (** Convert a [BENCH_search.json] document into one entry per workload,
     taking the highest-[--jobs] row of each measurement table, plus a
     workload's top-level [peak_heap_words], [alloc_words_per_point] and
-    [summaries_per_enumeration].
+    [summaries_per_enumeration]; the document's [cores] and [ocaml]
+    fields become every entry's.
     [time] defaults to now, [rev] to {!current_rev}. *)
 
 type verdict = {

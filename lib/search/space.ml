@@ -68,13 +68,13 @@ type entry = {
 
 let lowered e = Mcf_util.Once.force e.cell
 
-(* Lowering is deferred until someone actually needs the materialized
-   program — measurement, codegen, a baseline's feature extractor.  The
+(* Lowering is deferred until someone actually needs the lowered
+   candidate — measurement, codegen, a baseline's feature extractor.  The
    estimate path never does (the closed-form [Mcf_model.Analytic] covers
    it), so a tune lowers tens of candidates instead of the whole valid
-   space.  The [space.lower] span and counter now meter exactly those
+   space.  The [space.lower] span and counter meter exactly those
    forces. *)
-let entry_at ~rank ctx cand =
+let entry_at ~lower ~rank ctx cand =
   { cand;
     ctx;
     rank;
@@ -82,11 +82,12 @@ let entry_at ~rank ctx cand =
       Mcf_util.Once.make (fun () ->
           Mcf_obs.Trace.with_span "space.lower" (fun () ->
               Mcf_obs.Metrics.incr c_candidates_lowered;
-              Lower.lower ~rule1:ctx.rule1 ~dead_loop_elim:ctx.dead_loop_elim
-                ~hoisting:ctx.hoisting ~elem_bytes:ctx.elem_bytes ctx.chain
-                cand)) }
+              lower ~rank cand)) }
 
-let make_entry = entry_at ~rank:(-1)
+let make_entry ctx =
+  entry_at ctx ~rank:(-1) ~lower:(fun ~rank:_ cand ->
+      Lower.lower ~rule1:ctx.rule1 ~dead_loop_elim:ctx.dead_loop_elim
+        ~hoisting:ctx.hoisting ~elem_bytes:ctx.elem_bytes ctx.chain cand)
 
 type funnel = {
   tilings_raw : int;
@@ -322,7 +323,9 @@ let add_funnel_metrics ~total funnel =
    counters, recorder exemplars and the reservoir before the next chunk
    is packed.  The reservoir holds (rank, score, traffic, tiling) items;
    entries (candidate and lazy lowering cell) are built only for the
-   items it returns.
+   items it returns, and a cell instantiates the skeleton the scorer
+   already built for its point, so measuring a candidate builds no
+   program.
 
    Peak heap is O(reservoir + chunk), never O(space); the quotient walk
    also holds its survivors, one tiling per kept class, until it ends.
@@ -745,11 +748,25 @@ let enumerate_scored ?(options = default_options)
       let total = n2 * n_combos in
       let candidates_rule3 = float_of_int n2 *. float_of_int n_combos in
       let items = Reservoir.to_ranked res in
+      (* A survivor's lowering instantiates the skeleton its point was
+         scored with, found again by the same key. *)
+      let lower ~rank (cand : Candidate.t) =
+        let combo = rank mod n_combos in
+        let tiles = Array.init n_axes (fun a -> g.tiles.(a).(digit combo a)) in
+        let trips = Array.init n_axes (fun a -> g.trips.(a).(digit combo a)) in
+        let mask = ref 0 in
+        Array.iteri (fun a t -> if t = 1 then mask := !mask lor (1 lsl a))
+          trips;
+        let sid = Mcf_model.Analytic.Memo.sid memo cand.tiling in
+        Lower.instantiate ~elem_bytes:spec.elem_bytes
+          (Mcf_model.Analytic.Memo.find memo ~sid ~mask:!mask)
+          cand ~tiles ~trips
+      in
       let survivors =
         Array.to_list
           (Array.map
              (fun (it : Reservoir.item) ->
-               entry_at ~rank:it.irank ctx
+               entry_at ~lower ~rank:it.irank ctx
                  (cand_of it.itiling (it.irank mod n_combos)))
              items)
       in

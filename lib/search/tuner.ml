@@ -166,7 +166,8 @@ let tune ?options ?params ?objective ?seed ?reservoir ?measure
     (fun o -> { o with tuning_wall_s = wall; phases = List.rev !phases })
     result
 
-let pseudo_code o = Mcf_ir.Program.to_string (Space.lowered o.best).program
+let pseudo_code o =
+  Mcf_ir.Program.to_string (Mcf_ir.Lower.program (Space.lowered o.best))
 
 let triton_source o =
-  Mcf_codegen.Emit.triton_kernel (Space.lowered o.best).program
+  Mcf_codegen.Emit.triton_kernel (Mcf_ir.Lower.program (Space.lowered o.best))

@@ -168,18 +168,22 @@ let parse_tune_request body =
                      (fun (s : Mcf_gpu.Spec.t) -> s.name)
                      Mcf_gpu.Spec.all)))
         | Some spec -> (
-          let opt_field name =
+          (* A seed may be 0; a reservoir of 0 would be clamped to 1 by
+             the enumeration, so one session would run under two keys. *)
+          let opt_field name ~least ~what =
             match Json.member name j with
             | None -> Ok None
             | Some v -> (
               match jint v with
-              | Some n when n >= 0 -> Ok (Some n)
+              | Some n when n >= least -> Ok (Some n)
               | _ ->
                 Error
-                  (Printf.sprintf "field %S must be a non-negative integer"
-                     name))
+                  (Printf.sprintf "field %S must be a %s integer" name what))
           in
-          match (opt_field "seed", opt_field "reservoir") with
+          match
+            ( opt_field "seed" ~least:0 ~what:"non-negative",
+              opt_field "reservoir" ~least:1 ~what:"positive" )
+          with
           | Error _ as e, _ | _, (Error _ as e) -> e
           | Ok seed, Ok reservoir ->
             Ok { workload; chain; spec; seed; reservoir }))))

@@ -23,7 +23,7 @@ let inputs_for chain =
 
 let check_candidate ?(tol = 1e-3) name chain cand =
   let p = Program.build chain cand in
-  (match Program.validate p with
+  (match Skeleton.validate p with
   | Error e ->
     Alcotest.failf "%s: invalid: %s" name (Program.string_of_invalid e)
   | Ok () -> ());
@@ -362,7 +362,7 @@ let test_shape_mismatch () =
 
 let test_uninitialized_tile_message () =
   (* A statically mis-ordered schedule (the consumer G descends into the
-     p loop while its producer E sits after it — a shape Program.validate
+     p loop while its producer E sits after it — a shape Skeleton.validate
      rejects, but the interpreter does not check) must fail loudly with
      the tile name AND the loop indices at the failing read, so a fuzz
      reproducer is debuggable from the message alone. *)
@@ -374,7 +374,7 @@ let test_uninitialized_tile_message () =
   in
   let p = Program.build ~rule1:false ~dead_loop_elim:false gemm3 cand in
   Alcotest.(check bool) "mis-ordered schedule is invalid" true
-    (Result.is_error (Program.validate p));
+    (Result.is_error (Skeleton.validate p));
   let inputs = inputs_for gemm3 in
   match Mcf_interp.Interp.run p ~inputs with
   | _ -> Alcotest.fail "expected Uninitialized_tile"
@@ -413,7 +413,7 @@ let prop_chain chain name =
   QCheck.Test.make ~count:40 ~name QCheck.small_int (fun seed ->
       let cand = random_candidate chain (seed + 1) in
       let p = Program.build chain cand in
-      match Program.validate p with
+      match Skeleton.validate p with
       | Error _ -> true (* invalid candidates are excluded from the space *)
       | Ok () ->
         let inputs = inputs_for chain in
@@ -438,7 +438,7 @@ let prop_attn_no_opt =
       (* only compare schedules that are valid in every configuration *)
       let valid flags =
         let p = flags tiny_attn cand in
-        Result.is_ok (Program.validate p)
+        Result.is_ok (Skeleton.validate p)
       in
       let build_full c cc = Program.build c cc in
       let build_noelim c cc = Program.build ~dead_loop_elim:false c cc in

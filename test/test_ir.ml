@@ -277,10 +277,13 @@ let test_grid_blocks () =
   Alcotest.(check int) "batch multiplies grid" (8 * 4) (Program.grid_blocks pa)
 
 let test_trips () =
-  let p = build gemm (deep [ m; h; n; k ] std_tiles) in
-  let c_block = List.hd gemm.blocks in
-  Alcotest.(check int) "C trips = n*k" (16 * 16)
-    (Program.stmt_trips p (Program.Compute c_block))
+  let l = Lower.lower ~elem_bytes:2 gemm (deep [ m; h; n; k ] std_tiles) in
+  let c =
+    List.find
+      (fun (c : Lower.compute_info) -> c.block.bname = "C")
+      l.Lower.computes
+  in
+  Alcotest.(check int) "C trips = n*k" (16 * 16) c.ctrips
 
 (* --- Program: validity and online softmax -------------------------------- *)
 
@@ -293,7 +296,7 @@ let test_attention_valid_online () =
       (attn_cand [ "m"; "h"; "n"; "k" ]
          [ ("m", 128); ("n", 64); ("k", 64); ("h", 64) ])
   in
-  Alcotest.(check bool) "valid" true (Result.is_ok (Program.validate p));
+  Alcotest.(check bool) "valid" true (Result.is_ok (Skeleton.validate p));
   Alcotest.(check bool) "online when n tiled" true (Program.online_softmax p)
 
 let test_attention_offline () =
@@ -310,7 +313,7 @@ let test_attention_invalid_kn () =
       (attn_cand [ "m"; "h"; "k"; "n" ]
          [ ("m", 128); ("n", 64); ("k", 16); ("h", 64) ])
   in
-  match Program.validate p with
+  match Skeleton.validate p with
   | Error (Program.Nonlinear_partial_consume { producer; loop }) ->
     Alcotest.(check string) "producer" "S" producer;
     Alcotest.(check string) "loop" "k" loop
@@ -319,10 +322,27 @@ let test_attention_invalid_kn () =
       (Program.string_of_invalid e)
   | Ok () -> Alcotest.fail "kn attention with partial k must be invalid"
 
+(* Without rule 1 the m loop stays in the block, below n and h; the
+   softmax of S sits above it and would transform only the m=0 tile. *)
+let test_attention_blind_epilogue () =
+  let p =
+    build ~rule1:false attn
+      (attn_cand [ "n"; "h"; "m"; "k" ]
+         [ ("m", 16); ("n", 16); ("k", 16); ("h", 16) ])
+  in
+  match Skeleton.validate p with
+  | Error (Program.Blind_epilogue { producer; axis }) ->
+    Alcotest.(check string) "producer" "S" producer;
+    Alcotest.(check string) "axis" "m" axis
+  | Error e ->
+    Alcotest.failf "expected a blind epilogue, got: %s"
+      (Program.string_of_invalid e)
+  | Ok () -> Alcotest.fail "softmax above a live m loop must be invalid"
+
 let test_gemm_kn_valid () =
   let p = build gemm (deep [ m; h; k; n ] std_tiles) in
   Alcotest.(check bool) "linear chains allow partial consumption" true
-    (Result.is_ok (Program.validate p))
+    (Result.is_ok (Skeleton.validate p))
 
 let mlp = Chain.mlp_chain ~m:256 ~n:256 ~k:128 ~h:128 ()
 
@@ -338,7 +358,7 @@ let test_mlp_unary_nonlinear () =
          [ ("m", 64); ("n", 32); ("k", 32); ("h", 32) ])
   in
   Alcotest.(check bool) "partial-k consumption invalid" true
-    (Result.is_error (Program.validate bad));
+    (Result.is_error (Skeleton.validate bad));
   let good =
     build mlp
       (Candidate.make
@@ -346,36 +366,35 @@ let test_mlp_unary_nonlinear () =
          [ ("m", 64); ("n", 32); ("k", 32); ("h", 32) ])
   in
   Alcotest.(check bool) "nk order valid" true
-    (Result.is_ok (Program.validate good));
+    (Result.is_ok (Skeleton.validate good));
   Alcotest.(check bool) "unary adds no online stats" false
     (Program.online_softmax good)
 
 (* --- Program: residency (Fig. 6) ----------------------------------------- *)
 
-let tensor chain name =
-  List.find (fun (t : Chain.tensor_spec) -> t.tname = name) chain.Chain.tensors
+(* A tensor's Rule-2 multiplier, as lowering accounts it. *)
+let residency_multiplier chain cand name =
+  (List.find
+     (fun (r : Lower.residency_item) -> r.rtensor.tname = name)
+     (Lower.lower ~elem_bytes:2 chain cand).residency)
+    .mult
 
 let test_residency_nk () =
-  let p = build gemm (deep [ m; h; n; k ] std_tiles) in
+  let cand = deep [ m; h; n; k ] std_tiles in
   Alcotest.(check int) "C single tile (Fig 6a)" 1
-    (Program.residency_multiplier p (tensor gemm "C"));
-  Alcotest.(check int) "E single tile" 1
-    (Program.residency_multiplier p (tensor gemm "E"))
+    (residency_multiplier gemm cand "C");
+  Alcotest.(check int) "E single tile" 1 (residency_multiplier gemm cand "E")
 
 let test_residency_kn_blowup () =
-  let p = build gemm (deep [ m; h; k; n ] std_tiles) in
   Alcotest.(check int) "C tiles x trip(n) (Fig 6b)" 16
-    (Program.residency_multiplier p (tensor gemm "C"))
+    (residency_multiplier gemm (deep [ m; h; k; n ] std_tiles) "C")
 
 let test_residency_flat_accumulator () =
   let cand =
     Candidate.make (Tiling.Flat ([ m; n ], [ [ k ]; [ h ] ])) std_tiles
   in
-  let p = build gemm cand in
-  Alcotest.(check int) "E x trip(h)" 8
-    (Program.residency_multiplier p (tensor gemm "E"));
-  Alcotest.(check int) "inputs always 1" 1
-    (Program.residency_multiplier p (tensor gemm "A"))
+  Alcotest.(check int) "E x trip(h)" 8 (residency_multiplier gemm cand "E");
+  Alcotest.(check int) "inputs always 1" 1 (residency_multiplier gemm cand "A")
 
 (* --- Program: DAG export -------------------------------------------------- *)
 
@@ -653,6 +672,8 @@ let () =
           Alcotest.test_case "attention offline" `Quick test_attention_offline;
           Alcotest.test_case "attention kn invalid" `Quick
             test_attention_invalid_kn;
+          Alcotest.test_case "attention blind epilogue" `Quick
+            test_attention_blind_epilogue;
           Alcotest.test_case "gemm kn valid" `Quick test_gemm_kn_valid;
           Alcotest.test_case "mlp unary nonlinear" `Quick
             test_mlp_unary_nonlinear ] );

@@ -184,7 +184,8 @@ let check_precheck_agrees ~name chain =
             (fun tiles ->
               let c = Candidate.make tiling tiles in
               let l =
-                Lower.lower ~rule1 ~dead_loop_elim:dle ~elem_bytes:2 chain c
+                Mcf_fuzz.Oracle.reference ~rule1 ~dead_loop_elim:dle
+                  ~elem_bytes:2 chain c
               in
               let want = Mcf_model.Shmem.estimate_bytes l in
               let got =
@@ -230,14 +231,18 @@ let test_precheck_mlp () =
   check_precheck_agrees ~name:"mlp"
     (Chain.mlp_chain ~m:64 ~n:64 ~k:32 ~h:32 ())
 
-(* --- closed-form analytic model vs lowered walk ----------------------------
+(* --- closed-form analytic model vs the reference walk -----------------------
 
    The search's fast path estimates candidates with [Analytic] instead of
-   [Perf.estimate ∘ Lower.lower]; the two must agree bit-for-bit on every
-   point of the space, or the tuner's ranking (and thus its outcome) would
-   drift.  Exhaustive sweep: all tilings x all tile combos x all eight
-   (rule1, dead_loop_elim, hoisting) flag combinations, asserting equality
-   of all four breakdown fields and the validity verdict. *)
+   [Perf.estimate ∘ Lower.lower]; both read the same skeleton, so each is
+   held to the reference walk kept in the fuzz oracles
+   ([Mcf_fuzz.Oracle.reference], the name-keyed walk over the placed
+   program): bit-for-bit on every point of the space, or the tuner's
+   ranking (and thus its outcome) would drift.  Exhaustive sweep: all
+   tilings x all tile combos x all eight (rule1, dead_loop_elim,
+   hoisting) flag combinations, asserting equality of all four breakdown
+   fields and the validity verdict, and of every field of [Lower.lower]
+   but the program. *)
 
 let check_analytic_agrees ~name chain =
   let tilings = Tiling.enumerate chain in
@@ -265,9 +270,22 @@ let check_analytic_agrees ~name chain =
             (fun tiles ->
               let c = Candidate.make tiling tiles in
               let l =
-                Lower.lower ~rule1 ~dead_loop_elim:dle ~hoisting ~elem_bytes:2
-                  chain c
+                Mcf_fuzz.Oracle.reference ~rule1 ~dead_loop_elim:dle ~hoisting
+                  ~elem_bytes:2 chain c
               in
+              (match
+                 Mcf_fuzz.Oracle.lower_mismatches
+                   (Lower.lower ~rule1 ~dead_loop_elim:dle ~hoisting
+                      ~elem_bytes:2 chain c)
+                   l
+               with
+              | [] -> ()
+              | fields ->
+                Alcotest.failf
+                  "%s: Lower.lower's %s differ from the reference walk for %s \
+                   (rule1=%b dead_loop_elim=%b hoisting=%b)"
+                  name (String.concat ", " fields) (Candidate.key c) rule1 dle
+                  hoisting);
               let want = Mcf_model.Perf.breakdown a100 l in
               let ev =
                 Mcf_model.Analytic.eval_candidate ~rule1 ~dead_loop_elim:dle
@@ -277,7 +295,7 @@ let check_analytic_agrees ~name chain =
               incr checked;
               let fail field (w : float) (g : float) =
                 Alcotest.failf
-                  "%s: analytic %s %.17g <> lowered %.17g for %s (rule1=%b \
+                  "%s: analytic %s %.17g <> reference %.17g for %s (rule1=%b \
                    dead_loop_elim=%b hoisting=%b)"
                   name field g w (Candidate.key c) rule1 dle hoisting
               in
@@ -293,8 +311,8 @@ let check_analytic_agrees ~name chain =
                 fail "t_total" want.t_total got.t_total;
               if ev.everdict <> l.validity then
                 Alcotest.failf
-                  "%s: analytic verdict disagrees with lowered validity for \
-                   %s (rule1=%b dead_loop_elim=%b hoisting=%b)"
+                  "%s: analytic verdict disagrees with the reference validity \
+                   for %s (rule1=%b dead_loop_elim=%b hoisting=%b)"
                   name (Candidate.key c) rule1 dle hoisting)
             combos)
         tilings)
@@ -337,18 +355,139 @@ let test_analytic_memo () =
   let e2 = Mcf_model.Analytic.Memo.estimate memo a100 c2 in
   let e1' = Mcf_model.Analytic.Memo.estimate memo a100 c1 in
   Alcotest.(check bool) "memoized result is stable" true (Float.equal e1 e1');
+  let reference c =
+    Mcf_model.Perf.estimate a100
+      (Mcf_fuzz.Oracle.reference ~elem_bytes:2 chain c)
+  in
   Alcotest.(check (float 1e-30))
-    "memoized estimate matches the lowered walk"
-    (Mcf_model.Perf.estimate a100 (Lower.lower ~elem_bytes:2 chain c1))
-    e1;
+    "memoized estimate matches the reference walk" (reference c1) e1;
   Alcotest.(check (float 1e-30))
-    "second tile vector evaluates independently"
-    (Mcf_model.Perf.estimate a100 (Lower.lower ~elem_bytes:2 chain c2))
-    e2;
+    "second tile vector evaluates independently" (reference c2) e2;
   let hits = Mcf_obs.Metrics.counter_value "model.memo.hits" - hits0 in
   let misses = Mcf_obs.Metrics.counter_value "model.memo.misses" - misses0 in
   Alcotest.(check int) "one summary computed" 1 misses;
   Alcotest.(check int) "two summary hits" 2 hits
+
+(* --- lowering = the reference walk ------------------------------------------
+
+   [Lower.lower] reads the skeleton of the built program and
+   instantiates it; an enumeration entry instantiates the skeleton its
+   precheck built for its memo key, shared with every other point of
+   that key, so a measurement builds no program.  Both must equal the
+   reference walk in every field but the program, statement order
+   included: on every rule-3 point of the paper's tables (rule 4 off, so
+   the points are the same on both devices), on the deep chains'
+   reservoir, and on the entries of every switch combination. *)
+
+module Space = Mcf_search.Space
+
+let lower_equal ~what c got want =
+  match Mcf_fuzz.Oracle.lower_mismatches got want with
+  | [] -> ()
+  | fields ->
+    Alcotest.failf "%s: %s differ from the reference walk for %s" what
+      (String.concat ", " fields) (Candidate.key c)
+
+(* Every rule-3 point: rules 1-2 over the raw tilings, crossed with the
+   rule-3 tile choices. *)
+let rule3_points (o : Space.options) chain =
+  let seen = Tiling.Tbl.create 64 in
+  let tilings =
+    List.filter
+      (fun t ->
+        let k = if o.rule1 then Tiling.sub_tiling chain t else t in
+        if Tiling.Tbl.mem seen k then false
+        else begin
+          Tiling.Tbl.add seen k ();
+          not (o.rule2 && Space.rule2_rejects chain t)
+        end)
+      (if o.include_flat then Tiling.enumerate chain
+       else Tiling.enumerate_deep chain)
+  in
+  let combos =
+    Mcf_util.Listx.cartesian
+      (List.map
+         (fun (a, ts) -> List.map (fun t -> (a, t)) ts)
+         (Space.tile_choices o chain))
+  in
+  List.concat_map (fun t -> List.map (Candidate.make t) combos) tilings
+
+let check_lowering ?(all_points = false) ?reservoir ~name (o : Space.options)
+    chain =
+  let reference c =
+    Mcf_fuzz.Oracle.reference ~rule1:o.rule1 ~dead_loop_elim:o.dead_loop_elim
+      ~hoisting:o.hoisting ~elem_bytes:a100.elem_bytes chain c
+  in
+  let entries, _ = Space.enumerate ~options:o ?reservoir a100 chain in
+  List.iter
+    (fun (e : Space.entry) ->
+      lower_equal ~what:(name ^ " entry") e.cand (Space.lowered e)
+        (reference e.cand))
+    entries;
+  let points = if all_points then rule3_points o chain else [] in
+  List.iter
+    (fun c ->
+      lower_equal ~what:(name ^ " Lower.lower") c
+        (Lower.lower ~rule1:o.rule1 ~dead_loop_elim:o.dead_loop_elim
+           ~hoisting:o.hoisting ~elem_bytes:a100.elem_bytes chain c)
+        (reference c))
+    points;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: entries to compare" name)
+    true (entries <> [])
+
+let workload name =
+  match Mcf_serve.Protocol.chain_of_workload name with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+let test_lower_reference_tables () =
+  let o = { Space.default_options with rule4 = false } in
+  List.iter
+    (fun name -> check_lowering ~all_points:true ~name o (workload name))
+    (List.map
+       (fun (g : Mcf_workloads.Configs.gemm_config) -> g.gname)
+       Mcf_workloads.Configs.gemm_chains
+    @ List.map
+        (fun (s : Mcf_workloads.Configs.attention_config) -> s.sname)
+        Mcf_workloads.Configs.attentions)
+
+let test_lower_reference_deep () =
+  List.iter
+    (fun name ->
+      check_lowering ~reservoir:4096 ~name Space.default_options
+        (workload name))
+    [ "D5"; "D6" ]
+
+let test_lower_reference_switches () =
+  List.iter
+    (fun (rule1, dead_loop_elim, hoisting) ->
+      let o =
+        { Space.default_options with
+          rule1;
+          dead_loop_elim;
+          hoisting;
+          rule4 = false }
+      in
+      List.iter
+        (fun (name, chain) ->
+          check_lowering
+            ~name:
+              (Printf.sprintf "%s rule1=%b dead_loop_elim=%b hoisting=%b" name
+                 rule1 dead_loop_elim hoisting)
+            o chain)
+        [ ("gemm", Chain.gemm_chain ~m:128 ~n:64 ~k:32 ~h:32 ());
+          ("attention", Chain.attention ~heads:2 ~m:64 ~n:64 ~k:32 ~h:32 ());
+          ("gemm3", Chain.gemm_chain3 ~m:48 ~n:32 ~k:32 ~h:32 ~p:32 ());
+          ("mlp", Chain.mlp_chain ~m:64 ~n:64 ~k:32 ~h:32 ());
+          ("G1", workload "G1");
+          ("S1", workload "S1") ])
+    (List.concat_map
+       (fun r1 ->
+         List.concat_map
+           (fun dle -> List.map (fun h -> (r1, dle, h)) [ true; false ])
+           [ true; false ])
+       [ true; false ])
 
 (* --- the memo key: only the trip=1 bits a summary reads -------------------
 
@@ -414,8 +553,7 @@ let check_memo_key_exact ~name chain =
               ignore (lookup (Mcf_fuzz.Oracle.grid_twin memo chain c));
               let got = lookup c in
               let want =
-                Mcf_model.Analytic.summarize ~rule1 ~dead_loop_elim:dle
-                  ~hoisting chain c
+                Skeleton.make ~rule1 ~dead_loop_elim:dle ~hoisting chain c
               in
               incr checked;
               let fail what =
@@ -424,7 +562,7 @@ let check_memo_key_exact ~name chain =
                    (rule1=%b dead_loop_elim=%b hoisting=%b)"
                   name what (Candidate.key c) rule1 dle hoisting
               in
-              let tiles, trips = Mcf_model.Analytic.tile_arrays want c in
+              let tiles, trips = Skeleton.tile_arrays want c in
               let fp s =
                 Mcf_model.Analytic.footprint ~elem_bytes:2 s ~tiles ~trips
               in
@@ -507,6 +645,13 @@ let () =
           Alcotest.test_case "mlp (unary epilogue)" `Quick test_analytic_mlp;
           Alcotest.test_case "summary memoization" `Quick test_analytic_memo ]
       );
+      ( "lower = reference walk",
+        [ Alcotest.test_case "tables, every rule-3 point" `Quick
+            test_lower_reference_tables;
+          Alcotest.test_case "D5 and D6 reservoirs" `Quick
+            test_lower_reference_deep;
+          Alcotest.test_case "switch combinations" `Quick
+            test_lower_reference_switches ] );
       ( "memo key",
         [ Alcotest.test_case "gemm chain" `Quick test_memo_key_gemm;
           Alcotest.test_case "attention" `Quick test_memo_key_attention;

@@ -882,7 +882,7 @@ module History = Mcf_obs.History
 
 let hist_entry ?(time = 1.0) ?(rev = "abc1234") ?(device = "A100")
     ?(workload = "G1") metrics =
-  { History.time; rev; device; workload; metrics }
+  { History.time; rev; device; workload; cores = None; ocaml = None; metrics }
 
 let with_temp_file f =
   let file = Filename.temp_file "mcf_hist" ".jsonl" in
@@ -907,6 +907,49 @@ let test_history_roundtrip () =
         | [] -> false);
       Alcotest.(check bool) "missing fields rejected" true
         (History.of_json (Json.Obj [ ("time", Json.Num 1.0) ]) = None))
+
+(* Rows record the host's core count and OCaml version; rows written
+   before those fields existed still load, without them. *)
+let test_history_host_fields () =
+  let old_row =
+    {|{"time":1,"rev":"aaaa111","device":"A100","workload":"G1","metrics":{"tune_wall_s":0.02}}|}
+  in
+  (match Result.map History.of_json (Json.parse old_row) with
+  | Ok (Some e) ->
+    Alcotest.(check (option int)) "old row: no cores" None e.History.cores;
+    Alcotest.(check (option string)) "old row: no ocaml" None e.History.ocaml
+  | _ -> Alcotest.fail "old row did not load");
+  let e =
+    { (hist_entry ~time:2.0 [ ("tune_wall_s", 0.019) ]) with
+      cores = Some 2;
+      ocaml = Some "5.1.1" }
+  in
+  (match History.of_json (History.to_json e) with
+  | Some back ->
+    Alcotest.(check (option int))
+      "cores round-trip" (Some 2) back.History.cores;
+    Alcotest.(check (option string))
+      "ocaml round-trip" (Some "5.1.1") back.History.ocaml
+  | None -> Alcotest.fail "new row did not load");
+  Alcotest.(check bool) "perf prints the host" true
+    (contains_substring (History.render [ e ]) "cores 2, OCaml 5.1.1");
+  let doc =
+    Json.Obj
+      [ ("device", Json.Str "A100");
+        ("cores", Json.Num 4.0);
+        ("ocaml", Json.Str "5.1.1");
+        ( "workloads",
+          Json.List
+            [ Json.Obj
+                [ ("name", Json.Str "G1"); ("peak_heap_words", Json.Num 1.0) ]
+            ] ) ]
+  in
+  match History.of_search_doc ~time:1.0 ~rev:"r" doc with
+  | [ e ] ->
+    Alcotest.(check (option int)) "search doc cores" (Some 4) e.History.cores;
+    Alcotest.(check (option string))
+      "search doc ocaml" (Some "5.1.1") e.History.ocaml
+  | _ -> Alcotest.fail "one entry per workload"
 
 let test_history_malformed_skipped () =
   with_temp_file (fun file ->
@@ -1170,6 +1213,7 @@ let () =
             test_resource_sampler_publishes ] );
       ( "history",
         [ Alcotest.test_case "roundtrip" `Quick test_history_roundtrip;
+          Alcotest.test_case "host fields" `Quick test_history_host_fields;
           Alcotest.test_case "malformed skipped" `Quick
             test_history_malformed_skipped;
           Alcotest.test_case "empty" `Quick test_history_empty;

@@ -113,7 +113,9 @@ let test_enumerate_attention_excludes_partial_softmax () =
   List.iter
     (fun (e : Mcf_search.Space.entry) ->
       Alcotest.(check bool) "no invalid softmax schedules" true
-        (Result.is_ok (Program.validate (Mcf_search.Space.lowered e).program)))
+        (Result.is_ok
+           (Skeleton.validate
+              (Mcf_ir.Lower.program (Mcf_search.Space.lowered e)))))
     entries
 
 let test_enumerate_deterministic () =
@@ -279,7 +281,8 @@ let test_tuner_attention_valid_schedule () =
   | Ok o ->
     Alcotest.(check bool) "winner is a valid schedule" true
       (Result.is_ok
-         (Program.validate (Mcf_search.Space.lowered o.best).program))
+         (Skeleton.validate
+            (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))))
 
 let test_tuner_subsumes_chimera_space () =
   (* MCFuser's space contains Chimera's: the tuned result must not lose to
@@ -306,7 +309,8 @@ let test_tuner_mlp_chain () =
   | Ok o ->
     Alcotest.(check bool) "valid winner" true
       (Result.is_ok
-         (Program.validate (Mcf_search.Space.lowered o.best).program));
+         (Skeleton.validate
+            (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))));
     Alcotest.(check bool) "beats unfused execution" true
       (match Mcf_baselines.Pytorch.backend.tune a100 mlp with
       | Ok py -> o.kernel_time_s < py.time_s

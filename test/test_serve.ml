@@ -91,6 +91,22 @@ let test_parse_errors () =
   bad "negative seed" {|{"workload":"G1","seed":-3}|};
   bad "negative reservoir" {|{"workload":"G1","reservoir":-1}|}
 
+(* A zero reservoir is refused, not clamped: the enumeration would run it
+   as 1, under a second coalescing key.  A zero seed stays valid. *)
+let test_parse_zero_reservoir () =
+  (match Protocol.parse_tune_request {|{"workload":"G1","reservoir":0}|} with
+  | Ok _ -> Alcotest.fail "reservoir 0 accepted"
+  | Error e ->
+    Alcotest.(check string)
+      "typed error" {|field "reservoir" must be a positive integer|} e);
+  match
+    Protocol.parse_tune_request {|{"workload":"G1","seed":0,"reservoir":1}|}
+  with
+  | Error e -> Alcotest.failf "seed 0 refused: %s" e
+  | Ok r ->
+    Alcotest.(check (option int)) "seed 0" (Some 0) r.Protocol.seed;
+    Alcotest.(check (option int)) "reservoir 1" (Some 1) r.Protocol.reservoir
+
 let test_key_derivation () =
   let k1 = Protocol.key (req ~m:96 ()) in
   let k1' = Protocol.key (req ~m:96 ()) in
@@ -277,6 +293,8 @@ let test_http_faults () =
         (post (url ^ "/tune") {|{"workload":"G1","device":"TPU9000"}|});
       expect_status "unknown workload is 400" 400
         (post (url ^ "/tune") {|{"workload":"G999"}|});
+      expect_status "zero reservoir is 400" 400
+        (post (url ^ "/tune") {|{"workload":"G1","reservoir":0}|});
       expect_status "oversized payload is 413" 413
         (post (url ^ "/tune") (String.make 8192 ' '));
       expect_status "GET /tune is 405" 405
@@ -372,6 +390,8 @@ let () =
         [ Alcotest.test_case "workload request" `Quick test_parse_workload;
           Alcotest.test_case "inline chain request" `Quick test_parse_chain;
           Alcotest.test_case "parse errors" `Quick test_parse_errors;
+          Alcotest.test_case "zero reservoir refused" `Quick
+            test_parse_zero_reservoir;
           Alcotest.test_case "coalescing key" `Quick test_key_derivation;
           Alcotest.test_case "sched json roundtrip" `Quick
             test_sched_json_roundtrip

@@ -91,7 +91,8 @@ let test_deep_chain_reference_execution () =
         (Chain.input_tensors chain)
     in
     let got =
-      Mcf_interp.Interp.run (Space.lowered o.best).program ~inputs
+      Mcf_interp.Interp.run ~inputs
+        (Mcf_ir.Lower.program (Space.lowered o.best))
     in
     let want = Mcf_interp.Interp.reference chain ~inputs in
     Alcotest.(check bool) "fused matches reference" true
