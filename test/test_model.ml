@@ -645,7 +645,7 @@ let () =
           Alcotest.test_case "mlp (unary epilogue)" `Quick test_analytic_mlp;
           Alcotest.test_case "summary memoization" `Quick test_analytic_memo ]
       );
-      ( "lower = reference walk",
+      ( "lower vs reference",
         [ Alcotest.test_case "tables, every rule-3 point" `Quick
             test_lower_reference_tables;
           Alcotest.test_case "D5 and D6 reservoirs" `Quick
