@@ -1038,7 +1038,8 @@ let perf_cmd =
     let doc =
       "Regression gate: compare each workload's newest entry against the \
        robust baseline (median + MAD over the trailing $(b,--window) \
-       runs) and exit non-zero on any regression beyond $(b,--tolerance)."
+       runs recorded with the same core count) and exit non-zero on any \
+       regression beyond $(b,--tolerance)."
     in
     Arg.(value & flag & info [ "gate" ] ~doc)
   in
@@ -1092,7 +1093,7 @@ let perf_cmd =
           history;
       if gate then begin
         let verdicts = Mcf_obs.History.gate ~window ~tolerance entries in
-        print_string (Mcf_obs.History.render_gate ~tolerance verdicts);
+        print_string (Mcf_obs.History.render_gate ~tolerance entries verdicts);
         if List.exists (fun v -> v.Mcf_obs.History.regressed) verdicts then
           Error (`Msg "performance regressed beyond tolerance")
         else Ok ()

@@ -188,17 +188,28 @@ type verdict = {
 
 let mad ~median:m xs = Mcf_util.Stats.median (List.map (fun x -> Float.abs (x -. m)) xs)
 
-let gate ?(window = 10) ?(tolerance = 0.05) entries =
+(* Each group's newest entry, its older entries (newest first), and those
+   of them recorded on the same core count: timings from hosts with a
+   different number of cores are no baseline.  Rows without [cores]
+   match only each other. *)
+let newest_and_peers entries =
   groups entries
-  |> List.concat_map (fun ((device, workload), es) ->
+  |> List.filter_map (fun (key, es) ->
          match List.rev es with
-         | [] | [ _ ] -> [] (* no baseline: the gate passes trivially *)
-         | newest :: older_rev ->
-           let baseline_entries =
-             (* [older_rev] is newest-first; the trailing window is its
-                prefix. *)
-             List.filteri (fun i _ -> i < window) older_rev
-           in
+         | [] -> None
+         | newest :: older ->
+           Some
+             (key, newest, older,
+              List.filter (fun e -> e.cores = newest.cores) older))
+
+let gate ?(window = 10) ?(tolerance = 0.05) entries =
+  newest_and_peers entries
+  |> List.concat_map (fun ((device, workload), newest, _, peers) ->
+         match peers with
+         | [] -> [] (* no baseline: the gate passes trivially *)
+         | _ ->
+           (* [peers] is newest-first; the trailing window is its prefix. *)
+           let baseline_entries = List.filteri (fun i _ -> i < window) peers in
            List.filter_map
              (fun (name, latest) ->
                let base = series name baseline_entries in
@@ -280,8 +291,21 @@ let render ?workload entries =
       gs;
   Buffer.contents buf
 
-let render_gate ~tolerance verdicts =
+let render_gate ~tolerance entries verdicts =
   let buf = Buffer.create 512 in
+  List.iter
+    (fun ((device, workload), newest, older, peers) ->
+      if older <> [] && peers = [] then
+        Buffer.add_string buf
+          (Printf.sprintf
+             "skip %s/%s: no baseline %s (%d older run%s on other core counts)\n"
+             device workload
+             (match newest.cores with
+             | Some c -> Printf.sprintf "with cores %d" c
+             | None -> "without a recorded core count")
+             (List.length older)
+             (if List.length older = 1 then "" else "s")))
+    (newest_and_peers entries);
   if verdicts = [] then
     Buffer.add_string buf
       "perf gate: no baseline (fewer than two runs per workload) — pass\n"

@@ -78,16 +78,21 @@ type verdict = {
 
 val gate : ?window:int -> ?tolerance:float -> entry list -> verdict list
 (** Compare each (device, workload) group's newest entry against the
-    robust baseline of up to [window] (default 10) preceding runs, at
+    robust baseline of up to [window] (default 10) preceding runs with
+    the same [cores] (rows without [cores] match only each other), at
     relative [tolerance] (default 0.05).  Metrics with no baseline
-    sample — single-run groups, or a metric first recorded in the newest
-    run — produce no verdict: the gate passes trivially rather than
-    dividing by zero. *)
+    sample — single-run groups, groups whose older runs all came from
+    other core counts, or a metric first recorded in the newest run —
+    produce no verdict: the gate passes trivially rather than dividing
+    by zero. *)
 
 val render : ?workload:string -> entry list -> string
 (** Per-workload trend tables: latest value, delta vs the oldest run,
     and an ASCII sparkline per metric. *)
 
-val render_gate : tolerance:float -> verdict list -> string
-(** One line per verdict ([ok]/[FAIL]) plus a summary.  The caller turns
-    any [regressed] verdict into a non-zero exit. *)
+val render_gate : tolerance:float -> entry list -> verdict list -> string
+(** [render_gate ~tolerance entries (gate ~tolerance entries)]: one
+    [skip] line per group whose older runs all came from other core
+    counts, so that no matching baseline is left, then one line per
+    verdict ([ok]/[FAIL]) plus a summary.  The caller turns any
+    [regressed] verdict into a non-zero exit. *)

@@ -78,7 +78,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
       let fresh =
         List.rev
           (List.fold_left
-             (fun acc (id, _) ->
+             (fun acc id ->
                if is_measured id || List.mem_assoc id acc then acc
                else (id, pool.(id)) :: acc)
              [] topk)
@@ -115,7 +115,11 @@ let run ?(params = default_params) ?measure:engine ?on_phase
     (* Step one random axis's tile to a neighbouring option: the space's
        grid names the stepped point's rank and a binary search over the
        rank-ordered pool finds it; a miss (the step left the pruned
-       space) retries, up to 2 x axes attempts. *)
+       space) retries, up to 2 x axes attempts.  A step from a given pool
+       id along a given axis and direction always lands on the same id,
+       so [steps] memoises it per (id, axis, direction) slot: [-1] a
+       miss, [-2] not stepped yet.  Every attempt still draws its axis
+       and direction, so the RNG stream is the unmemoised one. *)
     let grid = first.ctx.grid in
     let find rank =
       let lo = ref 0 and hi = ref (n - 1) in
@@ -123,19 +127,32 @@ let run ?(params = default_params) ?measure:engine ?on_phase
         let mid = (!lo + !hi) / 2 in
         if ranks.(mid) < rank then lo := mid + 1 else hi := mid
       done;
-      if ranks.(!lo) = rank then Some !lo else None
+      if ranks.(!lo) = rank then !lo else -1
     in
     let axes = List.length first.ctx.chain.axes in
+    let steps = Array.make (n * 2 * axes) (-2) in
+    let step id ~axis ~dir =
+      let slot = (((id * axes) + axis) * 2) + ((dir + 1) / 2) in
+      let s = steps.(slot) in
+      if s <> -2 then s
+      else begin
+        let s =
+          match Space.neighbour grid ranks.(id) ~axis ~dir with
+          | Some rank -> find rank
+          | None -> -1
+        in
+        steps.(slot) <- s;
+        s
+      end
+    in
     let mutate id =
       let rec attempt i =
         if i >= axes * 2 then id
         else begin
           let axis = Mcf_util.Rng.int rng axes in
           let dir = if Mcf_util.Rng.bool rng then 1 else -1 in
-          match Option.bind (Space.neighbour grid ranks.(id) ~axis ~dir) find
-          with
-          | Some id' -> id'
-          | None -> attempt (i + 1)
+          let id' = step id ~axis ~dir in
+          if id' >= 0 then id' else attempt (i + 1)
         end
       in
       attempt 0
@@ -146,30 +163,26 @@ let run ?(params = default_params) ?measure:engine ?on_phase
        streaming pass).  Estimating the whole pruned space costs microseconds, and
        seeding both rankings guarantees the search dominates any
        single-objective analytical strategy (in particular Chimera's) over
-       the same space.  Ranking keys are precomputed arrays, so the
-       comparator is two array reads — no model call (or string hash)
-       inside the O(n log n) sort. *)
-    let top_ids_by key_of =
-      let ranked = Array.init n Fun.id in
-      Array.sort (fun a b -> Float.compare key_of.(a) key_of.(b)) ranked;
-      Array.sub ranked 0 (min params.top_k n)
+       the same space.  Every ranking here sorts int ids by a precomputed
+       key array with [Idsort.by_key], which leaves ties exactly where
+       [Array.sort] puts them: tie order is part of the outcome. *)
+    let sorted_by key ids =
+      Mcf_util.Idsort.by_key key ids;
+      ids
     in
-    let pool_ids = Array.init n Fun.id in
+    let top_ids_by key =
+      Array.sub (sorted_by key (Array.init n Fun.id)) 0 (min params.top_k n)
+    in
     (* Global estimate ranking for the stale-population fallback, built
-       once on first use.  The old code refiltered and re-sorted the
-       whole unmeasured space every generation — O(generations x space
-       log space); this cursor only ever advances: every id it yields
-       lands in that generation's measured batch, and ids it skips were
-       measured earlier, so a rewind can never be needed.  Ties rank
-       toward the lower id, matching the stable sort over the
-       id-ascending list this replaces. *)
+       once on first use.  This cursor only ever advances: every id it
+       yields lands in that generation's measured batch, and ids it skips
+       were measured earlier, so a rewind can never be needed.  A stable
+       sort over ascending ids ranks ties toward the lower id. *)
     let ranking =
       lazy
         (let a = Array.init n Fun.id in
-         Array.sort
-           (fun a b ->
-             let c = Float.compare estimates.(a) estimates.(b) in
-             if c <> 0 then c else compare a b)
+         Array.stable_sort
+           (fun a b -> Float.compare estimates.(a) estimates.(b))
            a;
          a)
     in
@@ -181,18 +194,18 @@ let run ?(params = default_params) ?measure:engine ?on_phase
         else begin
           let id = r.(!cursor) in
           incr cursor;
-          if is_measured id then go acc k
-          else go ((id, estimates.(id)) :: acc) (k - 1)
+          if is_measured id then go acc k else go (id :: acc) (k - 1)
         end
       in
       go [] k
     in
     let sample_population () =
+      Trace.with_span "explore.seed" @@ fun () ->
       let size = min params.population n in
       let seeds = Array.append (top_ids_by estimates) (top_ids_by traffic) in
       Array.init size (fun i ->
           if i < Array.length seeds then seeds.(i)
-          else Mcf_util.Rng.pick rng pool_ids)
+          else Mcf_util.Rng.int rng n)
     in
     let population = ref (sample_population ()) in
     let best = ref None in
@@ -208,20 +221,20 @@ let run ?(params = default_params) ?measure:engine ?on_phase
         ~args:(fun () -> [ ("gen", Trace.Int !generations) ])
       @@ fun () ->
       let best_before = !best in
-      let scored =
-        Array.map (fun id -> (id, estimate id)) !population
-      in
-      Array.sort (fun (_, a) (_, b) -> Float.compare a b) scored;
+      let sorted = sorted_by estimates (Array.copy !population) in
       (* Measure the best-estimated candidates not measured yet; re-measuring
          a known candidate would add no information (results are cached).
-         When the population has gone stale (mutation keeps revisiting the
-         measured elite), march down the global estimate ranking instead so
-         every generation still buys fresh information. *)
-      let fresh =
-        Array.to_list scored
-        |> List.filter (fun (id, _) -> not (is_measured id))
+         An id the population holds twice stays twice in the top-k
+         ([measure_batch] measures it once).  When the population has gone
+         stale (mutation keeps revisiting the measured elite), march down
+         the global estimate ranking instead so every generation still
+         buys fresh information. *)
+      let rec fresh i k =
+        if k <= 0 || i >= Array.length sorted then []
+        else if is_measured sorted.(i) then fresh (i + 1) k
+        else sorted.(i) :: fresh (i + 1) (k - 1)
       in
-      let topk = Mcf_util.Listx.take params.top_k fresh in
+      let topk = fresh 0 params.top_k in
       let topk =
         if List.length topk >= params.top_k then topk
         else topk @ next_ranked (params.top_k - List.length topk)
@@ -229,7 +242,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
       measure_batch topk;
       let results =
         List.filter_map
-          (fun (id, _) ->
+          (fun id ->
             match measured.(id) with
             | Some (Some t) -> Some (id, t)
             | Some None | None -> None)
@@ -264,7 +277,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
          a disabled recorder costs one atomic load. *)
       Mcf_obs.Recorder.emit "generation" (fun () ->
           let open Mcf_util.Json in
-          let ests = Array.map snd scored in
+          let ests = Array.map estimate sorted in
           let hist =
             List
               (List.map
@@ -275,12 +288,12 @@ let run ?(params = default_params) ?measure:engine ?on_phase
           let topk_j =
             List
               (List.map
-                 (fun (id, est) ->
+                 (fun id ->
                    Obj
                      [ ("cand",
                         Str
                           (Mcf_ir.Candidate.to_string pool.(id).Space.cand));
-                       ("est", Num est) ])
+                       ("est", Num (estimate id)) ])
                  topk)
           in
           let round_best =
@@ -300,7 +313,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
           [ ("gen", num_of_int !generations);
             ("population", num_of_int (Array.length !population));
             ("est_histogram", hist);
-            ("est_best", Num (snd scored.(0)));
+            ("est_best", Num (estimate sorted.(0)));
             ("topk", topk_j);
             ("measured_new", num_of_int (List.length results));
             ("round_best_s", round_best);
@@ -310,14 +323,14 @@ let run ?(params = default_params) ?measure:engine ?on_phase
             ("converged", Bool !converged) ]);
       if not !converged then begin
         let weights =
-          Array.map (fun (_, est) -> 1.0 /. Float.max est 1e-12) scored
+          Array.map (fun id -> 1.0 /. Float.max (estimate id) 1e-12) sorted
         in
         let changed = ref 0 in
         let next =
           Trace.with_span "explore.mutate" @@ fun () ->
           let sample = Mcf_util.Rng.weighted_sampler rng weights in
           Array.init (Array.length !population) (fun _ ->
-              let pid = fst scored.(sample ()) in
+              let pid = sorted.(sample ()) in
               let pid' = mutate pid in
               if pid' <> pid then incr changed;
               pid')

@@ -1,10 +1,11 @@
 (** Heuristic exploration — Algorithm 1 of §IV-B.
 
-    An evolutionary loop over the pruned space: every generation estimates
-    the whole population with the {e analytical} model (free), measures only
-    the top [n] candidates on the device (expensive — charged to the virtual
-    tuning clock), and stops automatically once the best measured time
-    converges within [epsilon].  The next population is drawn from the
+    An evolutionary loop over the pruned space: every generation ranks
+    the population by the {e analytical} model's estimates, read from
+    the enumeration's scores (free: no model runs here), measures only
+    the top [n] candidates on the device (expensive — charged to the
+    virtual tuning clock), and stops automatically once the best
+    measured time converges within [epsilon].  The next population is drawn from the
     current one with probability proportional to 1/estimate and mutated by
     stepping one axis's tile size to a neighbouring option.
 

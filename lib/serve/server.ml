@@ -66,6 +66,7 @@ type job_status =
 
 type job = {
   jid : string;
+  jseq : int;  (* submission order *)
   jkey : string;
   jworkload : string;
   jdevice : string;
@@ -91,7 +92,7 @@ type t = {
   wake : Condition.t;  (* workers: queue became non-empty / draining *)
   done_cv : Condition.t;  (* awaiters: some job finished *)
   jobs_tbl : (string, job) Hashtbl.t;
-  mutable order : string list;  (* job ids, newest first *)
+  finished : string Queue.t;  (* finished job ids, oldest first *)
   sessions : (string, Session.t) Hashtbl.t;  (* in-flight, by key *)
   queue : Session.t Queue.t;
   mutable next_id : int;
@@ -150,15 +151,23 @@ let load_cache t path =
 
 (* --- job completion ---------------------------------------------------- *)
 
+(* Finished jobs the table keeps answering for.  Every request, cache
+   hits included, adds a job, so a long-running daemon drops the oldest
+   finished ones past this bound; queued and running jobs are never
+   dropped, and a dropped id answers as an unknown one. *)
+let max_finished_jobs = 4096
+
 (* Caller holds t.lock. *)
 let finish_job t (j : job) status =
   j.jstatus <- status;
-  (match status with
+  match status with
   | Done _ | Failed _ ->
     Metrics.incr c_jobs_done;
-    Metrics.observe h_latency (Unix.gettimeofday () -. j.jsubmit_s)
-  | Queued | Running -> ());
-  ignore t
+    Metrics.observe h_latency (Unix.gettimeofday () -. j.jsubmit_s);
+    Queue.push j.jid t.finished;
+    if Queue.length t.finished > max_finished_jobs then
+      Hashtbl.remove t.jobs_tbl (Queue.pop t.finished)
+  | Queued | Running -> ()
 
 (* --- worker loop -------------------------------------------------------- *)
 
@@ -214,6 +223,7 @@ let submit t (req : Protocol.tune_request) =
     let mk source status =
       let j =
         { jid;
+          jseq = t.next_id;
           jkey = key;
           jworkload = req.workload;
           jdevice = req.spec.name;
@@ -222,7 +232,6 @@ let submit t (req : Protocol.tune_request) =
           jstatus = status }
       in
       Hashtbl.replace t.jobs_tbl jid j;
-      t.order <- jid :: t.order;
       j
     in
     match Shardmap.find t.cache key with
@@ -286,12 +295,10 @@ let await t jid =
 let jobs t =
   Mutex.lock t.lock;
   let vs =
-    List.rev_map
-      (fun jid -> view_of_job (Hashtbl.find t.jobs_tbl jid))
-      t.order
+    Hashtbl.fold (fun _ j acc -> (j.jseq, view_of_job j) :: acc) t.jobs_tbl []
   in
   Mutex.unlock t.lock;
-  vs
+  List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) vs)
 
 let cache_size t = Shardmap.length t.cache
 
@@ -429,6 +436,13 @@ let strip_prefix p s =
     Some (String.sub s lp (String.length s - lp))
   else None
 
+(* A job evicted from the table (even one just submitted, should the
+   bound have passed it meanwhile) answers as an unknown id. *)
+let job_response ?status t jid =
+  match job t jid with
+  | None -> error_response 404 (Printf.sprintf "unknown job %S" jid)
+  | Some v -> json_response ?status (job_json t v)
+
 let handler t (req : Httpd.request) =
   match (req.meth, req.path) with
   | "POST", "/tune" -> (
@@ -441,16 +455,12 @@ let handler t (req : Httpd.request) =
       | Error msg -> error_response 503 msg
       | Ok (jid, source) ->
         let status = match source with Cached -> 200 | _ -> 202 in
-        let v = Option.get (job t jid) in
-        json_response ~status (job_json t v)))
+        job_response ~status t jid))
   | "GET", "/tune" ->
     Httpd.response ~status:405 "method not allowed (POST /tune)\n"
   | "GET", "/jobs" -> json_response (jobs_json t)
   | "GET", path when strip_prefix "/jobs/" path <> None -> (
-    let jid = Option.get (strip_prefix "/jobs/" path) in
-    match job t jid with
-    | None -> error_response 404 (Printf.sprintf "unknown job %S" jid)
-    | Some v -> json_response (job_json t v))
+    job_response t (Option.get (strip_prefix "/jobs/" path)))
   | "POST", "/shutdown" ->
     request_shutdown t;
     json_response ~status:202 (Json.Obj [ ("state", Json.Str "draining") ])
@@ -472,7 +482,7 @@ let start ?(config = default_config) () =
       wake = Condition.create ();
       done_cv = Condition.create ();
       jobs_tbl = Hashtbl.create 64;
-      order = [];
+      finished = Queue.create ();
       sessions = Hashtbl.create 16;
       queue = Queue.create ();
       next_id = 0;

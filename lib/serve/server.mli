@@ -9,8 +9,8 @@
       the key, else [202] with a queued/coalesced job.  Malformed
       requests are [400]; submissions during shutdown are [503].
     - [GET /jobs/:id] — one job document (state, source, result).
-    - [GET /jobs] — every job this daemon has accepted, in submission
-      order, plus per-state counts.
+    - [GET /jobs] — every job this daemon still holds, in submission
+      order, plus per-state counts (see {!max_finished_jobs}).
     - [POST /shutdown] — request a graceful drain ([202]).
     - [GET /status] — the telemetry status document extended with a
       ["serve"] section (lifecycle, queue depth, cache size).
@@ -79,6 +79,13 @@ val submit : t -> Protocol.tune_request -> (string * source, string) result
     [Cached] (already done), [Coalesced] (attached to an in-flight
     session) or [Tuned] (a fresh session was queued).  [Error] once
     shutdown has begun. *)
+
+val max_finished_jobs : int
+(** Finished jobs the daemon keeps (4096).  Every accepted request, a
+    cache hit included, adds a job; once more than this many have
+    finished, the oldest finished (by completion) is dropped and its id
+    answers as an unknown one.  Queued and running jobs are never
+    dropped. *)
 
 val job : t -> string -> job_view option
 val jobs : t -> job_view list  (** Submission order. *)

@@ -1023,6 +1023,34 @@ let test_history_gate_window () =
   Alcotest.(check bool) "wide window absorbs the old regime" true
     (List.for_all (fun v -> not v.History.regressed) wide)
 
+let test_history_gate_cores () =
+  (* Only rows from the newest row's core count form its baseline; rows
+     without [cores] match only each other. *)
+  let mk ?cores t v =
+    { (hist_entry ~time:t [ ("tune_wall_s", v) ]) with History.cores }
+  in
+  let on4 = [ mk ~cores:4 1.0 1.0; mk ~cores:4 2.0 1.0 ] in
+  let v = History.gate ~tolerance:0.05 (on4 @ [ mk ~cores:2 3.0 5.0 ]) in
+  Alcotest.(check int) "other core counts are no baseline" 0 (List.length v);
+  Alcotest.(check bool) "render says no matching baseline" true
+    (contains_substring
+       (History.render_gate ~tolerance:0.05
+          (on4 @ [ mk ~cores:2 3.0 5.0 ]) v)
+       "skip A100/G1: no baseline with cores 2 (2 older runs");
+  let es = on4 @ [ mk ~cores:2 3.0 5.0; mk ~cores:4 4.0 2.0 ] in
+  (match History.gate ~tolerance:0.05 es with
+  | [ v ] ->
+    Alcotest.(check int) "same-cores rows only" 2 v.History.n_baseline;
+    Alcotest.(check bool) "slower on the same cores flagged" true
+      v.History.regressed
+  | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
+  let es = [ mk 1.0 1.0; mk ~cores:2 2.0 1.0; mk 3.0 1.0 ] in
+  match History.gate ~tolerance:0.05 es with
+  | [ v ] ->
+    Alcotest.(check int) "unrecorded cores match each other" 1
+      v.History.n_baseline
+  | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l)
+
 let test_history_of_search_doc () =
   let doc =
     Json.Obj
@@ -1092,7 +1120,7 @@ let test_history_direction_and_render () =
     [ "A100/G1"; "points_per_s"; "+100.00%"; "_#" ];
   Alcotest.(check bool) "trivial gate renders a pass note" true
     (contains_substring
-       (History.render_gate ~tolerance:0.05 [])
+       (History.render_gate ~tolerance:0.05 [] [])
        "pass")
 
 (* --- property: histogram percentiles vs exact ----------------------------
@@ -1222,6 +1250,7 @@ let () =
           Alcotest.test_case "gate MAD=0 + direction" `Quick
             test_history_gate_mad_zero_and_direction;
           Alcotest.test_case "gate window" `Quick test_history_gate_window;
+          Alcotest.test_case "gate cores" `Quick test_history_gate_cores;
           Alcotest.test_case "of_search_doc" `Quick
             test_history_of_search_doc;
           Alcotest.test_case "direction + render" `Quick

@@ -640,6 +640,20 @@ let regret_row ?reservoir spec name =
     Mcf_search.Space.enumerate_scored ?reservoir spec chain
   in
   let entries = Array.of_list entries in
+  (* The explorer ranks the pool by estimate and by traffic with
+     [Idsort.by_key]; each ranking must be [Array.sort]'s whole
+     permutation, ties included, or the winners below would move. *)
+  List.iter
+    (fun (what, proj) ->
+      let key = Array.map proj scores in
+      let want = Array.init (Array.length key) Fun.id in
+      Array.sort (fun a b -> Float.compare key.(a) key.(b)) want;
+      let got = Array.init (Array.length key) Fun.id in
+      Mcf_util.Idsort.by_key key got;
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s %s %s ranking" name spec.Mcf_gpu.Spec.name what)
+        want got)
+    [ ("estimate", fst); ("traffic", snd) ];
   let times = Array.make (Array.length entries) None in
   Mcf_search.Measure.run_batch
     (Mcf_search.Measure.create spec)

@@ -274,6 +274,63 @@ let test_stop_drains_and_persists () =
   List.iter Sys.remove (lines sched_file |> fun _ -> [ sched_file; measure_file ]);
   Unix.rmdir dir
 
+(* --- bounded job table ---------------------------------------------------------- *)
+
+let test_job_table_bounded () =
+  (* Every cache hit adds a job; past [max_finished_jobs] finished jobs
+     the oldest finished ones go, and their ids then answer exactly as an
+     id never issued does.  A job still tuning through the burst stays. *)
+  with_server ~config:{ Server.default_config with workers = 1 } (fun t ->
+      let hit = req ~m:208 () in
+      let first, _ = submit_ok t hit in
+      ignore (await_done t first);
+      (* D8 tunes for about half a second, far longer than the burst. *)
+      let d8 =
+        match Protocol.chain_of_workload "D8" with
+        | Ok chain ->
+          { Protocol.workload = "D8"; chain; spec = a100; seed = None;
+            reservoir = None }
+        | Error e -> Alcotest.fail e
+      in
+      let pending, _ = submit_ok t d8 in
+      let hits =
+        List.init (Server.max_finished_jobs + 1) (fun _ ->
+            let jid, src = submit_ok t hit in
+            Alcotest.(check string) "cache hit" "cached"
+              (Server.source_string src);
+            jid)
+      in
+      Alcotest.(check bool) "unfinished job kept" true
+        (Server.job t pending <> None);
+      ignore (await_done t pending);
+      let get jid =
+        let r =
+          Server.handler t
+            { Httpd.meth = "GET"; path = "/jobs/" ^ jid; query = [];
+              headers = []; body = "" }
+        in
+        (r.Httpd.status, Json.parse (String.trim r.Httpd.body))
+      in
+      List.iter
+        (fun jid ->
+          Alcotest.(check bool) (jid ^ " evicted") true (Server.job t jid = None);
+          Alcotest.(check bool) (jid ^ " await unknown") true
+            (Server.await t jid = None);
+          match get jid with
+          | 404, Ok j ->
+            Alcotest.(check (option string)) (jid ^ " answers as unknown")
+              (Some (Printf.sprintf "unknown job %S" jid))
+              (match Json.member "error" j with
+              | Some (Json.Str e) -> Some e
+              | _ -> None)
+          | status, _ -> Alcotest.failf "%s: HTTP %d" jid status)
+        [ first; List.hd hits ];
+      let listed = List.map (fun v -> v.Server.vid) (Server.jobs t) in
+      Alcotest.(check int) "table holds the bound" Server.max_finished_jobs
+        (List.length listed);
+      Alcotest.(check (list string)) "newest hits kept in submission order"
+        (Mcf_util.Listx.drop 2 hits) (Mcf_util.Listx.drop 1 listed))
+
 (* --- fault injection over the wire -------------------------------------------- *)
 
 let http_config =
@@ -406,7 +463,8 @@ let () =
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "stop drains and persists" `Quick
-            test_stop_drains_and_persists
+            test_stop_drains_and_persists;
+          Alcotest.test_case "job table bounded" `Quick test_job_table_bounded
         ] );
       ( "http",
         [ Alcotest.test_case "fault injection" `Quick test_http_faults;

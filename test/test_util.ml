@@ -673,6 +673,27 @@ let prop_weighted_sampler_linear =
           i = j && Rng.int64 a = Rng.int64 b)
         (List.init 8 Fun.id))
 
+(* Idsort.by_key against the Array.sort it transcribes: the whole
+   permutation must match, ties included, since the explorer's outcomes
+   depend on where ties land.  Keys draw from a handful of values so most
+   comparisons tie; the values include -0.0 beside 0.0, both infinities
+   and nan, whose [Float.compare] order the transcription must keep. *)
+let prop_idsort_array_sort =
+  let values = [| 0.0; -0.0; 1.0; 2.5; infinity; neg_infinity; nan; 1e-9 |] in
+  let keys =
+    QCheck.Gen.(
+      int_range 1 (Array.length values) >>= fun d ->
+      array_size (int_range 0 2000) (map (Array.get values) (int_bound (d - 1))))
+  in
+  QCheck.Test.make ~count:300 ~name:"idsort = Array.sort"
+    (QCheck.make ~print:QCheck.Print.(array float) keys)
+    (fun key ->
+      let want = Array.init (Array.length key) Fun.id in
+      Array.sort (fun a b -> Float.compare key.(a) key.(b)) want;
+      let got = Array.init (Array.length key) Fun.id in
+      Idsort.by_key key got;
+      want = got)
+
 let () =
   Alcotest.run "mcf_util"
     [ ( "rng",
@@ -768,7 +789,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ prop_percentile_bounded; prop_pearson_bounded;
             prop_shuffle_multiset; prop_dedup_sorted; prop_geomean_between;
-            prop_weighted_sampler_linear;
+            prop_weighted_sampler_linear; prop_idsort_array_sort;
             QCheck.Test.make ~count:50 ~name:"parallel map = map"
               QCheck.(pair (int_range 1 6) (list small_int))
               (fun (d, l) ->
