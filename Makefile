@@ -35,8 +35,10 @@ trace-demo:
 # lib/model/, Space and the fuzz oracles that check it; the raw tiling
 # walk (Tiling.seq, Tiling.seq_deep) serves only Space's rule-1-off path
 # and recorder prefix, so lib/ names it only in tiling.ml and space.ml;
-# and every file write but an append goes through Json.write_atomic, so
-# open_out appears only in json.ml.
+# every file write but an append goes through Json.write_atomic, so
+# open_out appears only in json.ml; and Measure is the one stage that
+# simulates a compiled search entry, so outside lib/fuzz/ no lib/ file
+# but measure.ml names both Space.lowered and Sim.run.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -58,10 +60,14 @@ ci-guard:
 	@if grep -rn 'open_out ' lib bin bench | grep -v '^lib/util/json\.ml:'; then \
 	  echo "ci-guard: open_out in lib bin bench outside lib/util/json.ml"; \
 	  exit 1; fi
+	@if grep -rl 'Space\.lowered' lib | grep -v -e '^lib/fuzz/' \
+	  -e '^lib/search/measure\.ml$$' | xargs -r grep -l 'Sim\.run '; then \
+	  echo "ci-guard: Space.lowered and Sim.run in one lib/ file outside measure.ml and lib/fuzz/"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

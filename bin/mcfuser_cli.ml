@@ -39,52 +39,6 @@ let spec_of_name name =
            (String.concat ", "
               (List.map (fun (s : Mcf_gpu.Spec.t) -> s.name) Mcf_gpu.Spec.all))))
 
-(* Accepts Table II/III names (G4, S2), the deep-chain names (D5-D8),
-   network names (bert-base, vit-large) and mha-<x> as an alias for the
-   Bert-<x> attention shape. *)
-let chain_of_workload name =
-  let canon = String.lowercase_ascii name in
-  let strip_prefix p s =
-    let lp = String.length p in
-    if String.length s > lp && String.sub s 0 lp = p then
-      Some (String.sub s lp (String.length s - lp))
-    else None
-  in
-  let gemm =
-    List.find_opt
-      (fun (g : Mcf_workloads.Configs.gemm_config) ->
-        String.lowercase_ascii g.gname = canon)
-      Mcf_workloads.Configs.gemm_chains
-  in
-  match gemm with
-  | Some g -> Ok (Mcf_workloads.Configs.gemm_chain g)
-  | None -> (
-    let attention =
-      List.find_opt
-        (fun (s : Mcf_workloads.Configs.attention_config) ->
-          let network = String.lowercase_ascii s.network in
-          String.lowercase_ascii s.sname = canon
-          || network = canon
-          ||
-          match strip_prefix "mha-" canon with
-          | Some suffix -> network = "bert-" ^ suffix
-          | None -> false)
-        Mcf_workloads.Configs.attentions
-    in
-    match attention with
-    | Some s -> Ok (Mcf_workloads.Configs.attention s)
-    | None -> (
-      match Mcf_workloads.Configs.find_deep name with
-      | Some d -> Ok (Mcf_workloads.Configs.deep_chain d)
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown workload %S (G1-G12, S1-S9, D5-D8, a network name \
-                like bert-base, or mha-small/base/large; see `mcfuser \
-                workloads`)"
-               name))))
-
 (* --- common flags: verbosity and observability ---------------------------- *)
 
 let verbose_arg =
@@ -327,8 +281,8 @@ let with_setup device workload f =
   match spec_of_name device with
   | Error e -> Error e
   | Ok spec -> (
-    match chain_of_workload workload with
-    | Error e -> Error e
+    match Mcf_serve.Protocol.chain_of_workload workload with
+    | Error e -> Error (`Msg e)
     | Ok chain -> f spec chain)
 
 let device_arg =

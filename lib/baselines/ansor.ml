@@ -16,24 +16,13 @@ let space_options =
     include_flat = false;
     dead_loop_elim = false }
 
-let measure ~clock spec (entry : Mcf_search.Space.entry) =
-  Mcf_gpu.Clock.charge_compile clock ~toolchain_s:tvm_compile_s;
-  match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered entry) with
-  | Error _ -> None
-  | Ok kernel -> (
-    match Mcf_gpu.Sim.run spec (derate kernel) with
-    | Error _ -> None
-    | Ok v ->
-      Mcf_gpu.Clock.charge_measure clock ~kernel_time_s:v.time_s
-        ~repeats:measure_repeats;
-      Some (derate kernel, v.time_s))
-
 let tune_fused ~rng ~clock spec chain =
   let entries, _ = Mcf_search.Space.enumerate ~options:space_options spec chain in
   match entries with
   | [] -> None
   | _ ->
     let pool = Array.of_list entries in
+    let engine = Mcf_search.Measure.create ~derate spec in
     let results = Hashtbl.create 256 in
     let model = ref None in
     let budget = ref !trials in
@@ -62,22 +51,43 @@ let tune_fused ~rng ~clock spec chain =
       for _ = List.length !picks + 1 to round do
         picks := Mcf_util.Rng.pick rng pool :: !picks
       done;
+      (* The round's fresh picks form one batch, in pick order.  Ansor
+         re-measures revisited states, and the compile is real even when
+         the result is known.  A revisit's charge keeps its place in pick
+         order, so the clock adds the same floats in the same order: it
+         is made in the commit of the fresh pick before it, or at once
+         when no fresh pick precedes it. *)
+      let fresh = Hashtbl.create 64 in
+      let batch = ref [] in
+      let revisits = Array.make round 0 in
       List.iter
         (fun (e : Mcf_search.Space.entry) ->
           let key = Candidate.key e.cand in
-          match Hashtbl.find_opt results key with
-          | Some _ ->
-            (* Ansor re-measures revisited states; the cost is real even
-               when the result is known. *)
-            Mcf_gpu.Clock.charge_compile clock ~toolchain_s:tvm_compile_s
-          | None -> Hashtbl.replace results key (e, measure ~clock spec e))
+          if Hashtbl.mem results key || Hashtbl.mem fresh key then
+            match !batch with
+            | [] -> Mcf_gpu.Clock.charge_compile clock ~toolchain_s:tvm_compile_s
+            | (i, _) :: _ -> revisits.(i) <- revisits.(i) + 1
+          else begin
+            Hashtbl.replace fresh key ();
+            batch := (Hashtbl.length fresh - 1, e) :: !batch
+          end)
         !picks;
+      let batch = Array.of_list (List.rev !batch) in
+      Mcf_search.Measure.run_batch engine ~clock ~compile_cost_s:tvm_compile_s
+        ~repeats:measure_repeats
+        ~commit:(fun i r ->
+          let e = snd batch.(i) in
+          Hashtbl.replace results (Candidate.key e.cand) (e, r);
+          for _ = 1 to revisits.(i) do
+            Mcf_gpu.Clock.charge_compile clock ~toolchain_s:tvm_compile_s
+          done)
+        (Array.to_list batch);
       (* retrain the cost model on everything measured so far *)
       let samples =
         Hashtbl.fold
           (fun _ (e, r) acc ->
             match r with
-            | Some (_, t) ->
+            | Some t ->
               ((Xgb.feature_vector (Mcf_search.Space.lowered e), log t) :: acc)
             | None -> acc)
           results []
@@ -89,14 +99,17 @@ let tune_fused ~rng ~clock spec chain =
     done;
     let best =
       Hashtbl.fold
-        (fun _ (_, r) acc ->
+        (fun _ (e, r) acc ->
           match (r, acc) with
-          | Some (k, t), Some (_, bt) when t < bt -> Some (k, t)
-          | Some (k, t), None -> Some (k, t)
+          | Some t, Some (_, bt) when t < bt -> Some (e, t)
+          | Some t, None -> Some (e, t)
           | _, acc -> acc)
         results None
     in
-    best
+    Option.bind best (fun ((e : Mcf_search.Space.entry), time_s) ->
+        Result.to_option
+          (Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e))
+        |> Option.map (fun kernel -> (derate kernel, time_s)))
 
 let tune_unfused ~clock spec chain =
   (* Per-operator tuning: Ansor still runs its trial budget, spread over
@@ -110,50 +123,32 @@ let tune_unfused ~clock spec chain =
   | Ok t -> Some (kernels, t)
 
 let tune spec (chain : Chain.t) =
-  let seed =
-    Int64.to_int
-      (Int64.logand
-         (Mcf_util.Hashing.fnv1a64 ("ansor|" ^ chain.cname ^ spec.Mcf_gpu.Spec.name))
-         0x3FFFFFFFFFFFFFFFL)
+  let rng =
+    Mcf_util.Rng.create
+      (Mcf_util.Hashing.seed ("ansor|" ^ chain.cname ^ spec.Mcf_gpu.Spec.name))
   in
-  let rng = Mcf_util.Rng.create seed in
   let clock = Mcf_gpu.Clock.create () in
+  let outcome ~fused ?note (kernels, time_s) =
+    { Backend.backend = "Ansor";
+      kernels;
+      time_s;
+      tuning_virtual_s = Mcf_gpu.Clock.elapsed_s clock;
+      tuning_wall_s = 0.0;
+      fused;
+      note }
+  in
+  let unfused note =
+    match tune_unfused ~clock spec chain with
+    | Some r -> Ok (outcome ~fused:false ~note r)
+    | None -> Error (Backend.Unsupported "no viable schedule")
+  in
   let run () =
-    if chain.batch <= max_fusable_batch then
-      match tune_fused ~rng ~clock spec chain with
-      | Some (kernel, time_s) ->
-        Ok
-          { Backend.backend = "Ansor";
-            kernels = [ kernel ];
-            time_s;
-            tuning_virtual_s = Mcf_gpu.Clock.elapsed_s clock;
-            tuning_wall_s = 0.0;
-            fused = true;
-            note = None }
-      | None -> (
-        match tune_unfused ~clock spec chain with
-        | Some (kernels, time_s) ->
-          Ok
-            { Backend.backend = "Ansor";
-              kernels;
-              time_s;
-              tuning_virtual_s = Mcf_gpu.Clock.elapsed_s clock;
-              tuning_wall_s = 0.0;
-              fused = false;
-              note = Some "fallback: unfused (no viable fused schedule)" }
-        | None -> Error (Backend.Unsupported "no viable schedule"))
+    if chain.batch > max_fusable_batch then
+      unfused "fallback: batch too large for fusion sketches"
     else
-      match tune_unfused ~clock spec chain with
-      | Some (kernels, time_s) ->
-        Ok
-          { Backend.backend = "Ansor";
-            kernels;
-            time_s;
-            tuning_virtual_s = Mcf_gpu.Clock.elapsed_s clock;
-            tuning_wall_s = 0.0;
-            fused = false;
-            note = Some "fallback: batch too large for fusion sketches" }
-      | None -> Error (Backend.Unsupported "no viable schedule")
+      match tune_fused ~rng ~clock spec chain with
+      | Some (kernel, time_s) -> Ok (outcome ~fused:true ([ kernel ], time_s))
+      | None -> unfused "fallback: unfused (no viable fused schedule)"
   in
   let result, wall = Mcf_gpu.Clock.with_wall_clock run in
   Result.map (fun (o : Backend.outcome) -> { o with tuning_wall_s = wall }) result

@@ -8,10 +8,15 @@
     - exploration: an evolutionary loop guided by a gradient-boosted cost
       model ({!Xgb}) retrained on every measured batch — each of the 1000
       trials pays TVM + nvcc compilation on the virtual clock, which is
-      where Table IV's hours come from;
+      where Table IV's hours come from.  Each round's fresh picks are
+      measured as one {!Mcf_search.Measure.run_batch} batch in pick
+      order; a revisited pick pays only its compile, charged in pick
+      order;
     - code quality: Ansor's generated kernels do not reach tensor-core
       peak (its auto-scheduling targets CUDA cores); math throughput is
-      derated to ~1/3 of MMA peak;
+      derated to ~1/3 of MMA peak, by the measure engine's [~derate]
+      transform, and the winner's kernel is the derated compile of the
+      best measured entry;
     - fusion coverage: chains with batch > 4 fall back to unfused
       per-operator execution (the G12 failure of §VI-B). *)
 

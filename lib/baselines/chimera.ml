@@ -10,14 +10,10 @@ let space_options =
 let data_movement (b : Mcf_model.Perf.breakdown) = b.t_mem *. b.alpha
 
 let tune spec (chain : Mcf_ir.Chain.t) =
-  let seed =
-    Int64.to_int
-      (Int64.logand
-         (Mcf_util.Hashing.fnv1a64
-            ("chimera|" ^ chain.cname ^ spec.Mcf_gpu.Spec.name))
-         0x3FFFFFFFFFFFFFFFL)
+  let rng =
+    Mcf_util.Rng.create
+      (Mcf_util.Hashing.seed ("chimera|" ^ chain.cname ^ spec.Mcf_gpu.Spec.name))
   in
-  let rng = Mcf_util.Rng.create seed in
   let clock = Mcf_gpu.Clock.create () in
   let run () =
     let entries, scores, _ =

@@ -45,12 +45,9 @@ let model_only spec chain =
   match best with
   | None -> { kernel_time_s = None; tuning_s = None }
   | Some (e, _) -> (
-    match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e) with
-    | Error _ -> { kernel_time_s = None; tuning_s = Some 4.0 }
-    | Ok kernel -> (
-      match Mcf_gpu.Sim.run spec kernel with
-      | Error _ -> { kernel_time_s = None; tuning_s = Some 4.0 }
-      | Ok v -> { kernel_time_s = Some v.time_s; tuning_s = Some 5.2 }))
+    match Mcf_search.Measure.time (Mcf_search.Measure.create spec) e with
+    | None -> { kernel_time_s = None; tuning_s = Some 4.0 }
+    | Some t -> { kernel_time_s = Some t; tuning_s = Some 5.2 })
 
 let tune_no_alpha spec chain =
   Mcf_search.Tuner.tune

@@ -12,6 +12,7 @@ let paper_correlations = [ ("G1", 0.86); ("G2", 0.92); ("G3", 0.84); ("G4", 0.80
 
 let compute ?(samples = 250) (spec : Mcf_gpu.Spec.t) =
   let rng = Mcf_util.Rng.create 20241105 in
+  let engine = Mcf_search.Measure.create spec in
   List.filter_map
     (fun (g : Mcf_workloads.Configs.gemm_config) ->
       if not (List.mem_assoc g.gname paper_correlations) then None
@@ -25,16 +26,12 @@ let compute ?(samples = 250) (spec : Mcf_gpu.Spec.t) =
         let n = min samples (Array.length arr) in
         let points = ref [] in
         (* Estimates come from the enumeration; only the sampled entries
-           that reach compilation get lowered (lazily, by
-           [Space.lowered]). *)
+           are lowered and measured. *)
         for i = 0 to n - 1 do
           let e, (est, _) = arr.(i) in
-          match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered e) with
-          | Error _ -> ()
-          | Ok kernel -> (
-            match Mcf_gpu.Sim.run spec kernel with
-            | Error _ -> ()
-            | Ok v -> points := (est *. 1e6, v.time_s *. 1e6) :: !points)
+          match Mcf_search.Measure.time engine e with
+          | None -> ()
+          | Some t -> points := (est *. 1e6, t *. 1e6) :: !points
         done;
         let xs = List.map fst !points and ys = List.map snd !points in
         Some

@@ -214,11 +214,8 @@ type case = {
    the run is parallelized or resumed. *)
 let stream seed id purpose =
   Rng.create
-    (Int64.to_int
-       (Int64.logand
-          (Mcf_util.Hashing.fnv1a64
-             (Printf.sprintf "mcfuser.fuzz|%d|%d|%s" seed id purpose))
-          0x3FFFFFFFFFFFFFFFL))
+    (Mcf_util.Hashing.seed
+       (Printf.sprintf "mcfuser.fuzz|%d|%d|%s" seed id purpose))
 
 let case_of_id ~seed id =
   let rng = stream seed id "case" in

@@ -85,22 +85,28 @@ type t = {
   spec : Mcf_gpu.Spec.t;
   spec_fp : string;
   cache : cache option;
+  derate : Mcf_gpu.Kernel.t -> Mcf_gpu.Kernel.t;
 }
 
-let create ?cache spec =
-  { spec; spec_fp = Mcf_gpu.Spec.fingerprint spec; cache }
-
-let spec t = t.spec
-let cache t = t.cache
+let create ?cache ?derate spec =
+  (* Keys do not name the transform, so a cache would mix derated and
+     underated times. *)
+  if Option.is_some cache && Option.is_some derate then
+    invalid_arg "Measure.create: a derating engine takes no cache";
+  { spec;
+    spec_fp = Mcf_gpu.Spec.fingerprint spec;
+    cache;
+    derate = Option.value derate ~default:Fun.id }
 
 (* One uncharged simulator round-trip: lower (forcing the entry's cell),
-   compile, run.  [None] when the candidate fails to compile or launch —
-   failures are cached too, so a warm run skips re-proving them. *)
+   compile, derate, run.  [None] when the candidate fails to compile or
+   launch — failures are cached too, so a warm run skips re-proving
+   them. *)
 let simulate t (e : Space.entry) =
   match Mcf_codegen.Compile.compile t.spec (Space.lowered e) with
   | Error _ -> None
   | Ok kernel -> (
-    match Mcf_gpu.Sim.run t.spec kernel with
+    match Mcf_gpu.Sim.run t.spec (t.derate kernel) with
     | Error _ -> None
     | Ok v -> Some v.time_s)
 
@@ -119,6 +125,16 @@ let measure_one t (key : string option) (e : Space.entry) =
           Mcf_obs.Metrics.incr c_cache_inflight_waits);
         v)
 
+(* The entry's cache key, [None] on a cacheless engine; [cfp] yields the
+   chain component. *)
+let key t cfp (e : Space.entry) =
+  Option.map
+    (fun _ ->
+      key_with ~spec_fp:t.spec_fp ~chain_fp:(cfp e.ctx.Space.chain) e.ctx e.cand)
+    t.cache
+
+let time t e = measure_one t (key t chain_fp e) e
+
 let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
   match items with
   | [] -> ()
@@ -129,23 +145,16 @@ let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
        the chain (hashing its fingerprint, memoized per distinct chain
        below) and must not race on the memo from worker domains. *)
     let keys =
-      match t.cache with
-      | None -> Array.make n None
-      | Some _ ->
-        let memo = ref [] in
-        Array.map
-          (fun ((_ : int), (e : Space.entry)) ->
-            let chain = e.ctx.Space.chain in
-            let cfp =
-              match List.assq_opt chain !memo with
-              | Some fp -> fp
-              | None ->
-                let fp = chain_fp chain in
-                memo := (chain, fp) :: !memo;
-                fp
-            in
-            Some (key_with ~spec_fp:t.spec_fp ~chain_fp:cfp e.ctx e.cand))
-          arr
+      let memo = ref [] in
+      let cfp chain =
+        match List.assq_opt chain !memo with
+        | Some fp -> fp
+        | None ->
+          let fp = chain_fp chain in
+          memo := (chain, fp) :: !memo;
+          fp
+      in
+      Array.map (fun ((_ : int), e) -> key t cfp e) arr
     in
     let compute i = measure_one t keys.(i) (snd arr.(i)) in
     (* Stage 1 — parallel: pure per-candidate work (lower, compile,

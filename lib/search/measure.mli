@@ -6,7 +6,8 @@
     point-wise.  The engine runs in two stages:
 
     + {b parallel} — per candidate: lower (forcing the entry's lazy
-      cell), compile, and run the deterministic simulator on the shared
+      cell), compile, apply the engine's kernel transform (see
+      {!create}), and run the deterministic simulator on the shared
       {!Mcf_util.Pool}, one candidate per chunk;
     + {b sequential drain} in rank order — virtual-clock charges (in
       float addition order), the caller's [commit] callback (recorder
@@ -15,6 +16,12 @@
     Because stage 1 is pure and the simulator is deterministic, every
     observable — funnel counts, recordings, tuner results, virtual time
     — is bit-identical at any [--jobs].
+
+    This is the one place that simulates a compiled search entry: the
+    explore loop, BOLT and Ansor measure batches through {!run_batch},
+    and Fig. 11 and the model-only ablation take single uncharged times
+    from {!time}.  All of them, baselines and experiments included,
+    feed the [explore.measure_s] histogram.
 
     The optional cache is content-addressed: the key combines the
     {!Mcf_gpu.Spec.fingerprint}, a hash of the
@@ -56,16 +63,24 @@ val cache_load : cache -> string -> int * int
 
 type t
 
-val create : ?cache:cache -> Mcf_gpu.Spec.t -> t
+val create :
+  ?cache:cache -> ?derate:(Mcf_gpu.Kernel.t -> Mcf_gpu.Kernel.t) ->
+  Mcf_gpu.Spec.t -> t
 (** An engine measuring on one device.  Stage 1 runs on the shared
-    {!Mcf_util.Pool}; at [--jobs 1] it runs inline in the caller. *)
+    {!Mcf_util.Pool}; at [--jobs 1] it runs inline in the caller.
 
-val spec : t -> Mcf_gpu.Spec.t
-
-val cache : t -> cache option
+    [derate] transforms each compiled kernel before it is simulated
+    (default: none); Ansor passes its math derating.  Cache keys do not
+    name the transform, so a derating engine takes no cache (passing
+    both raises [Invalid_argument]) and underated keys are unchanged. *)
 
 val chain_fp : Mcf_ir.Chain.t -> string
 (** Hex-hashed {!Mcf_ir.Chain.fingerprint} (the key's chain component). *)
+
+val time : t -> Space.entry -> float option
+(** The per-entry function {!run_batch}'s stage 1 maps, uncharged and in
+    the caller: compile, transform, simulate (through the cache when one
+    is attached).  [None] when the entry fails to compile or launch. *)
 
 val run_batch :
   t ->

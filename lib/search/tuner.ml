@@ -16,10 +16,7 @@ type outcome = {
 type error = No_viable_candidate
 
 let default_seed (spec : Mcf_gpu.Spec.t) (chain : Mcf_ir.Chain.t) =
-  Int64.to_int
-    (Int64.logand
-       (Mcf_util.Hashing.fnv1a64 (chain.cname ^ "|" ^ spec.name))
-       0x3FFFFFFFFFFFFFFFL)
+  Mcf_util.Hashing.seed (String.concat "|" [ chain.cname; spec.name ])
 
 module Log = (val Logs.src_log Explore.log_src : Logs.LOG)
 

@@ -18,3 +18,5 @@ let fnv1a64 s = combine offset_basis s
 let to_unit_float h =
   let v = Int64.to_int (Int64.shift_right_logical h 11) in
   float_of_int v /. 9007199254740992.0
+
+let seed s = Int64.to_int (Int64.logand (fnv1a64 s) 0x3FFFFFFFFFFFFFFFL)

@@ -9,3 +9,7 @@ val combine : int64 -> string -> int64
 
 val to_unit_float : int64 -> float
 (** Map a hash to a float in \[0, 1), uniformly over 53 bits. *)
+
+val seed : string -> int
+(** The low 62 bits of {!fnv1a64}: a non-negative [int] seed derived
+    from a string, for {!Rng.create}. *)

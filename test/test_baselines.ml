@@ -231,6 +231,182 @@ let test_ansor_fallback_large_batch () =
     Alcotest.(check bool) "notes it" true (o.note <> None)
   | Error _ -> Alcotest.fail "Ansor fallback failed"
 
+(* Ansor at [trials := 100] on the paper's table workloads: kernel time
+   and virtual tuning seconds as hex floats, whether it fused, and an
+   FNV-1a hash of each kernel's [Kernel.fingerprint] (the bytes that fix
+   its simulated time).  The rows pin the learned-model loop end to end:
+   pick order, revisit charges, training-sample order and the winner. *)
+let table_names =
+  List.map
+    (fun (g : Mcf_workloads.Configs.gemm_config) -> g.gname)
+    Mcf_workloads.Configs.gemm_chains
+  @ List.map
+      (fun (s : Mcf_workloads.Configs.attention_config) -> s.sname)
+      Mcf_workloads.Configs.attentions
+
+let ansor_row spec name =
+  let chain =
+    match Mcf_serve.Protocol.chain_of_workload name with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let label = Printf.sprintf "%s %s" name spec.Mcf_gpu.Spec.name in
+  match B.Ansor.backend.tune spec chain with
+  | Error _ -> (label, "unsupported", "")
+  | Ok o ->
+    ( label,
+      Printf.sprintf "%h %h fused=%b" o.time_s o.tuning_virtual_s o.fused,
+      String.concat " "
+        (List.map
+           (fun k ->
+             Printf.sprintf "%016Lx"
+               (Mcf_util.Hashing.fnv1a64 (Mcf_gpu.Kernel.fingerprint k)))
+           o.kernels) )
+
+let ansor_golden =
+  [ ( "G1 A100",
+      "0x1.7b84563704c6cp-18 0x1.c6309b3939a2fp+8 fused=true",
+      "79b56874613afb45" );
+    ( "G2 A100",
+      "0x1.88595026ab5e5p-18 0x1.c6310e8d53a52p+8 fused=true",
+      "edf53ef6bc35492a" );
+    ( "G3 A100",
+      "0x1.ab3cc4810495cp-18 0x1.c634d9ddf8c95p+8 fused=true",
+      "038907ae51669811" );
+    ( "G4 A100",
+      "0x1.ec79bbaa0979ep-17 0x1.c63b0a313d472p+8 fused=true",
+      "b8acd3ed3d7a1b19" );
+    ( "G5 A100",
+      "0x1.6d478171215f9p-16 0x1.c64342fc558a9p+8 fused=true",
+      "a7113253fbef0e18" );
+    ( "G6 A100",
+      "0x1.306b972020751p-15 0x1.c64e8ec85312cp+8 fused=true",
+      "846010dac125f96e" );
+    ( "G7 A100",
+      "0x1.440e5b06876ecp-17 0x1.c637ffc5f90ebp+8 fused=true",
+      "7b513dabd1a346cd" );
+    ( "G8 A100",
+      "0x1.77f3971101a87p-17 0x1.c637736071fdbp+8 fused=true",
+      "7678035e9c158d82" );
+    ( "G9 A100",
+      "0x1.d5944231198bfp-17 0x1.c63bbf8f447adp+8 fused=true",
+      "33189386dd6bc8a8" );
+    ( "G10 A100",
+      "0x1.3a10926f35032p-16 0x1.c63aec38abf49p+8 fused=true",
+      "9e6183ccc45fad1e" );
+    ( "G11 A100",
+      "0x1.37c164ce7449ap-15 0x1.c643b23aa8d9p+8 fused=true",
+      "a281e2fd91549851" );
+    ( "G12 A100",
+      "0x1.291a1de450fa5p-14 0x1.c2p+8 fused=false",
+      "d949cfa191926a62 a13a1d8148860ff8" );
+    ( "S1 A100",
+      "0x1.2756066552588p-15 0x1.c2p+8 fused=false",
+      "a24e50699d15aa37 778a164066763743 deec94e3a444494d" );
+    ( "S2 A100",
+      "0x1.5955722f83ff2p-15 0x1.c2p+8 fused=false",
+      "35acd85bf5d5da6c 6f3d8bf74b687626 0837efc09988b3bd" );
+    ( "S3 A100",
+      "0x1.8a18dc02bcdb6p-15 0x1.c2p+8 fused=false",
+      "1a631d5071b05702 60574d111780c7bf 40152cb94e4c197b" );
+    ( "S4 A100",
+      "0x1.af7fffcf2aeb1p-16 0x1.c2p+8 fused=false",
+      "3647563431605a6a 403f60ae811e3e72 fa8741ccdda68c1f" );
+    ( "S5 A100",
+      "0x1.c9edcfc9ec79ep-16 0x1.c2p+8 fused=false",
+      "a27f3946cb31e3b6 6598383317f900dc 99520ce13b4742b4" );
+    ( "S6 A100",
+      "0x1.f35627a1076f9p-16 0x1.c2p+8 fused=false",
+      "84755404aad435b9 6598383317f900dc 54e1e07710308fd3" );
+    ( "S7 A100",
+      "0x1.7c15a6e841f56p-18 0x1.c632e2281ae76p+8 fused=true",
+      "4968d26d4f0316b6" );
+    ( "S8 A100",
+      "0x1.a368934a72a15p-18 0x1.c636ba500485ap+8 fused=true",
+      "b43b172a1eef2ba5" );
+    ( "S9 A100",
+      "0x1.085ccdda43975p-17 0x1.c6384adfe388fp+8 fused=true",
+      "2bfe931aacf3b2c5" );
+    ( "G1 RTX3080",
+      "0x1.aac1f42474cf1p-18 0x1.c63151d5a6a7cp+8 fused=true",
+      "48a90dceafd30e7a" );
+    ( "G2 RTX3080",
+      "0x1.e8edf095abcaep-18 0x1.c63344e9c5e64p+8 fused=true",
+      "fbb147e23791433f" );
+    ( "G3 RTX3080",
+      "0x1.24d060b21c09cp-17 0x1.c6337aee7016bp+8 fused=true",
+      "e05b075faebca4e8" );
+    ( "G4 RTX3080",
+      "0x1.791b46bbdd30bp-16 0x1.c63b46492d6ffp+8 fused=true",
+      "7d2045ae0515408c" );
+    ( "G5 RTX3080",
+      "0x1.2aa0ca30559b2p-15 0x1.c651c09989a82p+8 fused=true",
+      "73e7a522b9a4b075" );
+    ( "G6 RTX3080",
+      "0x1.e9762b8aea0b6p-15 0x1.c66c02bf0958bp+8 fused=true",
+      "ed1f66fc914d079a" );
+    ( "G7 RTX3080",
+      "0x1.c34ddd076ca8ap-17 0x1.c63085bbadbedp+8 fused=true",
+      "7fb8f67fbf492a05" );
+    ( "G8 RTX3080",
+      "0x1.1223082f9d5aap-16 0x1.c63876aab5e47p+8 fused=true",
+      "72c23d9cb427f515" );
+    ( "G9 RTX3080",
+      "0x1.9255852853388p-16 0x1.c63b3bd0029p+8 fused=true",
+      "f41e859529f06894" );
+    ( "G10 RTX3080",
+      "0x1.d4f696daa8345p-16 0x1.c647148b98dabp+8 fused=true",
+      "4337f57c8feeae8f" );
+    ( "G11 RTX3080",
+      "0x1.37874563ea46dp-14 0x1.c6637ac612dc4p+8 fused=true",
+      "b8641e321d2d1803" );
+    ( "G12 RTX3080",
+      "0x1.5e5b7c9cbd41fp-13 0x1.c2p+8 fused=false",
+      "d949cfa191926a62 7041fd5ab2c1db27" );
+    ( "S1 RTX3080",
+      "0x1.ac3e9d8457d98p-15 0x1.c2p+8 fused=false",
+      "1d46d33ef31e02e0 778a164066763743 deec94e3a444494d" );
+    ( "S2 RTX3080",
+      "0x1.28b85213583fdp-14 0x1.c2p+8 fused=false",
+      "35acd85bf5d5da6c 6f3d8bf74b687626 0837efc09988b3bd" );
+    ( "S3 RTX3080",
+      "0x1.59a20f83fba3ap-14 0x1.c2p+8 fused=false",
+      "1a631d5071b05702 60574d111780c7bf 40152cb94e4c197b" );
+    ( "S4 RTX3080",
+      "0x1.115c710992276p-15 0x1.c2p+8 fused=false",
+      "3647563431605a6a 403f60ae811e3e72 fa8741ccdda68c1f" );
+    ( "S5 RTX3080",
+      "0x1.26e4e99dbdc35p-15 0x1.c2p+8 fused=false",
+      "535d04be88ca2326 6598383317f900dc 99520ce13b4742b4" );
+    ( "S6 RTX3080",
+      "0x1.4e440bf4133fp-15 0x1.c2p+8 fused=false",
+      "84755404aad435b9 6598383317f900dc fb62b37ffe6ec837" );
+    ( "S7 RTX3080",
+      "0x1.b6d8a4dc1b39cp-18 0x1.c631c5329f961p+8 fused=true",
+      "e9c92972bfcab498" );
+    ( "S8 RTX3080",
+      "0x1.29579f0d31757p-17 0x1.c6348f6147a6p+8 fused=true",
+      "5d186763a010970d" );
+    ( "S9 RTX3080",
+      "0x1.6c387cf1fd0a1p-17 0x1.c63446f09a45dp+8 fused=true",
+      "05032322b043fc36" ) ]
+
+let test_ansor_golden () =
+  List.iter
+    (fun jobs ->
+      let saved = Mcf_util.Pool.jobs () in
+      Fun.protect
+        ~finally:(fun () -> Mcf_util.Pool.set_jobs saved)
+        (fun () ->
+          Mcf_util.Pool.set_jobs jobs;
+          Alcotest.(check (list (triple string string string)))
+            (Printf.sprintf "Ansor outcomes at jobs %d" jobs)
+            ansor_golden
+            (List.concat_map
+               (fun spec -> List.map (ansor_row spec) table_names)
+               [ a100; rtx ])))
+    [ 1; 4 ]
+
 (* --- Chimera / MCFuser ------------------------------------------------------------- *)
 
 let test_chimera_runs () =
@@ -363,7 +539,8 @@ let () =
         [ Alcotest.test_case "fuses small batch" `Quick
             test_ansor_fuses_small_batch;
           Alcotest.test_case "fallback big batch" `Quick
-            test_ansor_fallback_large_batch ] );
+            test_ansor_fallback_large_batch;
+          Alcotest.test_case "golden outcomes" `Quick test_ansor_golden ] );
       ( "mcfuser-vs",
         [ Alcotest.test_case "chimera runs" `Quick test_chimera_runs;
           Alcotest.test_case "backend wrapper" `Quick

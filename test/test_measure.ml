@@ -77,6 +77,51 @@ let test_run_batch_drain_order () =
     (List.length par_commits);
   Alcotest.(check (float 0.0)) "virtual clock identical" seq_clock par_clock
 
+(* --- kernel transform ---------------------------------------------------------- *)
+
+let test_derate_matches_sim () =
+  (* A derating engine's time is [Sim.run] of the derated compiled
+     kernel, single-entry and batched, and never reaches or reads the
+     cache an underated engine fills. *)
+  let derate = Mcf_baselines.Backend.derate_math 3.0 in
+  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let batch =
+    List.filteri (fun i _ -> i < 8) entries |> List.mapi (fun i e -> (i, e))
+  in
+  let sim tf (e : Mcf_search.Space.entry) =
+    match Mcf_codegen.Compile.compile a100 (Mcf_search.Space.lowered e) with
+    | Error _ -> None
+    | Ok k -> (
+      match Mcf_gpu.Sim.run a100 (tf k) with
+      | Ok v -> Some v.time_s
+      | Error _ -> None)
+  in
+  let batched engine =
+    let times = Array.make (List.length batch) None in
+    Measure.run_batch engine ~clock:(Mcf_gpu.Clock.create ())
+      ~compile_cost_s:0.8 ~repeats:10
+      ~commit:(fun i r -> times.(i) <- r)
+      batch;
+    Array.to_list times
+  in
+  let want_derated = List.map (fun (_, e) -> sim derate e) batch in
+  let want_plain = List.map (fun (_, e) -> sim Fun.id e) batch in
+  let times = Alcotest.(list (option (float 0.0))) in
+  Alcotest.(check bool) "the transform changes times" true
+    (want_derated <> want_plain);
+  let cache = Measure.cache_create () in
+  let plain = Measure.create ~cache a100 in
+  Alcotest.check times "underated engine" want_plain (batched plain);
+  let derating = Measure.create ~derate a100 in
+  Alcotest.check times "derated batch" want_derated (batched derating);
+  Alcotest.check times "derated single entries" want_derated
+    (List.map (fun (_, e) -> Measure.time derating e) batch);
+  Alcotest.check times "cache still underated" want_plain (batched plain);
+  Alcotest.(check bool) "derating engine refuses a cache" true
+    (match Measure.create ~cache ~derate a100 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- cache transparency ----------------------------------------------------- *)
 
 let test_cache_off_cold_warm_identical () =
@@ -264,6 +309,10 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "run_batch: drain order and clock" `Quick
             test_run_batch_drain_order
+        ] );
+      ( "transform",
+        [ Alcotest.test_case "derated time is Sim.run of derated kernel"
+            `Quick test_derate_matches_sim
         ] );
       ( "cache",
         [ Alcotest.test_case "off == cold == warm" `Quick

@@ -24,6 +24,15 @@ let req ?seed ?reservoir ~m () =
   { Protocol.workload = chain.Mcf_ir.Chain.cname; chain; spec = a100;
     seed; reservoir }
 
+(* D8 tunes for about half a second: long enough to keep a one-worker
+   server busy while a test submits behind it. *)
+let d8_req () =
+  match Protocol.chain_of_workload "D8" with
+  | Ok chain ->
+    { Protocol.workload = "D8"; chain; spec = a100; seed = None;
+      reservoir = None }
+  | Error e -> Alcotest.fail e
+
 let with_server ?(config = Server.default_config) f =
   match Server.start ~config () with
   | Error e -> Alcotest.failf "server start: %s" e
@@ -136,13 +145,14 @@ let test_sched_json_roundtrip () =
 (* --- coalescing -------------------------------------------------------------- *)
 
 let test_duplicates_coalesce () =
-  (* One worker, occupied by chain A; K duplicate submissions of chain B
-     from concurrent threads must collapse onto a single tuner session:
+  (* One worker, occupied by chain A (D8, so it is still tuning when
+     every duplicate arrives); K duplicate submissions of chain B from
+     concurrent threads must collapse onto a single tuner session:
      exactly one [Tuned], the rest [Coalesced], and every returned
      schedule bit-identical. *)
   let sessions_before = Metrics.counter_value "serve.sessions" in
   with_server ~config:{ Server.default_config with workers = 1 } (fun t ->
-      let a_jid, a_src = submit_ok t (req ~m:96 ()) in
+      let a_jid, a_src = submit_ok t (d8_req ()) in
       Alcotest.(check string) "A is a fresh session" "tuned"
         (Server.source_string a_src);
       let dup = req ~m:112 () in
@@ -284,15 +294,8 @@ let test_job_table_bounded () =
       let hit = req ~m:208 () in
       let first, _ = submit_ok t hit in
       ignore (await_done t first);
-      (* D8 tunes for about half a second, far longer than the burst. *)
-      let d8 =
-        match Protocol.chain_of_workload "D8" with
-        | Ok chain ->
-          { Protocol.workload = "D8"; chain; spec = a100; seed = None;
-            reservoir = None }
-        | Error e -> Alcotest.fail e
-      in
-      let pending, _ = submit_ok t d8 in
+      (* D8 tunes far longer than the burst. *)
+      let pending, _ = submit_ok t (d8_req ()) in
       let hits =
         List.init (Server.max_finished_jobs + 1) (fun _ ->
             let jid, src = submit_ok t hit in
