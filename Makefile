@@ -1,9 +1,8 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench examples quick clean fmt trace-demo check \
-	ci-guard bench-search bench-search-smoke bench-estimate-smoke \
-	report-smoke fuzz-smoke perf-smoke bench-stream-smoke \
-	bench-measure-smoke telemetry-smoke serve-smoke bench-serve-smoke
+	ci-guard bench-search bench-search-smoke report-smoke fuzz-smoke \
+	telemetry-smoke serve-smoke
 
 all: build
 
@@ -38,7 +37,10 @@ trace-demo:
 # every file write but an append goes through Json.write_atomic, so
 # open_out appears only in json.ml; and Measure is the one stage that
 # simulates a compiled search entry, so outside lib/fuzz/ no lib/ file
-# but measure.ml names both Space.lowered and Sim.run.
+# but measure.ml names both Space.lowered and Sim.run; and one lifecycle
+# starts and stops observability for the CLI and the bench, so outside
+# lib/fuzz/ no lib/, bin/ or bench/ file but lib/obs/lifecycle.ml starts
+# the tracer, recorder, sampler or profiler.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -64,10 +66,14 @@ ci-guard:
 	  -e '^lib/search/measure\.ml$$' | xargs -r grep -l 'Sim\.run '; then \
 	  echo "ci-guard: Space.lowered and Sim.run in one lib/ file outside measure.ml and lib/fuzz/"; \
 	  exit 1; fi
+	@if grep -rnE '(Trace|Recorder|Resource)\.start\b|Profile\.enable\b' \
+	  lib bin bench | grep -v -e '^lib/obs/lifecycle\.ml:' -e '^lib/fuzz/'; then \
+	  echo "ci-guard: observability started in lib bin bench outside lib/obs/lifecycle.ml and lib/fuzz/"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this
@@ -90,60 +96,6 @@ report-smoke:
 fuzz-smoke:
 	dune exec -- mcfuser fuzz --seed 42 --budget-s 10 --no-corpus
 	@echo "fuzz-smoke: all oracles clean"
-
-# Performance-history smoke: two smoke bench runs append to a fresh
-# temp history (with resource sampling on), then `mcfuser perf` renders
-# the trends and `--gate` checks the second run against the first.  The
-# generous tolerance only guards against catastrophic slowdowns — CI
-# machines are far too noisy for a tight wall-clock gate.
-perf-smoke:
-	rm -f /tmp/mcfuser-history-smoke.jsonl
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-smoke.jsonl \
-	  --out /tmp/mcfuser-bench-perf-smoke.json > /dev/null
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-smoke.jsonl \
-	  --out /tmp/mcfuser-bench-perf-smoke.json > /dev/null
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl \
-	  --gate --tolerance 0.5
-	@echo "perf-smoke: history append + trends + gate ok"
-
-# Streaming-enumeration smoke: the search bench's [enumeration] section
-# (6-block deep chain streamed through a reservoir vs unbounded, with its
-# own in-bench coverage and heap gates) feeds a fresh temp history twice,
-# then the perf gate must explicitly check the streamed run's
-# peak_heap_words ceiling — the bounded-memory regression guard — its
-# alloc_words_per_point, a deterministic count at one job, and its
-# summaries_per_enumeration, the analytic summaries the scorer built
-# (deterministic at any job count).
-bench-stream-smoke:
-	rm -f /tmp/mcfuser-history-stream.jsonl
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-stream.jsonl \
-	  --out /tmp/mcfuser-bench-stream-smoke.json > /dev/null
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-stream.jsonl \
-	  --out /tmp/mcfuser-bench-stream-smoke.json > /dev/null
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-stream.jsonl \
-	  --gate --tolerance 0.5 > /tmp/mcfuser-stream-gate.txt
-	grep -q "D6-smoke-stream peak_heap_words" /tmp/mcfuser-stream-gate.txt
-	grep -q "D6-smoke-stream alloc_words_per_point" \
-	  /tmp/mcfuser-stream-gate.txt
-	grep -q "D6-smoke-stream summaries_per_enumeration" \
-	  /tmp/mcfuser-stream-gate.txt
-	@echo "bench-stream-smoke: streamed deep-chain heap gate ok"
-
-# Measurement-engine smoke: the search bench's [measure] section only
-# (batched sequential vs parallel throughput, plus two tuner runs sharing
-# one measurement cache).  The in-bench gates fail the run unless the
-# warm tune simulates strictly fewer candidates than the cold one and
-# hits the cache on >90% of its lookups.
-bench-measure-smoke:
-	dune exec bench/main.exe -- --mode search --smoke --measure-only \
-	  --jobs 4 --out /tmp/mcfuser-bench-measure-smoke.json
-	@test -s /tmp/mcfuser-bench-measure-smoke.json
-	@echo "bench-measure-smoke: warm-cache + throughput gates ok"
 
 # Live-telemetry smoke: tune with the HTTP listener on a kernel-assigned
 # port and let the process probe its own endpoints over a real socket
@@ -179,48 +131,51 @@ serve-smoke:
 	@test -s /tmp/mcfuser-serve-sched.jsonl
 	@echo "serve-smoke: daemon + selfcheck + tune + warm cache + drain ok"
 
-# Serve-throughput smoke: two serve bench runs (each with its own
-# in-bench gates — >90% warm-cache hit rate and bit-identity against a
-# one-shot tune) feed a fresh temp history, then the perf gate must
-# explicitly check the smoke-serve requests/s row.
-bench-serve-smoke:
-	rm -f /tmp/mcfuser-history-serve.jsonl
-	dune exec bench/main.exe -- --mode serve --smoke --jobs 4 \
-	  --history /tmp/mcfuser-history-serve.jsonl \
-	  --out /tmp/mcfuser-bench-serve-smoke.json > /dev/null
-	dune exec bench/main.exe -- --mode serve --smoke --jobs 4 \
-	  --history /tmp/mcfuser-history-serve.jsonl \
-	  --out /tmp/mcfuser-bench-serve-smoke.json > /dev/null
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-serve.jsonl \
-	  --gate --tolerance 0.5 > /tmp/mcfuser-serve-gate.txt
-	grep -q "smoke-serve requests_per_s" /tmp/mcfuser-serve-gate.txt
-	@echo "bench-serve-smoke: throughput + warm-cache + identity gates ok"
-
-check: build fmt test trace-demo ci-guard bench-search-smoke bench-estimate-smoke report-smoke fuzz-smoke perf-smoke bench-stream-smoke bench-measure-smoke telemetry-smoke serve-smoke bench-serve-smoke
+check: build fmt test trace-demo ci-guard bench-search-smoke report-smoke fuzz-smoke telemetry-smoke serve-smoke
 
 bench:
 	dune exec bench/main.exe
 
 # Search-throughput benchmark: enumeration points/s + tuning wall seconds
-# per workload at --jobs 1 vs N, written to BENCH_search.json.  The smoke
-# variant (1 small workload) runs under `make check` so regressions in
-# the parallel path break tier-1.
+# per workload at --jobs 1 vs N, written to BENCH_search.json.
 bench-search:
 	dune exec bench/main.exe -- --mode search --out BENCH_search.json
 
+# Search-bench smoke, run under `make check` so regressions in the
+# parallel path break tier-1: two smoke runs (with resource sampling on)
+# append to a fresh temp history, then `mcfuser perf` renders the trends
+# and `--gate` checks the second run against the first.  Each run fails
+# on its own in-bench gates: the streamed 6-block deep chain must cover
+# at least 10x the baseline's space with a heap high-water mark at least
+# 1.5x below the unbounded run's, its enumeration at the default --jobs
+# (4 or more) must keep 0.9x of the 1-job throughput, and of two tuner
+# runs sharing one measurement cache the warm one must simulate strictly
+# fewer candidates than the cold one and hit on more than 90% of its
+# lookups.  The perf
+# gate must explicitly check the streamed run's peak_heap_words ceiling
+# (the bounded-memory regression guard), its alloc_words_per_point (a
+# deterministic count at one job) and its summaries_per_enumeration (the
+# analytic summaries the scorer built).  The generous tolerance only
+# guards against catastrophic slowdowns: CI machines are far too noisy
+# for a tight wall-clock gate.
 bench-search-smoke:
-	dune exec bench/main.exe -- --mode search --smoke \
-	  --out /tmp/mcfuser-bench-search-smoke.json
+	rm -f /tmp/mcfuser-history-smoke.jsonl
+	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
+	  --history /tmp/mcfuser-history-smoke.jsonl \
+	  --out /tmp/mcfuser-bench-search-smoke.json > /dev/null
+	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
+	  --history /tmp/mcfuser-history-smoke.jsonl \
+	  --out /tmp/mcfuser-bench-search-smoke.json > /dev/null
 	@test -s /tmp/mcfuser-bench-search-smoke.json
-	@echo "bench-search-smoke: /tmp/mcfuser-bench-search-smoke.json ok"
-
-# Closed-form vs lowered-walk estimation throughput only (the analytic
-# fast path's micro-section); fast enough for `make check`.
-bench-estimate-smoke:
-	dune exec bench/main.exe -- --mode search --smoke --estimate-only \
-	  --out /tmp/mcfuser-bench-estimate-smoke.json
-	@test -s /tmp/mcfuser-bench-estimate-smoke.json
-	@echo "bench-estimate-smoke: /tmp/mcfuser-bench-estimate-smoke.json ok"
+	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl
+	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl \
+	  --gate --tolerance 0.5 > /tmp/mcfuser-search-gate.txt
+	grep -q "D6-smoke-stream peak_heap_words" /tmp/mcfuser-search-gate.txt
+	grep -q "D6-smoke-stream alloc_words_per_point" \
+	  /tmp/mcfuser-search-gate.txt
+	grep -q "D6-smoke-stream summaries_per_enumeration" \
+	  /tmp/mcfuser-search-gate.txt
+	@echo "bench-search-smoke: in-bench gates, history, trends and perf gate ok"
 
 quick:
 	dune exec bench/main.exe -- --quick --no-micro

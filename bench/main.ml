@@ -12,12 +12,12 @@
      dune exec bench/main.exe -- --record FILE  # search flight recording
      dune exec bench/main.exe -- --metrics FILE # metrics registry as JSON
      dune exec bench/main.exe -- --profile    # phase table + metrics dump
+                                  # (these and --sample-ms, --listen go
+                                  # through Mcf_obs.Lifecycle, as in the CLI)
 
    Search-throughput mode (the tuner's hot path, see `make bench-search`):
      dune exec bench/main.exe -- --mode search --out BENCH_search.json
      dune exec bench/main.exe -- --mode search --jobs 4 --smoke
-     dune exec bench/main.exe -- --mode search --smoke --estimate-only
-     dune exec bench/main.exe -- --mode search --smoke --measure-only
      dune exec bench/main.exe -- --sample-ms 5      # resource telemetry
      dune exec bench/main.exe -- --mode search --history BENCH_history.jsonl
                                               # append per-workload entries
@@ -153,19 +153,18 @@ let run_micro () =
    determinism check: the tuner outcome must be bit-identical at every
    jobs setting. *)
 
+(* A built-in workload by the name the CLI takes. *)
+let workload name =
+  match Mcf_serve.Protocol.chain_of_workload name with
+  | Ok chain -> (name, chain)
+  | Error e -> failwith e
+
+let smoke_workload =
+  ("smoke", Mcf_ir.Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 ())
+
 let search_workloads ~smoke =
-  let gemm name =
-    match Mcf_workloads.Configs.find_gemm name with
-    | Some g -> (name, Mcf_workloads.Configs.gemm_chain g)
-    | None -> failwith ("unknown gemm workload " ^ name)
-  in
-  let attn name =
-    match Mcf_workloads.Configs.find_attention name with
-    | Some s -> (name, Mcf_workloads.Configs.attention s)
-    | None -> failwith ("unknown attention workload " ^ name)
-  in
-  if smoke then [ ("smoke", Mcf_ir.Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 ()) ]
-  else [ gemm "G1"; gemm "G4"; gemm "G10"; attn "S9"; attn "S3" ]
+  if smoke then [ smoke_workload ]
+  else List.map workload [ "G1"; "G4"; "G10"; "S9"; "S3" ]
 
 (* S3 (Bert-Large) is the largest attention workload of Table III. *)
 let largest_workload ~smoke = if smoke then "smoke" else "S3"
@@ -204,12 +203,7 @@ let outcome_fingerprint (o : Mcf_search.Tuner.outcome) =
 let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let num = Mcf_util.Json.num_of_int in
   let baseline_name, baseline_chain =
-    if smoke then
-      ("smoke", Mcf_ir.Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 ())
-    else
-      match Mcf_workloads.Configs.find_attention "S3" with
-      | Some s -> ("S3", Mcf_workloads.Configs.attention s)
-      | None -> failwith "unknown attention workload S3"
+    if smoke then smoke_workload else workload "S3"
   in
   let deep_name, deep_chain, reservoir =
     if smoke then
@@ -221,9 +215,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
           (),
         256 )
     else
-      match Mcf_workloads.Configs.find_deep "D6" with
-      | Some d -> ("D6", Mcf_workloads.Configs.deep_chain d, 512)
-      | None -> failwith "unknown deep workload D6"
+      let name, chain = workload "D6" in
+      (name, chain, 512)
   in
   Printf.printf
     "%s\n[enumeration] streamed %s (reservoir %d) vs unbounded\n%s\n%!" hr
@@ -542,20 +535,18 @@ let run_measure_bench spec ~jobs ~smoke =
   in
   (section, history_row, warm_misses, cold_misses, warm_hit_rate)
 
-let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
+let run_search_bench ~jobs ~smoke ~history ~out =
   let spec = Mcf_gpu.Spec.a100 in
   let jobs_list = List.sort_uniq compare [ 1; jobs ] in
   let reps = if smoke then 3 else 2 in
   let num = Mcf_util.Json.num_of_int in
   Mcf_util.Pool.set_jobs jobs;
   ignore (Mcf_util.Pool.get ());
-  let enumeration =
-    if estimate_only || measure_only then None
-    else Some (run_enumeration_bench spec ~jobs ~reps ~smoke)
+  let enumeration, stream_row, points_ratio, heap_saving, stream_speedup =
+    run_enumeration_bench spec ~jobs ~reps ~smoke
   in
   let results =
-    if estimate_only || measure_only then []
-    else List.map
+    List.map
       (fun (name, chain) ->
         Printf.printf "%s\n[search] %s\n%s\n%!" hr name hr;
         let funnel = ref None in
@@ -646,11 +637,9 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
               ("peak_heap_words", Num (Mcf_obs.Resource.peak_heap_words ())) ] ))
       (search_workloads ~smoke)
   in
-  let estimate_json =
-    if measure_only then None else Some (run_estimate_bench spec ~smoke)
-  in
-  let measure =
-    if estimate_only then None else Some (run_measure_bench spec ~jobs ~smoke)
+  let estimate = run_estimate_bench spec ~smoke in
+  let measure, measure_row, warm_misses, cold_misses, warm_hit_rate =
+    run_measure_bench spec ~jobs ~smoke
   in
   Mcf_obs.Poolstats.sync ();
   let largest = largest_workload ~smoke in
@@ -660,31 +649,23 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       1.0 results
   in
   let workload_rows =
-    List.map (fun (_, _, j) -> j) results
-    @ (match enumeration with Some (_, row, _, _, _) -> [ row ] | None -> [])
-    @ (match measure with Some (_, row, _, _, _) -> [ row ] | None -> [])
+    List.map (fun (_, _, j) -> j) results @ [ stream_row; measure_row ]
   in
   let doc =
     let open Mcf_util.Json in
     Obj
-      ([ ("bench", Str "search");
-         ("device", Str spec.name);
-         ("smoke", Bool smoke);
-         ("jobs", List (List.map num jobs_list));
-         ("cores", num (Domain.recommended_domain_count ()));
-         ("ocaml", Str Sys.ocaml_version);
-         ("workloads", List workload_rows) ]
-      @ (match enumeration with
-        | Some (section, _, _, _, _) -> [ ("enumeration", section) ]
-        | None -> [])
-      @ (match estimate_json with
-        | Some section -> [ ("estimate", section) ]
-        | None -> [])
-      @ (match measure with
-        | Some (section, _, _, _, _) -> [ ("measure", section) ]
-        | None -> [])
-      @ [ ("largest_workload", Str largest);
-          ("largest_enumerate_speedup", Num largest_speedup) ])
+      [ ("bench", Str "search");
+        ("device", Str spec.name);
+        ("smoke", Bool smoke);
+        ("jobs", List (List.map num jobs_list));
+        ("cores", num (Domain.recommended_domain_count ()));
+        ("ocaml", Str Sys.ocaml_version);
+        ("workloads", List workload_rows);
+        ("enumeration", enumeration);
+        ("estimate", estimate);
+        ("measure", measure);
+        ("largest_workload", Str largest);
+        ("largest_enumerate_speedup", Num largest_speedup) ]
   in
   Mcf_util.Json.write_atomic out (fun oc ->
       output_string oc (Mcf_util.Json.to_string doc);
@@ -699,350 +680,58 @@ let run_search_bench ~jobs ~smoke ~estimate_only ~measure_only ~history ~out =
       (if List.length entries = 1 then "y" else "ies")
       path
       (Mcf_obs.History.current_rev ()));
-  (* Smoke gates for the measurement cache: a warm tuner run must simulate
-     strictly fewer candidates than the cold run did, and hit the cache on
-     more than 90% of its lookups. *)
-  let measure_gate () =
-    match measure with
-    | Some (_, _, warm_misses, cold_misses, warm_hit_rate) when smoke ->
-      if warm_misses >= cold_misses then begin
-        Printf.eprintf
-          "FAIL: warm tune simulated %d candidates, not strictly below the \
-           cold run's %d\n%!"
-          warm_misses cold_misses;
-        exit 1
-      end;
-      if warm_hit_rate <= 0.9 then begin
-        Printf.eprintf
-          "FAIL: warm cache hit rate %.1f%% (threshold 90%%)\n%!"
-          (100.0 *. warm_hit_rate);
-        exit 1
-      end
-    | _ -> ()
-  in
-  if estimate_only then Printf.printf "\nwrote %s (estimate section only)\n" out
-  else if measure_only then begin
-    Printf.printf "\nwrote %s (measure section only)\n" out;
-    measure_gate ()
-  end
-  else begin
-    Printf.printf "\nwrote %s (largest workload %s: %.2fx enumeration \
-                   speedup at %d jobs on %d core(s))\n"
-      out largest largest_speedup
-      (List.fold_left max 1 jobs_list)
-      (Domain.recommended_domain_count ());
-    (* Smoke gates for the streaming pipeline: the deep chain must cover a
-       much larger post-rule-3 space than the largest Table workload, and
-       holding every valid entry must cost visibly more heap than the
-       reservoir did (the monotone peak makes both directions
-       conservative).  The pool regression gate rides on the same chain:
-       its streamed enumeration at the requested --jobs must not lose
-       more than noise to the 1-job run now that the global pool is
-       clamped to the hardware. *)
-    (match enumeration with
-    | Some (_, _, points_ratio, heap_saving, stream_speedup) when smoke ->
-      if stream_speedup < 0.9 then begin
-        Printf.eprintf
-          "FAIL: streamed deep-chain enumeration at %d jobs is %.2fx the \
-           1-job throughput (threshold 0.9)\n%!"
-          jobs stream_speedup;
-        exit 1
-      end;
-      if points_ratio < 10.0 then begin
-        Printf.eprintf
-          "FAIL: deep-chain space is only %.1fx the baseline's (threshold \
-           10x)\n%!"
-          points_ratio;
-        exit 1
-      end;
-      if heap_saving < 1.5 then begin
-        Printf.eprintf
-          "FAIL: the unbounded deep-chain stream peaked at only %.2fx the \
-           reservoir's high-water mark (threshold 1.5x)\n%!"
-          heap_saving;
-        exit 1
-      end
-    | _ -> ());
-    measure_gate ()
-  end
-
-(* --- serve-throughput benchmark (--mode serve) --------------------------- *)
-
-(* Drives a real [Mcf_serve.Server] over its HTTP socket with concurrent
-   client threads: a cold phase establishing the schedule cache (with
-   duplicate submissions that should coalesce onto running sessions),
-   then a warm phase replaying the same requests, which must be answered
-   from the cache.  Reports requests/s and p50/p99 round-trip latency
-   per phase, plus the warm-phase cache hit rate that `make
-   bench-serve-smoke` gates on. *)
-
-let serve_request_body ~m =
-  Mcf_util.Json.to_string
-    (Mcf_util.Json.Obj
-       [ ( "chain",
-           Mcf_util.Json.Obj
-             [ ("kind", Mcf_util.Json.Str "gemm");
-               ("m", Mcf_util.Json.num_of_int m);
-               ("n", Mcf_util.Json.num_of_int 64);
-               ("k", Mcf_util.Json.num_of_int 32);
-               ("h", Mcf_util.Json.num_of_int 32);
-             ] );
-         ("device", Mcf_util.Json.Str "A100");
-       ])
-
-(* POST one tune request and poll it to completion; returns the wall
-   latency, the submit-time source and the final job document. *)
-let serve_round_trip url body =
-  let t0 = Unix.gettimeofday () in
-  match Mcf_util.Httpd.Client.post (url ^ "/tune") ~body with
-  | Error e ->
-    Printf.eprintf "serve bench: POST /tune: %s\n%!" e;
-    exit 1
-  | Ok (code, resp) when code <> 200 && code <> 202 ->
-    Printf.eprintf "serve bench: POST /tune: HTTP %d %s\n%!" code resp;
-    exit 1
-  | Ok (_, resp) -> (
-    match Mcf_util.Json.parse (String.trim resp) with
-    | Error e ->
-      Printf.eprintf "serve bench: bad /tune response: %s\n%!" e;
-      exit 1
-    | Ok job ->
-      let jstr path j =
-        match
-          List.fold_left
-            (fun acc k ->
-              match acc with
-              | Some j -> Mcf_util.Json.member k j
-              | None -> None)
-            (Some j) path
-        with
-        | Some (Mcf_util.Json.Str s) -> s
-        | _ -> ""
-      in
-      let jid = jstr [ "job" ] job in
-      let source = jstr [ "source" ] job in
-      let rec poll job =
-        match jstr [ "state" ] job with
-        | "done" -> (Unix.gettimeofday () -. t0, source, job)
-        | "failed" ->
-          Printf.eprintf "serve bench: job %s failed: %s\n%!" jid
-            (jstr [ "error" ] job);
+  Printf.printf "\nwrote %s (largest workload %s: %.2fx enumeration \
+                 speedup at %d jobs on %d core(s))\n"
+    out largest largest_speedup
+    (List.fold_left max 1 jobs_list)
+    (Domain.recommended_domain_count ());
+  (* Smoke gates.  The streaming pipeline: the deep chain must cover a
+     much larger post-rule-3 space than the largest Table workload, and
+     holding every valid entry must cost visibly more heap than the
+     reservoir did (the monotone peak makes both directions
+     conservative).  The pool regression gate rides on the same chain:
+     its streamed enumeration at the requested --jobs must not lose more
+     than noise to the 1-job run now that the global pool is clamped to
+     the hardware.  The measurement cache: a warm tuner run must
+     simulate strictly fewer candidates than the cold run did, and hit
+     the cache on more than 90% of its lookups. *)
+  let gate ok fmt =
+    Printf.ksprintf
+      (fun msg ->
+        if smoke && not ok then begin
+          Printf.eprintf "FAIL: %s\n%!" msg;
           exit 1
-        | _ -> (
-          Thread.delay 0.01;
-          match Mcf_util.Httpd.Client.get (url ^ "/jobs/" ^ jid) with
-          | Error e ->
-            Printf.eprintf "serve bench: GET /jobs/%s: %s\n%!" jid e;
-            exit 1
-          | Ok (200, body) -> (
-            match Mcf_util.Json.parse (String.trim body) with
-            | Ok job -> poll job
-            | Error e ->
-              Printf.eprintf "serve bench: bad job document: %s\n%!" e;
-              exit 1)
-          | Ok (code, body) ->
-            Printf.eprintf "serve bench: GET /jobs/%s: HTTP %d %s\n%!" jid
-              code body;
-            exit 1)
-      in
-      poll job)
-
-(* Run [bodies] through [clients] threads; returns per-request
-   (latency, source) in completion order and the phase wall time. *)
-let serve_phase url ~clients bodies =
-  let results = ref [] in
-  let lock = Mutex.create () in
-  let next = Atomic.make 0 in
-  let bodies = Array.of_list bodies in
-  let t0 = Unix.gettimeofday () in
-  let worker () =
-    let rec go () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < Array.length bodies then begin
-        let r = serve_round_trip url bodies.(i) in
-        Mutex.lock lock;
-        results := r :: !results;
-        Mutex.unlock lock;
-        go ()
-      end
-    in
-    go ()
+        end)
+      fmt
   in
-  let threads = List.init clients (fun _ -> Thread.create worker ()) in
-  List.iter Thread.join threads;
-  (!results, Unix.gettimeofday () -. t0)
-
-let serve_phase_json name (results, wall) =
-  let lats = List.map (fun (l, _, _) -> l) results in
-  let n = List.length results in
-  let count src =
-    List.length (List.filter (fun (_, s, _) -> s = src) results)
-  in
-  let rps = if wall > 0.0 then float_of_int n /. wall else 0.0 in
-  let open Mcf_util.Json in
-  let num = num_of_int in
-  ( Obj
-      [ ("phase", Str name);
-        ("requests", num n);
-        ("wall_s", Num wall);
-        ("requests_per_s", Num rps);
-        ("latency_p50_s", Num (Mcf_util.Stats.percentile 50.0 lats));
-        ("latency_p99_s", Num (Mcf_util.Stats.percentile 99.0 lats));
-        ("tuned", num (count "tuned"));
-        ("coalesced", num (count "coalesced"));
-        ("cached", num (count "cached"));
-      ],
-    rps,
-    Mcf_util.Stats.percentile 50.0 lats,
-    Mcf_util.Stats.percentile 99.0 lats,
-    float_of_int (count "cached") /. float_of_int (max 1 n) )
-
-let run_serve_bench ~jobs ~smoke ~history ~out =
-  Mcf_util.Pool.set_jobs jobs;
-  let spec = Mcf_gpu.Spec.a100 in
-  let distinct = if smoke then 4 else 8 in
-  let dups = 2 in
-  let clients = 4 in
-  let workers = 2 in
-  let config = { Mcf_serve.Server.default_config with workers } in
-  match Mcf_serve.Server.start ~config () with
-  | Error e ->
-    Printf.eprintf "serve bench: %s\n%!" e;
-    exit 1
-  | Ok t ->
-    let url = Mcf_serve.Server.url t in
-    let ms = List.init distinct (fun i -> 96 + (16 * i)) in
-    let bodies = List.map (fun m -> serve_request_body ~m) ms in
-    (* Cold: every distinct chain [dups] times, interleaved so duplicate
-       submissions land while their session is still in flight. *)
-    let cold_bodies = List.concat (List.init dups (fun _ -> bodies)) in
-    let cold = serve_phase url ~clients cold_bodies in
-    let warm = serve_phase url ~clients cold_bodies in
-    (* Bit-identity spot check: the served schedule for the first chain
-       must equal a direct one-shot tune of the same request. *)
-    let direct_chain =
-      Mcf_ir.Chain.gemm_chain ~m:(List.hd ms) ~n:64 ~k:32 ~h:32 ()
-    in
-    let served_cand, served_time =
-      let _, _, job = serve_round_trip url (List.hd bodies) in
-      ( (match
-           Option.bind
-             (Mcf_util.Json.member "result" job)
-             (Mcf_util.Json.member "candidate")
-         with
-        | Some (Mcf_util.Json.Str s) -> s
-        | _ -> ""),
-        match
-          Option.bind
-            (Mcf_util.Json.member "result" job)
-            (Mcf_util.Json.member "kernel_time_s")
-        with
-        | Some (Mcf_util.Json.Num v) -> v
-        | _ -> nan )
-    in
-    (match Mcf_search.Tuner.tune spec direct_chain with
-    | Error _ ->
-      Printf.eprintf "serve bench: direct tune found no candidate\n%!";
-      exit 1
-    | Ok o ->
-      let direct_cand = Mcf_ir.Candidate.serialize o.best.cand in
-      if direct_cand <> served_cand || o.kernel_time_s <> served_time then begin
-        Printf.eprintf
-          "FAIL: served schedule differs from one-shot tune (%s at %.17g vs \
-           %s at %.17g)\n%!"
-          served_cand served_time direct_cand o.kernel_time_s;
-        exit 1
-      end);
-    Mcf_serve.Server.stop t;
-    let cold_json, cold_rps, _, _, _ = serve_phase_json "cold" cold in
-    let warm_json, warm_rps, warm_p50, warm_p99, warm_hit_rate =
-      serve_phase_json "warm" warm
-    in
-    let doc =
-      let open Mcf_util.Json in
-      let num = num_of_int in
-      Obj
-        [ ("bench", Str "serve");
-          ("device", Str spec.name);
-          ("smoke", Bool smoke);
-          ("jobs", num jobs);
-          ("workers", num workers);
-          ("clients", num clients);
-          ("distinct_chains", num distinct);
-          ("duplicates_per_chain", num dups);
-          ("cold", cold_json);
-          ("warm", warm_json);
-          ("warm_hit_rate", Num warm_hit_rate);
-        ]
-    in
-    Mcf_util.Json.write_atomic out (fun oc ->
-        output_string oc (Mcf_util.Json.to_string doc);
-        output_char oc '\n');
-    (match history with
-    | None -> ()
-    | Some path ->
-      let entry =
-        { Mcf_obs.History.time = Unix.gettimeofday ();
-          rev = Mcf_obs.History.current_rev ();
-          device = spec.name;
-          workload = (if smoke then "smoke-serve" else "serve");
-          cores = Some (Domain.recommended_domain_count ());
-          ocaml = Some Sys.ocaml_version;
-          metrics =
-            [ ("requests_per_s", warm_rps);
-              ("latency_p50_s", warm_p50);
-              ("latency_p99_s", warm_p99);
-            ] }
-      in
-      Mcf_obs.History.append ~path entry;
-      Printf.printf "appended 1 history entry to %s (rev %s)\n" path
-        (Mcf_obs.History.current_rev ()));
-    Printf.printf
-      "\nwrote %s (cold %.1f req/s, warm %.1f req/s, warm hit rate %.0f%%)\n"
-      out cold_rps warm_rps (100.0 *. warm_hit_rate);
-    if smoke && warm_hit_rate <= 0.9 then begin
-      Printf.eprintf
-        "FAIL: warm-phase cache hit rate %.1f%% (threshold 90%%)\n%!"
-        (100.0 *. warm_hit_rate);
-      exit 1
-    end
-
-let or_exit = function
-  | Ok v -> v
-  | Error e ->
-    prerr_endline e;
-    exit 1
-
-let write_trace path =
-  Mcf_obs.Trace.stop ();
-  let n = or_exit (Mcf_obs.Trace.write path) in
-  Printf.eprintf "trace: wrote %s (%d spans)\n%!" path n
-
-let write_record path =
-  Mcf_obs.Recorder.stop ();
-  let n = or_exit (Mcf_obs.Recorder.write path) in
-  Printf.eprintf "record: wrote %s (%d events)\n%!" path n
-
-let write_metrics path = or_exit (Mcf_obs.Export.write_metrics path)
+  gate (stream_speedup >= 0.9)
+    "streamed deep-chain enumeration at %d jobs is %.2fx the 1-job \
+     throughput (threshold 0.9)"
+    jobs stream_speedup;
+  gate (points_ratio >= 10.0)
+    "deep-chain space is only %.1fx the baseline's (threshold 10x)"
+    points_ratio;
+  gate (heap_saving >= 1.5)
+    "the unbounded deep-chain stream peaked at only %.2fx the reservoir's \
+     high-water mark (threshold 1.5x)"
+    heap_saving;
+  gate (warm_misses < cold_misses)
+    "warm tune simulated %d candidates, not strictly below the cold run's %d"
+    warm_misses cold_misses;
+  gate (warm_hit_rate > 0.9) "warm cache hit rate %.1f%% (threshold 90%%)"
+    (100.0 *. warm_hit_rate)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let only = ref None in
   let quick = ref false in
   let micro = ref true in
-  let trace = ref None in
-  let record = ref None in
-  let metrics = ref None in
-  let profile = ref false in
+  let obs = ref Mcf_obs.Lifecycle.off in
   let mode = ref `Experiments in
   let out = ref "BENCH_search.json" in
   let jobs = ref (max 4 (Mcf_util.Pool.default_jobs ())) in
   let smoke = ref false in
-  let estimate_only = ref false in
-  let measure_only = ref false in
-  let sample_ms = ref None in
   let history = ref None in
-  let listen = ref None in
   let log_format = ref Mcf_obs.Logfmt.Text in
   let verbose = ref 0 in
   let rec parse = function
@@ -1063,25 +752,22 @@ let () =
       micro := false;
       parse rest
     | "--trace" :: path :: rest ->
-      trace := Some path;
+      obs := { !obs with trace = Some path };
       parse rest
     | "--record" :: path :: rest ->
-      record := Some path;
+      obs := { !obs with record = Some path };
       parse rest
     | "--metrics" :: path :: rest ->
-      metrics := Some path;
+      obs := { !obs with metrics = Some path };
       parse rest
     | "--profile" :: rest ->
-      profile := true;
+      obs := { !obs with profile = true };
       parse rest
     | "--mode" :: "search" :: rest ->
       mode := `Search;
       parse rest
-    | "--mode" :: "serve" :: rest ->
-      mode := `Serve;
-      parse rest
     | "--mode" :: m :: _ ->
-      Printf.printf "unknown mode %S (available: search, serve)\n" m;
+      Printf.printf "unknown mode %S (available: search)\n" m;
       exit 1
     | "--out" :: path :: rest ->
       out := path;
@@ -1097,16 +783,10 @@ let () =
     | "--smoke" :: rest ->
       smoke := true;
       parse rest
-    | "--estimate-only" :: rest ->
-      estimate_only := true;
-      parse rest
-    | "--measure-only" :: rest ->
-      measure_only := true;
-      parse rest
     | "--sample-ms" :: ms :: rest -> (
       match float_of_string_opt ms with
       | Some v when v > 0.0 ->
-        sample_ms := Some v;
+        obs := { !obs with sample_ms = Some v };
         parse rest
       | Some _ | None ->
         Printf.printf "bad --sample-ms value %S\n" ms;
@@ -1115,7 +795,7 @@ let () =
       history := Some path;
       parse rest
     | "--listen" :: addr :: rest ->
-      listen := Some addr;
+      obs := { !obs with listen = Some addr };
       parse rest
     | "--log-format" :: fmt :: rest -> (
       match Mcf_obs.Logfmt.format_of_string fmt with
@@ -1138,56 +818,24 @@ let () =
   Mcf_obs.Logfmt.setup ~format:!log_format
     (match !verbose with 0 -> None | 1 -> Some Logs.Info | _ -> Some Logs.Debug);
   if !quick then Mcf_baselines.Ansor.trials := 200;
-  if !profile then Mcf_obs.Profile.enable ();
-  if !trace <> None then Mcf_obs.Trace.start ();
-  if !record <> None then Mcf_obs.Recorder.start ();
-  (match !sample_ms with
-  | Some ms -> Mcf_obs.Resource.start ~period_s:(ms *. 1e-3)
-  | None -> ());
-  let server =
-    match !listen with
-    | None -> None
-    | Some addr -> (
-      match Mcf_obs.Export.serve ~listen:addr with
-      | Error e ->
-        Printf.eprintf "--listen: %s\n" e;
-        exit 1
-      | Ok t ->
-        Printf.eprintf
-          "telemetry: listening on %s/ (metrics, status, healthz)\n%!"
-          (Mcf_util.Httpd.url t);
-        Some t)
+  let run () =
+    let t0 = Unix.gettimeofday () in
+    (match !mode with
+    | `Search ->
+      run_search_bench ~jobs:!jobs ~smoke:!smoke ~history:!history ~out:!out
+    | `Experiments ->
+      let ids =
+        match !only with
+        | Some ids -> ids
+        | None -> Mcf_experiments.Registry.ids ()
+      in
+      run_experiments ids;
+      if !micro && !only = None then run_micro ());
+    Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0);
+    Ok ()
   in
-  let t0 = Unix.gettimeofday () in
-  (match !mode with
-  | `Search ->
-    run_search_bench ~jobs:!jobs ~smoke:!smoke ~estimate_only:!estimate_only
-      ~measure_only:!measure_only ~history:!history ~out:!out
-  | `Serve ->
-    let out =
-      if !out = "BENCH_search.json" then "BENCH_serve.json" else !out
-    in
-    run_serve_bench ~jobs:!jobs ~smoke:!smoke ~history:!history ~out
-  | `Experiments ->
-    let ids =
-      match !only with
-      | Some ids -> ids
-      | None -> Mcf_experiments.Registry.ids ()
-    in
-    run_experiments ids;
-    if !micro && !only = None then run_micro ());
-  Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0);
-  Option.iter Mcf_obs.Export.shutdown server;
-  (* Sampler down before the trace flushes so its closing counter events
-     make it into the file. *)
-  Mcf_obs.Resource.stop ();
-  (match !trace with Some path -> write_trace path | None -> ());
-  (match !record with Some path -> write_record path | None -> ());
-  (match !metrics with Some path -> write_metrics path | None -> ());
-  if !profile then begin
-    Mcf_obs.Poolstats.sync ();
-    Printf.printf "\n# per-phase wall-clock\n";
-    print_string (Mcf_obs.Profile.render ());
-    Printf.printf "\n# metrics\n";
-    print_string (Mcf_obs.Metrics.render_table ())
-  end
+  match Mcf_obs.Lifecycle.run !obs run with
+  | Ok () -> ()
+  | Error e ->
+    prerr_endline e;
+    exit 1

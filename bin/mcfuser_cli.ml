@@ -83,18 +83,6 @@ let setup_logs verbose log_format =
    take the resulting [()] as their first argument. *)
 let setup_term = Term.(const setup_logs $ verbose_arg $ log_format_arg)
 
-type obs = {
-  trace : string option;
-  record : string option;
-  metrics : string option;
-  profile : bool;
-  jobs : int option;
-  sample_ms : float option;
-  progress : bool;
-  listen : string option;
-  listen_selfcheck : bool;
-}
-
 (* [~listener:false] drops the --listen/--listen-selfcheck flags: the
    serve daemon owns its listener and reuses the names. *)
 let obs_term_gen ~listener =
@@ -183,99 +171,21 @@ let obs_term_gen ~listener =
     const
       (fun trace record metrics profile jobs sample_ms progress listen
            listen_selfcheck ->
-        { trace; record; metrics; profile; jobs; sample_ms; progress; listen;
-          listen_selfcheck })
+        ( jobs,
+          { Mcf_obs.Lifecycle.trace; record; metrics; profile; sample_ms;
+            progress; listen; listen_selfcheck } ))
     $ trace_arg $ record_arg $ metrics_arg $ profile_arg $ jobs_arg
     $ sample_ms_arg $ progress_arg $ listen_arg $ listen_selfcheck_arg)
 
 let obs_term = obs_term_gen ~listener:true
 
-let write_trace path =
-  Mcf_obs.Trace.stop ();
-  match Mcf_obs.Trace.write path with
-  | Error e -> Error (`Msg e)
-  | Ok n ->
-    Printf.eprintf "trace: wrote %s (%d spans)\n%!" path n;
-    Ok ()
-
-let write_record path =
-  Mcf_obs.Recorder.stop ();
-  match Mcf_obs.Recorder.write path with
-  | Error e -> Error (`Msg e)
-  | Ok n ->
-    Printf.eprintf "record: wrote %s (%d events)\n%!" path n;
-    Ok ()
-
-let write_metrics path =
-  Result.map_error (fun e -> `Msg e) (Mcf_obs.Export.write_metrics path)
-
-let with_obs obs f =
-  Option.iter Mcf_util.Pool.set_jobs obs.jobs;
-  if obs.profile then Mcf_obs.Profile.enable ();
-  if obs.trace <> None then Mcf_obs.Trace.start ();
-  if obs.record <> None then Mcf_obs.Recorder.start ();
-  (match obs.sample_ms with
-  | Some ms -> Mcf_obs.Resource.start ~period_s:(ms *. 1e-3)
-  | None -> ());
-  if obs.progress && Unix.isatty Unix.stdout then Mcf_obs.Progress.enable ();
-  let server =
-    match obs.listen with
-    | None -> Ok None
-    | Some listen -> (
-      match Mcf_obs.Export.serve ~listen with
-      | Error e -> Error (`Msg ("--listen: " ^ e))
-      | Ok t ->
-        Printf.eprintf
-          "telemetry: listening on %s/ (metrics, status, healthz)\n%!"
-          (Mcf_util.Httpd.url t);
-        Ok (Some t))
-  in
-  match server with
-  | Error _ as e ->
-    Mcf_obs.Progress.disable ();
-    Mcf_obs.Resource.stop ();
-    e
-  | Ok server ->
-    let result = f () in
-    (* Probe the live listener before tearing it down: the selfcheck
-       exercises the same socket path an external curl would. *)
-    let selfcheck_result =
-      match server with
-      | Some t when obs.listen_selfcheck -> (
-        match Mcf_obs.Export.selfcheck t with
-        | Ok () ->
-          Printf.eprintf "telemetry: selfcheck ok (metrics, status, healthz)\n%!";
-          Ok ()
-        | Error e -> Error (`Msg ("telemetry selfcheck: " ^ e)))
-      | Some _ | None -> Ok ()
-    in
-    Option.iter Mcf_obs.Export.shutdown server;
-    Mcf_obs.Progress.disable ();
-    (* Stop the sampler before the trace flushes: the closing sample still
-       lands in the counter-event buffer. *)
-    Mcf_obs.Resource.stop ();
-    let trace_result =
-      match obs.trace with None -> Ok () | Some path -> write_trace path
-    in
-    let record_result =
-      match obs.record with None -> Ok () | Some path -> write_record path
-    in
-    let metrics_result =
-      match obs.metrics with None -> Ok () | Some path -> write_metrics path
-    in
-    if obs.profile then begin
-      Mcf_obs.Poolstats.sync ();
-      Printf.printf "\n# per-phase wall-clock\n";
-      print_string (Mcf_obs.Profile.render ());
-      Printf.printf "\n# metrics\n";
-      print_string (Mcf_obs.Metrics.render_table ())
-    end;
-    (match (result, trace_result, record_result, metrics_result) with
-    | (Error _ as e), _, _, _ -> e
-    | Ok (), (Error _ as e), _, _ -> e
-    | Ok (), Ok (), (Error _ as e), _ -> e
-    | Ok (), Ok (), Ok (), (Error _ as e) -> e
-    | Ok (), Ok (), Ok (), Ok () -> selfcheck_result)
+(* The pool size is the one common flag outside the observability
+   lifecycle; body errors and lifecycle errors share the CLI's [`Msg]. *)
+let with_obs (jobs, config) f =
+  Option.iter Mcf_util.Pool.set_jobs jobs;
+  Mcf_obs.Lifecycle.run config (fun () ->
+      Result.map_error (fun (`Msg e) -> e) (f ()))
+  |> Result.map_error (fun e -> `Msg e)
 
 let with_setup device workload f =
   match spec_of_name device with
@@ -1006,61 +916,27 @@ let perf_cmd =
                are computed over." in
     Arg.(value & opt int 10 & info [ "window" ] ~docv:"N" ~doc)
   in
-  let from_search_arg =
-    let doc =
-      "Before rendering, append one history entry per workload converted \
-       from a $(b,BENCH_search.json) document (used to seed a history from \
-       an existing bench result)."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "from-search" ] ~docv:"FILE" ~doc)
-  in
-  let run () history workload gate tolerance window from_search =
-    let seed_result =
-      match from_search with
-      | None -> Ok ()
-      | Some path -> (
-        match
-          try Ok (In_channel.with_open_text path In_channel.input_all)
-          with Sys_error e -> Error (`Msg ("cannot read search doc: " ^ e))
-        with
-        | Error _ as e -> e
-        | Ok text -> (
-          match Mcf_util.Json.parse text with
-          | Error e -> Error (`Msg (path ^ ": " ^ e))
-          | Ok doc ->
-            let entries = Mcf_obs.History.of_search_doc doc in
-            List.iter (Mcf_obs.History.append ~path:history) entries;
-            Printf.eprintf "perf: appended %d entr%s from %s\n%!"
-              (List.length entries)
-              (if List.length entries = 1 then "y" else "ies")
-              path;
-            Ok ()))
-    in
-    match seed_result with
-    | Error _ as e -> e
-    | Ok () ->
-      let entries, skipped = Mcf_obs.History.load history in
-      if skipped > 0 then
-        Printf.eprintf "perf: skipped %d malformed line%s in %s\n%!" skipped
-          (if skipped = 1 then "" else "s")
-          history;
-      if gate then begin
-        let verdicts = Mcf_obs.History.gate ~window ~tolerance entries in
-        print_string (Mcf_obs.History.render_gate ~tolerance entries verdicts);
-        if List.exists (fun v -> v.Mcf_obs.History.regressed) verdicts then
-          Error (`Msg "performance regressed beyond tolerance")
-        else Ok ()
-      end
-      else begin
-        print_string (Mcf_obs.History.render ?workload entries);
-        Ok ()
-      end
+  let run () history workload gate tolerance window =
+    let entries, skipped = Mcf_obs.History.load history in
+    if skipped > 0 then
+      Printf.eprintf "perf: skipped %d malformed line%s in %s\n%!" skipped
+        (if skipped = 1 then "" else "s")
+        history;
+    if gate then begin
+      let verdicts = Mcf_obs.History.gate ~window ~tolerance entries in
+      print_string (Mcf_obs.History.render_gate ~tolerance entries verdicts);
+      if List.exists (fun v -> v.Mcf_obs.History.regressed) verdicts then
+        Error (`Msg "performance regressed beyond tolerance")
+      else Ok ()
+    end
+    else begin
+      print_string (Mcf_obs.History.render ?workload entries);
+      Ok ()
+    end
   in
   let term =
     Term.(term_result (const run $ setup_term $ history_arg $ workload_arg
-                       $ gate_arg $ tolerance_arg $ window_arg
-                       $ from_search_arg))
+                       $ gate_arg $ tolerance_arg $ window_arg))
   in
   Cmd.v
     (Cmd.info "perf"

@@ -8,7 +8,4 @@
     and no adaptation, which is why a searched schedule beats it on the
     small-sequence workloads of Table III. *)
 
-val tile_m : int
-val tile_n : int
-
 val backend : Backend.t

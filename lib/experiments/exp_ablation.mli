@@ -34,8 +34,4 @@ val tune_no_alpha :
 (** The [no-alpha] variant's tuner run: the full search, ranked by
     [t_mem + t_comp] instead of eq. (2)'s total. *)
 
-val compute :
-  Mcf_gpu.Spec.t -> (string * (string * cell) list) list
-(** Per workload, per variant. *)
-
 val render : Mcf_gpu.Spec.t -> string

@@ -6,11 +6,4 @@
     objective) and MCFuser.  These exercise the unary-epilogue validity
     rules and the conv mapping under search, not just under unit tests. *)
 
-type workload = {
-  wname : string;
-  chain : Mcf_ir.Chain.t;
-}
-
-val workloads : unit -> workload list
-
 val render : Mcf_gpu.Spec.t -> string

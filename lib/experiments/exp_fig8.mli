@@ -21,8 +21,6 @@ type result = {
   rows : row list;
 }
 
-val backends_for : panel -> Mcf_baselines.Backend.t list
-
 val compute : Mcf_gpu.Spec.t -> panel -> result
 
 val render_result : result -> string

@@ -5,10 +5,4 @@
     latency normalized to Relay plus the §II-A motivation numbers
     (attention's share of FLOPs vs time). *)
 
-val engines : Mcf_frontend.Engine.kind list
-
-val compute :
-  Mcf_gpu.Spec.t ->
-  (Mcf_workloads.Configs.bert_config * Mcf_frontend.Engine.report list) list
-
 val render : Mcf_gpu.Spec.t -> string

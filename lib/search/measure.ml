@@ -1,6 +1,3 @@
-let log_src = Logs.Src.create "mcfuser.measure" ~doc:"MCFuser measurement engine"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 module Trace = Mcf_obs.Trace
 
 let c_cache_hits = Mcf_obs.Metrics.counter "measure.cache.hits"

@@ -36,9 +36,6 @@
     {!Mcf_util.Shardmap}: per-shard locks, LRU-bounded, and in-flight
     dedup so two domains never simulate the same key concurrently. *)
 
-val log_src : Logs.src
-(** Log source ["mcfuser.measure"] (cache load/save diagnostics). *)
-
 (** {1 Measurement cache} *)
 
 type cache

@@ -35,9 +35,6 @@ val serialize_candidate : Mcf_ir.Candidate.t -> string
 val parse_candidate :
   Mcf_ir.Chain.t -> string -> (Mcf_ir.Candidate.t, string) result
 
-val save : t -> string -> unit
-(** Write to a file (atomically via a temp file + rename). *)
-
 val load : chains:Mcf_ir.Chain.t list -> string -> t
 (** Read a cache file; records for unknown chains or with unparsable
     candidates are dropped.  A missing file yields {!empty}. *)

@@ -1123,6 +1123,109 @@ let test_history_direction_and_render () =
        (History.render_gate ~tolerance:0.05 [] [])
        "pass")
 
+(* --- Observability lifecycle ---------------------------------------------- *)
+
+module Lifecycle = Mcf_obs.Lifecycle
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "mcf_life" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f (fun name -> Filename.concat dir name))
+
+let parse_file path =
+  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s does not parse: %s" path e
+
+(* A body that leaves one span and one recorder event behind. *)
+let traced_body () =
+  Trace.with_span "lifecycle.body" (fun () ->
+      Recorder.emit "lifecycle" (fun () -> [ ("x", Json.num_of_int 1) ]);
+      Ok 42)
+
+let check_record path =
+  match Recorder.load path with
+  | Ok events -> Alcotest.(check int) "one recorded event" 1 (List.length events)
+  | Error e -> Alcotest.failf "recording does not load: %s" e
+
+let test_lifecycle_writes_all () =
+  clean ();
+  Recorder.reset ();
+  with_temp_dir (fun file ->
+      let config =
+        { Lifecycle.off with
+          trace = Some (file "t.json");
+          record = Some (file "r.jsonl");
+          metrics = Some (file "m.json") }
+      in
+      (match Lifecycle.run config traced_body with
+      | Ok v -> Alcotest.(check int) "body's result" 42 v
+      | Error e -> Alcotest.failf "lifecycle failed: %s" e);
+      let trace = parse_file (file "t.json") in
+      Alcotest.(check bool) "trace has the body's span" true
+        (contains_substring (Json.to_string trace) "lifecycle.body");
+      check_record (file "r.jsonl");
+      Alcotest.(check bool) "metrics dump is an object" true
+        (match parse_file (file "m.json") with Json.Obj _ -> true | _ -> false);
+      Alcotest.(check bool) "tracer stopped" false (Trace.enabled ());
+      Alcotest.(check bool) "recorder stopped" false (Recorder.enabled ()));
+  clean ();
+  Recorder.reset ()
+
+let test_lifecycle_trace_error () =
+  clean ();
+  Recorder.reset ();
+  with_temp_dir (fun file ->
+      let config =
+        { Lifecycle.off with
+          trace = Some (file "missing-dir/t.json");
+          record = Some (file "r.jsonl");
+          metrics = Some (file "m.json") }
+      in
+      (match Lifecycle.run config traced_body with
+      | Ok _ -> Alcotest.fail "unwritable trace path reported success"
+      | Error e ->
+        Alcotest.(check bool) ("error names the trace step: " ^ e) true
+          (contains_substring e "trace"));
+      check_record (file "r.jsonl");
+      ignore (parse_file (file "m.json")));
+  clean ();
+  Recorder.reset ()
+
+(* The sampler stops before the trace is flushed, so every sample it
+   took, the closing one at [Resource.stop] included, is in the file. *)
+let test_lifecycle_sampler_closing_sample () =
+  clean ();
+  with_temp_dir (fun file ->
+      let config =
+        { Lifecycle.off with trace = Some (file "t.json"); sample_ms = Some 50.0 }
+      in
+      let c0 = Metrics.counter_value "rsrc.samples" in
+      (match Lifecycle.run config (fun () -> Ok ()) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "lifecycle failed: %s" e);
+      let samples = Metrics.counter_value "rsrc.samples" - c0 in
+      let heap_events =
+        match Json.member "traceEvents" (parse_file (file "t.json")) with
+        | Some (Json.List evs) ->
+          List.length
+            (List.filter
+               (fun e ->
+                 Json.member "name" e = Some (Json.Str "rsrc.heap_words")
+                 && Json.member "ph" e = Some (Json.Str "C"))
+               evs)
+        | _ -> Alcotest.fail "trace has no traceEvents list"
+      in
+      Alcotest.(check bool) "opening and closing samples" true (samples >= 2);
+      Alcotest.(check int) "every sample, the closing one included, in the \
+                            trace" samples heap_events);
+  clean ()
+
 (* --- property: histogram percentiles vs exact ----------------------------
 
    The log-bucketed estimates can be off by at most one power-of-two
@@ -1239,6 +1342,13 @@ let () =
             test_resource_sample_noop_when_off;
           Alcotest.test_case "sampler publishes" `Quick
             test_resource_sampler_publishes ] );
+      ( "lifecycle",
+        [ Alcotest.test_case "writes trace, record, metrics" `Quick
+            test_lifecycle_writes_all;
+          Alcotest.test_case "trace error, later writes kept" `Quick
+            test_lifecycle_trace_error;
+          Alcotest.test_case "sampler closing sample traced" `Quick
+            test_lifecycle_sampler_closing_sample ] );
       ( "history",
         [ Alcotest.test_case "roundtrip" `Quick test_history_roundtrip;
           Alcotest.test_case "host fields" `Quick test_history_host_fields;
