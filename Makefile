@@ -40,7 +40,11 @@ trace-demo:
 # but measure.ml names both Space.lowered and Sim.run; and one lifecycle
 # starts and stops observability for the CLI and the bench, so outside
 # lib/fuzz/ no lib/, bin/ or bench/ file but lib/obs/lifecycle.ml starts
-# the tracer, recorder, sampler or profiler.
+# the tracer, recorder, sampler or profiler; and the analytic model's
+# compiled summary is the one reader of the skeleton's cost terms besides
+# Lower, so outside lib/ir/ and lib/fuzz/ no lib/ file but
+# lib/model/analytic.ml matches on Skeleton.Access, Contraction or
+# Epilogue.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -70,10 +74,14 @@ ci-guard:
 	  lib bin bench | grep -v -e '^lib/obs/lifecycle\.ml:' -e '^lib/fuzz/'; then \
 	  echo "ci-guard: observability started in lib bin bench outside lib/obs/lifecycle.ml and lib/fuzz/"; \
 	  exit 1; fi
+	@if grep -rnE 'Skeleton\.(Access|Contraction|Epilogue)' lib \
+	  | grep -v -e '^lib/ir/' -e '^lib/model/analytic\.ml:' -e '^lib/fuzz/'; then \
+	  echo "ci-guard: Skeleton cost terms read in lib/ outside lib/ir/, analytic.ml and lib/fuzz/"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this
@@ -153,11 +161,13 @@ bench-search:
 # fewer candidates than the cold one and hit on more than 90% of its
 # lookups.  The perf
 # gate must explicitly check the streamed run's peak_heap_words ceiling
-# (the bounded-memory regression guard), its alloc_words_per_point (a
-# deterministic count at one job) and its summaries_per_enumeration (the
-# analytic summaries the scorer built).  The generous tolerance only
-# guards against catastrophic slowdowns: CI machines are far too noisy
-# for a tight wall-clock gate.
+# (the bounded-memory regression guard), its alloc_words_per_point (the
+# 1-job arm's minor words per point, which repeats only to about the
+# fifth significant digit: the caller's domain picks up a little
+# allocation from outside the enumeration) and its
+# summaries_per_enumeration (the analytic summaries the scorer built).
+# The generous tolerance only guards against catastrophic slowdowns: CI
+# machines are far too noisy for a tight wall-clock gate.
 bench-search-smoke:
 	rm -f /tmp/mcfuser-history-smoke.jsonl
 	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \

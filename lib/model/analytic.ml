@@ -4,20 +4,97 @@
    [Perf.breakdown spec (Lower.lower chain cand)] only consumes four
    aggregates — bytes/block, FLOPs/block, the block count and the
    verdict — each a function of the skeleton's statement paths and the
-   tile/trip arrays.  A search's summary IS the [Skeleton.t] of one real
-   [Program.build] per memo key; eq. (1)'s footprint is its residency
-   items.  Exact by construction: every term is an integer-valued float
-   far below 2^53, so addition is exact and order-independent, the terms
-   are [Lower.instantiate]'s, operator for operator (written out here so
-   the per-point loop allocates nothing: a float returned across modules
-   is boxed), and both paths finish through [Perf.of_aggregates]. *)
+   tile/trip arrays.  A search's summary is the [Skeleton.t] of one real
+   [Program.build] per memo key, compiled once into flat int arrays of
+   terms; eq. (1)'s footprint is its residency items.  A point then costs
+   one linear pass over a few dozen ints, reading only [tiles] and
+   [trips].  Exact by construction: every integer term is far below
+   2^53, so summing the byte terms as ints and converting once equals
+   [Lower]'s sum of converted terms; each FLOP term keeps
+   [Lower.instantiate]'s float factors (written out in [compile]) and
+   its operator order, statements are summed in program order, and both
+   paths finish through [Perf.of_aggregates]. *)
 
 open Mcf_ir
 
 let c_memo_hits = Mcf_obs.Metrics.counter "model.memo.hits"
 let c_memo_misses = Mcf_obs.Metrics.counter "model.memo.misses"
 
-type summary = Skeleton.t
+(* --- the compiled summary ----------------------------------------------- *)
+
+(* A run is its length, then that many axis indices, read from [tiles]
+   or [trips].  A footprint or byte term is the product of a tile run and
+   a trip run; a FLOP term is its scale times the sum of its pieces'
+   factor x tile-run product, times its trip run. *)
+type summary = {
+  skel : Skeleton.t;
+  foot : int array;  (* per residency item: tile run, trip run *)
+  bytes : int array;
+      (* per Access: tile run, trip run over its Rule-2 multiplier and
+         path axes *)
+  flops : int array;
+      (* per Contraction / Epilogue: its path's trip run, a piece count,
+         then each piece's tile run *)
+  fcoef : float array;
+      (* per Contraction / Epilogue: its scale, then each piece's factor *)
+  grid : int array;  (* the grid axes *)
+}
+
+(* [acc] (reversed) with the run of [axes] pushed: its length, then the
+   axes in order. *)
+let push_run acc axes =
+  List.fold_left (fun acc a -> a :: acc) (List.length axes :: acc) axes
+
+let of_rev acc = Array.of_list (List.rev acc)
+
+(* Lower.instantiate's factors: a contraction's 2 FLOPs per MAC, and an
+   epilogue's per-element FLOPs times the CUDA-core penalty of 8. *)
+let compile (s : Skeleton.t) =
+  let foot =
+    Array.fold_left
+      (fun acc (r : Skeleton.resident) ->
+        push_run (push_run acc r.rtile) r.rmult)
+      [] s.residency
+  in
+  let bytes = ref [] and flops = ref [] and fcoef = ref [] in
+  let flop path scale pieces =
+    flops :=
+      List.fold_left
+        (fun acc (_, out) -> push_run acc out)
+        (List.length pieces :: push_run !flops path)
+        pieces;
+    fcoef :=
+      List.fold_left (fun acc (k, _) -> k :: acc) (scale :: !fcoef) pieces
+  in
+  Array.iter
+    (fun { Skeleton.op; path } ->
+      match op with
+      | Skeleton.Access a ->
+        bytes := push_run (push_run !bytes a.atile) (a.amult @ path)
+      | Skeleton.Contraction c -> flop path 1.0 [ (2.0, c.used) ]
+      | Skeleton.Epilogue e ->
+        flop path 8.0
+          (match e.flavor with
+          | Skeleton.Scale -> [ (1.0, e.out) ]
+          | Skeleton.Unary uflops -> [ (uflops, e.out) ]
+          | Skeleton.Softmax consumer_outs ->
+            (* Online softmax rescales every consumer accumulator tile on
+               each softmax-axis step. *)
+            (6.0, e.out)
+            :: (if s.online then List.map (fun q -> (3.0, q)) consumer_outs
+                else [])))
+    s.stmts;
+  { skel = s;
+    foot = of_rev foot;
+    bytes = of_rev !bytes;
+    flops = of_rev !flops;
+    fcoef = of_rev !fcoef;
+    grid = Array.of_list s.grid }
+
+let summarize ?rule1 ?dead_loop_elim ?hoisting chain cand =
+  compile (Skeleton.make ?rule1 ?dead_loop_elim ?hoisting chain cand)
+
+let skeleton s = s.skel
 
 (* --- numeric evaluation ------------------------------------------------- *)
 
@@ -29,64 +106,81 @@ type eval = {
   everdict : (unit, Program.invalid) result;
 }
 
-(* [acc] times the product of [arr] over the indices.  Loops below are
-   written without closures or float folds: they run once per
-   enumeration point, so they must not allocate. *)
-let rec prod arr acc = function
-  | [] -> acc
-  | i :: rest -> prod arr (acc * arr.(i)) rest
+(* The loops below read the term arrays and the point's arrays without
+   bounds checks: [compile] writes well-formed runs of axis indices, and
+   [check] holds the point's arrays to the chain's axis count.  They use
+   no closures or float folds, since they run once per enumeration point
+   and must not allocate. *)
+let get (a : int array) i = Array.unsafe_get a i
 
-let footprint ~elem_bytes (s : summary) ~tiles ~trips =
-  let acc = ref 0 in
-  for j = 0 to Array.length s.residency - 1 do
-    let r = s.residency.(j) in
-    acc := !acc + (prod tiles 1 r.rtile * elem_bytes * prod trips 1 r.rmult)
+let check s ~tiles ~trips =
+  let n = Array.length s.skel.axes in
+  if Array.length tiles < n || Array.length trips < n then
+    invalid_arg "Analytic: tile or trip array shorter than the chain's axes"
+
+(* The sum over a term array of each term's tile-run x trip-run product. *)
+let sum_terms code ~tiles ~trips =
+  let acc = ref 0 and i = ref 0 in
+  while !i < Array.length code do
+    let p = ref 1 and n = get code !i in
+    for j = !i + 1 to !i + n do
+      p := !p * get tiles (get code j)
+    done;
+    let i2 = !i + n + 1 in
+    let n2 = get code i2 in
+    for j = i2 + 1 to i2 + n2 do
+      p := !p * get trips (get code j)
+    done;
+    acc := !acc + !p;
+    i := i2 + n2 + 1
   done;
   !acc
 
-let evaluate_tiles ~elem_bytes (s : summary) ~tiles ~trips =
-  (* Sums of exactly-representable integers: order-independent. *)
-  let bytes_per_block = ref 0.0 and flops_per_block = ref 0.0 in
-  for j = 0 to Array.length s.stmts - 1 do
-    let { Skeleton.op; path } = s.stmts.(j) in
-    match op with
-    | Skeleton.Access a ->
-      let elems = prod trips (prod tiles 1 a.atile) a.amult in
-      bytes_per_block :=
-        !bytes_per_block
-        +. float_of_int (elems * prod trips 1 path * elem_bytes)
-    | Skeleton.Contraction c ->
-      let flops_per_exec = 2.0 *. float_of_int (prod tiles 1 c.used) in
-      flops_per_block :=
-        !flops_per_block +. (flops_per_exec *. float_of_int (prod trips 1 path))
-    | Skeleton.Epilogue e ->
-      let out_tile = float_of_int (prod tiles 1 e.out) in
-      let flops =
-        match e.flavor with
-        | Skeleton.Scale -> 1.0 *. out_tile
-        | Skeleton.Unary uflops -> uflops *. out_tile
-        | Skeleton.Softmax consumer_outs ->
-          let base = 6.0 *. out_tile in
-          if s.online then
-            base
-            +. List.fold_left
-                 (fun acc q -> acc +. (3.0 *. float_of_int (prod tiles 1 q)))
-                 0.0 consumer_outs
-          else base
-      in
-      flops_per_block :=
-        !flops_per_block +. (8.0 *. flops *. float_of_int (prod trips 1 path))
+let footprint ~elem_bytes s ~tiles ~trips =
+  check s ~tiles ~trips;
+  sum_terms s.foot ~tiles ~trips * elem_bytes
+
+let evaluate_tiles ~elem_bytes s ~tiles ~trips =
+  check s ~tiles ~trips;
+  let bytes_per_block =
+    float_of_int (sum_terms s.bytes ~tiles ~trips * elem_bytes)
+  in
+  let code = s.flops and coef = s.fcoef in
+  let flops_per_block = ref 0.0 and i = ref 0 and c = ref 0 in
+  while !i < Array.length code do
+    let stmt_trips = ref 1 and n = get code !i in
+    for j = !i + 1 to !i + n do
+      stmt_trips := !stmt_trips * get trips (get code j)
+    done;
+    i := !i + n + 1;
+    let pieces = get code !i and scale = Array.unsafe_get coef !c in
+    let v = ref 0.0 in
+    incr i;
+    for k = 1 to pieces do
+      let t = ref 1 and n = get code !i in
+      for j = !i + 1 to !i + n do
+        t := !t * get tiles (get code j)
+      done;
+      v := !v +. (Array.unsafe_get coef (!c + k) *. float_of_int !t);
+      i := !i + n + 1
+    done;
+    c := !c + pieces + 1;
+    flops_per_block :=
+      !flops_per_block +. (scale *. !v *. float_of_int !stmt_trips)
   done;
-  let bytes_per_block = !bytes_per_block in
-  let blocks = float_of_int (prod trips s.chain.batch s.grid) in
+  let blocks = ref s.skel.chain.batch in
+  for j = 0 to Array.length s.grid - 1 do
+    blocks := !blocks * get trips (get s.grid j)
+  done;
+  let blocks = float_of_int !blocks in
   { bytes_per_block;
     flops_per_block = !flops_per_block;
     blocks;
     traffic_bytes = bytes_per_block *. blocks;
-    everdict = s.verdict }
+    everdict = s.skel.verdict }
 
-let evaluate ~elem_bytes (s : summary) (cand : Candidate.t) =
-  let tiles, trips = Skeleton.tile_arrays s cand in
+let evaluate ~elem_bytes s (cand : Candidate.t) =
+  let tiles, trips = Skeleton.tile_arrays s.skel cand in
   evaluate_tiles ~elem_bytes s ~tiles ~trips
 
 let breakdown_of_eval spec (e : eval) =
@@ -95,7 +189,7 @@ let breakdown_of_eval spec (e : eval) =
 
 let eval_candidate ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
   evaluate ~elem_bytes
-    (Skeleton.make ?rule1 ?dead_loop_elim ?hoisting chain cand)
+    (summarize ?rule1 ?dead_loop_elim ?hoisting chain cand)
     cand
 
 (* --- memoization -------------------------------------------------------- *)
@@ -207,7 +301,7 @@ module Memo = struct
          a miss (the racer that loses counts a hit), so [misses] is the
          number of summaries the table holds at any pool size. *)
       let s =
-        Skeleton.make ~rule1:m.rule1 ~dead_loop_elim:m.dead_loop_elim
+        summarize ~rule1:m.rule1 ~dead_loop_elim:m.dead_loop_elim
           ~hoisting:m.hoisting m.chain (cand_of ())
       in
       Mutex.lock m.lock;

@@ -3,26 +3,55 @@
     [breakdown_of_eval spec (eval_candidate ... chain cand)] equals
     [Perf.breakdown spec (Lower.lower ... chain cand)] bit-for-bit.  Both
     read the same {!Mcf_ir.Skeleton.t}: a search's summary is the
-    skeleton of one real [Program.build] per {!Memo} key, and this module
-    evaluates it against a tile vector without instantiating a
-    [Lower.t].  The same skeleton carries eq. (1)'s footprint terms (its
+    skeleton of one real [Program.build] per {!Memo} key, compiled once
+    into flat int arrays of terms, and this module evaluates those
+    against a tile vector without instantiating a [Lower.t].  The
+    summary also carries eq. (1)'s footprint terms (the skeleton's
     residency items), so the rule-4 precheck ({!footprint},
     {!Shmem.footprint_of_candidate}) reads it too.  This is what lets the
     search score thousands of candidates without lowering a single one
     (the paper's tuning-time win, Table IV).
 
-    Exactness holds because every aggregate the lowered walk computes is a
-    sum/product of integer-valued floats far below 2^53 — exact and
-    order-independent — and the per-statement terms are
-    {!Mcf_ir.Lower.instantiate}'s, operator for operator.  test_model.ml
-    asserts bit-equality of all four breakdown fields against the
-    reference walk in the fuzz oracles, across workloads x flag
-    combos. *)
+    The compiled summary is built once per memo key and holds one term
+    per residency item (eq. (1)), one per [Access] (bytes per block) and
+    one per [Contraction] / [Epilogue] (FLOPs per block, with its float
+    factors), plus the grid axes (the block count).  A term's products
+    read runs of axis indices from the tile and the trip vector, so a
+    point is one linear pass over a few dozen ints; no per-point code
+    walks the skeleton.
 
-type summary = Mcf_ir.Skeleton.t
-(** Depends on the tiling expression and on which trip counts of the
-    non-grid and softmax axes equal 1 ({!Memo.relevant}) — never on tile
-    magnitudes, which enter only at {!footprint} / {!evaluate} time. *)
+    Exactness holds because every integer term is far below 2^53: the
+    byte and footprint terms are int products whose sum, converted once,
+    equals {!Mcf_ir.Lower}'s sum of converted terms; each FLOP term keeps
+    {!Mcf_ir.Lower.instantiate}'s float factors and operator order (a
+    statement's scale times the sum of its pieces' factor x tile
+    product, times its trip product), and statements are summed in
+    program order, so the result stays bit-equal even for a
+    non-integral factor such as a [Unary]'s FLOPs per element.
+    test_model.ml asserts bit-equality of all four breakdown fields
+    against the reference walk in the fuzz oracles, across workloads x
+    flag combos, and against [Lower.lower] on a chain whose unary
+    epilogue costs a non-integral 100.1 FLOPs per element. *)
+
+type summary
+(** A compiled {!Mcf_ir.Skeleton.t}.  Depends on the tiling expression
+    and on which trip counts of the non-grid and softmax axes equal 1
+    ({!Memo.relevant}) — never on tile magnitudes, which enter only at
+    {!footprint} / {!evaluate} time. *)
+
+val summarize :
+  ?rule1:bool ->
+  ?dead_loop_elim:bool ->
+  ?hoisting:bool ->
+  Mcf_ir.Chain.t ->
+  Mcf_ir.Candidate.t ->
+  summary
+(** The candidate's skeleton ({!Mcf_ir.Skeleton.make}), compiled;
+    unmemoized. *)
+
+val skeleton : summary -> Mcf_ir.Skeleton.t
+(** The skeleton the summary was compiled from, for
+    {!Mcf_ir.Lower.instantiate}. *)
 
 type eval = {
   bytes_per_block : float;  (** = [Lower.bytes_per_block]. *)
@@ -40,13 +69,15 @@ val footprint :
     the axes iterating below its producer's reduction on the producer's
     Compute path.  Equals [Shmem.estimate_bytes] of the lowered program
     under the summary's [rule1] / [dead_loop_elim]; hoisting does not
-    enter. *)
+    enter.  @raise Invalid_argument when [tiles] or [trips] is shorter
+    than the chain's axes. *)
 
 val evaluate_tiles :
   elem_bytes:int -> summary -> tiles:int array -> trips:int array -> eval
 (** Numeric evaluation of a summary for a tile vector given as
     {!Mcf_ir.Skeleton.tile_arrays}.  No candidate is needed, so a search
-    can score a point straight from its decoded index. *)
+    can score a point straight from its decoded index.  It allocates
+    only the result.  @raise Invalid_argument as {!footprint}. *)
 
 val evaluate : elem_bytes:int -> summary -> Mcf_ir.Candidate.t -> eval
 (** {!evaluate_tiles} on the candidate's tile arrays. *)
@@ -106,7 +137,8 @@ module Memo : sig
   (** The summary for a structural id and a trip=1 mask (bit [i] set when
       the [i]-th axis of [chain.axes] has trip 1), looked up by
       [mask land relevant t ~sid].  The candidate thunk is forced only on
-      a miss, to read its skeleton; it must agree with [sid] and [mask]. *)
+      a miss, to build and compile its skeleton; it must agree with [sid]
+      and [mask]. *)
 
   val find : t -> sid:int -> mask:int -> summary
   (** The summary {!summary_at} already holds for the key, without

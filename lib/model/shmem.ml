@@ -9,10 +9,10 @@ let within_budget (spec : Mcf_gpu.Spec.t) ~slack l =
 
 (* [estimate_bytes (Lower.lower chain cand)] sums the skeleton's
    residency items over the candidate's tiles and trips: the closed form
-   is the skeleton's footprint. *)
+   is the compiled skeleton's footprint. *)
 let footprint_of_candidate ?rule1 ?dead_loop_elim ~elem_bytes chain cand =
-  let s = Mcf_ir.Skeleton.make ?rule1 ?dead_loop_elim chain cand in
-  let tiles, trips = Mcf_ir.Skeleton.tile_arrays s cand in
+  let s = Analytic.summarize ?rule1 ?dead_loop_elim chain cand in
+  let tiles, trips = Mcf_ir.Skeleton.tile_arrays (Analytic.skeleton s) cand in
   Analytic.footprint ~elem_bytes s ~tiles ~trips
 
 let precheck_within_budget (spec : Mcf_gpu.Spec.t) ~slack ?rule1 ?dead_loop_elim

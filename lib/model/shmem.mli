@@ -28,10 +28,10 @@ val footprint_of_candidate :
 (** Closed-form eq. (1): equals
     [estimate_bytes (Lower.lower ?rule1 ?dead_loop_elim ~elem_bytes chain
     cand)] without instantiating a lowering.  It is {!Analytic.footprint}
-    over the candidate's {!Mcf_ir.Skeleton.t}, which records, per resident
-    tensor, its tile axes and the axes multiplying its residency, which
-    depend only on the loop structure (grid split, dead-loop splicing,
-    Compute scope descent).  [rule1] and [dead_loop_elim] must match the
+    over the candidate's compiled {!Mcf_ir.Skeleton.t}, which records, per
+    resident tensor, its tile axes and the axes multiplying its residency,
+    which depend only on the loop structure (grid split, dead-loop
+    splicing, Compute scope descent).  [rule1] and [dead_loop_elim] must match the
     flags later passed to [Lower.lower]; hoisting does not affect the
     estimate.  [Mcf_search.Space] reads the same footprint off its
     memoized summaries as the rule-4 precheck.  The agreement with the

@@ -45,6 +45,8 @@ type grid = {
   trips : int array array;  (* ceil(size / tile), aligned with [tiles] *)
   opt_pos : int array array;
       (* each rule-3 tile's position in [Candidate.tile_options] *)
+  named : (string * int) array array;
+      (* [(axis name, tile)], aligned with [tiles]: a candidate's entries *)
   strides : int array;
   sorted : int array;  (* sorted-name position -> [chain.axes] index *)
   n_combos : int;
@@ -215,6 +217,10 @@ let grid opts (chain : Chain.t) =
   let sorted = Array.init n Fun.id in
   Array.sort (fun i j -> String.compare axes.(i).name axes.(j).name) sorted;
   { tiles;
+    named =
+      Array.map2
+        (fun (a : Axis.t) -> Array.map (fun t -> (a.name, t)))
+        axes tiles;
     trips =
       Array.map2
         (fun (a : Axis.t) -> Array.map (fun t -> (a.size + t - 1) / t))
@@ -452,20 +458,21 @@ let enumerate_scored ?(options = default_options)
       let recording = Mcf_obs.Recorder.enabled () in
       Mcf_obs.Metrics.incr c_enumerations;
       let g = Trace.with_span "space.rule3" (fun () -> grid opts chain) in
-      let names =
-        Array.of_list (List.map (fun (a : Axis.t) -> a.name) chain.axes)
-      in
-      let n_axes = Array.length names and n_combos = g.n_combos in
-      let make_cand tiling tiles =
-        Candidate.make tiling
-          (List.init n_axes (fun a -> (names.(a), tiles.(a))))
-      in
+      let n_axes = List.length chain.axes and n_combos = g.n_combos in
       (* A combo index's digit for axis [a], in [chain.axes] order. *)
       let digit c a = c / g.strides.(a) mod Array.length g.tiles.(a) in
-      let cand_of tiling combo =
-        make_cand tiling
-          (Array.init n_axes (fun a -> g.tiles.(a).(digit combo a)))
+      (* The candidate whose axis [a] takes its [digit a]-th tile: the
+         grid's [(name, tile)] pairs, consed in sorted-name order, are
+         the list [Candidate.make] would sort them into. *)
+      let cand_with tiling digit =
+        let tiles = ref [] in
+        for j = n_axes - 1 downto 0 do
+          let a = g.sorted.(j) in
+          tiles := g.named.(a).(digit a) :: !tiles
+        done;
+        { Candidate.tiling; tiles = !tiles }
       in
+      let cand_of tiling combo = cand_with tiling (digit combo) in
       let ctx =
         { chain;
           rule1 = opts.rule1;
@@ -549,7 +556,7 @@ let enumerate_scored ?(options = default_options)
             | Some _ | None ->
               let sm =
                 Mcf_model.Analytic.Memo.summary_at memo ~sid:s.ssid ~mask:!mask
-                  (fun () -> make_cand s.stiling tiles)
+                  (fun () -> cand_with s.stiling (Array.get digits))
               in
               held := Some sm;
               held_key := key;
@@ -759,7 +766,8 @@ let enumerate_scored ?(options = default_options)
           trips;
         let sid = Mcf_model.Analytic.Memo.sid memo cand.tiling in
         Lower.instantiate ~elem_bytes:spec.elem_bytes
-          (Mcf_model.Analytic.Memo.find memo ~sid ~mask:!mask)
+          (Mcf_model.Analytic.skeleton
+             (Mcf_model.Analytic.Memo.find memo ~sid ~mask:!mask))
           cand ~tiles ~trips
       in
       let survivors =

@@ -337,6 +337,120 @@ let test_analytic_mlp () =
   check_analytic_agrees ~name:"mlp"
     (Chain.mlp_chain ~m:64 ~n:64 ~k:32 ~h:32 ())
 
+(* --- exactness with a non-integral FLOP factor -----------------------------
+
+   Every other chain's FLOP terms are integer-valued, so any grouping of
+   their products and sums gives the same bits.  A Unary of 100.1 FLOPs
+   per element makes the epilogue's term non-integral and large enough to
+   set the last bits of the block's FLOP sum, so the analytic path equals
+   [Perf.breakdown (Lower.lower ...)] bit-for-bit only if its FLOP terms
+   keep [Lower.instantiate]'s factors and operator order.  Sizes of 96
+   and 48 give trip and tile products with a factor of 3, which, unlike
+   a power of two, round differently when moved across the factor: a
+   copy of the scorer that multiplied a term's tile and trip products as
+   one int before applying the factor fails here.  Exhaustive over
+   tilings x tile combos x the eight flag combinations. *)
+
+let mlp_fractional () =
+  let c = Chain.mlp_chain ~m:96 ~n:48 ~k:32 ~h:32 () in
+  { c with
+    cname = c.cname ^ "_uflops100.1";
+    blocks =
+      List.map
+        (fun (b : Chain.block) ->
+          match b.epilogue with
+          | Chain.Unary u ->
+            { b with epilogue = Chain.Unary { u with uflops = 100.1 } }
+          | Chain.No_epilogue | Chain.Scale _ | Chain.Softmax _ -> b)
+        c.blocks }
+
+let test_analytic_fractional () =
+  let chain = mlp_fractional () in
+  let combos =
+    Mcf_util.Listx.cartesian
+      (List.map
+         (fun (a : Axis.t) ->
+           List.map (fun t -> (a.name, t)) (Candidate.tile_options a.size))
+         chain.axes)
+  in
+  let checked = ref 0 and fractional = ref 0 in
+  List.iter
+    (fun (rule1, dle, hoisting) ->
+      List.iter
+        (fun tiling ->
+          List.iter
+            (fun tiles ->
+              let c = Candidate.make tiling tiles in
+              let l =
+                Lower.lower ~rule1 ~dead_loop_elim:dle ~hoisting ~elem_bytes:2
+                  chain c
+              in
+              let want = Mcf_model.Perf.breakdown a100 l in
+              let ev =
+                Mcf_model.Analytic.eval_candidate ~rule1 ~dead_loop_elim:dle
+                  ~hoisting ~elem_bytes:2 chain c
+              in
+              let got = Mcf_model.Analytic.breakdown_of_eval a100 ev in
+              incr checked;
+              if not (Float.is_integer ev.flops_per_block) then
+                incr fractional;
+              List.iter
+                (fun (field, (g : float), (w : float)) ->
+                  if not (Float.equal g w) then
+                    Alcotest.failf
+                      "%s: analytic %h <> lowered %h for %s (rule1=%b \
+                       dead_loop_elim=%b hoisting=%b)"
+                      field g w (Candidate.key c) rule1 dle hoisting)
+                [ ("flops_per_block", ev.flops_per_block,
+                   Lower.flops_per_block l);
+                  ("t_mem", got.t_mem, want.t_mem);
+                  ("t_comp", got.t_comp, want.t_comp);
+                  ("alpha", got.alpha, want.alpha);
+                  ("t_total", got.t_total, want.t_total) ])
+            combos)
+        (Tiling.enumerate chain))
+    (List.concat_map
+       (fun r1 ->
+         List.concat_map
+           (fun dle -> List.map (fun h -> (r1, dle, h)) [ true; false ])
+           [ true; false ])
+       [ true; false ]);
+  Alcotest.(check bool)
+    (Printf.sprintf "swept a non-trivial space (%d points)" !checked)
+    true (!checked > 1000);
+  Alcotest.(check bool)
+    (Printf.sprintf "non-integral FLOPs on %d points" !fractional)
+    true (!fractional > 0)
+
+(* The per-point loops read the tile and trip arrays without bounds
+   checks, so arrays shorter than the chain's axes must be refused before
+   any read. *)
+let test_analytic_short_arrays () =
+  let chain = Chain.gemm_chain ~m:128 ~n:64 ~k:32 ~h:32 () in
+  let c =
+    Candidate.make
+      (List.hd (Tiling.enumerate chain))
+      [ ("m", 32); ("n", 32); ("k", 16); ("h", 16) ]
+  in
+  let s = Mcf_model.Analytic.summarize chain c in
+  let tiles, trips = Skeleton.tile_arrays (Mcf_model.Analytic.skeleton s) c in
+  let short a = Array.sub a 0 (Array.length a - 1) in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool)
+    "footprint refuses short tiles" true
+    (raises (fun () ->
+         Mcf_model.Analytic.footprint ~elem_bytes:2 s ~tiles:(short tiles)
+           ~trips));
+  Alcotest.(check bool)
+    "evaluate_tiles refuses short trips" true
+    (raises (fun () ->
+         Mcf_model.Analytic.evaluate_tiles ~elem_bytes:2 s ~tiles
+           ~trips:(short trips)))
+
 let test_analytic_memo () =
   let chain = Chain.gemm_chain ~m:128 ~n:64 ~k:32 ~h:32 () in
   let memo = Mcf_model.Analytic.Memo.create ~elem_bytes:2 chain in
@@ -553,7 +667,8 @@ let check_memo_key_exact ~name chain =
               ignore (lookup (Mcf_fuzz.Oracle.grid_twin memo chain c));
               let got = lookup c in
               let want =
-                Skeleton.make ~rule1 ~dead_loop_elim:dle ~hoisting chain c
+                Mcf_model.Analytic.summarize ~rule1 ~dead_loop_elim:dle
+                  ~hoisting chain c
               in
               incr checked;
               let fail what =
@@ -562,7 +677,9 @@ let check_memo_key_exact ~name chain =
                    (rule1=%b dead_loop_elim=%b hoisting=%b)"
                   name what (Candidate.key c) rule1 dle hoisting
               in
-              let tiles, trips = Skeleton.tile_arrays want c in
+              let tiles, trips =
+                Skeleton.tile_arrays (Mcf_model.Analytic.skeleton want) c
+              in
               let fp s =
                 Mcf_model.Analytic.footprint ~elem_bytes:2 s ~tiles ~trips
               in
@@ -643,7 +760,11 @@ let () =
           Alcotest.test_case "attention" `Quick test_analytic_attention;
           Alcotest.test_case "3-gemm chain" `Quick test_analytic_gemm3;
           Alcotest.test_case "mlp (unary epilogue)" `Quick test_analytic_mlp;
-          Alcotest.test_case "summary memoization" `Quick test_analytic_memo ]
+          Alcotest.test_case "mlp, non-integral unary FLOPs" `Quick
+            test_analytic_fractional;
+          Alcotest.test_case "summary memoization" `Quick test_analytic_memo;
+          Alcotest.test_case "short point arrays refused" `Quick
+            test_analytic_short_arrays ]
       );
       ( "lower vs reference",
         [ Alcotest.test_case "tables, every rule-3 point" `Quick
