@@ -44,7 +44,9 @@ trace-demo:
 # compiled summary is the one reader of the skeleton's cost terms besides
 # Lower, so outside lib/ir/ and lib/fuzz/ no lib/ file but
 # lib/model/analytic.ml matches on Skeleton.Access, Contraction or
-# Epilogue.
+# Epilogue; and the persistent schedule cache is Protocol's JSONL store,
+# so no lib/, bin/ or bench/ file but lib/search/schedule_cache.ml{,i}
+# names Schedule_cache (the in-memory table only the benchmark uses).
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -78,10 +80,14 @@ ci-guard:
 	  | grep -v -e '^lib/ir/' -e '^lib/model/analytic\.ml:' -e '^lib/fuzz/'; then \
 	  echo "ci-guard: Skeleton cost terms read in lib/ outside lib/ir/, analytic.ml and lib/fuzz/"; \
 	  exit 1; fi
+	@if grep -rn 'Schedule_cache' lib bin bench \
+	  | grep -v '^lib/search/schedule_cache\.mli\?:'; then \
+	  echo "ci-guard: Schedule_cache named in lib bin bench outside lib/search/schedule_cache.ml{,i}"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

@@ -205,6 +205,15 @@ let workload_arg =
 
 (* --- tune ---------------------------------------------------------------- *)
 
+(* A stored or served schedule, as a [tune --cache] hit and [submit]
+   print it. *)
+let print_sched (s : Mcf_serve.Protocol.sched) =
+  Printf.printf "best      %s\n" s.cand;
+  Printf.printf "kernel    %s\n" (Mcf_util.Table.fmt_time_s s.time_s);
+  Printf.printf "tuning    %s virtual, %d measured, %d generations\n"
+    (Mcf_util.Table.fmt_time_s s.virtual_s)
+    s.measured s.generations
+
 let phase_breakdown (o : Mcf_search.Tuner.outcome) =
   let strip name =
     match String.index_opt name '.' with
@@ -224,7 +233,13 @@ let phase_breakdown (o : Mcf_search.Tuner.outcome) =
 
 let tune_cmd =
   let cache_arg =
-    let doc = "Schedule-cache file: reuse a stored schedule, or tune and store." in
+    let doc =
+      "Schedule-cache file (JSONL, the format of $(b,serve \
+       --schedule-cache)): print the schedule stored for this request, or \
+       tune and store it.  Entries are keyed by device fingerprint, chain \
+       fingerprint, seed and $(b,--reservoir), so a stored schedule only \
+       answers a tune that would reproduce it."
+    in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
   in
   let reservoir_arg =
@@ -252,49 +267,46 @@ let tune_cmd =
   let run () obs cache reservoir measure_cache device workload =
     with_obs obs (fun () ->
         with_setup device workload (fun spec chain ->
-            match cache with
-            | Some cache_file -> (
-              match
-                Mcf_search.Schedule_cache.tune_with_cache ~cache_file spec chain
-              with
-              | Ok (fresh, entry) ->
-                Printf.printf "%s: %s at %s (%s)\n" workload
-                  (Mcf_ir.Candidate.to_string entry.ecand)
-                  (Mcf_util.Table.fmt_time_s entry.etime_s)
-                  (if fresh = None then "cache hit" else "tuned and cached");
-                Ok ()
-              | Error Mcf_search.Tuner.No_viable_candidate ->
-                Error (`Msg "no viable candidate"))
-            | None -> (
-              let mcache =
-                Option.map
-                  (fun path ->
-                    let c = Mcf_search.Measure.cache_create () in
-                    ignore (Mcf_search.Measure.cache_load c path);
-                    (c, path))
-                  measure_cache
-              in
-              let measure =
-                Option.map
-                  (fun (c, _) -> Mcf_search.Measure.create ~cache:c spec)
-                  mcache
-              in
-              let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
-              let miss0 =
-                Mcf_obs.Metrics.counter_value "measure.cache.misses"
-              in
-              let result = Mcf_search.Tuner.tune ?reservoir ?measure spec chain in
-              (* Persist whatever was measured, even on failure: those
-                 simulations are valid warm-start material either way. *)
+            let mcache =
+              Option.map
+                (fun path ->
+                  let c = Mcf_search.Measure.cache_create () in
+                  ignore (Mcf_search.Measure.cache_load c path);
+                  (c, path))
+                measure_cache
+            in
+            let measure =
+              Option.map
+                (fun (c, _) -> Mcf_search.Measure.create ~cache:c spec)
+                mcache
+            in
+            let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
+            let miss0 = Mcf_obs.Metrics.counter_value "measure.cache.misses" in
+            let result =
+              Mcf_serve.Protocol.tune ?cache_file:cache ?measure
+                { workload; chain; spec; seed = None; reservoir }
+            in
+            (* Persist whatever was measured, even on failure: those
+               simulations are valid warm-start material either way. *)
+            Option.iter
+              (fun (c, path) -> ignore (Mcf_search.Measure.cache_save c path))
+              mcache;
+            let cache_line what =
               Option.iter
-                (fun (c, path) ->
-                  ignore (Mcf_search.Measure.cache_save c path))
-                mcache;
-              match result with
-              | Error Mcf_search.Tuner.No_viable_candidate ->
-                Error (`Msg "no viable candidate: the chain cannot be fused here")
-              | Ok o ->
-                Printf.printf "workload  %s on %s\n" workload spec.name;
+                (fun path -> Printf.printf "cache     %s: %s\n" path what)
+                cache
+            in
+            match result with
+            | Error Mcf_search.Tuner.No_viable_candidate ->
+              Error (`Msg "no viable candidate: the chain cannot be fused here")
+            | Ok (sched, outcome) -> (
+              Printf.printf "workload  %s on %s\n" workload spec.name;
+              match outcome with
+              | None ->
+                print_sched sched;
+                cache_line "hit";
+                Ok ()
+              | Some o ->
                 Printf.printf "best      %s\n"
                   (Mcf_ir.Candidate.to_string o.best.cand);
                 Printf.printf "kernel    %s\n"
@@ -317,7 +329,9 @@ let tune_cmd =
                       (Mcf_obs.Metrics.counter_value "measure.cache.misses"
                       - miss0))
                   mcache;
-                Printf.printf "space     %d candidates after pruning (raw %.3g)\n\n"
+                cache_line "miss, tuned and stored";
+                Printf.printf
+                  "space     %d candidates after pruning (raw %.3g)\n\n"
                   o.funnel.candidates_valid o.funnel.candidates_raw;
                 print_string (Mcf_search.Tuner.pseudo_code o);
                 Ok ())))
@@ -1365,15 +1379,14 @@ let submit_cmd =
       (jstr job [ "workload" ])
       (jstr job [ "device" ]);
     match state with
-    | "done" ->
-      Printf.printf "best      %s\n" (jstr job [ "result"; "candidate" ]);
-      Printf.printf "kernel    %s\n"
-        (Mcf_util.Table.fmt_time_s (jnum job [ "result"; "kernel_time_s" ]));
-      Printf.printf "tuning    %s virtual, %.0f measured, %.0f generations\n"
-        (Mcf_util.Table.fmt_time_s (jnum job [ "result"; "tuning_virtual_s" ]))
-        (jnum job [ "result"; "measured" ])
-        (jnum job [ "result"; "generations" ]);
-      Ok ()
+    | "done" -> (
+      match
+        Option.bind (jget job [ "result" ]) Mcf_serve.Protocol.sched_of_json
+      with
+      | Some sched ->
+        print_sched sched;
+        Ok ()
+      | None -> Error (`Msg "malformed result in a done job"))
     | "failed" -> Error (`Msg (jstr job [ "error" ]))
     | _ -> Ok ()
   in

@@ -15,8 +15,8 @@
     The store is append-only and self-describing, so files survive
     schema growth (unknown metrics simply appear as new rows) and a
     truncated tail costs only the damaged lines: {!load} counts and
-    skips malformed lines instead of failing, mirroring
-    [Schedule_cache.load].
+    skips malformed lines instead of failing, through the same
+    {!Mcf_util.Json.fold_jsonl} as the schedule and measurement caches.
 
     Direction of improvement is inferred from the metric name: a
     [_per_s] suffix means higher-is-better (throughputs), anything else

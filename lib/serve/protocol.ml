@@ -205,15 +205,15 @@ let key (r : tune_request) =
 
 (* --- sched JSON -------------------------------------------------------- *)
 
-let sched_json (s : sched) =
-  Json.Obj
-    [ ("candidate", Json.Str s.cand);
-      ("kernel_time_s", Json.Num s.time_s);
-      ("tuning_virtual_s", Json.Num s.virtual_s);
-      ("estimated", Json.num_of_int s.estimated);
-      ("measured", Json.num_of_int s.measured);
-      ("generations", Json.num_of_int s.generations);
-    ]
+let sched_fields (s : sched) =
+  [ ("candidate", Json.Str s.cand);
+    ("kernel_time_s", Json.Num s.time_s);
+    ("tuning_virtual_s", Json.Num s.virtual_s);
+    ("estimated", Json.num_of_int s.estimated);
+    ("measured", Json.num_of_int s.measured);
+    ("generations", Json.num_of_int s.generations) ]
+
+let sched_json s = Json.Obj (sched_fields s)
 
 let sched_of_json j =
   match
@@ -243,3 +243,59 @@ let sched_of_outcome (o : Mcf_search.Tuner.outcome) =
     estimated = o.search_stats.estimated;
     measured = o.search_stats.measured;
     generations = o.search_stats.generations }
+
+(* --- schedule-cache file ----------------------------------------------- *)
+
+let load_cache path =
+  let entries, malformed =
+    Json.fold_jsonl ~path ~init:[] ~f:(fun acc j ->
+        match (Json.member "key" j, sched_of_json j) with
+        | Some (Json.Str key), Some sched -> Some ((key, sched) :: acc)
+        | _ -> None)
+  in
+  (List.rev entries, malformed)
+
+let persist_cache path entries =
+  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+  Json.write_atomic path (fun oc ->
+      List.iter
+        (fun (key, s) ->
+          let line = Json.Obj (("key", Json.Str key) :: sched_fields s) in
+          output_string oc (Json.to_string line);
+          output_char oc '\n')
+        entries);
+  List.length entries
+
+(* --- one tune ------------------------------------------------------------ *)
+
+let c_hits = Mcf_obs.Metrics.counter "cache.hits"
+let c_misses = Mcf_obs.Metrics.counter "cache.misses"
+
+let tune ?cache_file ?measure (r : tune_request) =
+  let fresh () =
+    Result.map
+      (fun o -> (sched_of_outcome o, Some o))
+      (Mcf_search.Tuner.tune ?seed:r.seed ?reservoir:r.reservoir ?measure
+         r.spec r.chain)
+  in
+  match cache_file with
+  | None -> fresh ()
+  | Some path -> (
+    let module Trace = Mcf_obs.Trace in
+    let entries, _ = Trace.with_span "cache.load" (fun () -> load_cache path) in
+    let table = Hashtbl.of_seq (List.to_seq entries) in
+    let key = key r in
+    match Hashtbl.find_opt table key with
+    | Some s ->
+      Mcf_obs.Metrics.incr c_hits;
+      Ok (s, None)
+    | None ->
+      Mcf_obs.Metrics.incr c_misses;
+      let res = fresh () in
+      Result.iter
+        (fun (s, _) ->
+          Hashtbl.replace table key s;
+          Trace.with_span "cache.save" (fun () ->
+              ignore (persist_cache path (List.of_seq (Hashtbl.to_seq table)))))
+        res;
+      res)

@@ -55,3 +55,31 @@ val key : tune_request -> string
 val sched_json : sched -> Mcf_util.Json.t
 val sched_of_json : Mcf_util.Json.t -> sched option
 val sched_of_outcome : Mcf_search.Tuner.outcome -> sched
+
+(** {2 Schedule-cache file}
+
+    The one persistent schedule cache, shared by [mcfuser tune --cache]
+    and [mcfuser serve --schedule-cache]: one JSON object per line, the
+    {!sched_json} fields plus ["key"] ({!key}), with floats printed
+    [%.17g] so a loaded [sched] equals the stored one bit for bit. *)
+
+val load_cache : string -> (string * sched) list * int
+(** [(entries, malformed)]: the file's (key, sched) entries in file
+    order (a later entry for the same key supersedes an earlier one) and
+    the number of lines counted and skipped as malformed — including
+    lines of any other format.  A missing file is empty. *)
+
+val persist_cache : string -> (string * sched) list -> int
+(** Write [entries] sorted by key, atomically ({!Mcf_util.Json.write_atomic});
+    returns the number written. *)
+
+val tune :
+  ?cache_file:string ->
+  ?measure:Mcf_search.Measure.t ->
+  tune_request ->
+  (sched * Mcf_search.Tuner.outcome option, Mcf_search.Tuner.error) result
+(** Run [Tuner.tune] with the request's seed and reservoir (and
+    [measure], which never changes the outcome).  With [cache_file],
+    look {!key} up in that file first: a hit returns the stored schedule
+    and no outcome, counted on [cache.hits]; a miss, counted on
+    [cache.misses], tunes and rewrites the file with the new entry. *)

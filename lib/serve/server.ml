@@ -116,39 +116,6 @@ let view_of_job (j : job) =
     vsource = j.jsource;
     vstatus = j.jstatus }
 
-(* --- schedule-cache persistence ---------------------------------------- *)
-
-let cache_entry_json key (s : Protocol.sched) =
-  match Protocol.sched_json s with
-  | Json.Obj kvs -> Json.Obj (("key", Json.Str key) :: kvs)
-  | j -> j
-
-let persist_cache t path =
-  let entries = Shardmap.fold t.cache (fun k v acc -> (k, v) :: acc) [] in
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  Json.write_atomic path (fun oc ->
-      List.iter
-        (fun (k, v) ->
-          output_string oc (Json.to_string (cache_entry_json k v));
-          output_char oc '\n')
-        entries);
-  List.length entries
-
-let load_cache t path =
-  let loaded, malformed =
-    Json.fold_jsonl ~path ~init:0 ~f:(fun n j ->
-        match (Json.member "key" j, Protocol.sched_of_json j) with
-        | Some (Json.Str key), Some sched ->
-          Shardmap.set t.cache key sched;
-          Some (n + 1)
-        | _ -> None)
-  in
-  if loaded > 0 || malformed > 0 then
-    Log.info (fun m ->
-        m "schedule cache warm-start: %d entries from %s (%d malformed)"
-          loaded path malformed);
-  loaded
-
 (* --- job completion ---------------------------------------------------- *)
 
 (* Finished jobs the table keeps answering for.  Every request, cache
@@ -330,7 +297,10 @@ let stop t =
     Mutex.unlock t.lock;
     (match t.cfg.schedule_cache_file with
     | Some path ->
-      let n = persist_cache t path in
+      let n =
+        Protocol.persist_cache path
+          (Shardmap.fold t.cache (fun k v acc -> (k, v) :: acc) [])
+      in
       Log.info (fun m -> m "persisted %d schedule cache entries to %s" n path)
     | None -> ());
     match t.cfg.measure_cache_file with
@@ -497,7 +467,12 @@ let start ?(config = default_config) () =
       stop_started = Atomic.make false }
   in
   (match cfg.schedule_cache_file with
-  | Some path when Sys.file_exists path -> ignore (load_cache t path)
+  | Some path when Sys.file_exists path ->
+    let entries, malformed = Protocol.load_cache path in
+    List.iter (fun (key, sched) -> Shardmap.set t.cache key sched) entries;
+    Log.info (fun m ->
+        m "schedule cache warm-start: %d entries from %s (%d malformed)"
+          (List.length entries) path malformed)
   | _ -> ());
   (match cfg.measure_cache_file with
   | Some path when Sys.file_exists path ->

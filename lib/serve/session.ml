@@ -1,7 +1,8 @@
 (* One tuning session: the unit of coalescing.  All jobs whose request
    derives the same Protocol.key attach to one session, which runs
-   Tuner.tune exactly once.  State transitions are guarded by the owning
-   server's lock; [run] itself executes outside it. *)
+   Protocol.tune (the CLI's tune path, without a cache file) exactly
+   once.  State transitions are guarded by the owning server's lock;
+   [run] itself executes outside it. *)
 
 type state =
   | Queued
@@ -22,11 +23,8 @@ let attach t job = t.sjobs <- job :: t.sjobs
 
 let run ?measure t =
   let req = t.sreq in
-  match
-    Mcf_search.Tuner.tune ?seed:req.seed ?reservoir:req.reservoir ?measure
-      req.spec req.chain
-  with
-  | Ok o -> Ok (Protocol.sched_of_outcome o)
+  match Protocol.tune ?measure req with
+  | Ok (sched, _) -> Ok sched
   | Error Mcf_search.Tuner.No_viable_candidate ->
     Error
       (Printf.sprintf "no viable candidate for %s on %s" req.workload

@@ -1,10 +1,10 @@
 (** One tuning session — the unit of request coalescing.
 
     Every job whose request derives the same {!Protocol.key} attaches to
-    the same session; the session runs {!Mcf_search.Tuner.tune} exactly
-    once and its result fans out to all attached jobs.  The mutable
-    fields are guarded by the owning {!Server}'s lock; {!run} executes
-    outside it (it is the long part). *)
+    the same session; the session runs {!Protocol.tune} exactly once and
+    its result fans out to all attached jobs.  The mutable fields are
+    guarded by the owning {!Server}'s lock; {!run} executes outside it
+    (it is the long part). *)
 
 type state =
   | Queued

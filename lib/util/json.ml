@@ -302,7 +302,7 @@ let jsonl_src =
 
 module Log = (val Logs.src_log jsonl_src : Logs.LOG)
 
-let fold_lines ~path ~init ~f =
+let fold_jsonl ~path ~init ~f =
   if not (Sys.file_exists path) then (init, 0)
   else begin
     let ic = open_in path in
@@ -315,9 +315,9 @@ let fold_lines ~path ~init ~f =
            while true do
              let line = input_line ic in
              if String.trim line <> "" then
-               match f !acc line with
-               | Some acc' -> acc := acc'
-               | None -> incr skipped
+               match Result.map (f !acc) (parse line) with
+               | Ok (Some acc') -> acc := acc'
+               | Ok None | Error _ -> incr skipped
            done
          with End_of_file -> ());
         if !skipped > 0 then
@@ -326,10 +326,6 @@ let fold_lines ~path ~init ~f =
                 (if !skipped = 1 then "" else "s"));
         (!acc, !skipped))
   end
-
-let fold_jsonl ~path ~init ~f =
-  fold_lines ~path ~init ~f:(fun acc line ->
-      match parse line with Ok j -> f acc j | Error _ -> None)
 
 let write_atomic path write =
   let tmp = path ^ ".tmp" in

@@ -32,22 +32,17 @@ val member : string -> t -> t option
 (** [member k (Obj ...)] finds the first binding of [k]; [None] for
     non-objects or missing keys. *)
 
-val fold_lines :
-  path:string -> init:'a -> f:('a -> string -> 'a option) -> 'a * int
-(** Count-and-skip fold over a line-oriented store.  Every non-blank
-    line of [path] is passed to [f]; [None] marks the line malformed —
-    it is counted and skipped, and the fold continues.  Returns the
-    final accumulator and the number of malformed lines, after logging
-    one ["skipped N malformed lines"] warning on the [mcfuser.jsonl]
-    source when N > 0.  A missing file is empty: [(init, 0)]. *)
-
 val fold_jsonl :
   path:string -> init:'a -> f:('a -> t -> 'a option) -> 'a * int
-(** {!fold_lines} with each line run through {!parse} first; parse
-    failures count as malformed, as do lines [f] rejects with [None].
-    This is the one shared loader for every append-only JSONL store
-    (history, caches) — truncated tails cost exactly the damaged
-    lines. *)
+(** Count-and-skip fold over an append-only JSONL store.  Every
+    non-blank line of [path] is run through {!parse} and passed to [f];
+    a parse failure, or [None] from [f], marks the line malformed — it
+    is counted and skipped, and the fold continues.  Returns the final
+    accumulator and the number of malformed lines, after logging one
+    ["skipped N malformed lines"] warning on the [mcfuser.jsonl] source
+    when N > 0.  A missing file is empty: [(init, 0)].  This is the one
+    shared loader for every JSONL store (history, caches) — truncated
+    tails cost exactly the damaged lines. *)
 
 val write_atomic : string -> (out_channel -> 'a) -> 'a
 (** [write_atomic path write] runs [write] on a fresh [path ^ ".tmp"],

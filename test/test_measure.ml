@@ -276,32 +276,6 @@ let test_shardmap_exception_cleanup () =
   Alcotest.(check bool) "recomputes" true (outcome = Shardmap.Computed);
   Alcotest.(check int) "value cached" 7 v
 
-(* --- Schedule_cache legacy format ------------------------------------------- *)
-
-let test_schedule_cache_legacy_fixture () =
-  (* A file written before Candidate.serialize was extracted must still
-     load: the on-disk line format is pinned here by hand. *)
-  let path = Filename.temp_file "mcf_sched" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc
-        "gemm_chain_b1_m256_n128_k64_h64|A100|deep:m,h,n,k;h=16,k=16,m=32,n=32|1.234000000e-06\n";
-      close_out oc;
-      let t = Mcf_search.Schedule_cache.load ~chains:[ small_gemm ] path in
-      Alcotest.(check int) "legacy line loads" 1
-        (Mcf_search.Schedule_cache.size t);
-      match
-        Mcf_search.Schedule_cache.lookup t ~chain:small_gemm ~device:"A100"
-      with
-      | None -> Alcotest.fail "legacy entry not found"
-      | Some e ->
-        Alcotest.(check (float 0.0)) "time round-trips" 1.234e-06 e.etime_s;
-        Alcotest.(check string) "candidate round-trips"
-          "deep:m,h,n,k;h=16,k=16,m=32,n=32"
-          (Mcf_search.Schedule_cache.serialize_candidate e.ecand))
-
 let () =
   Alcotest.run "measure"
     [ ( "bit-identity",
@@ -334,9 +308,5 @@ let () =
         [ Alcotest.test_case "LRU eviction" `Quick test_shardmap_lru_eviction;
           Alcotest.test_case "exception cleanup" `Quick
             test_shardmap_exception_cleanup
-        ] );
-      ( "schedule-cache",
-        [ Alcotest.test_case "legacy on-disk format" `Quick
-            test_schedule_cache_legacy_fixture
         ] )
     ]

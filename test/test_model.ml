@@ -351,27 +351,31 @@ let test_analytic_mlp () =
    one int before applying the factor fails here.  Exhaustive over
    tilings x tile combos x the eight flag combinations. *)
 
-let mlp_fractional () =
-  let c = Chain.mlp_chain ~m:96 ~n:48 ~k:32 ~h:32 () in
-  { c with
-    cname = c.cname ^ "_uflops100.1";
+(* [chain] with a Unary of [uflops] FLOPs per element on each named
+   block. *)
+let with_unary chain flops =
+  { chain with
+    Chain.cname =
+      String.concat "_"
+        (chain.Chain.cname
+        :: List.map (fun (b, f) -> Printf.sprintf "%s%g" b f) flops);
     blocks =
       List.map
         (fun (b : Chain.block) ->
-          match b.epilogue with
-          | Chain.Unary u ->
-            { b with epilogue = Chain.Unary { u with uflops = 100.1 } }
-          | Chain.No_epilogue | Chain.Scale _ | Chain.Softmax _ -> b)
-        c.blocks }
+          match List.assoc_opt b.bname flops with
+          | Some uflops ->
+            { b with
+              epilogue = Chain.Unary { uname = "u"; apply = Fun.id; uflops } }
+          | None -> b)
+        chain.blocks }
 
-let test_analytic_fractional () =
-  let chain = mlp_fractional () in
+let check_fractional chain =
   let combos =
     Mcf_util.Listx.cartesian
       (List.map
          (fun (a : Axis.t) ->
            List.map (fun t -> (a.name, t)) (Candidate.tile_options a.size))
-         chain.axes)
+         chain.Chain.axes)
   in
   let checked = ref 0 and fractional = ref 0 in
   List.iter
@@ -421,6 +425,22 @@ let test_analytic_fractional () =
   Alcotest.(check bool)
     (Printf.sprintf "non-integral FLOPs on %d points" !fractional)
     true (!fractional > 0)
+
+let test_analytic_fractional () =
+  check_fractional
+    (with_unary (Chain.mlp_chain ~m:96 ~n:48 ~k:32 ~h:32 ()) [ ("C", 100.1) ])
+
+(* Two non-integral epilogues pin the order of the FLOP sum.  With one,
+   it is added to integer-valued terms only, which gives the same bits in
+   any order.  With Unary FLOPs of 0.1 on C and 0.3 on E, a scorer that
+   added every epilogue term after all contraction terms, instead of in
+   [Lower.instantiate]'s program order, differs in the last bit (100.1
+   and 12.3 do not show it). *)
+let test_analytic_two_fractional () =
+  check_fractional
+    (with_unary
+       (Chain.gemm_chain3 ~m:96 ~n:48 ~k:32 ~h:32 ~p:32 ())
+       [ ("C", 0.1); ("E", 0.3) ])
 
 (* The per-point loops read the tile and trip arrays without bounds
    checks, so arrays shorter than the chain's axes must be refused before
@@ -762,6 +782,8 @@ let () =
           Alcotest.test_case "mlp (unary epilogue)" `Quick test_analytic_mlp;
           Alcotest.test_case "mlp, non-integral unary FLOPs" `Quick
             test_analytic_fractional;
+          Alcotest.test_case "two non-integral epilogues" `Quick
+            test_analytic_two_fractional;
           Alcotest.test_case "summary memoization" `Quick test_analytic_memo;
           Alcotest.test_case "short point arrays refused" `Quick
             test_analytic_short_arrays ]

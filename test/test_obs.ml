@@ -485,26 +485,26 @@ let test_cache_counters () =
   clean ();
   Metrics.reset ();
   let chain = Mcf_ir.Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 () in
-  let file = Filename.temp_file "mcf_obs_cache" ".tsv" in
+  let req =
+    { Mcf_serve.Protocol.workload = chain.cname; chain; spec = a100;
+      seed = None; reservoir = None }
+  in
+  let file = Filename.temp_file "mcf_obs_cache" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      (match Mcf_search.Schedule_cache.tune_with_cache ~cache_file:file a100
-               chain
-       with
-      | Ok (Some _, _) -> ()
-      | Ok (None, _) -> Alcotest.fail "first call must miss"
+      (match Mcf_serve.Protocol.tune ~cache_file:file req with
+      | Ok (_, Some _) -> ()
+      | Ok (_, None) -> Alcotest.fail "first call must miss"
       | Error _ -> Alcotest.fail "tuner failed");
-      match Mcf_search.Schedule_cache.tune_with_cache ~cache_file:file a100
-              chain
-      with
-      | Ok (None, _) ->
+      match Mcf_serve.Protocol.tune ~cache_file:file req with
+      | Ok (_, None) ->
         Alcotest.(check int) "one miss" 1 (Metrics.counter_value "cache.misses");
         Alcotest.(check int) "one hit" 1 (Metrics.counter_value "cache.hits");
         Alcotest.(check int) "hits + misses = lookups" 2
           (Metrics.counter_value "cache.hits"
           + Metrics.counter_value "cache.misses")
-      | Ok (Some _, _) -> Alcotest.fail "second call must hit"
+      | Ok (_, Some _) -> Alcotest.fail "second call must hit"
       | Error _ -> Alcotest.fail "tuner failed")
 
 let test_tracing_does_not_perturb_tuning () =

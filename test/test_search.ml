@@ -842,106 +842,6 @@ let test_tuner_regret () =
   Alcotest.(check (list (triple string string string)))
     "regret rows" regret_table (regret_rows ())
 
-(* --- Schedule_cache ----------------------------------------------------------- *)
-
-let test_cache_candidate_roundtrip () =
-  let mk_cand tiling tiles = Candidate.make tiling tiles in
-  let m = Chain.axis small_gemm "m" and n = Chain.axis small_gemm "n" in
-  let k = Chain.axis small_gemm "k" and h = Chain.axis small_gemm "h" in
-  let cands =
-    [ mk_cand (Tiling.Deep [ m; h; n; k ])
-        [ ("m", 64); ("n", 32); ("k", 16); ("h", 32) ];
-      mk_cand (Tiling.Flat ([ m; n ], [ [ k ]; [ h ] ]))
-        [ ("m", 64); ("n", 32); ("k", 16); ("h", 32) ];
-      mk_cand (Tiling.Flat ([ m; n ], [ [ k ]; [] ]))
-        [ ("m", 64); ("n", 32); ("k", 16); ("h", 32) ] ]
-  in
-  List.iter
-    (fun cand ->
-      let s = Mcf_search.Schedule_cache.serialize_candidate cand in
-      match Mcf_search.Schedule_cache.parse_candidate small_gemm s with
-      | Ok back ->
-        Alcotest.(check string) ("roundtrip " ^ s) (Candidate.key cand)
-          (Candidate.key back)
-      | Error e -> Alcotest.failf "parse failed for %s: %s" s e)
-    cands
-
-let test_cache_parse_errors () =
-  let bad =
-    [ "deep:m,z;m=64,n=32,k=16,h=32" (* unknown axis *);
-      "deep:m,h,n,k;m=64" (* missing tiles *);
-      "deep:m,h,n,k;m=0,n=32,k=16,h=32" (* non-positive tile *);
-      "nonsense" ]
-  in
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) ("rejects " ^ s) true
-        (Result.is_error (Mcf_search.Schedule_cache.parse_candidate small_gemm s)))
-    bad
-
-let test_cache_file_roundtrip () =
-  let path = Filename.temp_file "mcfuser_cache" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      (* first call tunes and persists *)
-      (match
-         Mcf_search.Schedule_cache.tune_with_cache ~cache_file:path a100
-           small_gemm
-       with
-      | Ok (Some _, entry) ->
-        Alcotest.(check string) "device recorded" "A100" entry.edevice
-      | Ok (None, _) -> Alcotest.fail "first call must miss"
-      | Error _ -> Alcotest.fail "tuning failed");
-      (* second call hits *)
-      match
-        Mcf_search.Schedule_cache.tune_with_cache ~cache_file:path a100
-          small_gemm
-      with
-      | Ok (None, entry) ->
-        Alcotest.(check bool) "cached time positive" true (entry.etime_s > 0.0);
-        (* the cached candidate still compiles on this device *)
-        Alcotest.(check bool) "cached candidate compiles" true
-          (Result.is_ok
-             (Mcf_codegen.Compile.compile_candidate a100 small_gemm
-                entry.ecand))
-      | Ok (Some _, _) -> Alcotest.fail "second call must hit"
-      | Error _ -> Alcotest.fail "lookup failed")
-
-let test_cache_corrupt_lines_skipped () =
-  let path = Filename.temp_file "mcfuser_cache" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc "garbage line\nanother|bad\n";
-      close_out oc;
-      let t = Mcf_search.Schedule_cache.load ~chains:[ small_gemm ] path in
-      Alcotest.(check int) "corrupt lines dropped" 0
-        (Mcf_search.Schedule_cache.size t))
-
-let prop_cache_roundtrip =
-  QCheck.Test.make ~count:100 ~name:"cache serialization roundtrip"
-    QCheck.small_int
-    (fun seed ->
-      let rng = Mcf_util.Rng.create (seed + 17) in
-      let tilings = Array.of_list (Tiling.enumerate small_gemm) in
-      let tiling = Mcf_util.Rng.pick rng tilings in
-      let tiles =
-        List.map
-          (fun (a : Axis.t) ->
-            let opts = Array.of_list (Candidate.tile_options a.size) in
-            (a.Axis.name, Mcf_util.Rng.pick rng opts))
-          small_gemm.Chain.axes
-      in
-      let cand = Candidate.make tiling tiles in
-      match
-        Mcf_search.Schedule_cache.parse_candidate small_gemm
-          (Mcf_search.Schedule_cache.serialize_candidate cand)
-      with
-      | Ok back -> Candidate.key back = Candidate.key cand
-      | Error _ -> false)
-
 let () =
   Alcotest.run "mcf_search"
     [ ( "space",
@@ -993,12 +893,4 @@ let () =
           Alcotest.test_case "lowers lazily" `Quick test_tuner_lowers_lazily;
           Alcotest.test_case "golden outcomes" `Quick
             test_tuner_golden_outcomes;
-          Alcotest.test_case "regret" `Quick test_tuner_regret ] );
-      ( "schedule-cache",
-        [ Alcotest.test_case "candidate roundtrip" `Quick
-            test_cache_candidate_roundtrip;
-          Alcotest.test_case "parse errors" `Quick test_cache_parse_errors;
-          Alcotest.test_case "file roundtrip" `Quick test_cache_file_roundtrip;
-          Alcotest.test_case "corrupt lines skipped" `Quick
-            test_cache_corrupt_lines_skipped;
-          QCheck_alcotest.to_alcotest prop_cache_roundtrip ] ) ]
+          Alcotest.test_case "regret" `Quick test_tuner_regret ] ) ]

@@ -5,7 +5,8 @@
    and warm-start, HTTP fault injection (malformed bodies, unknown
    devices, oversized payloads, client disconnects) against a live
    socket, and the Httpd per-connection read timeout that keeps a
-   stalled client from pinning a slot. *)
+   stalled client from pinning a slot; and the schedule-cache file that
+   [mcfuser tune --cache] and serve share. *)
 
 module Server = Mcf_serve.Server
 module Protocol = Mcf_serve.Protocol
@@ -284,6 +285,133 @@ let test_stop_drains_and_persists () =
   List.iter Sys.remove (lines sched_file |> fun _ -> [ sched_file; measure_file ]);
   Unix.rmdir dir
 
+(* --- schedule-cache file --------------------------------------------------------
+
+   [Protocol.tune ~cache_file] is [mcfuser tune --cache]'s one path, and
+   its file is the one serve warm-starts from. *)
+
+let with_cache_file f =
+  let path = Filename.temp_file "mcf_sched" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () -> f path)
+
+let tune_ok ?cache_file r =
+  match Protocol.tune ?cache_file r with
+  | Ok x -> x
+  | Error _ -> Alcotest.fail "tune failed"
+
+let g1 ?reservoir () =
+  match Protocol.chain_of_workload "G1" with
+  | Ok chain ->
+    { Protocol.workload = "G1"; chain; spec = a100; seed = None; reservoir }
+  | Error e -> Alcotest.fail e
+
+let bits x = Printf.sprintf "%h" x
+
+let test_cache_file_roundtrip () =
+  with_cache_file (fun path ->
+      let r = req ~m:208 () in
+      let stored, o =
+        match tune_ok ~cache_file:path r with
+        | s, Some o -> (s, o)
+        | _, None -> Alcotest.fail "first call must miss"
+      in
+      match tune_ok ~cache_file:path r with
+      | _, Some _ -> Alcotest.fail "second call must hit"
+      | hit, None ->
+        (* Floats are stored [%.17g], so a hit is the tune bit for bit. *)
+        Alcotest.(check string) "kernel_time_s bit-identical"
+          (bits o.kernel_time_s) (bits hit.time_s);
+        Alcotest.(check string) "tuning_virtual_s bit-identical"
+          (bits o.tuning_virtual_s) (bits hit.virtual_s);
+        Alcotest.(check string) "the stored schedule" (sched_fingerprint stored)
+          (sched_fingerprint hit))
+
+let test_cache_reservoir_honoured () =
+  let winner r =
+    match tune_ok r with
+    | s, Some _ -> s
+    | _, None -> Alcotest.fail "an uncached tune hit"
+  in
+  let plain = winner (g1 ~reservoir:4 ()) in
+  Alcotest.(check bool) "the reservoir changes G1's winner" false
+    (sched_fingerprint plain = sched_fingerprint (winner (g1 ())));
+  with_cache_file (fun path ->
+      (match tune_ok ~cache_file:path (g1 ~reservoir:4 ()) with
+      | s, Some _ ->
+        Alcotest.(check string) "cached miss = plain --reservoir 4"
+          (sched_fingerprint plain) (sched_fingerprint s)
+      | _, None -> Alcotest.fail "first call must miss");
+      match tune_ok ~cache_file:path (g1 ~reservoir:4 ()) with
+      | s, None ->
+        Alcotest.(check string) "hit = plain --reservoir 4"
+          (sched_fingerprint plain) (sched_fingerprint s)
+      | _, Some _ -> Alcotest.fail "second call must hit")
+
+let test_cache_key_separates () =
+  with_cache_file (fun path ->
+      let base = req ~m:224 () in
+      let stored, _ = tune_ok ~cache_file:path base in
+      List.iter
+        (fun (what, r) ->
+          match tune_ok ~cache_file:path r with
+          | _, Some _ -> ()
+          | _, None ->
+            Alcotest.failf "the stored entry answered another %s" what)
+        [ ("seed", { base with seed = Some 7 });
+          ("reservoir", { base with reservoir = Some 8 });
+          ("device", { base with spec = Mcf_gpu.Spec.rtx3080 });
+          ( "device spec of the same name",
+            { base with spec = { a100 with sm_count = a100.sm_count / 2 } } )
+        ];
+      match tune_ok ~cache_file:path base with
+      | s, None ->
+        Alcotest.(check string) "the original key still hits"
+          (sched_fingerprint stored) (sched_fingerprint s)
+      | _, Some _ -> Alcotest.fail "the original key missed")
+
+let test_cache_corrupt_lines_skipped () =
+  with_cache_file (fun path ->
+      let good = req ~m:240 () in
+      let s, _ = tune_ok ~cache_file:path good in
+      let entry = In_channel.with_open_text path In_channel.input_all in
+      Mcf_util.Json.write_atomic path (fun oc ->
+          output_string oc
+            (String.concat "\n"
+               [ "garbage line";
+                 (* the retired pipe format *)
+                 "gemm_chain_b1_m256_n128_k64_h64|A100|deep:m,h,n,k;h=16,k=16,m=32,n=32|1.234000000e-06";
+                 {|{"key":"A100|x","candidate":"deep:m;m=16"}|};
+                 {|{"candidate":"deep:m;m=16","kernel_time_s":1e-06,"tuning_virtual_s":1,"estimated":1,"measured":1,"generations":1}|};
+                 String.sub entry 0 (String.length entry / 2);
+                 String.trim entry;
+                 "" ]));
+      let entries, malformed = Protocol.load_cache path in
+      Alcotest.(check int) "malformed lines counted" 5 malformed;
+      Alcotest.(check (list string)) "the whole line loads"
+        [ Protocol.key good ] (List.map fst entries);
+      match tune_ok ~cache_file:path good with
+      | hit, None ->
+        Alcotest.(check string) "and answers" (sched_fingerprint s)
+          (sched_fingerprint hit)
+      | _, Some _ -> Alcotest.fail "the intact entry missed")
+
+let test_cache_file_warm_starts_serve () =
+  with_cache_file (fun path ->
+      let r = g1 ~reservoir:4 () in
+      let stored, _ = tune_ok ~cache_file:path r in
+      with_server
+        ~config:{ Server.default_config with schedule_cache_file = Some path }
+        (fun t ->
+          let jid, src = submit_ok t r in
+          Alcotest.(check string) "answered from the file" "cached"
+            (Server.source_string src);
+          Alcotest.(check string) "the stored schedule"
+            (sched_fingerprint stored)
+            (sched_fingerprint (await_done t jid))))
+
 (* --- bounded job table ---------------------------------------------------------- *)
 
 let test_job_table_bounded () =
@@ -468,6 +596,17 @@ let () =
         [ Alcotest.test_case "stop drains and persists" `Quick
             test_stop_drains_and_persists;
           Alcotest.test_case "job table bounded" `Quick test_job_table_bounded
+        ] );
+      ( "schedule-cache",
+        [ Alcotest.test_case "file roundtrip" `Quick test_cache_file_roundtrip;
+          Alcotest.test_case "reservoir honoured" `Quick
+            test_cache_reservoir_honoured;
+          Alcotest.test_case "key covers seed, reservoir, spec" `Quick
+            test_cache_key_separates;
+          Alcotest.test_case "corrupt lines skipped" `Quick
+            test_cache_corrupt_lines_skipped;
+          Alcotest.test_case "tune file warm-starts serve" `Quick
+            test_cache_file_warm_starts_serve
         ] );
       ( "http",
         [ Alcotest.test_case "fault injection" `Quick test_http_faults;

@@ -289,9 +289,9 @@ let test_fold_jsonl () =
       Alcotest.(check (list (float 0.0))) "accepted" [ 3.0; 1.0 ] vs;
       Alcotest.(check int) "skipped" 2 skipped)
 
-let test_fold_lines_missing_file () =
+let test_fold_missing_file () =
   let acc, skipped =
-    Json.fold_lines ~path:"/nonexistent/mcf_fold_probe" ~init:7
+    Json.fold_jsonl ~path:"/nonexistent/mcf_fold_probe" ~init:7
       ~f:(fun _ _ -> Alcotest.fail "f called for a missing file")
   in
   Alcotest.(check int) "init returned" 7 acc;
@@ -462,7 +462,7 @@ let () =
         ] );
       ( "fold",
         [ Alcotest.test_case "fold_jsonl count-and-skip" `Quick test_fold_jsonl;
-          Alcotest.test_case "missing file" `Quick test_fold_lines_missing_file
+          Alcotest.test_case "missing file" `Quick test_fold_missing_file
         ] );
       ( "logfmt",
         [ Alcotest.test_case "json lines" `Quick test_logfmt_json;
