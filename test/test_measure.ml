@@ -285,8 +285,8 @@ let () =
             test_run_batch_drain_order
         ] );
       ( "transform",
-        [ Alcotest.test_case "derated time is Sim.run of derated kernel"
-            `Quick test_derate_matches_sim
+        [ Alcotest.test_case "derated time is Sim.run of derate" `Quick
+            test_derate_matches_sim
         ] );
       ( "cache",
         [ Alcotest.test_case "off == cold == warm" `Quick
