@@ -65,10 +65,12 @@ let log_format_arg =
   Arg.(value & opt log_format_conv Mcf_obs.Logfmt.Text
        & info [ "log-format" ] ~docv:"FMT" ~doc)
 
+(* Warnings (such as a JSONL store's skipped malformed lines) show
+   without -v; -v and -vv add info and debug. *)
 let setup_logs verbose log_format =
   let level =
     match List.length verbose with
-    | 0 -> None
+    | 0 -> Some Logs.Warning
     | 1 -> Some Logs.Info
     | _ -> Some Logs.Debug
   in
@@ -931,11 +933,8 @@ let perf_cmd =
     Arg.(value & opt int 10 & info [ "window" ] ~docv:"N" ~doc)
   in
   let run () history workload gate tolerance window =
-    let entries, skipped = Mcf_obs.History.load history in
-    if skipped > 0 then
-      Printf.eprintf "perf: skipped %d malformed line%s in %s\n%!" skipped
-        (if skipped = 1 then "" else "s")
-        history;
+    (* The loader warns about malformed lines itself. *)
+    let entries, _ = Mcf_obs.History.load history in
     if gate then begin
       let verdicts = Mcf_obs.History.gate ~window ~tolerance entries in
       print_string (Mcf_obs.History.render_gate ~tolerance entries verdicts);

@@ -16,14 +16,12 @@ let tune spec (chain : Mcf_ir.Chain.t) =
   in
   let clock = Mcf_gpu.Clock.create () in
   let run () =
-    let entries, scores, _ =
-      Mcf_search.Space.enumerate_scored ~options:space_options
+    let points, _ =
+      Mcf_search.Space.enumerate_points ~options:space_options
         ~objective:data_movement spec chain
     in
     Mcf_gpu.Clock.charge clock 2.0;
-    match
-      Mcf_search.Explore.run ~scores ~rng ~clock spec entries
-    with
+    match Mcf_search.Explore.search ~rng ~clock spec points with
     | None -> Error (Backend.Unsupported "no viable candidate")
     | Some { best; best_time_s; _ } -> (
       match Mcf_codegen.Compile.compile spec (Mcf_search.Space.lowered best) with

@@ -34,17 +34,16 @@ let workload_mix () =
 
 (* Pick the model's argmin over the whole space, one final measurement.
    The argmin is the first minimum of the enumeration's own estimates;
-   only the winner is ever lowered. *)
+   only the winner becomes an entry and is lowered. *)
 let model_only spec chain =
-  let entries, scores, _ = Mcf_search.Space.enumerate_scored spec chain in
-  let best =
-    Mcf_util.Listx.min_by
-      (fun (_, (est, _)) -> est)
-      (List.combine entries (Array.to_list scores))
-  in
-  match best with
-  | None -> { kernel_time_s = None; tuning_s = None }
-  | Some (e, _) -> (
+  let points, _ = Mcf_search.Space.enumerate_points spec chain in
+  let est = points.estimates in
+  let best = ref 0 in
+  Array.iteri (fun i e -> if e < est.(!best) then best := i) est;
+  match est with
+  | [||] -> { kernel_time_s = None; tuning_s = None }
+  | _ -> (
+    let e = points.build !best in
     match Mcf_search.Measure.time (Mcf_search.Measure.create spec) e with
     | None -> { kernel_time_s = None; tuning_s = Some 4.0 }
     | Some t -> { kernel_time_s = Some t; tuning_s = Some 5.2 })

@@ -18,20 +18,19 @@ let compute ?(samples = 250) (spec : Mcf_gpu.Spec.t) =
       if not (List.mem_assoc g.gname paper_correlations) then None
       else begin
         let chain = Mcf_workloads.Configs.gemm_chain g in
-        let entries, scores, _ =
-          Mcf_search.Space.enumerate_scored spec chain
-        in
-        let arr = Array.of_list (List.combine entries (Array.to_list scores)) in
-        Mcf_util.Rng.shuffle rng arr;
-        let n = min samples (Array.length arr) in
+        let space, _ = Mcf_search.Space.enumerate_points spec chain in
+        let ids = Array.init (Array.length space.ranks) Fun.id in
+        Mcf_util.Rng.shuffle rng ids;
+        let n = min samples (Array.length ids) in
         let points = ref [] in
-        (* Estimates come from the enumeration; only the sampled entries
-           are lowered and measured. *)
+        (* Estimates come from the enumeration; only the sampled points
+           become entries and are lowered and measured. *)
         for i = 0 to n - 1 do
-          let e, (est, _) = arr.(i) in
-          match Mcf_search.Measure.time engine e with
+          let id = ids.(i) in
+          match Mcf_search.Measure.time engine (space.build id) with
           | None -> ()
-          | Some t -> points := (est *. 1e6, t *. 1e6) :: !points
+          | Some t ->
+            points := (space.estimates.(id) *. 1e6, t *. 1e6) :: !points
         done;
         let xs = List.map fst !points and ys = List.map snd !points in
         Some

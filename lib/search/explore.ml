@@ -40,24 +40,14 @@ type result = {
   stats : stats;
 }
 
-let run ?(params = default_params) ?measure:engine ?on_phase
-    ~scores ~rng ~clock spec entries =
-  if Array.length scores <> List.length entries then
-    invalid_arg "Explore.run: scores are not index-aligned with entries";
-  match entries with
-  | [] -> None
-  | first :: _ ->
-    let pool = Array.of_list entries in
-    let n = Array.length pool in
-    let ranks = Array.map (fun (e : Space.entry) -> e.rank) pool in
-    Array.iteri
-      (fun i r ->
-        if r < 0 || (i > 0 && r <= ranks.(i - 1)) then
-          invalid_arg "Explore.run: entries are not one enumeration's")
-      ranks;
+let search ?(params = default_params) ?measure:engine ?on_phase ~rng ~clock
+    spec (points : Space.points) =
+  let n = Array.length points.ranks in
+  if n = 0 then None
+  else begin
+    let ranks = points.ranks in
     Mcf_obs.Metrics.incr c_runs;
-    let estimates = Array.map fst scores in
-    let traffic = Array.map snd scores in
+    let estimates = points.estimates and traffic = points.traffic in
     Mcf_obs.Metrics.add c_estimated n;
     let estimate id = estimates.(id) in
     let generations = ref 0 in
@@ -73,14 +63,16 @@ let run ?(params = default_params) ?measure:engine ?on_phase
        events are bit-identical to the old point-wise loop.  Duplicate
        ids (the population samples with replacement, and the ranking
        fallback can re-pick a population id) collapse to one
-       measurement, exactly as the old measured-table check did. *)
+       measurement, exactly as the old measured-table check did.  The
+       fresh ids' entries are built here, in the calling domain, before
+       stage 1 runs: these are the only entries a search builds. *)
     let measure_batch topk =
       let fresh =
         List.rev
           (List.fold_left
              (fun acc id ->
                if is_measured id || List.mem_assoc id acc then acc
-               else (id, pool.(id)) :: acc)
+               else (id, points.build id) :: acc)
              [] topk)
       in
       if fresh <> [] then begin
@@ -103,7 +95,8 @@ let run ?(params = default_params) ?measure:engine ?on_phase
                         ("id", num_of_int id);
                         ("cand",
                          Str
-                           (Mcf_ir.Candidate.to_string pool.(id).Space.cand));
+                           (Mcf_ir.Candidate.to_string
+                              (points.build id).Space.cand));
                         ("est", Num estimates.(id));
                         ("time_s",
                          match r with Some t -> Num t | None -> Null) ]))
@@ -114,13 +107,13 @@ let run ?(params = default_params) ?measure:engine ?on_phase
     in
     (* Step one random axis's tile to a neighbouring option: the space's
        grid names the stepped point's rank and a binary search over the
-       rank-ordered pool finds it; a miss (the step left the pruned
-       space) retries, up to 2 x axes attempts.  A step from a given pool
+       set's ranks finds it; a miss (the step left the pruned space)
+       retries, up to 2 x axes attempts.  A step from a given
        id along a given axis and direction always lands on the same id,
        so [steps] memoises it per (id, axis, direction) slot: [-1] a
        miss, [-2] not stepped yet.  Every attempt still draws its axis
        and direction, so the RNG stream is the unmemoised one. *)
-    let grid = first.ctx.grid in
+    let grid = points.pctx.grid in
     let find rank =
       let lo = ref 0 and hi = ref (n - 1) in
       while !lo < !hi do
@@ -129,7 +122,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
       done;
       if ranks.(!lo) = rank then !lo else -1
     in
-    let axes = List.length first.ctx.chain.axes in
+    let axes = List.length points.pctx.chain.axes in
     let steps = Array.make (n * 2 * axes) (-2) in
     let step id ~axis ~dir =
       let slot = (((id * axes) + axis) * 2) + ((dir + 1) / 2) in
@@ -173,29 +166,22 @@ let run ?(params = default_params) ?measure:engine ?on_phase
     let top_ids_by key =
       Array.sub (sorted_by key (Array.init n Fun.id)) 0 (min params.top_k n)
     in
-    (* Global estimate ranking for the stale-population fallback, built
-       once on first use.  This cursor only ever advances: every id it
-       yields lands in that generation's measured batch, and ids it skips
-       were measured earlier, so a rewind can never be needed.  A stable
-       sort over ascending ids ranks ties toward the lower id. *)
-    let ranking =
-      lazy
-        (let a = Array.init n Fun.id in
-         Array.stable_sort
-           (fun a b -> Float.compare estimates.(a) estimates.(b))
-           a;
-         a)
-    in
-    let cursor = ref 0 in
+    (* The stale-population fallback marches down the global estimate
+       ranking in (estimate, id) order, the order a stable sort over
+       ascending ids leaves.  A heap built on first use pops it lazily,
+       so a tune ranks only the prefix it reaches.  Popping only ever
+       advances: every id it yields lands in that generation's measured
+       batch, and ids it skips were measured earlier, so a rewind can
+       never be needed. *)
+    let ranking = lazy (Mcf_util.Idsort.ranking estimates) in
     let next_ranked k =
       let r = Lazy.force ranking in
       let rec go acc k =
-        if k = 0 || !cursor >= n then List.rev acc
-        else begin
-          let id = r.(!cursor) in
-          incr cursor;
-          if is_measured id then go acc k else go (id :: acc) (k - 1)
-        end
+        if k = 0 then List.rev acc
+        else
+          match Mcf_util.Idsort.next r with
+          | -1 -> List.rev acc
+          | id -> if is_measured id then go acc k else go (id :: acc) (k - 1)
       in
       go [] k
     in
@@ -254,7 +240,7 @@ let run ?(params = default_params) ?measure:engine ?on_phase
             (match Mcf_util.Listx.min_by snd results with
             | Some (id, t) ->
               Printf.sprintf "%s at %.2fus"
-                (Mcf_ir.Candidate.to_string pool.(id).Space.cand)
+                (Mcf_ir.Candidate.to_string (points.build id).Space.cand)
                 (t *. 1e6)
             | None -> "none"));
       (match Mcf_util.Listx.min_by snd results with
@@ -292,7 +278,8 @@ let run ?(params = default_params) ?measure:engine ?on_phase
                    Obj
                      [ ("cand",
                         Str
-                          (Mcf_ir.Candidate.to_string pool.(id).Space.cand));
+                          (Mcf_ir.Candidate.to_string
+                             (points.build id).Space.cand));
                        ("est", Num (estimate id)) ])
                  topk)
           in
@@ -351,10 +338,31 @@ let run ?(params = default_params) ?measure:engine ?on_phase
     Option.iter (fun f -> f "tuner.measure" !measure_s) on_phase;
     Option.map
       (fun (id, t) ->
-        { best = pool.(id);
+        { best = points.build id;
           best_time_s = t;
           stats =
             { generations = !generations;
               estimated = n;
               measured = !n_measured } })
       !best
+  end
+
+let run ?params ?measure ?on_phase ~scores ~rng ~clock spec entries =
+  if Array.length scores <> List.length entries then
+    invalid_arg "Explore.run: scores are not index-aligned with entries";
+  match entries with
+  | [] -> None
+  | (first : Space.entry) :: _ ->
+    let pool = Array.of_list entries in
+    let ranks = Array.map (fun (e : Space.entry) -> e.rank) pool in
+    Array.iteri
+      (fun i r ->
+        if r < 0 || (i > 0 && r <= ranks.(i - 1)) then
+          invalid_arg "Explore.run: entries are not one enumeration's")
+      ranks;
+    search ?params ?measure ?on_phase ~rng ~clock spec
+      { Space.pctx = first.ctx;
+        ranks;
+        estimates = Array.map fst scores;
+        traffic = Array.map snd scores;
+        build = Array.get pool }

@@ -34,7 +34,7 @@ val default_params : params
 
 type stats = {
   generations : int;
-  estimated : int;  (** Entries ranked by estimate (the whole pruned space). *)
+  estimated : int;  (** Points ranked by estimate (the whole scored set). *)
   measured : int;  (** Unique candidates measured on the device. *)
 }
 
@@ -43,6 +43,43 @@ type result = {
   best_time_s : float;  (** Measured (simulated) kernel time. *)
   stats : stats;
 }
+
+val search :
+  ?params:params ->
+  ?measure:Measure.t ->
+  ?on_phase:(string -> float -> unit) ->
+  rng:Mcf_util.Rng.t ->
+  clock:Mcf_gpu.Clock.t ->
+  Mcf_gpu.Spec.t ->
+  Space.points ->
+  result option
+(** Run Algorithm 1 over one enumeration's scored set
+    ({!Space.enumerate_points}).  [None] when the set is empty or no
+    candidate in it compiles and launches.
+
+    A point's id is its index in the set.  The loop reads only the
+    set's ranks and its two score arrays: the estimates (the
+    enumeration's objective, eq. (2)-(5)'s total time unless the caller
+    chose another) rank every population, and the traffic (scaled by
+    eq. (5)'s alpha) seeds the second, data-movement ranking of the
+    initial population.  The explorer evaluates no model itself.
+    [stats.estimated] counts the points ranked.  Mutation steps a
+    point's rank with {!Space.neighbour} and finds the stepped rank by
+    binary search over the ranks.
+
+    Entries are built through the set's [build] only for the points the
+    loop measures: each generation's fresh top-k is built sequentially,
+    in the calling domain, right before it goes to {!Measure.run_batch},
+    and the winner is always a measured point.  A tune therefore bumps
+    [space.entries_built] exactly [stats.measured] times.
+
+    [measure] is the batched measurement engine each generation's fresh
+    top-k goes through (defaults to a fresh cache-less {!Measure.create}
+    on [spec]); attach a cache there to reuse measurements across runs.
+    Results are bit-identical with or without a cache and at any jobs
+    count — see {!Measure}.  [on_phase] receives ["tuner.measure"] with
+    the total measurement wall time once the loop finishes, for the
+    tuner's phase breakdown. *)
 
 val run :
   ?params:params ->
@@ -54,29 +91,15 @@ val run :
   Mcf_gpu.Spec.t ->
   Space.entry list ->
   result option
-(** [None] when no candidate in the space compiles and launches.
+(** {!search} over entries that are already built: the adapter for
+    {!Space.enumerate_scored}'s output, with the same result for the
+    same seed.  [None] for an empty list.
 
     [scores] are the [(estimate, traffic)] pairs index-aligned with
-    [entries] that {!Space.enumerate_scored} returns: the enumeration's
-    fused streaming pass is the search's only scorer, so the explorer
-    ranks by these as given and evaluates no model itself.  The estimate
-    is the enumeration's objective (eq. (2)-(5)'s total time unless the
-    caller chose another); traffic (scaled by eq. (5)'s alpha) seeds the
-    second, data-movement ranking of the initial population.
-    [stats.estimated] counts the entries ranked.
+    [entries].
     @raise Invalid_argument if [scores] and [entries] differ in length.
 
     [entries] must be one enumeration's, as {!Space.enumerate} returns
-    them (a subsequence of it, reservoir-bounded or not): the loop
-    mutates each entry's rank with {!Space.neighbour} and finds the
-    stepped rank by binary search.
+    them (a subsequence of it, reservoir-bounded or not).
     @raise Invalid_argument if a rank is negative (a {!Space.make_entry}
-    entry) or the ranks are not strictly increasing.
-
-    [measure] is the batched measurement engine each generation's fresh
-    top-k goes through (defaults to a fresh cache-less {!Measure.create}
-    on [spec]); attach a cache there to reuse measurements across runs.
-    Results are bit-identical with or without a cache and at any jobs
-    count — see {!Measure}.  [on_phase] receives ["tuner.measure"] with
-    the total measurement wall time once the loop finishes, for the
-    tuner's phase breakdown. *)
+    entry) or the ranks are not strictly increasing. *)

@@ -7,6 +7,7 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 let c_enumerations = Mcf_obs.Metrics.counter "space.enumerations"
 let c_tilings_raw = Mcf_obs.Metrics.counter "space.tilings_raw"
 let c_candidates_lowered = Mcf_obs.Metrics.counter "space.candidates_lowered"
+let c_entries_built = Mcf_obs.Metrics.counter "space.entries_built"
 let c_pruned_rule1 = Mcf_obs.Metrics.counter "space.pruned_rule1"
 let c_pruned_rule2 = Mcf_obs.Metrics.counter "space.pruned_rule2"
 let c_pruned_rule4 = Mcf_obs.Metrics.counter "space.pruned_rule4"
@@ -77,6 +78,7 @@ let lowered e = Mcf_util.Once.force e.cell
    space.  The [space.lower] span and counter meter exactly those
    forces. *)
 let entry_at ~lower ~rank ctx cand =
+  Mcf_obs.Metrics.incr c_entries_built;
   { cand;
     ctx;
     rank;
@@ -90,6 +92,14 @@ let make_entry ctx =
   entry_at ctx ~rank:(-1) ~lower:(fun ~rank:_ cand ->
       Lower.lower ~rule1:ctx.rule1 ~dead_loop_elim:ctx.dead_loop_elim
         ~hoisting:ctx.hoisting ~elem_bytes:ctx.elem_bytes ctx.chain cand)
+
+type points = {
+  pctx : ctx;
+  ranks : int array;
+  estimates : float array;
+  traffic : float array;
+  build : int -> entry;
+}
 
 type funnel = {
   tilings_raw : int;
@@ -327,11 +337,12 @@ let add_funnel_metrics ~total funnel =
    once per run of points sharing its key.  The outcomes land in one int
    and two float arrays, drained sequentially in rank order into funnel
    counters, recorder exemplars and the reservoir before the next chunk
-   is packed.  The reservoir holds (rank, score, traffic, tiling) items;
-   entries (candidate and lazy lowering cell) are built only for the
-   items it returns, and a cell instantiates the skeleton the scorer
-   already built for its point, so measuring a candidate builds no
-   program.
+   is packed.  The reservoir keeps flat rank, score, traffic and tiling
+   columns; the result hands them over as they are, and an entry
+   (candidate and lazy lowering cell) is built only when a caller asks
+   the set's builder for one — the explorer asks for the points it
+   measures.  A cell instantiates the skeleton the scorer already built
+   for its point, so measuring a candidate builds no program.
 
    Peak heap is O(reservoir + chunk), never O(space); the quotient walk
    also holds its survivors, one tiling per kept class, until it ends.
@@ -362,92 +373,116 @@ let rule4_rejected = 0
 let invalid = 1
 let valid = 2
 
-(* Bounded top-C slice ordered by score (ties broken toward the
-   earlier rank), or a plain accumulator when unbounded.  Items always
-   come back re-sorted by rank: downstream (the explorer's binary search
-   over ranks, its pool-index ids, its unstable top-k sort) depends on
-   entry order being a subsequence of the enumeration order. *)
+(* The drain's survivors as flat columns: rank, score, traffic and the
+   emitting tiling per kept point, appended in rank order.  Bounded, the
+   columns hold at most [cap] points and a max-heap of their slots,
+   ordered by (score, rank), evicts the worst for a better newcomer
+   (ties broken toward the earlier rank); [finish] then re-sorts the
+   slots by rank.  Either way the points come back in rank order:
+   downstream (the explorer's binary search over ranks, its index ids,
+   its unstable top-k sort) depends on the survivors being a
+   subsequence of the enumeration order. *)
 module Reservoir = struct
-  (* A kept point, not yet an entry: the caller builds entries only for
-     the items [to_ranked] returns. *)
-  type item = {
-    irank : int;
-    iest : float;
-    itraffic : float;
-    itiling : Tiling.t;
-  }
-
   type t = {
-    cap : int option;
-    mutable heap : item array;  (* max-heap by (iest, rank) when bounded *)
+    cap : int;  (* [max_int] when unbounded *)
     mutable n : int;
-    mutable acc : item list;  (* reverse rank order when unbounded *)
+    mutable ranks : int array;
+    mutable ests : float array;
+    mutable traffic : float array;
+    mutable tilings : Tiling.t array;
+    mutable heap : int array;  (* slots, max-heap by (est, rank); bounded *)
   }
 
-  let create cap = { cap; heap = [||]; n = 0; acc = [] }
+  let create cap =
+    { cap = Option.value cap ~default:max_int;
+      n = 0;
+      ranks = [||];
+      ests = [||];
+      traffic = [||];
+      tilings = [||];
+      heap = [||] }
 
-  (* [a] ranks strictly after the point [(est, rank)]. *)
-  let gt_point a est rank =
-    a.iest > est || (a.iest = est && a.irank > rank)
+  let bounded t = t.cap < max_int
 
-  let gt a b = gt_point a b.iest b.irank
+  (* Slot [s] ranks strictly after the point [(est, rank)]. *)
+  let gt_point t s est rank =
+    t.ests.(s) > est || (t.ests.(s) = est && t.ranks.(s) > rank)
 
-  (* Whether [add] would keep a point scored [(est, rank)]: callers build
-     the item only then. *)
-  let admits t est rank =
-    match t.cap with
-    | None -> true
-    | Some cap -> t.n < cap || gt_point t.heap.(0) est rank
+  let gt t s s' = gt_point t s t.ests.(s') t.ranks.(s')
 
-  let rec sift_up h i =
+  (* Whether [add] would keep a point scored [(est, rank)]. *)
+  let admits t est rank = t.n < t.cap || gt_point t t.heap.(0) est rank
+
+  let rec sift_up t i =
     if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if gt h.(i) h.(p) then begin
-        let t = h.(i) in
+      let h = t.heap and p = (i - 1) / 2 in
+      if gt t h.(i) h.(p) then begin
+        let s = h.(i) in
         h.(i) <- h.(p);
-        h.(p) <- t;
-        sift_up h p
+        h.(p) <- s;
+        sift_up t p
       end
     end
 
-  let rec sift_down h n i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = if l < n && gt h.(l) h.(i) then l else i in
-    let m = if r < n && gt h.(r) h.(m) then r else m in
+  let rec sift_down t i =
+    let h = t.heap and l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = if l < t.n && gt t h.(l) h.(i) then l else i in
+    let m = if r < t.n && gt t h.(r) h.(m) then r else m in
     if m <> i then begin
-      let t = h.(i) in
+      let s = h.(i) in
       h.(i) <- h.(m);
-      h.(m) <- t;
-      sift_down h n m
+      h.(m) <- s;
+      sift_down t m
     end
 
-  let add t item =
-    match t.cap with
-    | None ->
-      t.acc <- item :: t.acc;
-      t.n <- t.n + 1
-    | Some cap ->
-      if Array.length t.heap = 0 then t.heap <- Array.make cap item;
-      if t.n < cap then begin
-        t.heap.(t.n) <- item;
-        t.n <- t.n + 1;
-        sift_up t.heap (t.n - 1)
-      end
-      else if gt t.heap.(0) item then begin
-        t.heap.(0) <- item;
-        sift_down t.heap t.n 0
-      end
+  let grow t tiling =
+    let len = min t.cap (max 1024 (2 * Array.length t.ranks)) in
+    let extend a fill =
+      let a' = Array.make len fill in
+      Array.blit a 0 a' 0 t.n;
+      a'
+    in
+    t.ranks <- extend t.ranks 0;
+    t.ests <- extend t.ests 0.0;
+    t.traffic <- extend t.traffic 0.0;
+    t.tilings <- extend t.tilings tiling;
+    if bounded t then t.heap <- extend t.heap 0
 
-  let to_ranked t =
-    match t.cap with
-    | None -> Array.of_list (List.rev t.acc)
-    | Some _ ->
-      let a = Array.sub t.heap 0 t.n in
-      Array.sort (fun x y -> compare x.irank y.irank) a;
-      a
+  let set t s rank est traffic tiling =
+    t.ranks.(s) <- rank;
+    t.ests.(s) <- est;
+    t.traffic.(s) <- traffic;
+    t.tilings.(s) <- tiling
+
+  (* Keep a point [admits] accepted. *)
+  let add t rank est traffic tiling =
+    if t.n < t.cap then begin
+      if t.n = Array.length t.ranks then grow t tiling;
+      set t t.n rank est traffic tiling;
+      if bounded t then t.heap.(t.n) <- t.n;
+      t.n <- t.n + 1;
+      if bounded t then sift_up t (t.n - 1)
+    end
+    else begin
+      set t t.heap.(0) rank est traffic tiling;
+      sift_down t 0
+    end
+
+  (* The kept points' columns, in rank order. *)
+  let finish t =
+    let slots =
+      if bounded t then begin
+        let s = Array.sub t.heap 0 t.n in
+        Array.sort (fun a b -> Int.compare t.ranks.(a) t.ranks.(b)) s;
+        s
+      end
+      else Array.init t.n Fun.id
+    in
+    let col a = Array.map (Array.get a) slots in
+    (col t.ranks, col t.ests, col t.traffic, col t.tilings)
 end
 
-let enumerate_scored ?(options = default_options)
+let enumerate_points ?(options = default_options)
     ?(objective = fun (b : Mcf_model.Perf.breakdown) -> b.t_total)
     ?(on_phase = fun _ _ -> ()) ?reservoir (spec : Mcf_gpu.Spec.t) chain =
   let module Trace = Mcf_obs.Trace in
@@ -632,11 +667,7 @@ let enumerate_scored ?(options = default_options)
                 incr n_valid;
                 let rank = !n_points + i and est = ests.(i) in
                 if Reservoir.admits res est rank then
-                  Reservoir.add res
-                    { irank = rank;
-                      iest = est;
-                      itraffic = traffics.(i);
-                      itiling = s.stiling }
+                  Reservoir.add res rank est traffics.(i) s.stiling
               end
             done)
           chunk.segs;
@@ -754,7 +785,7 @@ let enumerate_scored ?(options = default_options)
       on_phase "space.precheck" !score_s;
       let total = n2 * n_combos in
       let candidates_rule3 = float_of_int n2 *. float_of_int n_combos in
-      let items = Reservoir.to_ranked res in
+      let ranks, estimates, traffic, tilings = Reservoir.finish res in
       (* A survivor's lowering instantiates the skeleton its point was
          scored with, found again by the same key. *)
       let lower ~rank (cand : Candidate.t) =
@@ -770,16 +801,17 @@ let enumerate_scored ?(options = default_options)
              (Mcf_model.Analytic.Memo.find memo ~sid ~mask:!mask))
           cand ~tiles ~trips
       in
-      let survivors =
-        Array.to_list
-          (Array.map
-             (fun (it : Reservoir.item) ->
-               entry_at ~lower ~rank:it.irank ctx
-                 (cand_of it.itiling (it.irank mod n_combos)))
-             items)
-      in
-      let scores =
-        Array.map (fun it -> (it.Reservoir.iest, it.Reservoir.itraffic)) items
+      let built = Array.make (Array.length ranks) None in
+      let build i =
+        match built.(i) with
+        | Some e -> e
+        | None ->
+          let rank = ranks.(i) in
+          let e =
+            entry_at ~lower ~rank ctx (cand_of tilings.(i) (rank mod n_combos))
+          in
+          built.(i) <- Some e;
+          e
       in
       let funnel =
         { tilings_raw = Tiling.count ~include_flat:opts.include_flat chain;
@@ -824,10 +856,19 @@ let enumerate_scored ?(options = default_options)
              candidates"
             chain.Chain.cname funnel.tilings_raw funnel.tilings_rule2 total
             funnel.candidates_rule4 funnel.candidates_valid);
-      (survivors, scores, funnel))
+      ({ pctx = ctx; ranks; estimates; traffic; build }, funnel))
+
+(* The adapters: every survivor's entry, built in rank order. *)
+let all_entries p = List.init (Array.length p.ranks) p.build
+
+let enumerate_scored ?options ?objective ?on_phase ?reservoir spec chain =
+  let p, funnel =
+    enumerate_points ?options ?objective ?on_phase ?reservoir spec chain
+  in
+  ( all_entries p,
+    Array.map2 (fun e t -> (e, t)) p.estimates p.traffic,
+    funnel )
 
 let enumerate ?options ?on_phase ?reservoir spec chain =
-  let survivors, _scores, funnel =
-    enumerate_scored ?options ?on_phase ?reservoir spec chain
-  in
-  (survivors, funnel)
+  let p, funnel = enumerate_points ?options ?on_phase ?reservoir spec chain in
+  (all_entries p, funnel)

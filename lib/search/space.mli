@@ -126,14 +126,39 @@ val funnel_json : funnel -> Mcf_util.Json.t
 (** The funnel as the recorder's ["space"] event payload (integer
     fields as integers, counted cardinalities as numbers). *)
 
-val enumerate :
+type points = {
+  pctx : ctx;
+  ranks : int array;
+      (** The survivors' enumeration ranks, strictly increasing.  A
+          point's index in this array is its id in {!Explore.search}. *)
+  estimates : float array;  (** Objective score per point, by index. *)
+  traffic : float array;
+      (** Closed-form traffic per point, scaled by
+          [(blocks + sm_count) / blocks]. *)
+  build : int -> entry;
+      (** [build i] is point [i]'s entry: its candidate plus a lazy
+          lowering cell, built on the first call and returned as is on
+          every later one.  Not domain-safe: call it from the domain
+          that enumerated (the explorer does, before it hands a batch to
+          the pool). *)
+}
+(** The pruned space as the search consumes it: one flat scored set,
+    filled straight from the enumeration's drain.  No candidate or entry
+    exists for a point until [build] is asked for it, so a tune builds
+    entries only for the points it measures.  Every entry built, through
+    [build], {!make_entry} or the adapters below, bumps the
+    [space.entries_built] counter. *)
+
+val enumerate_points :
   ?options:options ->
+  ?objective:(Mcf_model.Perf.breakdown -> float) ->
   ?on_phase:(string -> float -> unit) ->
   ?reservoir:int ->
   Mcf_gpu.Spec.t ->
   Mcf_ir.Chain.t ->
-  entry list * funnel
-(** Build the pruned space for a device, with the Fig. 7 funnel.
+  points * funnel
+(** Build the pruned space for a device as a scored set, with the Fig. 7
+    funnel.
 
     This is the streaming pipeline, run in the calling domain.  Rules
     1–2 come first: with rule 1 on, the walk visits the rule-1 classes
@@ -150,23 +175,29 @@ val enumerate :
     {!Mcf_model.Analytic.Memo} lookup per run of points sharing
     (structural id, the mask's {!Mcf_model.Analytic.Memo.relevant} bits)
     yields the summary both the rule-4 footprint and the estimate read.
-    No candidate is built unless the summary is missing, and entries are
-    built only for the reservoir's survivors, once the stream ends.
+    No candidate is built unless the summary is missing; the drain
+    appends each kept point's rank, scores and tiling to flat arrays.
     Peak heap is O(reservoir + chunk), not O(space) (the quotient walk
     also holds one tiling per kept class until it ends), and the result
-    — candidates, their order, the funnel — is bit-identical at any
-    [--jobs] (pinned
-    against a brute-force filter over the raw cross product in
-    test_stream.ml).  The drain yields the runtime lock once per
-    chunk ([Thread.yield]), so other threads of the calling domain (the
-    serve daemon's HTTP and submit threads) keep running.
+    — points, their order, scores, the funnel — is bit-identical at any
+    [--jobs] (pinned against a brute-force filter over the raw cross
+    product in test_stream.ml).  The drain yields the runtime lock once
+    per chunk ([Thread.yield]), so other threads of the calling domain
+    (the serve daemon's HTTP and submit threads) keep running.
 
-    [reservoir] bounds how many surviving entries stay resident: only
-    the [reservoir] best by analytical estimate (ties toward the earlier
-    rank) are returned, re-sorted back into enumeration-rank order.
-    Without it every valid candidate is returned.  [funnel] always
-    counts the full space either way, so [candidates_valid] can exceed
-    the length of the returned list when a reservoir is set.
+    The estimate is [objective] applied to the point's eq. (2)-(5)
+    breakdown ({!Mcf_model.Analytic.breakdown_of_eval}); it defaults to
+    [t_total], the paper's model.  The MCFuser-Chimera baseline passes
+    its data-movement objective and the ablation a model without alpha.
+    These are the search's only model scores: {!Explore.search} ranks by
+    them as given.
+
+    [reservoir] bounds how many survivors stay resident: only the
+    [reservoir] best by [objective] (ties toward the earlier rank) are
+    kept, re-sorted back into enumeration-rank order.  Without it every
+    valid point is kept.  [funnel] always counts the full space either
+    way, so [candidates_valid] can exceed the number of points when a
+    reservoir is set.
 
     [on_phase] receives named sub-phase wall-clock durations (currently
     exactly ["space.precheck"], reported once with the accumulated
@@ -181,6 +212,18 @@ val enumerate :
     stream, so recordings are byte-identical at any [--jobs] and
     recording cannot perturb the result. *)
 
+val enumerate :
+  ?options:options ->
+  ?on_phase:(string -> float -> unit) ->
+  ?reservoir:int ->
+  Mcf_gpu.Spec.t ->
+  Mcf_ir.Chain.t ->
+  entry list * funnel
+(** {!enumerate_points} with every point's entry built, in rank order:
+    for callers that need the whole space as entries (the Ansor
+    baseline, Fig. 10, the bench and the tests).  Builds one entry per
+    returned element. *)
+
 val enumerate_scored :
   ?options:options ->
   ?objective:(Mcf_model.Perf.breakdown -> float) ->
@@ -189,17 +232,8 @@ val enumerate_scored :
   Mcf_gpu.Spec.t ->
   Mcf_ir.Chain.t ->
   entry list * (float * float) array * funnel
-(** {!enumerate} plus the per-entry [(estimate, traffic)] scores the
-    fused streaming pass computed — index-aligned with the entry list:
-    [objective] applied to the point's eq. (2)-(5) breakdown
-    ({!Mcf_model.Analytic.breakdown_of_eval}), and the closed-form
-    traffic scaled by [(blocks + sm_count) / blocks].  [objective]
-    defaults to [t_total], the paper's model; the MCFuser-Chimera
-    baseline passes its data-movement objective and the ablation a model
-    without alpha.  With [reservoir] also set, the reservoir keeps the
-    best points by [objective].
-
-    These are the search's only model scores; {!Explore.run} takes them
-    as its required [scores] argument, and the entries' ranks (in
-    strictly increasing order, as in every enumeration) as its search
-    points. *)
+(** {!enumerate} plus the per-entry [(estimate, traffic)] pairs,
+    index-aligned with the entry list: the adapter {!Explore.run} takes.
+    Within [lib/] and [bin/] only [Space] and [Explore] name it
+    ([make ci-guard]); tuning goes through {!enumerate_points} and
+    {!Explore.search}, which build no entry for an unmeasured point. *)

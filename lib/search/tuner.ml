@@ -89,9 +89,9 @@ let tune ?options ?params ?objective ?seed ?reservoir ?measure
     r
   in
   let run () =
-    let entries, scores, funnel =
+    let points, funnel =
       phase "tuner.enumerate" (fun on_phase ->
-          Space.enumerate_scored ~options:opts ?objective ~on_phase ?reservoir
+          Space.enumerate_points ~options:opts ?objective ~on_phase ?reservoir
             spec chain)
     in
     Log.info (fun m ->
@@ -105,8 +105,8 @@ let tune ?options ?params ?objective ?seed ?reservoir ?measure
        in the breakdown. *)
     let explored =
       phase "tuner.explore" (fun on_phase ->
-          Explore.run ~params:prm ~scores ?measure ~on_phase ~rng
-            ~clock spec entries)
+          Explore.search ~params:prm ?measure ~on_phase ~rng ~clock spec
+            points)
     in
     match explored with
     | None -> Error No_viable_candidate

@@ -48,7 +48,7 @@ val tune :
 
     [objective] turns a candidate's eq. (2)-(5) breakdown into the score
     the search ranks by (default [t_total]); it is handed to
-    {!Space.enumerate_scored}, which applies it while it enumerates, so
+    {!Space.enumerate_points}, which applies it while it enumerates, so
     the reservoir also keeps the best points by it.
 
     [measure] is the batched measurement engine handed to the explorer
@@ -60,7 +60,7 @@ val tune :
 
     [reservoir] bounds how many enumerated candidates stay resident for
     exploration: only the [reservoir] best by analytical estimate are
-    kept (see {!Space.enumerate}).  Unset, the explorer sees every valid
+    kept (see {!Space.enumerate_points}).  Unset, the explorer sees every valid
     candidate — the paper's behaviour and the bit-identity baseline.
     Deep (5–8-block) chains need a bound: their valid space alone can
     dwarf memory.

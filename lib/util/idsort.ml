@@ -60,3 +60,46 @@ let by_key (key : float array) (a : int array) =
     set 1 (get 0);
     set 0 e
   end
+
+(* A binary min-heap of ids by (key, id), built bottom-up in O(n) and
+   popped one id at a time.  [(key, id)] is a strict total order (ids
+   are distinct), so the pop sequence is the unique ascending one. *)
+type ranking = {
+  rkey : float array;
+  heap : int array;
+  mutable size : int;
+}
+
+let rec sift r i =
+  let a = r.heap and k = r.rkey in
+  let lt x y =
+    let c = Float.compare k.(x) k.(y) in
+    c < 0 || (c = 0 && x < y)
+  in
+  let l = (2 * i) + 1 and rt = (2 * i) + 2 in
+  let m = if l < r.size && lt a.(l) a.(i) then l else i in
+  let m = if rt < r.size && lt a.(rt) a.(m) then rt else m in
+  if m <> i then begin
+    let t = a.(i) in
+    a.(i) <- a.(m);
+    a.(m) <- t;
+    sift r m
+  end
+
+let ranking key =
+  let n = Array.length key in
+  let r = { rkey = key; heap = Array.init n Fun.id; size = n } in
+  for i = (n / 2) - 1 downto 0 do
+    sift r i
+  done;
+  r
+
+let next r =
+  if r.size = 0 then -1
+  else begin
+    let top = r.heap.(0) in
+    r.size <- r.size - 1;
+    r.heap.(0) <- r.heap.(r.size);
+    sift r 0;
+    top
+  end

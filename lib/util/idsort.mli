@@ -14,3 +14,21 @@
     @raise Invalid_argument if an id is out of [key]'s bounds. *)
 
 val by_key : float array -> int array -> unit
+
+(** {1 Lazy stable ranking} *)
+
+type ranking
+(** The ids [0 .. n-1] of a key array still to be ranked. *)
+
+val ranking : float array -> ranking
+(** [ranking key] holds every id of [key] in a binary min-heap ordered
+    by [(key.(id), id)], built in O(n).  Popping it with {!next} yields
+    the ids in exactly the order
+    [Array.stable_sort (fun a b -> Float.compare key.(a) key.(b))]
+    leaves [0 .. n-1] in (ties toward the lower id), at O(log n) per id,
+    so a caller that needs only a prefix of the ranking pays for that
+    prefix.  [key] is read, not copied, and must not change while the
+    ranking is in use. *)
+
+val next : ranking -> int
+(** Pop the next id in ranking order; [-1] once every id is popped. *)

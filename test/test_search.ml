@@ -842,6 +842,102 @@ let test_tuner_regret () =
   Alcotest.(check (list (triple string string string)))
     "regret rows" regret_table (regret_rows ())
 
+(* Run [f] at pool size [jobs], restoring the old size afterwards. *)
+let at_jobs jobs f =
+  let saved = Mcf_util.Pool.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Mcf_util.Pool.set_jobs saved)
+    (fun () ->
+      Mcf_util.Pool.set_jobs jobs;
+      f ())
+
+let workload_chain name =
+  match Mcf_serve.Protocol.chain_of_workload name with
+  | Ok c -> c
+  | Error e -> Alcotest.fail e
+
+let entries_built () = Mcf_obs.Metrics.counter_value "space.entries_built"
+
+(* The tuner builds an entry (candidate plus lowering cell) only for the
+   points it measures: the winner is one of them, and the rest of the
+   space stays flat ranks and scores.  The adapters still build one per
+   point. *)
+let test_tuner_builds_measured_entries () =
+  List.iter
+    (fun jobs ->
+      at_jobs jobs (fun () ->
+          List.iter
+            (fun name ->
+              let before = entries_built () in
+              match Mcf_search.Tuner.tune a100 (workload_chain name) with
+              | Error _ -> Alcotest.failf "%s: no viable candidate" name
+              | Ok o ->
+                Alcotest.(check int)
+                  (Printf.sprintf "%s jobs=%d: entries built = measured" name
+                     jobs)
+                  o.search_stats.measured
+                  (entries_built () - before))
+            [ "G1"; "S3" ]))
+    [ 1; 4 ];
+  let before = entries_built () in
+  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  Alcotest.(check int) "enumerate builds one entry per candidate"
+    (List.length entries)
+    (entries_built () - before)
+
+(* [Explore.run ~scores] over [Space.enumerate_scored]'s entries is the
+   path the benchmark's traced replay takes; for the same seed it must
+   give the tuner's outcome bit for bit, including the virtual clock
+   (the tuner charges 4 s of framework start-up between the stages). *)
+let test_adapters_reproduce_tuner () =
+  let via_adapters ?reservoir ~seed spec chain =
+    let entries, scores, _ =
+      Mcf_search.Space.enumerate_scored ?reservoir spec chain
+    in
+    let rng = Mcf_util.Rng.create seed in
+    let clock = Mcf_gpu.Clock.create () in
+    Mcf_gpu.Clock.charge clock 4.0;
+    match Mcf_search.Explore.run ~scores ~rng ~clock spec entries with
+    | None -> "no viable candidate"
+    | Some r ->
+      Printf.sprintf "%s %h %h %d/%d/%d"
+        (Candidate.key r.best.cand)
+        r.best_time_s
+        (Mcf_gpu.Clock.elapsed_s clock)
+        r.stats.generations r.stats.estimated r.stats.measured
+  in
+  let via_tuner ?reservoir ~seed spec chain =
+    match Mcf_search.Tuner.tune ?reservoir ~seed spec chain with
+    | Error _ -> "no viable candidate"
+    | Ok o ->
+      let s = o.search_stats in
+      Printf.sprintf "%s %h %h %d/%d/%d"
+        (Candidate.key o.best.cand)
+        o.kernel_time_s o.tuning_virtual_s s.generations s.estimated
+        s.measured
+  in
+  let keys =
+    List.concat_map
+      (fun spec -> List.map (fun name -> (spec, name, None)) table_names)
+      [ a100; Mcf_gpu.Spec.rtx3080 ]
+    @ [ (a100, "D5", Some 64) ]
+  in
+  List.iter
+    (fun jobs ->
+      at_jobs jobs (fun () ->
+          List.iter
+            (fun ((spec : Mcf_gpu.Spec.t), name, reservoir) ->
+              let chain = workload_chain name in
+              let seed =
+                Mcf_util.Hashing.seed (name ^ "|" ^ spec.name ^ "|adapters")
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s %s jobs=%d" name spec.name jobs)
+                (via_tuner ?reservoir ~seed spec chain)
+                (via_adapters ?reservoir ~seed spec chain))
+            keys))
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "mcf_search"
     [ ( "space",
@@ -893,4 +989,8 @@ let () =
           Alcotest.test_case "lowers lazily" `Quick test_tuner_lowers_lazily;
           Alcotest.test_case "golden outcomes" `Quick
             test_tuner_golden_outcomes;
-          Alcotest.test_case "regret" `Quick test_tuner_regret ] ) ]
+          Alcotest.test_case "regret" `Quick test_tuner_regret;
+          Alcotest.test_case "entries built = measured" `Quick
+            test_tuner_builds_measured_entries;
+          Alcotest.test_case "adapters reproduce the tuner" `Quick
+            test_adapters_reproduce_tuner ] ) ]

@@ -694,6 +694,26 @@ let prop_idsort_array_sort =
       Idsort.by_key key got;
       want = got)
 
+(* Idsort.ranking pops ids in the order a stable sort by key leaves
+   ascending ids, ties toward the lower id: the explorer's
+   stale-population fallback relies on it.  Same tie-heavy keys as
+   above. *)
+let prop_ranking_stable_sort =
+  let values = [| 0.0; -0.0; 1.0; 2.5; infinity; neg_infinity; nan; 1e-9 |] in
+  let keys =
+    QCheck.Gen.(
+      int_range 1 (Array.length values) >>= fun d ->
+      array_size (int_range 0 2000) (map (Array.get values) (int_bound (d - 1))))
+  in
+  QCheck.Test.make ~count:300 ~name:"ranking = Array.stable_sort"
+    (QCheck.make ~print:QCheck.Print.(array float) keys)
+    (fun key ->
+      let want = Array.init (Array.length key) Fun.id in
+      Array.stable_sort (fun a b -> Float.compare key.(a) key.(b)) want;
+      let r = Idsort.ranking key in
+      let got = Array.init (Array.length key) (fun _ -> Idsort.next r) in
+      want = got && Idsort.next r = -1)
+
 let () =
   Alcotest.run "mcf_util"
     [ ( "rng",
@@ -794,4 +814,5 @@ let () =
               QCheck.(pair (int_range 1 6) (list small_int))
               (fun (d, l) ->
                 Pool.with_pool ~jobs:d (fun p -> Pool.map p (fun x -> x * 3) l)
-                = List.map (fun x -> x * 3) l) ] ) ]
+                = List.map (fun x -> x * 3) l);
+            prop_ranking_stable_sort ] ) ]
