@@ -48,8 +48,9 @@ trace-demo:
 # so no lib/, bin/ or bench/ file but lib/search/schedule_cache.ml{,i}
 # names Schedule_cache (the in-memory table only the benchmark uses);
 # and the search builds entries only for the points it measures, so no
-# lib/ or bin/ file but lib/search/space.ml{,i} and explore.ml{,i} names
-# the build-every-entry adapters enumerate_scored or Explore.run.
+# lib/, bin/ or bench/ file but lib/search/space.ml{,i} and
+# explore.ml{,i} names the build-every-entry adapters enumerate_scored or
+# Explore.run.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -87,14 +88,14 @@ ci-guard:
 	  | grep -v '^lib/search/schedule_cache\.mli\?:'; then \
 	  echo "ci-guard: Schedule_cache named in lib bin bench outside lib/search/schedule_cache.ml{,i}"; \
 	  exit 1; fi
-	@if grep -rnwE 'enumerate_scored|Explore\.run' lib bin \
+	@if grep -rnwE 'enumerate_scored|Explore\.run' lib bin bench \
 	  | grep -v -e '^lib/search/space\.mli\?:' -e '^lib/search/explore\.mli\?:'; then \
-	  echo "ci-guard: enumerate_scored or Explore.run in lib bin outside lib/search/space.ml{,i} and explore.ml{,i}"; \
+	  echo "ci-guard: enumerate_scored or Explore.run in lib bin bench outside lib/search/space.ml{,i} and explore.ml{,i}"; \
 	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters (lib, bin and bench) and cram pins clean"
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this

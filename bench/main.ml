@@ -196,10 +196,12 @@ let outcome_fingerprint (o : Mcf_search.Tuner.outcome) =
    coverage ratio of its funnel; (2) the deep chain streamed through the
    reservoir — its peak includes (1)'s, so the bound is conservative;
    (3) the same deep chain without a reservoir, holding every valid
-   entry, whose peak includes (2)'s — it only exceeds the streamed peak
+   point, whose peak includes (2)'s — it only exceeds the streamed peak
    if holding the whole valid space genuinely needs more live heap than
-   the reservoir ever did.  Runs before the per-workload sweeps so later
-   allocations cannot inflate any of the three numbers. *)
+   the reservoir ever did.  (2), (3) and the jobs runs go through
+   [Space.enumerate_points], the path a tune takes, which builds no
+   entry.  Runs before the per-workload sweeps so later allocations
+   cannot inflate any of the three numbers. *)
 let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let num = Mcf_util.Json.num_of_int in
   let baseline_name, baseline_chain =
@@ -227,8 +229,8 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   let bpoints = bf.Mcf_search.Space.candidates_rule3 in
   let misses0 = Mcf_obs.Metrics.counter_value "model.memo.misses" in
   let t0 = Unix.gettimeofday () in
-  let dentries, _scores, df =
-    Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain
+  let dpts, df =
+    Mcf_search.Space.enumerate_points ~reservoir spec deep_chain
   in
   let deep_s = Unix.gettimeofday () -. t0 in
   (* Summaries the scorer built: one per (kept tiling, trip=1 pattern of
@@ -238,14 +240,12 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
   in
   let deep_peak = Mcf_obs.Resource.peak_heap_words () in
   let t0 = Unix.gettimeofday () in
-  let _uentries, _uscores, _uf =
-    Mcf_search.Space.enumerate_scored spec deep_chain
-  in
+  let _upts, _uf = Mcf_search.Space.enumerate_points spec deep_chain in
   let unbounded_s = Unix.gettimeofday () -. t0 in
   let unbounded_peak = Mcf_obs.Resource.peak_heap_words () in
   let dpoints = df.Mcf_search.Space.candidates_rule3 in
   let dpoints_per_s = dpoints /. Float.max deep_s 1e-9 in
-  let kept = List.length dentries in
+  let kept = Array.length dpts.Mcf_search.Space.ranks in
   let points_ratio = dpoints /. Float.max bpoints 1e-9 in
   let heap_saving = unbounded_peak /. Float.max deep_peak 1e-9 in
   (* The pool gate's evidence: the same streamed enumeration at one job
@@ -267,7 +267,7 @@ let run_enumeration_bench spec ~jobs ~reps ~smoke =
     let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to per_rep do
-      ignore (Mcf_search.Space.enumerate_scored ~reservoir spec deep_chain)
+      ignore (Mcf_search.Space.enumerate_points ~reservoir spec deep_chain)
     done;
     let n = float_of_int per_rep in
     ((Unix.gettimeofday () -. t0) /. n, (Gc.minor_words () -. w0) /. n)

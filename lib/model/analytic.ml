@@ -40,55 +40,94 @@ type summary = {
   grid : int array;  (* the grid axes *)
 }
 
-(* [acc] (reversed) with the run of [axes] pushed: its length, then the
-   axes in order. *)
-let push_run acc axes =
-  List.fold_left (fun acc a -> a :: acc) (List.length axes :: acc) axes
+(* A term array built in two passes of one emitter: the first pass only
+   counts ([buf] is empty), then [buf] is allocated at that length and
+   the second pass fills it, so no list is built on the way.  Int and
+   float arrays get their own writer, so a write is a plain store. *)
+type ints = { mutable buf : int array; mutable len : int }
+type floats = { mutable fbuf : float array; mutable flen : int }
 
-let of_rev acc = Array.of_list (List.rev acc)
+let put o v =
+  if o.len < Array.length o.buf then Array.unsafe_set o.buf o.len v;
+  o.len <- o.len + 1
+
+let putf o v =
+  if o.flen < Array.length o.fbuf then Array.unsafe_set o.fbuf o.flen v;
+  o.flen <- o.flen + 1
+
+let rec put_all o = function
+  | [] -> ()
+  | a :: l ->
+    put o a;
+    put_all o l
+
+(* The run of [axes]: its length, then the axes in order. *)
+let run o axes =
+  put o (List.length axes);
+  put_all o axes
 
 (* Lower.instantiate's factors: a contraction's 2 FLOPs per MAC, and an
    epilogue's per-element FLOPs times the CUDA-core penalty of 8. *)
 let compile (s : Skeleton.t) =
-  let foot =
-    Array.fold_left
-      (fun acc (r : Skeleton.resident) ->
-        push_run (push_run acc r.rtile) r.rmult)
-      [] s.residency
-  in
-  let bytes = ref [] and flops = ref [] and fcoef = ref [] in
+  let ints () = { buf = [||]; len = 0 } in
+  let foot = ints () and bytes = ints () and flops = ints () in
+  let fcoef = { fbuf = [||]; flen = 0 } in
+  (* A FLOP term's head, then each of its [pieces] pieces. *)
   let flop path scale pieces =
-    flops :=
-      List.fold_left
-        (fun acc (_, out) -> push_run acc out)
-        (List.length pieces :: push_run !flops path)
-        pieces;
-    fcoef :=
-      List.fold_left (fun acc (k, _) -> k :: acc) (scale :: !fcoef) pieces
+    run flops path;
+    put flops pieces;
+    putf fcoef scale
   in
-  Array.iter
-    (fun { Skeleton.op; path } ->
-      match op with
-      | Skeleton.Access a ->
-        bytes := push_run (push_run !bytes a.atile) (a.amult @ path)
-      | Skeleton.Contraction c -> flop path 1.0 [ (2.0, c.used) ]
-      | Skeleton.Epilogue e ->
-        flop path 8.0
-          (match e.flavor with
-          | Skeleton.Scale -> [ (1.0, e.out) ]
-          | Skeleton.Unary uflops -> [ (uflops, e.out) ]
+  let piece k axes =
+    run flops axes;
+    putf fcoef k
+  in
+  let emit () =
+    Array.iter
+      (fun (r : Skeleton.resident) ->
+        run foot r.rtile;
+        run foot r.rmult)
+      s.residency;
+    Array.iter
+      (fun { Skeleton.op; path } ->
+        match op with
+        | Skeleton.Access a ->
+          run bytes a.atile;
+          run bytes (a.amult @ path)
+        | Skeleton.Contraction c ->
+          flop path 1.0 1;
+          piece 2.0 c.used
+        | Skeleton.Epilogue e -> (
+          match e.flavor with
+          | Skeleton.Scale ->
+            flop path 8.0 1;
+            piece 1.0 e.out
+          | Skeleton.Unary uflops ->
+            flop path 8.0 1;
+            piece uflops e.out
           | Skeleton.Softmax consumer_outs ->
             (* Online softmax rescales every consumer accumulator tile on
                each softmax-axis step. *)
-            (6.0, e.out)
-            :: (if s.online then List.map (fun q -> (3.0, q)) consumer_outs
-                else [])))
-    s.stmts;
+            let rescaled = if s.online then consumer_outs else [] in
+            flop path 8.0 (1 + List.length rescaled);
+            piece 6.0 e.out;
+            List.iter (piece 3.0) rescaled))
+      s.stmts
+  in
+  emit ();
+  List.iter
+    (fun o ->
+      o.buf <- Array.make o.len 0;
+      o.len <- 0)
+    [ foot; bytes; flops ];
+  fcoef.fbuf <- Array.make fcoef.flen 0.0;
+  fcoef.flen <- 0;
+  emit ();
   { skel = s;
-    foot = of_rev foot;
-    bytes = of_rev !bytes;
-    flops = of_rev !flops;
-    fcoef = of_rev !fcoef;
+    foot = foot.buf;
+    bytes = bytes.buf;
+    flops = flops.buf;
+    fcoef = fcoef.fbuf;
     grid = Array.of_list s.grid }
 
 let summarize ?rule1 ?dead_loop_elim ?hoisting chain cand =
@@ -140,7 +179,19 @@ let footprint ~elem_bytes s ~tiles ~trips =
   check s ~tiles ~trips;
   sum_terms s.foot ~tiles ~trips * elem_bytes
 
-let evaluate_tiles ~elem_bytes s ~tiles ~trips =
+let verdict s = s.skel.verdict
+
+type aggregates = {
+  mutable abytes : float;
+  mutable aflops : float;
+  mutable ablocks : float;
+  mutable atraffic : float;
+}
+
+let aggregates () = { abytes = 0.0; aflops = 0.0; ablocks = 0.0; atraffic = 0.0 }
+
+(* A record of floats only is stored flat, so these writes box nothing. *)
+let aggregate ~elem_bytes s ~tiles ~trips agg =
   check s ~tiles ~trips;
   let bytes_per_block =
     float_of_int (sum_terms s.bytes ~tiles ~trips * elem_bytes)
@@ -173,11 +224,19 @@ let evaluate_tiles ~elem_bytes s ~tiles ~trips =
     blocks := !blocks * get trips (get s.grid j)
   done;
   let blocks = float_of_int !blocks in
-  { bytes_per_block;
-    flops_per_block = !flops_per_block;
-    blocks;
-    traffic_bytes = bytes_per_block *. blocks;
-    everdict = s.skel.verdict }
+  agg.abytes <- bytes_per_block;
+  agg.aflops <- !flops_per_block;
+  agg.ablocks <- blocks;
+  agg.atraffic <- bytes_per_block *. blocks
+
+let evaluate_tiles ~elem_bytes s ~tiles ~trips =
+  let agg = aggregates () in
+  aggregate ~elem_bytes s ~tiles ~trips agg;
+  { bytes_per_block = agg.abytes;
+    flops_per_block = agg.aflops;
+    blocks = agg.ablocks;
+    traffic_bytes = agg.atraffic;
+    everdict = verdict s }
 
 let evaluate ~elem_bytes s (cand : Candidate.t) =
   let tiles, trips = Skeleton.tile_arrays s.skel cand in

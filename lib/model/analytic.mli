@@ -72,12 +72,41 @@ val footprint :
     enter.  @raise Invalid_argument when [tiles] or [trips] is shorter
     than the chain's axes. *)
 
+val verdict : summary -> (unit, Mcf_ir.Program.invalid) result
+(** The summary's validity verdict, [eval.everdict] of every point it
+    scores: it depends on the summary alone, so a search reads it before
+    evaluating a point and skips the evaluation of an invalid one. *)
+
+type aggregates = {
+  mutable abytes : float;  (** = [eval.bytes_per_block]. *)
+  mutable aflops : float;  (** = [eval.flops_per_block]. *)
+  mutable ablocks : float;  (** = [eval.blocks]. *)
+  mutable atraffic : float;  (** = [eval.traffic_bytes]. *)
+}
+(** A scratch for {!aggregate}: a record of floats only, stored flat,
+    so filling it boxes nothing. *)
+
+val aggregates : unit -> aggregates
+(** A fresh, zeroed scratch. *)
+
+val aggregate :
+  elem_bytes:int ->
+  summary ->
+  tiles:int array ->
+  trips:int array ->
+  aggregates ->
+  unit
+(** The numeric evaluation of a summary for a tile vector given as
+    {!Mcf_ir.Skeleton.tile_arrays}, written into the scratch: one linear
+    pass over the term arrays that allocates nothing, so a search scores
+    a point straight from its decoded index and reuses one scratch for
+    every point.  {!Perf.of_aggregates} turns the scratch's [atraffic],
+    [aflops] and [ablocks] into eq. (2)'s breakdown.
+    @raise Invalid_argument as {!footprint}. *)
+
 val evaluate_tiles :
   elem_bytes:int -> summary -> tiles:int array -> trips:int array -> eval
-(** Numeric evaluation of a summary for a tile vector given as
-    {!Mcf_ir.Skeleton.tile_arrays}.  No candidate is needed, so a search
-    can score a point straight from its decoded index.  It allocates
-    only the result.  @raise Invalid_argument as {!footprint}. *)
+(** {!aggregate} into a fresh scratch, with the {!verdict}, as a record. *)
 
 val evaluate : elem_bytes:int -> summary -> Mcf_ir.Candidate.t -> eval
 (** {!evaluate_tiles} on the candidate's tile arrays. *)

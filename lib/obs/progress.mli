@@ -30,6 +30,11 @@ val set_phase : string -> unit
 val set_info : string -> unit
 (** Attach a detail to the current phase (e.g. ["1724 points"]). *)
 
+val recording : unit -> bool
+(** Whether updates are recorded at all (the TTY line or tracking is
+    on).  A caller that formats a detail for {!set_info} checks it first,
+    so a disabled line costs no formatting. *)
+
 val generation : gen:int -> max_gen:int -> measured:int -> unit
 (** Exploration progress: generation [gen] of at most [max_gen], with
     [measured] schedules measured so far.  From the second call on, the

@@ -333,15 +333,15 @@ let add_funnel_metrics ~total funnel =
    chunks; each full chunk is scored on the shared [Mcf_util.Pool], one
    index range per task, with a fused pass — rule-4 shmem precheck,
    closed-form validity verdict and the analytical estimate — that steps
-   the range's combos as an odometer and looks a memoized summary up
-   once per run of points sharing its key.  The outcomes land in one int
-   and two float arrays, drained sequentially in rank order into funnel
-   counters, recorder exemplars and the reservoir before the next chunk
-   is packed.  The reservoir keeps flat rank, score, traffic and tiling
-   columns; the result hands them over as they are, and an entry
-   (candidate and lazy lowering cell) is built only when a caller asks
-   the set's builder for one — the explorer asks for the points it
-   measures.  A cell instantiates the skeleton the scorer already built
+   the range's combos as an odometer and finds each point's memoized
+   summary in a bounded slot table.  The outcomes land in one int and
+   two float arrays, shared by every chunk and drained sequentially in
+   rank order into funnel counters, recorder exemplars and the reservoir
+   before the next chunk is packed.  The reservoir keeps flat rank,
+   score, traffic and tiling columns; the result hands them over as they
+   are, and an entry (candidate and lazy lowering cell) is built only
+   when a caller asks the set's builder for one — the explorer asks for
+   the points it measures.  A cell instantiates the skeleton the scorer already built
    for its point, so measuring a candidate builds no program.
 
    Peak heap is O(reservoir + chunk), never O(space); the quotient walk
@@ -366,6 +366,10 @@ type seg = {
 type chunk = { segs : seg array; seg_offsets : int array; chunk_points : int }
 
 let chunk_target = 4096
+
+(* A range's slot table holds 2^min(axes, slot_bits) summaries, so its
+   size is bounded whatever the chain's axis count. *)
+let slot_bits = 8
 
 (* A scored point's outcome, one int per point; a valid point's objective
    score and traffic sit in two float arrays beside it. *)
@@ -529,21 +533,29 @@ let enumerate_points ?(options = default_options)
       (* Fused scorer over chunk points [\[lo, hi)], in index space: decode
          the first point, then step the combos as an odometer (last axis
          fastest, as the combo index counts), updating the tile/trip
-         arrays and the trip=1 mask in place.  The memoized summary is
-         looked up once per run of points sharing (structural id, the
-         mask's relevant bits) — a grid axis's tile moves the mask but
-         not the summary — and the run's other points are counted as
-         memo hits in bulk.  The eq. (1) footprint for rule 4, the
-         closed-form validity verdict and the analytical breakdown all
-         read that summary and the same arrays; no candidate is built
-         unless the summary is missing, and no Lower.lower anywhere
+         arrays and the trip=1 mask in place.  A point's memoized summary
+         is keyed by (structural id, the mask's relevant bits) — a grid
+         axis's tile moves the mask but not the summary — and found in
+         the range's slot table, direct-mapped on the key's low
+         [slot_bits] bits and tagged with the whole key; only a slot miss
+         asks the memo, and slot hits are counted as memo hits in bulk.
+         The eq. (1) footprint for rule 4 reads that summary and the same
+         arrays; a point that fits is then settled by the summary's
+         validity verdict, and only a valid one runs the analytical pass,
+         into the range's aggregate scratch.  No candidate is built
+         unless the summary is missing, nothing is allocated per point
+         but the objective's breakdown, and no Lower.lower anywhere
          (exactness against the lowered walk is enforced by the sweeps in
          test_model.ml).  These are the only model scores the search
          computes, and [objective] is the only place a breakdown becomes
          a score: the explorer ranks by them as handed over. *)
+      let n_slots = 1 lsl min n_axes slot_bits in
       let score_range chunk status ests traffics lo hi =
         let tiles = Array.make n_axes 0 and trips = Array.make n_axes 0 in
         let digits = Array.make n_axes 0 and mask = ref 0 in
+        let agg = Mcf_model.Analytic.aggregates () in
+        let slot_key = Array.make n_slots (-1) in
+        let slot_summary = Array.make n_slots None in
         let set a k =
           digits.(a) <- k;
           tiles.(a) <- g.tiles.(a).(k);
@@ -574,7 +586,7 @@ let enumerate_points ?(options = default_options)
           done
         in
         enter_seg (chunk.segs.(!si).combo_lo + lo - chunk.seg_offsets.(!si));
-        let held = ref None and held_key = ref (-1) and reused = ref 0 in
+        let reused = ref 0 in
         for i = lo to hi - 1 do
           if i = !seg_end then begin
             incr si;
@@ -583,9 +595,10 @@ let enumerate_points ?(options = default_options)
           else if i > lo then step (n_axes - 1);
           let s = chunk.segs.(!si) in
           let key = (s.ssid lsl n_axes) lor (!mask land s.srelevant) in
+          let slot = key land (n_slots - 1) in
           let summary =
-            match !held with
-            | Some sm when !held_key = key ->
+            match slot_summary.(slot) with
+            | Some sm when slot_key.(slot) = key ->
               incr reused;
               sm
             | Some _ | None ->
@@ -593,8 +606,8 @@ let enumerate_points ?(options = default_options)
                 Mcf_model.Analytic.Memo.summary_at memo ~sid:s.ssid ~mask:!mask
                   (fun () -> cand_with s.stiling (Array.get digits))
               in
-              held := Some sm;
-              held_key := key;
+              slot_key.(slot) <- key;
+              slot_summary.(slot) <- Some sm;
               sm
           in
           if
@@ -605,21 +618,19 @@ let enumerate_points ?(options = default_options)
                        summary ~tiles ~trips)
                  <= budget)
           then status.(i) <- rule4_rejected
+          else if Result.is_error (Mcf_model.Analytic.verdict summary) then
+            status.(i) <- invalid
           else begin
-            let ev =
-              Mcf_model.Analytic.evaluate_tiles ~elem_bytes:spec.elem_bytes
-                summary ~tiles ~trips
-            in
-            if Result.is_ok ev.Mcf_model.Analytic.everdict then begin
-              status.(i) <- valid;
-              ests.(i) <-
-                objective (Mcf_model.Analytic.breakdown_of_eval spec ev);
-              traffics.(i) <-
-                ev.Mcf_model.Analytic.traffic_bytes
-                *. ((ev.Mcf_model.Analytic.blocks +. sm_countf)
-                   /. ev.Mcf_model.Analytic.blocks)
-            end
-            else status.(i) <- invalid
+            Mcf_model.Analytic.aggregate ~elem_bytes:spec.elem_bytes summary
+              ~tiles ~trips agg;
+            status.(i) <- valid;
+            ests.(i) <-
+              objective
+                (Mcf_model.Perf.of_aggregates spec
+                   ~traffic_bytes:agg.atraffic ~flops_per_block:agg.aflops
+                   ~blocks:agg.ablocks);
+            traffics.(i) <-
+              agg.atraffic *. ((agg.ablocks +. sm_countf) /. agg.ablocks)
           end
         done;
         Mcf_model.Analytic.Memo.reused memo !reused
@@ -635,10 +646,24 @@ let enumerate_points ?(options = default_options)
           incr n
         end
       in
+      (* The outcome arrays, allocated at the first chunk and reused by
+         every later one: the drain is sequential, so no chunk is scored
+         while another is still read.  The first chunk is full or the
+         only one, so they hold min(chunk_target, rule-3 points); every
+         slot a chunk reads is written by its scorer first. *)
+      let scratch = ref None in
       let consume chunk =
         let n = chunk.chunk_points in
-        let status = Array.make n rule4_rejected in
-        let ests = Array.make n 0.0 and traffics = Array.make n 0.0 in
+        let status, ests, traffics =
+          match !scratch with
+          | Some s -> s
+          | None ->
+            let s =
+              (Array.make n rule4_rejected, Array.make n 0.0, Array.make n 0.0)
+            in
+            scratch := Some s;
+            s
+        in
         let (), dt =
           Trace.timed "space.precheck"
             ~args:(fun () -> [ ("points", Trace.Int n) ])
@@ -672,8 +697,9 @@ let enumerate_points ?(options = default_options)
             done)
           chunk.segs;
         n_points := !n_points + n;
-        Mcf_obs.Progress.set_info
-          (Printf.sprintf "%d points streamed" !n_points);
+        if Mcf_obs.Progress.recording () then
+          Mcf_obs.Progress.set_info
+            (Printf.sprintf "%d points streamed" !n_points);
         (* Telemetry tick per chunk: the rsrc.* gauges sample heap and
            pool activity while the stream is in flight, not just at
            teardown. *)

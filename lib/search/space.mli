@@ -171,12 +171,17 @@ val enumerate_points :
     precheck → validity → estimate pass and drained sequentially in rank
     order before the next chunk is packed.  Scoring runs in index space:
     each pool task decodes its range's first combo index into tile/trip
-    arrays and a trip=1 mask, then steps the rest as an odometer; one
-    {!Mcf_model.Analytic.Memo} lookup per run of points sharing
-    (structural id, the mask's {!Mcf_model.Analytic.Memo.relevant} bits)
-    yields the summary both the rule-4 footprint and the estimate read.
-    No candidate is built unless the summary is missing; the drain
-    appends each kept point's rank, scores and tiling to flat arrays.
+    arrays and a trip=1 mask, then steps the rest as an odometer.  A
+    point's summary, keyed by (structural id, the mask's
+    {!Mcf_model.Analytic.Memo.relevant} bits), comes from the task's
+    bounded slot table, which asks {!Mcf_model.Analytic.Memo} only on a
+    slot miss; both the rule-4 footprint and the estimate read it.  A
+    point that fits is settled by the summary's
+    {!Mcf_model.Analytic.verdict}, and only a valid one is evaluated,
+    into a reused {!Mcf_model.Analytic.aggregates} scratch.  No
+    candidate is built unless the summary is missing, and the chunks
+    share one set of outcome arrays; the drain appends each kept point's
+    rank, scores and tiling to flat arrays.
     Peak heap is O(reservoir + chunk), not O(space) (the quotient walk
     also holds one tiling per kept class until it ends), and the result
     — points, their order, scores, the funnel — is bit-identical at any
@@ -186,7 +191,8 @@ val enumerate_points :
     (the serve daemon's HTTP and submit threads) keep running.
 
     The estimate is [objective] applied to the point's eq. (2)-(5)
-    breakdown ({!Mcf_model.Analytic.breakdown_of_eval}); it defaults to
+    breakdown ({!Mcf_model.Perf.of_aggregates} over the point's
+    {!Mcf_model.Analytic.aggregate}); it defaults to
     [t_total], the paper's model.  The MCFuser-Chimera baseline passes
     its data-movement objective and the ablation a model without alpha.
     These are the search's only model scores: {!Explore.search} ranks by
@@ -234,6 +240,6 @@ val enumerate_scored :
   entry list * (float * float) array * funnel
 (** {!enumerate} plus the per-entry [(estimate, traffic)] pairs,
     index-aligned with the entry list: the adapter {!Explore.run} takes.
-    Within [lib/] and [bin/] only [Space] and [Explore] name it
+    Within [lib/], [bin/] and [bench/] only [Space] and [Explore] name it
     ([make ci-guard]); tuning goes through {!enumerate_points} and
     {!Explore.search}, which build no entry for an unmeasured point. *)

@@ -260,14 +260,26 @@ let variant_cases =
         chains)
     option_variants
 
+(* Under the default options no chain above has an invalid point or
+   more than one chunk; unbounded D5 has both — 7,290 rule-3 points, past
+   the ~4,096-point chunk, and 2,880 of its rule-4 survivors invalid — so
+   it pins the verdict-first path and the outcome arrays' reuse across
+   chunks. *)
+let stream_cases = variant_cases @ [ ("default/D5", Space.default_options, d5) ]
+
 let test_stream_equals_brute_force () =
   (* The pipeline's contract: for every workload, under every option
      variant and at every pool size, the stream keeps exactly what the
      brute-force filter keeps — candidates, order and funnel. *)
   let oracle =
     List.map (fun (_, options, chain) -> brute_force options chain)
-      variant_cases
+      stream_cases
   in
+  let d5_funnel = fst (List.nth oracle (List.length variant_cases)) in
+  Alcotest.(check (list int)) "D5: rule-3 points, invalid points"
+    [ 7290; 2880 ]
+    [ int_of_float d5_funnel.candidates_rule3;
+      d5_funnel.candidates_rule4 - d5_funnel.candidates_valid ];
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
@@ -278,7 +290,7 @@ let test_stream_equals_brute_force () =
               check_funnels name bf sf;
               Alcotest.(check (list string))
                 (name ^ ": candidates") bkeys (entry_keys se))
-            variant_cases oracle))
+            stream_cases oracle))
     [ 1; 4 ]
 
 let prune_event stage events =
@@ -474,23 +486,97 @@ let test_memo_counts_every_rule3_point () =
     (int_of_float f.candidates_rule3)
     (count () - before)
 
+(* The [model.memo.hits] and [model.memo.misses] one call adds. *)
+let memo_delta f =
+  let counts () =
+    ( Mcf_obs.Metrics.counter_value "model.memo.hits",
+      Mcf_obs.Metrics.counter_value "model.memo.misses" )
+  in
+  let h0, m0 = counts () in
+  let r = f () in
+  let h1, m1 = counts () in
+  (r, (h1 - h0, m1 - m0))
+
 let test_memo_summary_counts () =
   (* A summary is keyed by the trip=1 bits it reads, and with rule 1 on
      every spatial axis is a grid axis whose bit it never reads: one
      default enumeration builds one summary per (kept tiling, trip=1
-     pattern of the non-grid axes), at any pool size. *)
+     pattern of the non-grid axes), and every other rule-3 point is a
+     hit, whether the scorer's slot table or the memo answered it — at
+     any pool size. *)
   List.iter
     (fun jobs ->
       with_jobs jobs (fun () ->
           List.iter
-            (fun (name, want) ->
-              let before = Mcf_obs.Metrics.counter_value "model.memo.misses" in
-              ignore (Space.enumerate_scored ~reservoir:512 a100 (deep name));
-              Alcotest.(check int)
-                (Printf.sprintf "%s@jobs=%d summaries" name jobs)
-                want
-                (Mcf_obs.Metrics.counter_value "model.memo.misses" - before))
-            [ ("D5", 96); ("D6", 192) ]))
+            (fun (name, hits, misses) ->
+              let (), (h, m) =
+                memo_delta (fun () ->
+                    ignore
+                      (Space.enumerate_points ~reservoir:512 a100 (deep name)))
+              in
+              Alcotest.(check (pair int int))
+                (Printf.sprintf "%s@jobs=%d hits, summaries" name jobs)
+                (hits, misses) (h, m))
+            [ ("D5", 7194, 96); ("D6", 21678, 192) ]))
+    [ 1; 4 ]
+
+(* Ten axes, two more than D6: the scorer's slot table is at its size
+   bound, so points whose keys differ only in a high relevant bit share a
+   slot.  Every axis has the tiles 16 and 32 (trips 2 and 1). *)
+let deep8_small = Chain.gemm_chain_n ~m:32 ~dims:(List.init 9 (Fun.const 32)) ()
+
+let test_memo_slot_bound () =
+  (* Past the bound, slot collisions must cost only memo lookups: the
+     scorer's counters equal a fresh memo's looked up candidate by
+     candidate over every rule-3 point, and its scores are that memo's
+     estimates, at any pool size. *)
+  let chain = deep8_small in
+  Alcotest.(check int) "ten axes" 10 (List.length chain.Chain.axes);
+  List.iter
+    (fun jobs ->
+      with_jobs jobs (fun () ->
+          let name = Printf.sprintf "deep-8-small@jobs=%d" jobs in
+          let (entries, scores, f), scorer =
+            memo_delta (fun () -> Space.enumerate_scored a100 chain)
+          in
+          let tilings =
+            List.sort_uniq compare
+              (List.map (fun (e : Space.entry) -> e.cand.tiling) entries)
+          in
+          Alcotest.(check (list int))
+            (name ^ ": kept tilings, rule-3 points")
+            [ f.tilings_rule2; 2048 ]
+            [ List.length tilings; int_of_float f.candidates_rule3 ];
+          let memo =
+            Mcf_model.Analytic.Memo.create ~elem_bytes:a100.elem_bytes chain
+          in
+          let choices = Space.tile_choices Space.default_options chain in
+          let estimates = Hashtbl.create 2048 in
+          let (), fresh =
+            memo_delta (fun () ->
+                List.iter
+                  (fun t ->
+                    List.iter
+                      (fun tiles ->
+                        let cand =
+                          Candidate.make t (List.combine (List.map fst choices) tiles)
+                        in
+                        Hashtbl.replace estimates (Candidate.key cand)
+                          (Mcf_model.Analytic.Memo.estimate memo a100 cand))
+                      (Mcf_util.Listx.cartesian (List.map snd choices)))
+                  tilings)
+          in
+          Alcotest.(check (pair int int))
+            (name ^ ": hits, summaries as a fresh memo's")
+            fresh scorer;
+          List.iteri
+            (fun i (e : Space.entry) ->
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s: %s estimate" name
+                   (Candidate.to_string e.cand))
+                (Hashtbl.find estimates (Candidate.key e.cand))
+                (fst scores.(i)))
+            entries))
     [ 1; 4 ]
 
 let test_reservoir_tuner_winner_unchanged () =
@@ -604,7 +690,9 @@ let () =
         [ Alcotest.test_case "counts every rule-3 point" `Quick
             test_memo_counts_every_rule3_point;
           Alcotest.test_case "summaries per enumeration" `Quick
-            test_memo_summary_counts ] );
+            test_memo_summary_counts;
+          Alcotest.test_case "slot table past its bound" `Quick
+            test_memo_slot_bound ] );
       ( "encoding",
         [ Alcotest.test_case "neighbour = pool search" `Quick
             test_neighbour_matches_pool_search ] ) ]
