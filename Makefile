@@ -133,24 +133,25 @@ telemetry-smoke:
 # over a real socket, one cold tune round-trip, then the identical
 # request again — which must be answered from the warm schedule cache —
 # and a graceful shutdown that must drain (the `wait` fails if the
-# daemon exits non-zero).
+# daemon exits non-zero) and persist both caches.  Every file lives in a
+# fresh temporary directory, removed on exit along with a daemon a
+# failed step left running, so concurrent runs never share paths.
 serve-smoke:
-	rm -f /tmp/mcfuser-serve-url.txt /tmp/mcfuser-serve-sched.jsonl
 	dune build bin/mcfuser_cli.exe
-	_build/default/bin/mcfuser_cli.exe serve --listen 127.0.0.1:0 \
-	  --workers 1 --port-file /tmp/mcfuser-serve-url.txt \
-	  --schedule-cache /tmp/mcfuser-serve-sched.jsonl > /dev/null & \
+	dir=$$(mktemp -d) || exit 1; cli=_build/default/bin/mcfuser_cli.exe; \
+	$$cli serve --listen 127.0.0.1:0 --workers 1 --port-file $$dir/url.txt \
+	  --schedule-cache $$dir/sched.jsonl \
+	  --measure-cache $$dir/measure.jsonl > /dev/null & \
+	pid=$$!; trap 'kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
 	for _ in $$(seq 1 200); do \
-	  [ -s /tmp/mcfuser-serve-url.txt ] && break; sleep 0.05; done; \
-	url=$$(cat /tmp/mcfuser-serve-url.txt); \
-	_build/default/bin/mcfuser_cli.exe submit "$$url" --selfcheck && \
-	_build/default/bin/mcfuser_cli.exe submit "$$url" G1 \
-	  | grep -q "(tuned)" && \
-	_build/default/bin/mcfuser_cli.exe submit "$$url" G1 \
-	  | grep -q "(cache hit)" && \
-	_build/default/bin/mcfuser_cli.exe submit "$$url" --shutdown && \
-	wait
-	@test -s /tmp/mcfuser-serve-sched.jsonl
+	  [ -s $$dir/url.txt ] && break; sleep 0.05; done; \
+	url=$$(cat $$dir/url.txt) && \
+	$$cli submit "$$url" --selfcheck && \
+	$$cli submit "$$url" G1 | grep -q "(tuned)" && \
+	$$cli submit "$$url" G1 | grep -q "(cache hit)" && \
+	$$cli submit "$$url" --shutdown && \
+	wait $$pid && \
+	test -s $$dir/sched.jsonl && test -s $$dir/measure.jsonl
 	@echo "serve-smoke: daemon + selfcheck + tune + warm cache + drain ok"
 
 check: build fmt test trace-demo ci-guard bench-search-smoke report-smoke fuzz-smoke telemetry-smoke serve-smoke

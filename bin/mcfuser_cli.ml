@@ -671,34 +671,16 @@ let verify_cmd =
                   ~h:(small (Mcf_ir.Chain.axis chain "h"))
                   ()
             in
-            match Mcf_search.Tuner.tune spec chain with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate")
-            | Ok o ->
-              let rng = Mcf_util.Rng.create 7 in
-              let inputs =
-                List.map
-                  (fun (ts : Mcf_ir.Chain.tensor_spec) ->
-                    let shape =
-                      Array.of_list
-                        (List.map (fun (a : Mcf_ir.Axis.t) -> a.size) ts.taxes)
-                    in
-                    (ts.tname, Mcf_tensor.Tensor.random rng shape))
-                  (Mcf_ir.Chain.input_tensors chain)
-              in
-              let got =
-                Mcf_interp.Interp.run ~inputs
-                  (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
-              in
-              let want = Mcf_interp.Interp.reference chain ~inputs in
-              let diff = Mcf_tensor.Tensor.max_abs_diff got want in
+            match
+              Mcf_experiments.Exp_verify.check (Mcf_util.Rng.create 7) spec
+                chain
+            with
+            | None -> Error (`Msg "no viable candidate")
+            | Some c ->
               Printf.printf
                 "schedule %s\nmax |fused - reference| = %.3g  ->  %s\n"
-                (Mcf_ir.Candidate.to_string o.best.cand)
-                diff
-                (if Mcf_tensor.Tensor.approx_equal ~tol:1e-3 got want then
-                   "PASS"
-                 else "FAIL");
+                c.schedule c.max_diff
+                (if c.pass then "PASS" else "FAIL");
               Ok ()))
   in
   let term =
@@ -844,10 +826,9 @@ let report_cmd =
   let diff_arg =
     let doc =
       "Compare two recordings: funnel drift, model-fidelity drift, \
-       best-measured-time and peak-heap regression, and per-phase \
-       wall-time drift (informational).  Exits non-zero when the best \
-       time or the peak heap regresses beyond $(b,--tolerance), so it \
-       can gate CI."
+       best-measured-time regression, and peak-heap and per-phase \
+       wall-time changes (informational).  Exits non-zero when the best \
+       time regresses beyond $(b,--tolerance), so it can gate CI."
     in
     Arg.(value & flag & info [ "diff" ] ~doc)
   in
@@ -882,8 +863,6 @@ let report_cmd =
           print_string d.dreport;
           if d.regression then
             Error (`Msg "best measured time regressed beyond tolerance")
-          else if d.heap_regression then
-            Error (`Msg "peak heap regressed beyond tolerance")
           else Ok ()))
     | false, _ ->
       Error (`Msg "report expects exactly one FILE (or two with --diff)")

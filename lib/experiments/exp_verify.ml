@@ -1,9 +1,4 @@
-type row = {
-  vname : string;
-  schedule : string;
-  max_diff : float;
-  pass : bool;
-}
+type check = { schedule : string; max_diff : float; pass : bool }
 
 let title = "Correctness sweep: tuned schedules vs reference operators"
 
@@ -37,36 +32,38 @@ let scaled_workloads () =
   in
   gemms @ attns @ extras
 
+let check rng spec (chain : Mcf_ir.Chain.t) =
+  match Mcf_search.Tuner.tune spec chain with
+  | Error Mcf_search.Tuner.No_viable_candidate -> None
+  | Ok o ->
+    let inputs =
+      List.map
+        (fun (ts : Mcf_ir.Chain.tensor_spec) ->
+          let dims = List.map (fun (a : Mcf_ir.Axis.t) -> a.size) ts.taxes in
+          let shape =
+            Array.of_list (if chain.batch > 1 then chain.batch :: dims else dims)
+          in
+          (ts.tname, Mcf_tensor.Tensor.random rng shape))
+        (Mcf_ir.Chain.input_tensors chain)
+    in
+    let got =
+      Mcf_interp.Interp.run ~inputs
+        (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
+    in
+    let want = Mcf_interp.Interp.reference chain ~inputs in
+    Some
+      { schedule = Mcf_ir.Candidate.to_string o.best.cand;
+        max_diff = Mcf_tensor.Tensor.max_abs_diff got want;
+        pass = Mcf_tensor.Tensor.approx_equal ~tol:1e-3 got want }
+
 let compute (spec : Mcf_gpu.Spec.t) =
   let rng = Mcf_util.Rng.create 31415926 in
   List.map
-    (fun (vname, (chain : Mcf_ir.Chain.t)) ->
-      match Mcf_search.Tuner.tune spec chain with
-      | Error Mcf_search.Tuner.No_viable_candidate ->
-        { vname; schedule = "-"; max_diff = nan; pass = false }
-      | Ok o ->
-        let inputs =
-          List.map
-            (fun (ts : Mcf_ir.Chain.tensor_spec) ->
-              let dims =
-                List.map (fun (a : Mcf_ir.Axis.t) -> a.size) ts.taxes
-              in
-              let shape =
-                Array.of_list
-                  (if chain.batch > 1 then chain.batch :: dims else dims)
-              in
-              (ts.tname, Mcf_tensor.Tensor.random rng shape))
-            (Mcf_ir.Chain.input_tensors chain)
-        in
-        let got =
-          Mcf_interp.Interp.run ~inputs
-            (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best))
-        in
-        let want = Mcf_interp.Interp.reference chain ~inputs in
-        { vname;
-          schedule = Mcf_ir.Candidate.to_string o.best.cand;
-          max_diff = Mcf_tensor.Tensor.max_abs_diff got want;
-          pass = Mcf_tensor.Tensor.approx_equal ~tol:1e-3 got want })
+    (fun (vname, chain) ->
+      ( vname,
+        match check rng spec chain with
+        | Some c -> c
+        | None -> { schedule = "-"; max_diff = nan; pass = false } ))
     (scaled_workloads ())
 
 let render spec =
@@ -80,14 +77,14 @@ let render spec =
     Mcf_util.Table.create ~headers:[ "workload"; "winning schedule"; "max |diff|"; "result" ]
   in
   List.iter
-    (fun r ->
+    (fun (vname, r) ->
       Mcf_util.Table.add_row tbl
-        [ r.vname; r.schedule;
+        [ vname; r.schedule;
           (if Float.is_nan r.max_diff then "-" else Printf.sprintf "%.2e" r.max_diff);
           (if r.pass then "PASS" else "FAIL") ])
     rows;
   Buffer.add_string buf (Mcf_util.Table.render tbl);
-  let failures = List.filter (fun r -> not r.pass) rows in
+  let failures = List.filter (fun (_, r) -> not r.pass) rows in
   Buffer.add_string buf
     (if failures = [] then
        Printf.sprintf "all %d schedules numerically exact\n" (List.length rows)

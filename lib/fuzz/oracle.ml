@@ -470,7 +470,7 @@ let check_measure_cache (c : Gen.case) =
       | Error _ -> None
       | Ok v -> Some v.time_s)
   in
-  let cache = Mcf_search.Measure.cache_create ~shards:4 () in
+  let cache = Mcf_search.Measure.cache_create () in
   let engine = Mcf_search.Measure.create ~cache c.device in
   let clock = Mcf_gpu.Clock.create () in
   let run_once () =

@@ -190,8 +190,6 @@ let status_json () =
               Json.Obj
                 [ ("hits", Json.num_of_int (counter "measure.cache.hits"));
                   ("misses", Json.num_of_int (counter "measure.cache.misses"));
-                  ( "inflight_waits",
-                    Json.num_of_int (counter "measure.cache.inflight_waits") );
                 ] );
             ( "model_memo",
               Json.Obj

@@ -24,10 +24,6 @@ type diff = {
   fidelity_drift : bool;
   regression : bool;
       (** Best measured time of B exceeds A's by more than [tolerance]. *)
-  heap_regression : bool;
-      (** Peak heap words of B exceed A's by more than [tolerance]
-          (from the [end] events' resource telemetry; [false] when
-          either recording predates it).  Gates like {!regression}. *)
   wall_drift : bool;
       (** Some phase wall time moved more than [tolerance] either way.
           Informational only — wall clocks are too noisy to gate on. *)

@@ -3,19 +3,19 @@ module Trace = Mcf_obs.Trace
 let c_cache_hits = Mcf_obs.Metrics.counter "measure.cache.hits"
 let c_cache_misses = Mcf_obs.Metrics.counter "measure.cache.misses"
 
-let c_cache_inflight_waits =
-  Mcf_obs.Metrics.counter "measure.cache.inflight_waits"
-
 let h_measure_s = Mcf_obs.Metrics.histogram "explore.measure_s"
 
 (* --- content-addressed cache ------------------------------------------- *)
 
-type cache = float option Mcf_util.Shardmap.t
+(* One mutex guards the table: serve's worker threads share a cache, and
+   only callers of [time] and [run_batch] touch it, never the pool. *)
+type cache = { lock : Mutex.t; table : float option Mcf_util.Boundtbl.t }
 
-let cache_create ?(shards = 16) ?(capacity_per_shard = 65536) () : cache =
-  Mcf_util.Shardmap.create ~shards ~capacity_per_shard ()
+let cache_create () =
+  { lock = Mutex.create (); table = Mcf_util.Boundtbl.create () }
 
-let cache_size = Mcf_util.Shardmap.length
+let locked c f = Mutex.protect c.lock f
+let cache_size c = locked c (fun () -> Mcf_util.Boundtbl.length c.table)
 
 let chain_fp chain =
   Printf.sprintf "%Lx"
@@ -40,41 +40,25 @@ let key_with ~spec_fp ~chain_fp (ctx : Space.ctx) cand =
 
 (* --- persistence (JSONL) ----------------------------------------------- *)
 
-let entry_to_line key v =
-  let open Mcf_util.Json in
-  to_string
-    (Obj
-       [ ("key", Str key);
-         ("time_s", match v with Some t -> Num t | None -> Null) ])
+let cache_save c path =
+  let entries = locked c (fun () -> Mcf_util.Boundtbl.to_list c.table) in
+  Mcf_util.Json.write_keyed path
+    (List.map
+       (fun (k, v) ->
+         (k, [ ("time_s", match v with Some t -> Mcf_util.Json.Num t | None -> Null) ]))
+       entries)
 
-let entry_of_json j =
-  let open Mcf_util.Json in
-  match (member "key" j, member "time_s" j) with
-  | Some (Str k), Some (Num t) -> Some (k, Some t)
-  | Some (Str k), Some Null -> Some (k, None)
-  | _ -> None
-
-let cache_save (cache : cache) path =
-  let entries = Mcf_util.Shardmap.fold cache (fun k v acc -> (k, v) :: acc) [] in
-  (* Sort for a deterministic file: shard iteration order is not. *)
-  let entries =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) entries
+let cache_load c path =
+  let entries, malformed =
+    Mcf_util.Json.read_keyed ~path (fun j ->
+        match Mcf_util.Json.member "time_s" j with
+        | Some (Num t) -> Some (Some t)
+        | Some Null -> Some None
+        | _ -> None)
   in
-  Mcf_util.Json.write_atomic path (fun oc ->
-      List.iter
-        (fun (k, v) ->
-          output_string oc (entry_to_line k v);
-          output_char oc '\n')
-        entries);
-  List.length entries
-
-let cache_load (cache : cache) path =
-  Mcf_util.Json.fold_jsonl ~path ~init:0 ~f:(fun loaded j ->
-      match entry_of_json j with
-      | Some (k, v) ->
-        Mcf_util.Shardmap.set cache k v;
-        Some (loaded + 1)
-      | None -> None)
+  locked c (fun () ->
+      List.iter (fun (k, v) -> Mcf_util.Boundtbl.add c.table k v) entries);
+  (List.length entries, malformed)
 
 (* --- engine ------------------------------------------------------------ *)
 
@@ -100,60 +84,83 @@ let create ?cache ?derate spec =
    launch — failures are cached too, so a warm run skips re-proving
    them. *)
 let simulate t (e : Space.entry) =
-  match Mcf_codegen.Compile.compile t.spec (Space.lowered e) with
-  | Error _ -> None
-  | Ok kernel -> (
-    match Mcf_gpu.Sim.run t.spec (t.derate kernel) with
-    | Error _ -> None
-    | Ok v -> Some v.time_s)
-
-let measure_one t (key : string option) (e : Space.entry) =
   Trace.observe_timed h_measure_s (fun () ->
-      match (t.cache, key) with
-      | None, _ | _, None -> simulate t e
-      | Some store, Some key ->
-        let outcome, v =
-          Mcf_util.Shardmap.find_or_compute store key (fun () -> simulate t e)
-        in
-        (match outcome with
-        | Mcf_util.Shardmap.Hit -> Mcf_obs.Metrics.incr c_cache_hits
-        | Mcf_util.Shardmap.Computed -> Mcf_obs.Metrics.incr c_cache_misses
-        | Mcf_util.Shardmap.Waited ->
-          Mcf_obs.Metrics.incr c_cache_inflight_waits);
-        v)
+      match Mcf_codegen.Compile.compile t.spec (Space.lowered e) with
+      | Error _ -> None
+      | Ok kernel -> (
+        match Mcf_gpu.Sim.run t.spec (t.derate kernel) with
+        | Error _ -> None
+        | Ok v -> Some v.time_s))
 
-(* The entry's cache key, [None] on a cacheless engine; [cfp] yields the
-   chain component. *)
-let key t cfp (e : Space.entry) =
-  Option.map
-    (fun _ ->
-      key_with ~spec_fp:t.spec_fp ~chain_fp:(cfp e.ctx.Space.chain) e.ctx e.cand)
-    t.cache
+(* The items' cache keys, derived in the caller: key building hashes
+   each distinct chain's fingerprint once (memoized below). *)
+let keys t (items : Space.entry array) =
+  let memo = ref [] in
+  let cfp chain =
+    match List.assq_opt chain !memo with
+    | Some fp -> fp
+    | None ->
+      let fp = chain_fp chain in
+      memo := (chain, fp) :: !memo;
+      fp
+  in
+  Array.map
+    (fun (e : Space.entry) ->
+      key_with ~spec_fp:t.spec_fp ~chain_fp:(cfp e.ctx.chain) e.ctx e.cand)
+    items
 
-let time t e = measure_one t (key t chain_fp e) e
+(* Every item's result, in item order.  The lookups run here in the
+   caller, under the cache lock; [map n f] computes the [n] simulations
+   [f 0] .. [f (n - 1)], which touch neither the table nor its lock; the
+   fills follow, in item order.  A key repeated within the items is
+   simulated once, at its first occurrence, and its later items count
+   as hits.  Nothing waits for another caller's simulation: two sessions
+   missing one key both simulate it, with identical results. *)
+let measure_items t ~map (items : Space.entry array) =
+  let n = Array.length items in
+  match t.cache with
+  | None -> map n (fun i -> simulate t items.(i))
+  | Some c ->
+    let keys = keys t items in
+    (* [fresh]: each missed key's simulation index; [misses]: the item
+       each simulation measures, latest first. *)
+    let fresh = Hashtbl.create 8 and misses = ref [] in
+    let lookups =
+      locked c (fun () ->
+          Array.mapi
+            (fun i key ->
+              match Mcf_util.Boundtbl.find c.table key with
+              | Some r ->
+                Mcf_obs.Metrics.incr c_cache_hits;
+                Ok r
+              | None -> (
+                match Hashtbl.find_opt fresh key with
+                | Some j ->
+                  Mcf_obs.Metrics.incr c_cache_hits;
+                  Error j
+                | None ->
+                  Mcf_obs.Metrics.incr c_cache_misses;
+                  let j = Hashtbl.length fresh in
+                  Hashtbl.add fresh key j;
+                  misses := i :: !misses;
+                  Error j))
+            keys)
+    in
+    let misses = Array.of_list (List.rev !misses) in
+    let sims = map (Array.length misses) (fun j -> simulate t items.(misses.(j))) in
+    locked c (fun () ->
+        Array.iteri
+          (fun j i -> Mcf_util.Boundtbl.add c.table keys.(i) sims.(j))
+          misses);
+    Array.map (function Ok r -> r | Error j -> sims.(j)) lookups
+
+let time t e = (measure_items t ~map:Array.init [| e |]).(0)
 
 let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
   match items with
   | [] -> ()
   | _ ->
     let arr = Array.of_list items in
-    let n = Array.length arr in
-    (* Cache keys are derived sequentially up front: key building walks
-       the chain (hashing its fingerprint, memoized per distinct chain
-       below) and must not race on the memo from worker domains. *)
-    let keys =
-      let memo = ref [] in
-      let cfp chain =
-        match List.assq_opt chain !memo with
-        | Some fp -> fp
-        | None ->
-          let fp = chain_fp chain in
-          memo := (chain, fp) :: !memo;
-          fp
-      in
-      Array.map (fun ((_ : int), e) -> key t cfp e) arr
-    in
-    let compute i = measure_one t keys.(i) (snd arr.(i)) in
     (* Stage 1 — parallel: pure per-candidate work (lower, compile,
        simulate; the simulator is deterministic, so values cannot depend
        on scheduling).  One item per chunk: a measurement is orders of
@@ -161,8 +168,9 @@ let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
        one-item batch) runs every item inline in the caller. *)
     let results =
       let anc = Trace.ancestry () in
-      Mcf_util.Pool.init ~min_chunk_work:1 (Mcf_util.Pool.get ()) n (fun i ->
-          Trace.with_ancestry anc (fun () -> compute i))
+      measure_items t (Array.map snd arr) ~map:(fun n f ->
+          Mcf_util.Pool.init ~min_chunk_work:1 (Mcf_util.Pool.get ()) n
+            (fun i -> Trace.with_ancestry anc (fun () -> f i)))
     in
     (* Stage 2 — sequential drain in rank order: all side effects the
        determinism contract covers (virtual-clock charges in float

@@ -1,14 +1,14 @@
-(** Batched measurement engine with a sharded content-addressed cache.
+(** Batched measurement engine with a content-addressed cache.
 
     Measurement dominates tuning wall time once enumeration and
     estimation are parallel: the evolutionary loop hands each
     generation's fresh top-k here as one batch instead of simulating
     point-wise.  The engine runs in two stages:
 
-    + {b parallel} — per candidate: lower (forcing the entry's lazy
-      cell), compile, apply the engine's kernel transform (see
-      {!create}), and run the deterministic simulator on the shared
-      {!Mcf_util.Pool}, one candidate per chunk;
+    + {b parallel} — per candidate the cache does not answer: lower
+      (forcing the entry's lazy cell), compile, apply the engine's
+      kernel transform (see {!create}), and run the deterministic
+      simulator on the shared {!Mcf_util.Pool}, one candidate per chunk;
     + {b sequential drain} in rank order — virtual-clock charges (in
       float addition order), the caller's [commit] callback (recorder
       events, measured-table fills).
@@ -21,7 +21,8 @@
     explore loop, BOLT and Ansor measure batches through {!run_batch},
     and Fig. 11 and the model-only ablation take single uncharged times
     from {!time}.  All of them, baselines and experiments included,
-    feed the [explore.measure_s] histogram.
+    feed the [explore.measure_s] histogram, one observation per
+    simulation.
 
     The optional cache is content-addressed: the key combines the
     {!Mcf_gpu.Spec.fingerprint}, a hash of the
@@ -30,27 +31,38 @@
     sorted tile vector), so a hit is valid by construction.  Hits skip
     the simulation but are charged to the clock identically (virtual-
     time accounting is a model of real hardware, where the measurement
-    would still have run); the wall-time saving shows up in the
-    [tuner.measure] phase and the [measure.cache.{hits,misses,
-    inflight_waits}] counters.  The backing store is a
-    {!Mcf_util.Shardmap}: per-shard locks, LRU-bounded, and in-flight
-    dedup so two domains never simulate the same key concurrently. *)
+    would still have run); the wall-time saving, about one lower +
+    compile + simulate per hit, shows up in the [tuner.measure] phase
+    and the [measure.cache.{hits,misses}] counters.
+
+    The caller looks every item's key up before stage 1, so only the
+    misses reach the pool, and the drain fills the table in rank order;
+    a key repeated within one batch is simulated once and its later
+    items count as hits.  One mutex guards the table, a
+    {!Mcf_util.Boundtbl} that holds at most 2^20 entries and drops the
+    oldest insertion beyond that.  Nothing waits for a simulation
+    another caller has in flight: two concurrent batches (two serve
+    sessions) that both miss one key both simulate it, with
+    bit-identical results.  Each duplicate costs one simulation, a few
+    microseconds, and a wait would cost a pending slot and a condition
+    variable in a table that only saves wall time. *)
 
 (** {1 Measurement cache} *)
 
 type cache
 
-val cache_create : ?shards:int -> ?capacity_per_shard:int -> unit -> cache
-(** Defaults: 16 shards, 65536 entries per shard (LRU beyond that). *)
+val cache_create : unit -> cache
+(** An empty cache, bounded as above; safe to share between threads and
+    domains. *)
 
 val cache_size : cache -> int
-(** Completed measurements currently resident. *)
+(** Measurements currently resident. *)
 
 val cache_save : cache -> string -> int
 (** Persist to a JSONL file ([{"key": ..., "time_s": float|null}] per
-    line, sorted by key, written atomically via rename); returns the
-    number of lines.  Floats round-trip exactly, so a warm-started run
-    reproduces cached times bit-for-bit. *)
+    line, sorted by key, through {!Mcf_util.Json.write_keyed}); returns
+    the number of lines.  Floats round-trip exactly, so a warm-started
+    run reproduces cached times bit-for-bit. *)
 
 val cache_load : cache -> string -> int * int
 (** Warm-start from a JSONL file: [(loaded, malformed)].  Malformed
@@ -75,9 +87,10 @@ val chain_fp : Mcf_ir.Chain.t -> string
 (** Hex-hashed {!Mcf_ir.Chain.fingerprint} (the key's chain component). *)
 
 val time : t -> Space.entry -> float option
-(** The per-entry function {!run_batch}'s stage 1 maps, uncharged and in
-    the caller: compile, transform, simulate (through the cache when one
-    is attached).  [None] when the entry fails to compile or launch. *)
+(** One entry measured as {!run_batch} measures it, uncharged and in the
+    caller: the cache lookup, then on a miss compile, transform,
+    simulate and fill.  [None] when the entry fails to compile or
+    launch. *)
 
 val run_batch :
   t ->
@@ -90,7 +103,7 @@ val run_batch :
 (** Measure a rank-ordered batch of [(id, entry)] items.  Stage 1 runs
     on the shared pool; the drain then, in list order and per item:
     charges one compile, charges the measurement when it succeeded, and
-    calls [commit id result].  Duplicate-key items within one batch are
-    deduplicated by the in-flight table when a cache is attached;
-    callers wanting exactly-once commits per id must dedup ids
-    themselves (the explore loop does). *)
+    calls [commit id result].  With a cache attached, duplicate-key
+    items within one batch are simulated once; callers wanting
+    exactly-once commits per id must dedup ids themselves (the explore
+    loop does). *)

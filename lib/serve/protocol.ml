@@ -246,25 +246,11 @@ let sched_of_outcome (o : Mcf_search.Tuner.outcome) =
 
 (* --- schedule-cache file ----------------------------------------------- *)
 
-let load_cache path =
-  let entries, malformed =
-    Json.fold_jsonl ~path ~init:[] ~f:(fun acc j ->
-        match (Json.member "key" j, sched_of_json j) with
-        | Some (Json.Str key), Some sched -> Some ((key, sched) :: acc)
-        | _ -> None)
-  in
-  (List.rev entries, malformed)
+let load_cache path = Json.read_keyed ~path sched_of_json
 
 let persist_cache path entries =
-  let entries = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  Json.write_atomic path (fun oc ->
-      List.iter
-        (fun (key, s) ->
-          let line = Json.Obj (("key", Json.Str key) :: sched_fields s) in
-          output_string oc (Json.to_string line);
-          output_char oc '\n')
-        entries);
-  List.length entries
+  Json.write_keyed path
+    (List.map (fun (key, s) -> (key, sched_fields s)) entries)
 
 (* --- one tune ------------------------------------------------------------ *)
 

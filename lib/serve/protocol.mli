@@ -70,8 +70,8 @@ val load_cache : string -> (string * sched) list * int
     lines of any other format.  A missing file is empty. *)
 
 val persist_cache : string -> (string * sched) list -> int
-(** Write [entries] sorted by key, atomically ({!Mcf_util.Json.write_atomic});
-    returns the number written. *)
+(** Write [entries] (distinct keys) sorted by key, atomically
+    ({!Mcf_util.Json.write_keyed}); returns the number written. *)
 
 val tune :
   ?cache_file:string ->

@@ -1,6 +1,6 @@
 module Json = Mcf_util.Json
 module Httpd = Mcf_util.Httpd
-module Shardmap = Mcf_util.Shardmap
+module Boundtbl = Mcf_util.Boundtbl
 module Metrics = Mcf_obs.Metrics
 
 (* The tuning-as-a-service daemon.  See server.mli for the contract.
@@ -9,9 +9,10 @@ module Metrics = Mcf_obs.Metrics
    table, the session queue and all state transitions; tuner sessions
    run on plain worker threads *outside* the lock (the pool domains
    underneath Tuner.tune do the actual parallel work, and Pool.run_range
-   is safe under concurrent callers).  The schedule cache is a Shardmap
-   with its own per-shard locks, so /tune cache hits never touch the
-   server lock's hot path for longer than a table insert. *)
+   is safe under concurrent callers).  The schedule table is read and
+   written under that lock too: a /tune lookup is one hash probe inside
+   the section [submit] already holds.  The measurement cache the
+   sessions share carries its own mutex (see Measure). *)
 
 let log_src = Logs.Src.create "mcfuser.serve" ~doc:"Tuning service daemon"
 
@@ -33,8 +34,6 @@ type config = {
   max_connections : int;
   read_timeout_s : float;
   max_body_bytes : int;
-  cache_shards : int;
-  cache_capacity : int;
   schedule_cache_file : string option;
   measure_cache_file : string option;
 }
@@ -46,8 +45,6 @@ let default_config =
     max_connections = 16;
     read_timeout_s = 5.0;
     max_body_bytes = 1024 * 1024;
-    cache_shards = 16;
-    cache_capacity = 65536;
     schedule_cache_file = None;
     measure_cache_file = None }
 
@@ -98,7 +95,7 @@ type t = {
   mutable next_id : int;
   mutable state : lifecycle;
   mutable worker_threads : Thread.t list;
-  cache : Protocol.sched Shardmap.t;
+  cache : Protocol.sched Boundtbl.t;  (* under [lock] *)
   measure_cache : Mcf_search.Measure.cache;
   mutable httpd : Httpd.t option;
   shutdown_requested : bool Atomic.t;
@@ -161,7 +158,7 @@ let rec worker_loop t () =
     Mutex.lock t.lock;
     (match result with
     | Ok sched ->
-      Shardmap.set t.cache sess.Session.skey sched;
+      Boundtbl.add t.cache sess.Session.skey sched;
       sess.Session.sstate <- Session.Done sched;
       List.iter (fun j -> finish_job t j (Done sched)) (session_jobs t sess)
     | Error msg ->
@@ -201,7 +198,7 @@ let submit t (req : Protocol.tune_request) =
       Hashtbl.replace t.jobs_tbl jid j;
       j
     in
-    match Shardmap.find t.cache key with
+    match Boundtbl.find t.cache key with
     | Some sched ->
       Metrics.incr c_cache_hits;
       let j = mk Cached Queued in
@@ -267,7 +264,7 @@ let jobs t =
   Mutex.unlock t.lock;
   List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) vs)
 
-let cache_size t = Shardmap.length t.cache
+let cache_size t = Mutex.protect t.lock (fun () -> Boundtbl.length t.cache)
 
 (* --- shutdown ----------------------------------------------------------- *)
 
@@ -299,7 +296,7 @@ let stop t =
     | Some path ->
       let n =
         Protocol.persist_cache path
-          (Shardmap.fold t.cache (fun k v acc -> (k, v) :: acc) [])
+          (Mutex.protect t.lock (fun () -> Boundtbl.to_list t.cache))
       in
       Log.info (fun m -> m "persisted %d schedule cache entries to %s" n path)
     | None -> ());
@@ -377,6 +374,7 @@ let serve_status_json t =
   let queued = Queue.length t.queue in
   let in_flight = Hashtbl.length t.sessions in
   let total = Hashtbl.length t.jobs_tbl in
+  let entries = Boundtbl.length t.cache in
   let state = t.state in
   Mutex.unlock t.lock;
   Json.Obj
@@ -390,7 +388,7 @@ let serve_status_json t =
       ("queued_sessions", Json.num_of_int queued);
       ("inflight_sessions", Json.num_of_int in_flight);
       ("jobs", Json.num_of_int total);
-      ("cache_entries", Json.num_of_int (cache_size t));
+      ("cache_entries", Json.num_of_int entries);
     ]
 
 let json_response ?(status = 200) j =
@@ -458,9 +456,7 @@ let start ?(config = default_config) () =
       next_id = 0;
       state = Serving;
       worker_threads = [];
-      cache =
-        Shardmap.create ~shards:cfg.cache_shards
-          ~capacity_per_shard:cfg.cache_capacity ();
+      cache = Boundtbl.create ();
       measure_cache = Mcf_search.Measure.cache_create ();
       httpd = None;
       shutdown_requested = Atomic.make false;
@@ -469,7 +465,7 @@ let start ?(config = default_config) () =
   (match cfg.schedule_cache_file with
   | Some path when Sys.file_exists path ->
     let entries, malformed = Protocol.load_cache path in
-    List.iter (fun (key, sched) -> Shardmap.set t.cache key sched) entries;
+    List.iter (fun (key, sched) -> Boundtbl.add t.cache key sched) entries;
     Log.info (fun m ->
         m "schedule cache warm-start: %d entries from %s (%d malformed)"
           (List.length entries) path malformed)

@@ -17,11 +17,14 @@
 
     Requests whose {!Protocol.key} matches an in-flight session attach
     to it (coalescing: one tuner run, N answers); completed keys are
-    served from a {!Mcf_util.Shardmap}-backed schedule cache with
-    per-shard LRU eviction, warm-started from and persisted to JSONL.
-    All sessions share one content-addressed measurement cache, which
-    never changes results — a served schedule is bit-identical to a
-    one-shot [Tuner.tune] of the same request.
+    served from the schedule table, a {!Mcf_util.Boundtbl} read and
+    written under the server lock, holding at most 2^20 schedules and
+    dropping the oldest beyond that; it is warm-started from and
+    persisted to JSONL.  All sessions share one content-addressed
+    measurement cache ({!Mcf_search.Measure}), which never changes
+    results — a served schedule is bit-identical to a one-shot
+    [Tuner.tune] of the same request.  Two sessions running at once
+    that miss one measurement both simulate it.
 
     [serve.*] counters: [requests], [coalesced], [cache.hits],
     [cache.misses] (new sessions), [rejected], [sessions], [jobs_done],
@@ -34,8 +37,6 @@ type config = {
   max_connections : int;
   read_timeout_s : float;
   max_body_bytes : int;
-  cache_shards : int;
-  cache_capacity : int;  (** Per-shard completed-entry LRU bound. *)
   schedule_cache_file : string option;
       (** Warm-start source and graceful-shutdown sink (JSONL). *)
   measure_cache_file : string option;
@@ -44,7 +45,7 @@ type config = {
 
 val default_config : config
 (** 127.0.0.1:0, 2 workers, 16 connections, 5s read timeout, 1 MiB
-    bodies, 16×65536 cache, no persistence. *)
+    bodies, no persistence. *)
 
 type source = Tuned | Cached | Coalesced
 
@@ -94,6 +95,7 @@ val await : t -> string -> job_view option
 (** Block until the job completes ([None] for unknown ids). *)
 
 val cache_size : t -> int
+(** Schedules in the table (taken under the server lock). *)
 
 val request_shutdown : t -> unit
 (** Async shutdown trigger (signal handlers, [POST /shutdown]). *)

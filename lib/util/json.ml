@@ -347,3 +347,22 @@ let write_atomic path write =
     let bt = Printexc.get_raw_backtrace () in
     (try Sys.remove tmp with Sys_error _ -> ());
     Printexc.raise_with_backtrace e bt
+
+let write_keyed path entries =
+  let entries = List.sort (fun (a, _) (b, _) -> String.compare a b) entries in
+  write_atomic path (fun oc ->
+      List.iter
+        (fun (key, fields) ->
+          output_string oc (to_string (Obj (("key", Str key) :: fields)));
+          output_char oc '\n')
+        entries);
+  List.length entries
+
+let read_keyed ~path f =
+  let entries, malformed =
+    fold_jsonl ~path ~init:[] ~f:(fun acc j ->
+        match (member "key" j, f j) with
+        | Some (Str key), Some v -> Some ((key, v) :: acc)
+        | _ -> None)
+  in
+  (List.rev entries, malformed)

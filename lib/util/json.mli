@@ -51,3 +51,15 @@ val write_atomic : string -> (out_channel -> 'a) -> 'a
     every persistent store (caches, recordings).  If [write], the close or
     the rename raises, the temporary file is removed, [path] is left as it
     was and the exception is re-raised. *)
+
+val write_keyed : string -> (string * (string * t) list) list -> int
+(** [write_keyed path entries] is the one writer of the keyed caches
+    (measurements, schedules): a line [{"key": k, ...fields}] per entry,
+    sorted by key, written with {!write_atomic}.  Returns the line
+    count.  Keys must be distinct. *)
+
+val read_keyed : path:string -> (t -> 'a option) -> (string * 'a) list * int
+(** The matching reader, through {!fold_jsonl}: the [(key, value)] pairs
+    in file order, and the malformed-line count.  A line is malformed
+    when it does not parse, has no string ["key"], or [f] gives [None]
+    for it. *)

@@ -1,11 +1,11 @@
 (* Tests for the batched measurement engine: bit-identity of the parallel
    stage against the sequential one, cache transparency (off = cold = warm),
-   JSONL warm-start round-trips, in-flight dedup, and the Shardmap backing
-   store's LRU/exception behaviour. *)
+   JSONL warm-start round-trips, a cache shared across domains, and the
+   bounded table behind it. *)
 
 open Mcf_ir
 module Measure = Mcf_search.Measure
-module Shardmap = Mcf_util.Shardmap
+module Boundtbl = Mcf_util.Boundtbl
 
 let a100 = Mcf_gpu.Spec.a100
 let small_gemm = Chain.gemm_chain ~m:256 ~n:128 ~k:64 ~h:64 ()
@@ -189,44 +189,42 @@ let test_missing_file_is_empty () =
     "missing file loads nothing" (0, 0)
     (Measure.cache_load cache "/nonexistent/mcf_measure_cache.jsonl")
 
-(* --- in-flight dedup --------------------------------------------------------- *)
+let test_repeated_key_simulated_once () =
+  (* One entry twice in a batch: simulated at its first occurrence, the
+     second item a hit with the same result. *)
+  let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
+  let e = List.hd entries in
+  let cache = Measure.cache_create () in
+  let commits = ref [] in
+  let h0 = counter "measure.cache.hits" in
+  let m0 = counter "measure.cache.misses" in
+  Measure.run_batch (Measure.create ~cache a100) ~clock:(Mcf_gpu.Clock.create ())
+    ~compile_cost_s:0.8 ~repeats:10
+    ~commit:(fun id r -> commits := (id, r) :: !commits)
+    [ (0, e); (1, e) ];
+  Alcotest.(check int) "one miss" 1 (counter "measure.cache.misses" - m0);
+  Alcotest.(check int) "one hit" 1 (counter "measure.cache.hits" - h0);
+  Alcotest.(check int) "one entry" 1 (Measure.cache_size cache);
+  match List.rev !commits with
+  | [ (0, a); (1, b) ] ->
+    Alcotest.(check (option (float 0.0))) "same result" a b;
+    Alcotest.(check (option (float 0.0))) "the engine's time" a
+      (Measure.time (Measure.create a100) e)
+  | _ -> Alcotest.fail "one commit per item, in order"
 
-let test_inflight_dedup_two_domains () =
-  (* Two domains race find_or_compute on one key with a slow thunk: the
-     thunk runs exactly once and the late domain observes Waited (or Hit
-     if it arrives after completion). *)
-  let sm = Shardmap.create ~shards:4 () in
-  let runs = Atomic.make 0 in
-  let compute () =
-    Shardmap.find_or_compute sm "the-key" (fun () ->
-        Atomic.incr runs;
-        Unix.sleepf 0.05;
-        42)
-  in
-  let d = Domain.spawn compute in
-  let a = compute () in
-  let b = Domain.join d in
-  Alcotest.(check int) "thunk ran once" 1 (Atomic.get runs);
-  List.iter
-    (fun (_, v) -> Alcotest.(check int) "both observe the value" 42 v)
-    [ a; b ];
-  let computed =
-    List.length
-      (List.filter (fun (o, _) -> o = Shardmap.Computed) [ a; b ])
-  in
-  Alcotest.(check int) "exactly one Computed" 1 computed
+(* --- concurrency ------------------------------------------------------------- *)
 
 let test_concurrent_runs_share_cache () =
   (* Two domains measure the same batch on a one-domain pool (each
-     stage 1 inline in its own caller), sharing one cache: each key is
-     simulated at most once process-wide, and both drains commit identical
-     results. *)
+     stage 1 inline in its own caller), sharing one cache: both drains
+     commit identical results, and the cache ends with one entry per
+     distinct key, as many as a single run on a fresh cache leaves.  A
+     key both domains miss at once is simulated by each. *)
   let entries, _ = Mcf_search.Space.enumerate a100 small_gemm in
   let batch =
     List.filteri (fun i _ -> i < 8) entries |> List.mapi (fun i e -> (i, e))
   in
-  let cache = Measure.cache_create () in
-  let run () =
+  let run cache () =
     let engine = Measure.create ~cache a100 in
     let clock = Mcf_gpu.Clock.create () in
     let commits = ref [] in
@@ -235,46 +233,48 @@ let test_concurrent_runs_share_cache () =
       batch;
     List.rev !commits
   in
-  let m0 = counter "measure.cache.misses" in
+  let cache = Measure.cache_create () in
   let a, b =
     with_jobs 1 (fun () ->
-        let d = Domain.spawn run in
-        let a = run () in
+        let d = Domain.spawn (run cache) in
+        let a = run cache () in
         (a, Domain.join d))
   in
-  let m1 = counter "measure.cache.misses" in
   Alcotest.(check (list (pair int (option (float 0.0)))))
     "both drains commit identical results" a b;
+  let single = Measure.cache_create () in
+  ignore (run single ());
   Alcotest.(check int)
-    "each key simulated once across domains" (Measure.cache_size cache)
-    (m1 - m0)
+    "one entry per distinct key" (Measure.cache_size single)
+    (Measure.cache_size cache)
 
-(* --- Shardmap ---------------------------------------------------------------- *)
+(* --- bounded table ------------------------------------------------------------ *)
 
-let test_shardmap_lru_eviction () =
-  let sm = Shardmap.create ~shards:1 ~capacity_per_shard:2 () in
-  Shardmap.set sm "a" 1;
-  Shardmap.set sm "b" 2;
-  Shardmap.set sm "c" 3;
-  Alcotest.(check int) "capacity bound holds" 2 (Shardmap.length sm);
-  Alcotest.(check (option int)) "oldest evicted" None (Shardmap.find sm "a");
-  Alcotest.(check (option int)) "newest kept" (Some 3) (Shardmap.find sm "c");
-  (* touching "b" then inserting evicts "c", not "b" *)
-  ignore (Shardmap.find sm "b");
-  Shardmap.set sm "d" 4;
-  Alcotest.(check (option int)) "touched survives" (Some 2)
-    (Shardmap.find sm "b");
-  Alcotest.(check (option int)) "untouched evicted" None (Shardmap.find sm "c")
-
-let test_shardmap_exception_cleanup () =
-  let sm = Shardmap.create ~shards:1 () in
-  (match Shardmap.find_or_compute sm "k" (fun () -> failwith "boom") with
-  | _ -> Alcotest.fail "exception swallowed"
-  | exception Failure m -> Alcotest.(check string) "propagates" "boom" m);
-  Alcotest.(check (option int)) "pending removed" None (Shardmap.find sm "k");
-  let outcome, v = Shardmap.find_or_compute sm "k" (fun () -> 7) in
-  Alcotest.(check bool) "recomputes" true (outcome = Shardmap.Computed);
-  Alcotest.(check int) "value cached" 7 v
+let test_table_capacity () =
+  let t = Boundtbl.create ~capacity:2 () in
+  Boundtbl.add t "a" 1;
+  Boundtbl.add t "b" 2;
+  Boundtbl.add t "c" 3;
+  Alcotest.(check int) "capacity bound holds" 2 (Boundtbl.length t);
+  Alcotest.(check (option int)) "oldest evicted" None (Boundtbl.find t "a");
+  Alcotest.(check (option int)) "newest kept" (Some 3) (Boundtbl.find t "c");
+  (* reading "b" does not save it: eviction goes by insertion *)
+  ignore (Boundtbl.find t "b");
+  Boundtbl.add t "d" 4;
+  Alcotest.(check (option int)) "read entry evicted" None (Boundtbl.find t "b");
+  (* overwriting "c" keeps its place, so "c" goes before "d" *)
+  Boundtbl.add t "c" 5;
+  Alcotest.(check (option int)) "overwritten" (Some 5) (Boundtbl.find t "c");
+  Boundtbl.add t "e" 6;
+  Alcotest.(check (option int)) "overwrite keeps its age" None
+    (Boundtbl.find t "c");
+  Alcotest.(check (list (pair string int)))
+    "the two newest remain" [ ("d", 4); ("e", 6) ]
+    (List.sort compare (Boundtbl.to_list t));
+  Alcotest.(check bool) "capacity 0 refused" true
+    (match Boundtbl.create ~capacity:0 () with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "measure"
@@ -296,17 +296,16 @@ let () =
           Alcotest.test_case "malformed lines counted and skipped" `Quick
             test_malformed_lines_counted_and_skipped;
           Alcotest.test_case "missing file is empty" `Quick
-            test_missing_file_is_empty
+            test_missing_file_is_empty;
+          Alcotest.test_case "repeated key simulated once" `Quick
+            test_repeated_key_simulated_once
         ] );
       ( "concurrency",
-        [ Alcotest.test_case "in-flight dedup across domains" `Quick
-            test_inflight_dedup_two_domains;
-          Alcotest.test_case "concurrent runs share one cache" `Quick
+        [ Alcotest.test_case "concurrent runs share one cache" `Quick
             test_concurrent_runs_share_cache
         ] );
-      ( "shardmap",
-        [ Alcotest.test_case "LRU eviction" `Quick test_shardmap_lru_eviction;
-          Alcotest.test_case "exception cleanup" `Quick
-            test_shardmap_exception_cleanup
+      ( "table",
+        [ Alcotest.test_case "oldest evicted at capacity" `Quick
+            test_table_capacity
         ] )
     ]

@@ -412,6 +412,63 @@ let test_cache_file_warm_starts_serve () =
             (sched_fingerprint stored)
             (sched_fingerprint (await_done t jid))))
 
+let test_sessions_share_measure_cache () =
+  (* Two workers tune G1 under seeds 1 and 2 at once, at jobs 1 and 4,
+     through the one measurement cache the sessions share: each answer
+     is a one-shot tune of its request bit for bit, every measurement is
+     one cache lookup, and the cache holds no more entries than
+     simulations (a key both sessions miss at once is simulated twice,
+     stored once). *)
+  let saved = Mcf_util.Pool.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Mcf_util.Pool.set_jobs saved)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          Mcf_util.Pool.set_jobs jobs;
+          let reqs = List.map (fun seed -> { (g1 ()) with seed = Some seed }) [ 1; 2 ] in
+          let direct =
+            List.map
+              (fun r ->
+                match Protocol.tune r with
+                | Ok (s, _) -> s
+                | Error _ -> Alcotest.fail "one-shot tune failed")
+              reqs
+          in
+          let measure_file = Filename.temp_file "mcf_measure" ".jsonl" in
+          Sys.remove measure_file;
+          let h0 = Metrics.counter_value "measure.cache.hits" in
+          let m0 = Metrics.counter_value "measure.cache.misses" in
+          let served =
+            with_server
+              ~config:
+                { Server.default_config with
+                  workers = 2;
+                  measure_cache_file = Some measure_file }
+              (fun t ->
+                let jids = List.map (fun r -> fst (submit_ok t r)) reqs in
+                List.map (await_done t) jids)
+          in
+          let hits = Metrics.counter_value "measure.cache.hits" - h0 in
+          let misses = Metrics.counter_value "measure.cache.misses" - m0 in
+          List.iter2
+            (fun (d : Protocol.sched) (s : Protocol.sched) ->
+              Alcotest.(check (pair string string))
+                (Printf.sprintf "served = one-shot at jobs=%d" jobs)
+                (bits d.time_s, bits d.virtual_s)
+                (bits s.time_s, bits s.virtual_s))
+            direct served;
+          Alcotest.(check int) "one lookup per measurement"
+            (List.fold_left (fun acc (s : Protocol.sched) -> acc + s.measured) 0 served)
+            (hits + misses);
+          let entries =
+            In_channel.with_open_text measure_file In_channel.input_lines
+          in
+          Sys.remove measure_file;
+          Alcotest.(check bool) "no more entries than simulations" true
+            (List.length entries <= misses))
+        [ 1; 4 ])
+
 (* --- bounded job table ---------------------------------------------------------- *)
 
 let test_job_table_bounded () =
@@ -590,7 +647,9 @@ let () =
         ] );
       ( "identity",
         [ Alcotest.test_case "served equals one-shot tune" `Quick
-            test_served_equals_oneshot
+            test_served_equals_oneshot;
+          Alcotest.test_case "two sessions, one measure cache" `Quick
+            test_sessions_share_measure_cache
         ] );
       ( "lifecycle",
         [ Alcotest.test_case "stop drains and persists" `Quick
