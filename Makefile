@@ -17,11 +17,15 @@ fmt:
 
 # Tune a small chain with tracing + profiling on.  The CLI parses the
 # trace back before writing and exits non-zero on invalid JSON, so this
-# target doubles as an end-to-end check of the observability layer.
+# target doubles as an end-to-end check of the observability layer.  The
+# trace lives in a fresh temporary directory, removed on exit, so
+# concurrent runs never share paths; write one to keep with
+# `mcfuser tune G1 --trace FILE` and open it in ui.perfetto.dev.
 trace-demo:
-	dune exec -- mcfuser tune G1 --trace /tmp/mcfuser-trace.json --profile
-	@test -s /tmp/mcfuser-trace.json
-	@echo "trace-demo: /tmp/mcfuser-trace.json ok (open in ui.perfetto.dev)"
+	dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; \
+	dune exec -- mcfuser tune G1 --trace $$dir/trace.json --profile && \
+	test -s $$dir/trace.json
+	@echo "trace-demo: trace written and parsed back ok"
 
 # CI-style drift guard: formatting must be a no-op and the cram pins must
 # match byte-for-byte.  `dune build @fmt` / `dune runtest` alone would
@@ -100,14 +104,15 @@ ci-guard:
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this
 # doubles as an end-to-end check of the recorder -> report pipeline.
+# The files live in a fresh temporary directory, removed on exit.
 report-smoke:
-	dune exec -- mcfuser tune S1 --record /tmp/mcfuser-record.jsonl \
-	  --metrics /tmp/mcfuser-metrics.json > /dev/null
-	@test -s /tmp/mcfuser-record.jsonl
-	@test -s /tmp/mcfuser-metrics.json
-	dune exec -- mcfuser report /tmp/mcfuser-record.jsonl > /dev/null
-	dune exec -- mcfuser report --diff /tmp/mcfuser-record.jsonl \
-	  /tmp/mcfuser-record.jsonl > /dev/null
+	dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; \
+	dune exec -- mcfuser tune S1 --record $$dir/record.jsonl \
+	  --metrics $$dir/metrics.json > /dev/null && \
+	test -s $$dir/record.jsonl && test -s $$dir/metrics.json && \
+	dune exec -- mcfuser report $$dir/record.jsonl > /dev/null && \
+	dune exec -- mcfuser report --diff $$dir/record.jsonl \
+	  $$dir/record.jsonl > /dev/null
 	@echo "report-smoke: record/report/diff ok (zero drift)"
 
 # Differential-fuzzing smoke: a fixed seed and a 10 virtual-second budget
@@ -182,24 +187,24 @@ bench-search:
 # allocation from outside the enumeration) and its
 # summaries_per_enumeration (the analytic summaries the scorer built).
 # The generous tolerance only guards against catastrophic slowdowns: CI
-# machines are far too noisy for a tight wall-clock gate.
+# machines are far too noisy for a tight wall-clock gate.  History, run
+# output and gate text live in a fresh temporary directory, removed on
+# exit.
 bench-search-smoke:
-	rm -f /tmp/mcfuser-history-smoke.jsonl
+	dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; \
 	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-smoke.jsonl \
-	  --out /tmp/mcfuser-bench-search-smoke.json > /dev/null
+	  --history $$dir/history.jsonl \
+	  --out $$dir/bench-search-smoke.json > /dev/null && \
 	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history /tmp/mcfuser-history-smoke.jsonl \
-	  --out /tmp/mcfuser-bench-search-smoke.json > /dev/null
-	@test -s /tmp/mcfuser-bench-search-smoke.json
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl
-	dune exec -- mcfuser perf --history /tmp/mcfuser-history-smoke.jsonl \
-	  --gate --tolerance 0.5 > /tmp/mcfuser-search-gate.txt
-	grep -q "D6-smoke-stream peak_heap_words" /tmp/mcfuser-search-gate.txt
-	grep -q "D6-smoke-stream alloc_words_per_point" \
-	  /tmp/mcfuser-search-gate.txt
-	grep -q "D6-smoke-stream summaries_per_enumeration" \
-	  /tmp/mcfuser-search-gate.txt
+	  --history $$dir/history.jsonl \
+	  --out $$dir/bench-search-smoke.json > /dev/null && \
+	test -s $$dir/bench-search-smoke.json && \
+	dune exec -- mcfuser perf --history $$dir/history.jsonl && \
+	dune exec -- mcfuser perf --history $$dir/history.jsonl \
+	  --gate --tolerance 0.5 > $$dir/gate.txt && \
+	grep -q "D6-smoke-stream peak_heap_words" $$dir/gate.txt && \
+	grep -q "D6-smoke-stream alloc_words_per_point" $$dir/gate.txt && \
+	grep -q "D6-smoke-stream summaries_per_enumeration" $$dir/gate.txt
 	@echo "bench-search-smoke: in-bench gates, history, trends and perf gate ok"
 
 quick:

@@ -207,23 +207,27 @@ let search ?(params = default_params) ?measure:engine ?on_phase ~rng ~clock
         ~args:(fun () -> [ ("gen", Trace.Int !generations) ])
       @@ fun () ->
       let best_before = !best in
-      let sorted = sorted_by estimates (Array.copy !population) in
-      (* Measure the best-estimated candidates not measured yet; re-measuring
-         a known candidate would add no information (results are cached).
-         An id the population holds twice stays twice in the top-k
-         ([measure_batch] measures it once).  When the population has gone
-         stale (mutation keeps revisiting the measured elite), march down
-         the global estimate ranking instead so every generation still
-         buys fresh information. *)
-      let rec fresh i k =
-        if k <= 0 || i >= Array.length sorted then []
-        else if is_measured sorted.(i) then fresh (i + 1) k
-        else sorted.(i) :: fresh (i + 1) (k - 1)
-      in
-      let topk = fresh 0 params.top_k in
-      let topk =
-        if List.length topk >= params.top_k then topk
-        else topk @ next_ranked (params.top_k - List.length topk)
+      let sorted, topk =
+        Trace.with_span "explore.rank" @@ fun () ->
+        let sorted = sorted_by estimates (Array.copy !population) in
+        (* Measure the best-estimated candidates not measured yet;
+           re-measuring a known candidate would add no information (results
+           are cached).  An id the population holds twice stays twice in
+           the top-k ([measure_batch] measures it once).  When the
+           population has gone stale (mutation keeps revisiting the
+           measured elite), march down the global estimate ranking instead
+           so every generation still buys fresh information. *)
+        let rec fresh i k =
+          if k <= 0 || i >= Array.length sorted then []
+          else if is_measured sorted.(i) then fresh (i + 1) k
+          else sorted.(i) :: fresh (i + 1) (k - 1)
+        in
+        let topk = fresh 0 params.top_k in
+        let topk =
+          if List.length topk >= params.top_k then topk
+          else topk @ next_ranked (params.top_k - List.length topk)
+        in
+        (sorted, topk)
       in
       measure_batch topk;
       let results =

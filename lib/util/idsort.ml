@@ -1,64 +1,91 @@
 (* A line-by-line transcription of Stdlib.Array.sort (OCaml 5.1.1,
    array.ml) with [cmp] fixed to [Float.compare] on [key]: the same
    ternary heap, the same comparisons in the same order, the same moves.
-   Only the mechanics differ: [maxson] answers -1 where the original
-   raises [Bottom i], and each handler of [Bottom] becomes the test of
-   that sentinel.  Positions always lie inside [a], so they are read
-   unchecked; [key] is indexed by caller-supplied ids and stays checked. *)
+   Only the mechanics differ.  The sort carries a key column [k] beside
+   the ids, [k.(p) = key.(a.(p))] at every position [p] below [l], and
+   every move writes both, so a comparison reads [k] and never indexes
+   [key] through an id.  The element the original holds aside as [e]
+   keeps its key in [k]'s spare last slot, so no float crosses a call
+   boxed.  [maxson] answers -1 where the original raises [Bottom i], and
+   each handler of [Bottom] becomes the test of that sentinel.
+   Positions always lie inside [a] and [k], so both are read unchecked;
+   [key] is indexed by caller-supplied ids and stays checked. *)
+
+let[@inline] held (k : float array) = Array.length k - 1
+
+(* [cmp a.(p) a.(q) < 0] of the original, for positions [p] and [q]. *)
+let[@inline] lt (k : float array) p q =
+  Float.compare (Array.unsafe_get k p) (Array.unsafe_get k q) < 0
+
+let[@inline] move (a : int array) (k : float array) ~src ~dst =
+  Array.unsafe_set a dst (Array.unsafe_get a src);
+  Array.unsafe_set k dst (Array.unsafe_get k src)
+
+(* Hold the element at [p] aside: its key goes to the spare slot. *)
+let[@inline] hold (k : float array) p =
+  Array.unsafe_set k (held k) (Array.unsafe_get k p)
+
+(* [set a p e]: the held element lands at [p]. *)
+let[@inline] put (a : int array) (k : float array) p e =
+  Array.unsafe_set a p e;
+  Array.unsafe_set k p (Array.unsafe_get k (held k))
+
+let maxson k l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if lt k i31 (i31 + 1) then i31 + 1 else i31 in
+    if lt k x (i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && lt k i31 (i31 + 1) then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+(* [cmp a.(j) e > 0] is [lt k (held k) j]: [Float.compare] is
+   antisymmetric. *)
+let rec trickle a k l i e =
+  let j = maxson k l i in
+  if j >= 0 && lt k (held k) j then begin
+    move a k ~src:j ~dst:i;
+    trickle a k l j e
+  end
+  else put a k i e
+
+let rec bubble a k l i =
+  let j = maxson k l i in
+  if j < 0 then i
+  else begin
+    move a k ~src:j ~dst:i;
+    bubble a k l j
+  end
+
+let rec trickleup a k i e =
+  let father = (i - 1) / 3 in
+  if lt k father (held k) then begin
+    move a k ~src:father ~dst:i;
+    if father > 0 then trickleup a k father e else put a k 0 e
+  end
+  else put a k i e
 
 let by_key (key : float array) (a : int array) =
-  let get i = Array.unsafe_get a i in
-  let set i v = Array.unsafe_set a i v in
-  (* [cmp a.(i) a.(j) < 0] of the original, for ids [x] and [y]. *)
-  let lt x y = Float.compare key.(x) key.(y) < 0 in
-  let maxson l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x = if lt (get i31) (get (i31 + 1)) then i31 + 1 else i31 in
-      if lt (get x) (get (i31 + 2)) then i31 + 2 else x
-    end
-    else if i31 + 1 < l && lt (get i31) (get (i31 + 1)) then i31 + 1
-    else if i31 < l then i31
-    else -1
-  in
-  (* [cmp a.(j) e > 0] is [lt e a.(j)]: [Float.compare] is antisymmetric. *)
-  let rec trickle l i e =
-    let j = maxson l i in
-    if j >= 0 && lt e (get j) then begin
-      set i (get j);
-      trickle l j e
-    end
-    else set i e
-  in
-  let rec bubble l i =
-    let j = maxson l i in
-    if j < 0 then i
-    else begin
-      set i (get j);
-      bubble l j
-    end
-  in
-  let rec trickleup i e =
-    let father = (i - 1) / 3 in
-    if lt (get father) e then begin
-      set i (get father);
-      if father > 0 then trickleup father e else set 0 e
-    end
-    else set i e
-  in
   let l = Array.length a in
+  let k = Array.create_float (l + 1) in
+  for p = 0 to l - 1 do
+    Array.unsafe_set k p key.(Array.unsafe_get a p)
+  done;
   for i = ((l + 1) / 3) - 1 downto 0 do
-    trickle l i (get i)
+    hold k i;
+    trickle a k l i (Array.unsafe_get a i)
   done;
   for i = l - 1 downto 2 do
-    let e = get i in
-    set i (get 0);
-    trickleup (bubble i 0) e
+    let e = Array.unsafe_get a i in
+    hold k i;
+    move a k ~src:0 ~dst:i;
+    trickleup a k (bubble a k i 0) e
   done;
   if l > 1 then begin
-    let e = get 1 in
-    set 1 (get 0);
-    set 0 e
+    let e = Array.unsafe_get a 1 in
+    Array.unsafe_set a 1 (Array.unsafe_get a 0);
+    Array.unsafe_set a 0 e
   end
 
 (* A binary min-heap of ids by (key, id), built bottom-up in O(n) and

@@ -2,8 +2,16 @@
    are identical on every platform. *)
 
 (* The four state words live unboxed in a [Bytes] (s0..s3 at offsets 0, 8,
-   16, 24): a mutable [int64] record field would box on every write. *)
+   16, 24): a mutable [int64] record field would box on every write.  They
+   are read and written unchecked in native byte order: [t] is abstract and
+   always 32 bytes long, so the offsets are in range, and every access goes
+   through these two primitives ([copy] duplicates the bytes as they are),
+   so the byte order never leaves the module and the stream is the same on
+   every host. *)
 type t = Bytes.t
+
+external get64 : t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64 state =
   let open Int64 in
@@ -17,7 +25,7 @@ let of_seed64 seed =
   let state = ref seed in
   let t = Bytes.create 32 in
   for i = 0 to 3 do
-    Bytes.set_int64_le t (8 * i) (splitmix64 state)
+    set64 t (8 * i) (splitmix64 state)
   done;
   t
 
@@ -30,15 +38,15 @@ let[@inline] rotl x k =
 (* Inlined into every draw below, so the words stay unboxed end to end. *)
 let[@inline] next t =
   let open Int64 in
-  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
-  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let s0 = get64 t 0 and s1 = get64 t 8 in
+  let s2 = get64 t 16 and s3 = get64 t 24 in
   let result = mul (rotl (mul s1 5L) 7) 9L in
   let s2 = logxor s2 s0 in
   let s3 = logxor s3 s1 in
-  Bytes.set_int64_le t 8 (logxor s1 s2);
-  Bytes.set_int64_le t 0 (logxor s0 s3);
-  Bytes.set_int64_le t 16 (logxor s2 (shift_left s1 17));
-  Bytes.set_int64_le t 24 (rotl s3 45);
+  set64 t 8 (logxor s1 s2);
+  set64 t 0 (logxor s0 s3);
+  set64 t 16 (logxor s2 (shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
 let int64 t = next t
@@ -50,7 +58,7 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
   v mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   bound *. (float_of_int v /. 9007199254740992.0)
@@ -101,13 +109,12 @@ let weighted_sampler t weights =
       let target = float t total in
       (* The first i < n - 1 with [target < prefix.(i)], else n - 1; the
          prefix sums are non-decreasing, so the predicate is monotone. *)
-      let rec search lo hi =
-        if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if target < prefix.(mid) then search lo mid else search (mid + 1) hi
-      in
-      search 0 (n - 1)
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if target < prefix.(mid) then hi := mid else lo := mid + 1
+      done;
+      !lo
     end
 
 let weighted_index t weights = weighted_sampler t weights ()

@@ -48,7 +48,7 @@ val weighted_sampler : t -> float array -> unit -> int
     falling back to uniform when the total mass is not positive.  The
     prefix sums are built once, here; each call then draws one
     {!float} (or one {!int} in the uniform case) from [t] and
-    binary-searches them, so [k] draws from one weight vector cost
+    binary-searches them, allocating nothing, so [k] draws from one weight vector cost
     O(n + k log n) instead of O(k n).  The weights are read when the
     sampler is built; later writes to the array do not affect it.
     @raise Invalid_argument on [||]. *)

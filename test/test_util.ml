@@ -163,6 +163,68 @@ let test_rng_known_answers () =
   Alcotest.(check int64) "split advances parent once" 0x6104d9866d113a7eL
     (Rng.int64 r)
 
+(* Every kind of draw, in one stream per seed: the values are pinned so a
+   change to the state's layout or to a draw's arithmetic that moves any
+   draw fails here, not only through the tuner's golden tables.  The
+   sampler's weights hold zeros and a negative weight, never drawn, and
+   its zero-total fallback draws uniformly. *)
+let test_rng_stream_pinned () =
+  let check seed ~int64s ~ints ~bools ~floats ~weighted ~uniform ~split
+      ~copied =
+    let r = Rng.create seed in
+    let name what = Printf.sprintf "seed %d %s" seed what in
+    Alcotest.(check (list int64))
+      (name "int64") int64s
+      (List.init 3 (fun _ -> Rng.int64 r));
+    Alcotest.(check (list int))
+      (name "int") ints
+      (List.map (Rng.int r) [ 1; 2; 7; 1000; max_int ]);
+    Alcotest.(check (list bool))
+      (name "bool") bools
+      (List.init 8 (fun _ -> Rng.bool r));
+    Alcotest.(check (list (float 0.0)))
+      (name "float") floats
+      (List.map (Rng.float r) [ 1.0; 3.5; 1e-3 ]);
+    let sample = Rng.weighted_sampler r [| 0.0; 2.0; -1.0; 5.0; 0.0; 1.0 |] in
+    Alcotest.(check (list int))
+      (name "weighted_sampler") weighted
+      (List.init 8 (fun _ -> sample ()));
+    let sample = Rng.weighted_sampler r [| 0.0; -2.0; 0.0 |] in
+    Alcotest.(check (list int))
+      (name "zero-total fallback") uniform
+      (List.init 6 (fun _ -> sample ()));
+    let child = Rng.split r in
+    let child_first = Rng.int64 child in
+    Alcotest.(check (pair int64 int64))
+      (name "split child, parent") split
+      (child_first, Rng.int64 r);
+    let c = Rng.copy r in
+    let copy_first = Rng.int64 c in
+    Alcotest.(check (pair int64 int64))
+      (name "copy, original") (copied, copied)
+      (copy_first, Rng.int64 r)
+  in
+  check 7
+    ~int64s:[ 0xb358faf74ef9765aL; 0x475c3d964f482cd2L; 0xd6f1d349952c7996L ]
+    ~ints:[ 0; 0; 1; 429; 481625069074503799 ]
+    ~bools:[ false; true; true; false; true; true; false; true ]
+    ~floats:[ 0x1.06dbd667cf696p-2; 0x1.a1c46ef5a8084p+0;
+              0x1.48343fa6388fep-13 ]
+    ~weighted:[ 1; 1; 3; 3; 3; 3; 1; 1 ]
+    ~uniform:[ 2; 0; 0; 1; 0; 2 ]
+    ~split:(0xbb868632def29accL, 0xeb246dd0cc16bcbeL)
+    ~copied:0x6cc12303065089baL;
+  check 20261019
+    ~int64s:[ 0x529b65ab2d750843L; 0xdc4c3ff9f9647de3L; 0x51fdedd6953568abL ]
+    ~ints:[ 0; 0; 5; 475; 3996297635796908709 ]
+    ~bools:[ false; true; false; false; true; false; false; false ]
+    ~floats:[ 0x1.20eac05a6d856p-1; 0x1.bc26384c712a6p+1;
+              0x1.193bbcb1760dbp-11 ]
+    ~weighted:[ 3; 3; 1; 3; 3; 5; 5; 1 ]
+    ~uniform:[ 1; 1; 0; 0; 2; 1 ]
+    ~split:(0xed095ddb06a7ed57L, 0xd2dfee6d74ad10f5L)
+    ~copied:0x985ae08cc9241f0fL
+
 (* The state is unboxed: a draw allocates nothing, or only its boxed
    result when it returns an [int64]. *)
 let test_rng_draws_do_not_allocate () =
@@ -177,7 +239,12 @@ let test_rng_draws_do_not_allocate () =
   check_float "Rng.int" 0.0 (words (fun () -> ignore (Rng.int r 17)));
   check_float "Rng.bool" 0.0 (words (fun () -> ignore (Rng.bool r)));
   Alcotest.(check bool) "Rng.int64: its result only" true
-    (words (fun () -> ignore (Rng.int64 r)) <= 3.0)
+    (words (fun () -> ignore (Rng.int64 r)) <= 3.0);
+  let sample = Rng.weighted_sampler r [| 1.0; 0.0; 2.0; 4.0; 0.5 |] in
+  check_float "weighted sampler draw" 0.0 (words (fun () -> ignore (sample ())));
+  let uniform = Rng.weighted_sampler r [| 0.0; 0.0 |] in
+  check_float "zero-total sampler draw" 0.0
+    (words (fun () -> ignore (uniform ())))
 
 (* --- Stats --------------------------------------------------------------- *)
 
@@ -677,20 +744,38 @@ let prop_weighted_sampler_linear =
    permutation must match, ties included, since the explorer's outcomes
    depend on where ties land.  Keys draw from a handful of values so most
    comparisons tie; the values include -0.0 beside 0.0, both infinities
-   and nan, whose [Float.compare] order the transcription must keep. *)
+   and nan, whose [Float.compare] order the transcription must keep.  The
+   ids are either every id of the key array, as the seed rankings sort
+   them, or a population's: up to 300 ids in any order, repeats included,
+   drawn from a longer key array (from a prefix of it, so some draws
+   repeat heavily). *)
 let prop_idsort_array_sort =
   let values = [| 0.0; -0.0; 1.0; 2.5; infinity; neg_infinity; nan; 1e-9 |] in
-  let keys =
+  let keys len =
     QCheck.Gen.(
       int_range 1 (Array.length values) >>= fun d ->
-      array_size (int_range 0 2000) (map (Array.get values) (int_bound (d - 1))))
+      array_size len (map (Array.get values) (int_bound (d - 1))))
+  in
+  let population =
+    QCheck.Gen.(
+      keys (int_range 301 2000) >>= fun key ->
+      int_range 1 (Array.length key) >>= fun prefix ->
+      array_size (int_range 0 300) (int_bound (prefix - 1)) >|= fun ids ->
+      (key, ids))
+  in
+  let whole =
+    QCheck.Gen.(
+      keys (int_range 0 2000) >|= fun key ->
+      (key, Array.init (Array.length key) Fun.id))
   in
   QCheck.Test.make ~count:300 ~name:"idsort = Array.sort"
-    (QCheck.make ~print:QCheck.Print.(array float) keys)
-    (fun key ->
-      let want = Array.init (Array.length key) Fun.id in
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array float) (array int))
+       QCheck.Gen.(oneof [ whole; population ]))
+    (fun (key, ids) ->
+      let want = Array.copy ids in
       Array.sort (fun a b -> Float.compare key.(a) key.(b)) want;
-      let got = Array.init (Array.length key) Fun.id in
+      let got = Array.copy ids in
       Idsort.by_key key got;
       want = got)
 
@@ -739,6 +824,7 @@ let () =
             test_rng_split_independent;
           Alcotest.test_case "copy replays" `Quick test_rng_copy;
           Alcotest.test_case "known answers" `Quick test_rng_known_answers;
+          Alcotest.test_case "stream pinned" `Quick test_rng_stream_pinned;
           Alcotest.test_case "draws do not allocate" `Quick
             test_rng_draws_do_not_allocate ] );
       ( "stats",
