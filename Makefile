@@ -1,8 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples quick clean fmt trace-demo check \
-	ci-guard bench-search bench-search-smoke report-smoke fuzz-smoke \
-	telemetry-smoke serve-smoke
+.PHONY: all build test examples clean fmt trace-demo check ci-guard \
+	jobs-gate report-smoke fuzz-smoke telemetry-smoke serve-smoke
 
 all: build
 
@@ -42,17 +41,17 @@ trace-demo:
 # open_out appears only in json.ml; and Measure is the one stage that
 # simulates a compiled search entry, so outside lib/fuzz/ no lib/ file
 # but measure.ml names both Space.lowered and Sim.run; and one lifecycle
-# starts and stops observability for the CLI and the bench, so outside
-# lib/fuzz/ no lib/, bin/ or bench/ file but lib/obs/lifecycle.ml starts
+# starts and stops observability for the CLI, so outside lib/fuzz/ no
+# lib/ or bin/ file but lib/obs/lifecycle.ml starts
 # the tracer, recorder, sampler or profiler; and the analytic model's
 # compiled summary is the one reader of the skeleton's cost terms besides
 # Lower, so outside lib/ir/ and lib/fuzz/ no lib/ file but
 # lib/model/analytic.ml matches on Skeleton.Access, Contraction or
 # Epilogue; and the persistent schedule cache is Protocol's JSONL store,
-# so no lib/, bin/ or bench/ file but lib/search/schedule_cache.ml{,i}
+# so no lib/ or bin/ file but lib/search/schedule_cache.ml{,i}
 # names Schedule_cache (the in-memory table only the benchmark uses);
 # and the search builds entries only for the points it measures, so no
-# lib/, bin/ or bench/ file but lib/search/space.ml{,i} and
+# lib/ or bin/ file but lib/search/space.ml{,i} and
 # explore.ml{,i} names the build-every-entry adapters enumerate_scored or
 # Explore.run.
 ci-guard:
@@ -73,33 +72,43 @@ ci-guard:
 	  -e '^lib/search/space\.ml:'; then \
 	  echo "ci-guard: Tiling.seq in lib/ outside tiling.ml and space.ml"; \
 	  exit 1; fi
-	@if grep -rn 'open_out ' lib bin bench | grep -v '^lib/util/json\.ml:'; then \
-	  echo "ci-guard: open_out in lib bin bench outside lib/util/json.ml"; \
+	@if grep -rn 'open_out ' lib bin | grep -v '^lib/util/json\.ml:'; then \
+	  echo "ci-guard: open_out in lib bin outside lib/util/json.ml"; \
 	  exit 1; fi
 	@if grep -rl 'Space\.lowered' lib | grep -v -e '^lib/fuzz/' \
 	  -e '^lib/search/measure\.ml$$' | xargs -r grep -l 'Sim\.run '; then \
 	  echo "ci-guard: Space.lowered and Sim.run in one lib/ file outside measure.ml and lib/fuzz/"; \
 	  exit 1; fi
 	@if grep -rnE '(Trace|Recorder|Resource)\.start\b|Profile\.enable\b' \
-	  lib bin bench | grep -v -e '^lib/obs/lifecycle\.ml:' -e '^lib/fuzz/'; then \
-	  echo "ci-guard: observability started in lib bin bench outside lib/obs/lifecycle.ml and lib/fuzz/"; \
+	  lib bin | grep -v -e '^lib/obs/lifecycle\.ml:' -e '^lib/fuzz/'; then \
+	  echo "ci-guard: observability started in lib bin outside lib/obs/lifecycle.ml and lib/fuzz/"; \
 	  exit 1; fi
 	@if grep -rnE 'Skeleton\.(Access|Contraction|Epilogue)' lib \
 	  | grep -v -e '^lib/ir/' -e '^lib/model/analytic\.ml:' -e '^lib/fuzz/'; then \
 	  echo "ci-guard: Skeleton cost terms read in lib/ outside lib/ir/, analytic.ml and lib/fuzz/"; \
 	  exit 1; fi
-	@if grep -rn 'Schedule_cache' lib bin bench \
+	@if grep -rn 'Schedule_cache' lib bin \
 	  | grep -v '^lib/search/schedule_cache\.mli\?:'; then \
-	  echo "ci-guard: Schedule_cache named in lib bin bench outside lib/search/schedule_cache.ml{,i}"; \
+	  echo "ci-guard: Schedule_cache named in lib bin outside lib/search/schedule_cache.ml{,i}"; \
 	  exit 1; fi
-	@if grep -rnwE 'enumerate_scored|Explore\.run' lib bin bench \
+	@if grep -rnwE 'enumerate_scored|Explore\.run' lib bin \
 	  | grep -v -e '^lib/search/space\.mli\?:' -e '^lib/search/explore\.mli\?:'; then \
-	  echo "ci-guard: enumerate_scored or Explore.run in lib bin bench outside lib/search/space.ml{,i} and explore.ml{,i}"; \
+	  echo "ci-guard: enumerate_scored or Explore.run in lib bin outside lib/search/space.ml{,i} and explore.ml{,i}"; \
 	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters (lib, bin and bench) and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters (lib and bin) and cram pins clean"
+
+# Pool gate: the streamed 6-block deep chain's enumeration at
+# max(4, default) jobs must keep 0.9x of its 1-job throughput, best of
+# three alternating regions of 100 ms or more per arm.  A wall-clock
+# ratio, so it is no unit test.  The built binary runs directly, as in
+# serve-smoke, so no dune process shares the cores with the timed
+# regions.
+jobs-gate:
+	dune build test/jobs_gate.exe
+	_build/default/test/jobs_gate.exe
 
 # Flight-recorder smoke: tune S1 with --record, render the recording, and
 # diff it against itself — any drift or regression exits non-zero, so this
@@ -159,56 +168,7 @@ serve-smoke:
 	test -s $$dir/sched.jsonl && test -s $$dir/measure.jsonl
 	@echo "serve-smoke: daemon + selfcheck + tune + warm cache + drain ok"
 
-check: build fmt test trace-demo ci-guard bench-search-smoke report-smoke fuzz-smoke telemetry-smoke serve-smoke
-
-bench:
-	dune exec bench/main.exe
-
-# Search-throughput benchmark: enumeration points/s + tuning wall seconds
-# per workload at --jobs 1 vs N, written to BENCH_search.json.
-bench-search:
-	dune exec bench/main.exe -- --mode search --out BENCH_search.json
-
-# Search-bench smoke, run under `make check` so regressions in the
-# parallel path break tier-1: two smoke runs (with resource sampling on)
-# append to a fresh temp history, then `mcfuser perf` renders the trends
-# and `--gate` checks the second run against the first.  Each run fails
-# on its own in-bench gates: the streamed 6-block deep chain must cover
-# at least 10x the baseline's space with a heap high-water mark at least
-# 1.5x below the unbounded run's, its enumeration at the default --jobs
-# (4 or more) must keep 0.9x of the 1-job throughput, and of two tuner
-# runs sharing one measurement cache the warm one must simulate strictly
-# fewer candidates than the cold one and hit on more than 90% of its
-# lookups.  The perf
-# gate must explicitly check the streamed run's peak_heap_words ceiling
-# (the bounded-memory regression guard), its alloc_words_per_point (the
-# 1-job arm's minor words per point, which repeats only to about the
-# fifth significant digit: the caller's domain picks up a little
-# allocation from outside the enumeration) and its
-# summaries_per_enumeration (the analytic summaries the scorer built).
-# The generous tolerance only guards against catastrophic slowdowns: CI
-# machines are far too noisy for a tight wall-clock gate.  History, run
-# output and gate text live in a fresh temporary directory, removed on
-# exit.
-bench-search-smoke:
-	dir=$$(mktemp -d) || exit 1; trap 'rm -rf "$$dir"' EXIT; \
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history $$dir/history.jsonl \
-	  --out $$dir/bench-search-smoke.json > /dev/null && \
-	dune exec bench/main.exe -- --mode search --smoke --sample-ms 5 \
-	  --history $$dir/history.jsonl \
-	  --out $$dir/bench-search-smoke.json > /dev/null && \
-	test -s $$dir/bench-search-smoke.json && \
-	dune exec -- mcfuser perf --history $$dir/history.jsonl && \
-	dune exec -- mcfuser perf --history $$dir/history.jsonl \
-	  --gate --tolerance 0.5 > $$dir/gate.txt && \
-	grep -q "D6-smoke-stream peak_heap_words" $$dir/gate.txt && \
-	grep -q "D6-smoke-stream alloc_words_per_point" $$dir/gate.txt && \
-	grep -q "D6-smoke-stream summaries_per_enumeration" $$dir/gate.txt
-	@echo "bench-search-smoke: in-bench gates, history, trends and perf gate ok"
-
-quick:
-	dune exec bench/main.exe -- --quick --no-micro
+check: build fmt test trace-demo ci-guard jobs-gate report-smoke fuzz-smoke telemetry-smoke serve-smoke
 
 examples:
 	dune exec examples/quickstart.exe

@@ -8,12 +8,11 @@
      explain     simulator cost breakdown of the winning kernel
      compare     run every backend on one workload
      partition   show the SV-B graph partitioner on a BERT layer
-     experiment  run a paper experiment by id (fig2, fig8a, ..., ablation)
+     experiment  run paper experiments by id (fig2, fig8a, ..., ablation)
      workloads   list the built-in workloads
      verify      check a tuned schedule numerically against the reference
      fuzz        differential fuzzing of the whole pipeline (random chains)
      report      render (or --diff) a search flight recording
-     perf        cross-run performance trends and regression gate
 
    Every sub-command accepts the observability flags:
      --trace FILE    write a Chrome trace_event JSON of the run (open in
@@ -577,25 +576,36 @@ let compare_cmd =
 (* --- experiment ---------------------------------------------------------- *)
 
 let experiment_cmd =
-  let id_arg =
-    let doc = "Experiment id (fig2, fig7, fig8a-d, fig9, fig10, fig11, tab4, ablation)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc)
+  let ids_arg =
+    let doc =
+      Printf.sprintf "Experiment ids, run in the order given (%s)."
+        (String.concat ", " (Mcf_experiments.Registry.ids ()))
+    in
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
-  let run () obs id =
+  let run () obs ids =
     with_obs obs (fun () ->
-        match Mcf_experiments.Registry.find id with
-        | None ->
+        match
+          List.find_opt
+            (fun id -> Option.is_none (Mcf_experiments.Registry.find id))
+            ids
+        with
+        | Some id ->
           Error
             (`Msg
               (Printf.sprintf "unknown experiment %S (available: %s)" id
                  (String.concat ", " (Mcf_experiments.Registry.ids ()))))
-        | Some e ->
-          print_string (e.run ());
+        | None ->
+          List.iter
+            (fun id ->
+              let run = Option.get (Mcf_experiments.Registry.find id) in
+              print_string (run ()))
+            ids;
           Ok ())
   in
-  let term = Term.(term_result (const run $ setup_term $ obs_term $ id_arg)) in
+  let term = Term.(term_result (const run $ setup_term $ obs_term $ ids_arg)) in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate one paper table/figure")
+    (Cmd.info "experiment" ~doc:"Regenerate paper tables and figures")
     term
 
 (* --- workloads ----------------------------------------------------------- *)
@@ -875,64 +885,6 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Render a search flight recording, or diff two as a CI gate")
-    term
-
-(* --- perf ---------------------------------------------------------------- *)
-
-let perf_cmd =
-  let history_arg =
-    let doc =
-      "Performance-history file (JSONL, one entry per bench workload per \
-       run; bench runs append with $(b,--history))."
-    in
-    Arg.(value & opt string "BENCH_history.jsonl"
-         & info [ "history" ] ~docv:"FILE" ~doc)
-  in
-  let workload_arg =
-    let doc = "Only show this workload's trends." in
-    Arg.(value & opt (some string) None
-         & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let gate_arg =
-    let doc =
-      "Regression gate: compare each workload's newest entry against the \
-       robust baseline (median + MAD over the trailing $(b,--window) \
-       runs recorded with the same core count) and exit non-zero on any \
-       regression beyond $(b,--tolerance)."
-    in
-    Arg.(value & flag & info [ "gate" ] ~doc)
-  in
-  let tolerance_arg =
-    let doc = "Relative regression tolerance for $(b,--gate)." in
-    Arg.(value & opt float 0.05 & info [ "tolerance" ] ~docv:"FRAC" ~doc)
-  in
-  let window_arg =
-    let doc = "Baseline window: number of trailing runs the median and MAD \
-               are computed over." in
-    Arg.(value & opt int 10 & info [ "window" ] ~docv:"N" ~doc)
-  in
-  let run () history workload gate tolerance window =
-    (* The loader warns about malformed lines itself. *)
-    let entries, _ = Mcf_obs.History.load history in
-    if gate then begin
-      let verdicts = Mcf_obs.History.gate ~window ~tolerance entries in
-      print_string (Mcf_obs.History.render_gate ~tolerance entries verdicts);
-      if List.exists (fun v -> v.Mcf_obs.History.regressed) verdicts then
-        Error (`Msg "performance regressed beyond tolerance")
-      else Ok ()
-    end
-    else begin
-      print_string (Mcf_obs.History.render ?workload entries);
-      Ok ()
-    end
-  in
-  let term =
-    Term.(term_result (const run $ setup_term $ history_arg $ workload_arg
-                       $ gate_arg $ tolerance_arg $ window_arg))
-  in
-  Cmd.v
-    (Cmd.info "perf"
-       ~doc:"Render cross-run performance trends, or gate on regressions")
     term
 
 (* --- top ------------------------------------------------------------------ *)
@@ -1500,5 +1452,5 @@ let () =
        (Cmd.group info
           [ tune_cmd; chain_cmd; schedule_cmd; dot_cmd; explain_cmd;
             compare_cmd; partition_cmd; experiment_cmd; workloads_cmd;
-            verify_cmd; fuzz_cmd; report_cmd; perf_cmd; top_cmd; serve_cmd;
+            verify_cmd; fuzz_cmd; report_cmd; top_cmd; serve_cmd;
             submit_cmd ]))

@@ -1,14 +1,9 @@
-(** The experiment registry: every paper table/figure (plus the ablation)
-    as a named, runnable unit — shared by `bench/main.exe` and the CLI. *)
+(** The experiment registry: every paper table and figure, plus the
+    ablation and the extensions, as a named, runnable unit.
+    [mcfuser experiment ID...] runs them. *)
 
-type experiment = {
-  id : string;  (** e.g. "fig8a". *)
-  description : string;
-  run : unit -> string;  (** Rendered report. *)
-}
-
-val all : experiment list
-
-val find : string -> experiment option
+val find : string -> (unit -> string) option
+(** The experiment's runner, which returns its rendered report. *)
 
 val ids : unit -> string list
+(** Every experiment id, in registry order. *)

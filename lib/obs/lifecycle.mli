@@ -1,7 +1,7 @@
 (** The one start/stop sequence of a process's observability: what the
     CLI's [--trace], [--record], [--metrics], [--profile],
-    [--sample-ms], [--progress] and [--listen] flags (and the same flags
-    of [bench/main.exe]) switch on around a run.
+    [--sample-ms], [--progress] and [--listen] flags switch on around a
+    run.
 
     {!run} starts, in order, the {!Profile} aggregator, the {!Trace}
     buffer, the {!Recorder}, the {!Resource} sampler, the {!Progress}

@@ -1,6 +1,7 @@
-(** Shared [Logs] reporter for the CLI, the bench driver and the future
-    daemon: timestamped, source-tagged lines in either human-readable
-    text or machine-parseable JSON lines ([--log-format text|json]).
+(** Shared [Logs] reporter for every CLI sub-command, the [serve]
+    daemon included: timestamped, source-tagged lines in either
+    human-readable text or machine-parseable JSON lines
+    ([--log-format text|json]).
 
     Text:  [2026-08-07T12:34:56.789Z WARN [mcfuser.jsonl] msg]
     JSON:  [{"time":"...","level":"warn","src":"mcfuser.jsonl","msg":"..."}]

@@ -227,8 +227,8 @@ val enumerate :
   entry list * funnel
 (** {!enumerate_points} with every point's entry built, in rank order:
     for callers that need the whole space as entries (the Ansor
-    baseline, Fig. 10, the bench and the tests).  Builds one entry per
-    returned element. *)
+    baseline, Fig. 10, perfbench's layer probes and the tests).  Builds
+    one entry per returned element. *)
 
 val enumerate_scored :
   ?options:options ->
@@ -240,6 +240,6 @@ val enumerate_scored :
   entry list * (float * float) array * funnel
 (** {!enumerate} plus the per-entry [(estimate, traffic)] pairs,
     index-aligned with the entry list: the adapter {!Explore.run} takes.
-    Within [lib/], [bin/] and [bench/] only [Space] and [Explore] name it
+    Within [lib/] and [bin/] only [Space] and [Explore] name it
     ([make ci-guard]); tuning goes through {!enumerate_points} and
     {!Explore.search}, which build no entry for an unmeasured point. *)

@@ -40,7 +40,7 @@ type sched = {
 val chain_of_workload : string -> (Mcf_ir.Chain.t, string) result
 (** Resolve a built-in workload name (G1-G12, S1-S9, D5-D8, network
     names like bert-base, and mha-<x> as an alias for the Bert-<x>
-    attention shape), case-insensitively.  The CLI, serve and the bench
+    attention shape), case-insensitively.  The CLI, serve and perfbench
     share it. *)
 
 val parse_tune_request : string -> (tune_request, string) result

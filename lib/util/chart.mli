@@ -6,7 +6,7 @@ val sparkline : ?max_width:int -> float list -> string
 (** One character per value, eight ASCII density levels ([_.:-=+*#])
     scaled to the series min/max; a flat series renders as [-].  Series
     longer than [max_width] (default 40) keep their most recent values.
-    Used by [mcfuser perf] for cross-run trend tables. *)
+    Used by [mcfuser top] for the heap trend. *)
 
 val bar :
   ?width:int ->

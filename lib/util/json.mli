@@ -41,8 +41,8 @@ val fold_jsonl :
     accumulator and the number of malformed lines, after logging one
     ["skipped N malformed lines"] warning on the [mcfuser.jsonl] source
     when N > 0.  A missing file is empty: [(init, 0)].  This is the one
-    shared loader for every JSONL store (history, caches) — truncated
-    tails cost exactly the damaged lines. *)
+    shared loader for the JSONL caches — truncated tails cost exactly
+    the damaged lines. *)
 
 val write_atomic : string -> (out_channel -> 'a) -> 'a
 (** [write_atomic path write] runs [write] on a fresh [path ^ ".tmp"],

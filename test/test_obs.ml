@@ -876,253 +876,6 @@ let test_resource_sampler_publishes () =
       "rsrc.gc" ];
   clean ()
 
-(* --- Performance history ----------------------------------------------------- *)
-
-module History = Mcf_obs.History
-
-let hist_entry ?(time = 1.0) ?(rev = "abc1234") ?(device = "A100")
-    ?(workload = "G1") metrics =
-  { History.time; rev; device; workload; cores = None; ocaml = None; metrics }
-
-let with_temp_file f =
-  let file = Filename.temp_file "mcf_hist" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
-    (fun () -> f file)
-
-let test_history_roundtrip () =
-  with_temp_file (fun file ->
-      Sys.remove file;
-      (* [append] must create the file *)
-      History.append ~path:file (hist_entry ~time:1.0 [ ("points_per_s", 100.0) ]);
-      History.append ~path:file (hist_entry ~time:2.0 [ ("points_per_s", 110.0) ]);
-      let entries, skipped = History.load file in
-      Alcotest.(check int) "no skips" 0 skipped;
-      Alcotest.(check (list (float 0.0)))
-        "file order preserved" [ 1.0; 2.0 ]
-        (List.map (fun (e : History.entry) -> e.History.time) entries);
-      Alcotest.(check bool) "metrics survive" true
-        (match entries with
-        | e :: _ -> e.History.metrics = [ ("points_per_s", 100.0) ]
-        | [] -> false);
-      Alcotest.(check bool) "missing fields rejected" true
-        (History.of_json (Json.Obj [ ("time", Json.Num 1.0) ]) = None))
-
-(* Rows record the host's core count and OCaml version; rows written
-   before those fields existed still load, without them. *)
-let test_history_host_fields () =
-  let old_row =
-    {|{"time":1,"rev":"aaaa111","device":"A100","workload":"G1","metrics":{"tune_wall_s":0.02}}|}
-  in
-  (match Result.map History.of_json (Json.parse old_row) with
-  | Ok (Some e) ->
-    Alcotest.(check (option int)) "old row: no cores" None e.History.cores;
-    Alcotest.(check (option string)) "old row: no ocaml" None e.History.ocaml
-  | _ -> Alcotest.fail "old row did not load");
-  let e =
-    { (hist_entry ~time:2.0 [ ("tune_wall_s", 0.019) ]) with
-      cores = Some 2;
-      ocaml = Some "5.1.1" }
-  in
-  (match History.of_json (History.to_json e) with
-  | Some back ->
-    Alcotest.(check (option int))
-      "cores round-trip" (Some 2) back.History.cores;
-    Alcotest.(check (option string))
-      "ocaml round-trip" (Some "5.1.1") back.History.ocaml
-  | None -> Alcotest.fail "new row did not load");
-  Alcotest.(check bool) "perf prints the host" true
-    (contains_substring (History.render [ e ]) "cores 2, OCaml 5.1.1");
-  let doc =
-    Json.Obj
-      [ ("device", Json.Str "A100");
-        ("cores", Json.Num 4.0);
-        ("ocaml", Json.Str "5.1.1");
-        ( "workloads",
-          Json.List
-            [ Json.Obj
-                [ ("name", Json.Str "G1"); ("peak_heap_words", Json.Num 1.0) ]
-            ] ) ]
-  in
-  match History.of_search_doc ~time:1.0 ~rev:"r" doc with
-  | [ e ] ->
-    Alcotest.(check (option int)) "search doc cores" (Some 4) e.History.cores;
-    Alcotest.(check (option string))
-      "search doc ocaml" (Some "5.1.1") e.History.ocaml
-  | _ -> Alcotest.fail "one entry per workload"
-
-let test_history_malformed_skipped () =
-  with_temp_file (fun file ->
-      let oc = open_out file in
-      output_string oc
-        {|{"time":1,"rev":"r","device":"d","workload":"w","metrics":{"m":1}}|};
-      output_string oc "\nnot json at all\n";
-      output_string oc "{\"time\":2}\n";
-      output_string oc "\n";
-      (* truncated tail: valid JSON, no trailing newline *)
-      output_string oc
-        {|{"time":3,"rev":"r","device":"d","workload":"w","metrics":{"m":2}}|};
-      close_out oc;
-      let entries, skipped = History.load file in
-      Alcotest.(check int) "garbage + wrong shape skipped" 2 skipped;
-      Alcotest.(check int) "good lines survive" 2 (List.length entries))
-
-let test_history_empty () =
-  let entries, skipped = History.load "/nonexistent/mcf-history.jsonl" in
-  Alcotest.(check int) "missing file: no entries" 0 (List.length entries);
-  Alcotest.(check int) "missing file: no skips" 0 skipped;
-  Alcotest.(check int) "empty gate: no verdicts" 0
-    (List.length (History.gate []));
-  Alcotest.(check bool) "empty render is friendly" true
-    (contains_substring (History.render []) "no history entries")
-
-let test_history_gate_single_entry () =
-  (* One run total: no baseline, the gate passes trivially (and must not
-     divide by zero computing a median of nothing). *)
-  let v = History.gate [ hist_entry [ ("points_per_s", 100.0) ] ] in
-  Alcotest.(check int) "single entry: no verdicts" 0 (List.length v)
-
-let test_history_gate_mad_zero_and_direction () =
-  let mk t v = hist_entry ~time:t [ ("points_per_s", v) ] in
-  (* An all-identical window has MAD 0; the tolerance floor keeps small
-     moves from flagging. *)
-  let base = [ mk 1.0 100.0; mk 2.0 100.0; mk 3.0 100.0 ] in
-  let ok = History.gate ~tolerance:0.05 (base @ [ mk 4.0 97.0 ]) in
-  Alcotest.(check bool) "MAD=0: within tolerance floor" true
-    (List.for_all (fun v -> not v.History.regressed) ok);
-  let bad = History.gate ~tolerance:0.05 (base @ [ mk 4.0 80.0 ]) in
-  Alcotest.(check bool) "MAD=0: throughput drop flagged" true
-    (List.exists
-       (fun v -> v.History.regressed && v.History.vmetric = "points_per_s")
-       bad);
-  (* Direction by name: _per_s is higher-is-better, wall time the reverse. *)
-  let mkw t v = hist_entry ~time:t [ ("tune_wall_s", v) ] in
-  let wbase = [ mkw 1.0 1.0; mkw 2.0 1.0 ] in
-  Alcotest.(check bool) "faster wall time passes" true
-    (List.for_all
-       (fun v -> not v.History.regressed)
-       (History.gate (wbase @ [ mkw 3.0 0.5 ])));
-  Alcotest.(check bool) "slower wall time flagged" true
-    (List.exists
-       (fun v -> v.History.regressed)
-       (History.gate (wbase @ [ mkw 3.0 2.0 ])))
-
-let test_history_gate_window () =
-  (* The baseline is the trailing window, not all of history: with
-     window=2 only the two runs right before the newest count. *)
-  let mk t v = hist_entry ~time:t [ ("tune_wall_s", v) ] in
-  let es =
-    [ mk 1.0 100.0; mk 2.0 100.0; mk 3.0 1.0; mk 4.0 1.0; mk 5.0 100.0 ]
-  in
-  let narrow = History.gate ~window:2 ~tolerance:0.05 es in
-  Alcotest.(check bool) "recent fast runs set the bar" true
-    (List.exists (fun v -> v.History.regressed) narrow);
-  Alcotest.(check (list int)) "baseline capped at window" [ 2 ]
-    (List.map (fun v -> v.History.n_baseline) narrow);
-  let wide = History.gate ~window:10 ~tolerance:0.05 es in
-  Alcotest.(check bool) "wide window absorbs the old regime" true
-    (List.for_all (fun v -> not v.History.regressed) wide)
-
-let test_history_gate_cores () =
-  (* Only rows from the newest row's core count form its baseline; rows
-     without [cores] match only each other. *)
-  let mk ?cores t v =
-    { (hist_entry ~time:t [ ("tune_wall_s", v) ]) with History.cores }
-  in
-  let on4 = [ mk ~cores:4 1.0 1.0; mk ~cores:4 2.0 1.0 ] in
-  let v = History.gate ~tolerance:0.05 (on4 @ [ mk ~cores:2 3.0 5.0 ]) in
-  Alcotest.(check int) "other core counts are no baseline" 0 (List.length v);
-  Alcotest.(check bool) "render says no matching baseline" true
-    (contains_substring
-       (History.render_gate ~tolerance:0.05
-          (on4 @ [ mk ~cores:2 3.0 5.0 ]) v)
-       "skip A100/G1: no baseline with cores 2 (2 older runs");
-  let es = on4 @ [ mk ~cores:2 3.0 5.0; mk ~cores:4 4.0 2.0 ] in
-  (match History.gate ~tolerance:0.05 es with
-  | [ v ] ->
-    Alcotest.(check int) "same-cores rows only" 2 v.History.n_baseline;
-    Alcotest.(check bool) "slower on the same cores flagged" true
-      v.History.regressed
-  | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l));
-  let es = [ mk 1.0 1.0; mk ~cores:2 2.0 1.0; mk 3.0 1.0 ] in
-  match History.gate ~tolerance:0.05 es with
-  | [ v ] ->
-    Alcotest.(check int) "unrecorded cores match each other" 1
-      v.History.n_baseline
-  | l -> Alcotest.failf "expected 1 verdict, got %d" (List.length l)
-
-let test_history_of_search_doc () =
-  let doc =
-    Json.Obj
-      [ ("device", Json.Str "A100");
-        ("workloads",
-         Json.List
-           [ Json.Obj
-               [ ("name", Json.Str "G1");
-                 ("enumerate",
-                  Json.List
-                    [ Json.Obj
-                        [ ("jobs", Json.Num 1.0);
-                          ("points_per_s", Json.Num 10.0) ];
-                      Json.Obj
-                        [ ("jobs", Json.Num 4.0);
-                          ("points_per_s", Json.Num 40.0) ] ]);
-                 ("tune",
-                  Json.List
-                    [ Json.Obj
-                        [ ("jobs", Json.Num 4.0);
-                          ("wall_s", Json.Num 2.0);
-                          ("estimates_per_s", Json.Num 5.0);
-                          ("best_time_s", Json.Num 1e-6) ] ]);
-                 ("peak_heap_words", Json.Num 1000.0);
-                 ("alloc_words_per_point", Json.Num 250.0);
-                 ("summaries_per_enumeration", Json.Num 192.0) ] ]) ]
-  in
-  match History.of_search_doc ~time:1.0 ~rev:"r" doc with
-  | [ e ] ->
-    Alcotest.(check string) "device" "A100" e.History.device;
-    Alcotest.(check string) "workload" "G1" e.History.workload;
-    let metric n = List.assoc_opt n e.History.metrics in
-    Alcotest.(check (option (float 0.0))) "highest-jobs row wins"
-      (Some 40.0) (metric "points_per_s");
-    Alcotest.(check (option (float 0.0))) "tune wall" (Some 2.0)
-      (metric "tune_wall_s");
-    Alcotest.(check (option (float 0.0))) "best time" (Some 1e-6)
-      (metric "best_time_s");
-    Alcotest.(check (option (float 0.0))) "peak heap" (Some 1000.0)
-      (metric "peak_heap_words");
-    Alcotest.(check (option (float 0.0))) "alloc per point" (Some 250.0)
-      (metric "alloc_words_per_point");
-    Alcotest.(check (option (float 0.0))) "summaries" (Some 192.0)
-      (metric "summaries_per_enumeration")
-  | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
-
-let test_history_direction_and_render () =
-  Alcotest.(check bool) "per_s is higher-better" true
-    (History.higher_is_better "points_per_s");
-  Alcotest.(check bool) "wall time is lower-better" false
-    (History.higher_is_better "tune_wall_s");
-  Alcotest.(check bool) "heap words is lower-better" false
-    (History.higher_is_better "peak_heap_words");
-  Alcotest.(check bool) "alloc words per point is lower-better" false
-    (History.higher_is_better "alloc_words_per_point");
-  Alcotest.(check bool) "summaries per enumeration is lower-better" false
-    (History.higher_is_better "summaries_per_enumeration");
-  let es =
-    [ hist_entry ~time:1.0 [ ("points_per_s", 100.0) ];
-      hist_entry ~time:2.0 [ ("points_per_s", 200.0) ] ]
-  in
-  let s = History.render es in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) (needle ^ " rendered") true
-        (contains_substring s needle))
-    [ "A100/G1"; "points_per_s"; "+100.00%"; "_#" ];
-  Alcotest.(check bool) "trivial gate renders a pass note" true
-    (contains_substring
-       (History.render_gate ~tolerance:0.05 [] [])
-       "pass")
-
 (* --- Observability lifecycle ---------------------------------------------- *)
 
 module Lifecycle = Mcf_obs.Lifecycle
@@ -1349,22 +1102,6 @@ let () =
             test_lifecycle_trace_error;
           Alcotest.test_case "sampler closing sample traced" `Quick
             test_lifecycle_sampler_closing_sample ] );
-      ( "history",
-        [ Alcotest.test_case "roundtrip" `Quick test_history_roundtrip;
-          Alcotest.test_case "host fields" `Quick test_history_host_fields;
-          Alcotest.test_case "malformed skipped" `Quick
-            test_history_malformed_skipped;
-          Alcotest.test_case "empty" `Quick test_history_empty;
-          Alcotest.test_case "gate single entry" `Quick
-            test_history_gate_single_entry;
-          Alcotest.test_case "gate MAD=0 + direction" `Quick
-            test_history_gate_mad_zero_and_direction;
-          Alcotest.test_case "gate window" `Quick test_history_gate_window;
-          Alcotest.test_case "gate cores" `Quick test_history_gate_cores;
-          Alcotest.test_case "of_search_doc" `Quick
-            test_history_of_search_doc;
-          Alcotest.test_case "direction + render" `Quick
-            test_history_direction_and_render ] );
       ( "pipeline",
         [ Alcotest.test_case "tuner counters" `Quick
             test_tuner_metric_invariants;

@@ -593,6 +593,51 @@ let test_reservoir_tuner_winner_unchanged () =
     (Candidate.key full.best.cand)
     (Candidate.key bounded.best.cand)
 
+(* --- the streamed deep chain's cost ----------------------------------------- *)
+
+(* The same 6-block structure as D6 (eight axes), scaled down so one
+   enumeration takes tens of milliseconds. *)
+let d6_smoke =
+  Chain.gemm_chain_n ~m:128 ~dims:[ 64; 64; 64; 64; 64; 64; 64 ] ()
+
+let test_deep_stream_coverage () =
+  (* The streamed chain must cover a much larger post-rule-3 space than
+     the smoke chain (48.6x), or the bounds below prove little. *)
+  let _, base = Space.enumerate_points a100 small_gemm in
+  let _, deep = Space.enumerate_points ~reservoir:256 a100 d6_smoke in
+  let ratio = deep.candidates_rule3 /. base.candidates_rule3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "rule-3 space %.1fx the smoke chain's (>= 10x)" ratio)
+    true (ratio >= 10.0)
+
+let test_reservoir_retained_words () =
+  (* What the reservoir saves is the per-point arrays: the unbounded run
+     keeps every valid point (28,735 words), the reservoir 256 of them
+     (775).  The rest of [points] (ctx, grid, builder) is the same in
+     both runs, so it is left out of the count. *)
+  let words (p : Space.points) =
+    Obj.reachable_words (Obj.repr (p.ranks, p.estimates, p.traffic))
+  in
+  let bounded, _ = Space.enumerate_points ~reservoir:256 a100 d6_smoke in
+  let unbounded, _ = Space.enumerate_points a100 d6_smoke in
+  let ratio = float_of_int (words unbounded) /. float_of_int (words bounded) in
+  Alcotest.(check bool)
+    (Printf.sprintf "unbounded retains %.2fx the reservoir's words (>= 1.5x)"
+       ratio)
+    true (ratio >= 1.5)
+
+let test_stream_alloc_per_point () =
+  (* At one job every scoring task runs in this domain, so its minor
+     words are a count, not a timing: 52.65 per rule-3 point (52.77 on a
+     process's first enumeration).  The bound is 1.5x that. *)
+  with_jobs 1 (fun () ->
+      let w0 = Gc.minor_words () in
+      let _, f = Space.enumerate_points ~reservoir:256 a100 d6_smoke in
+      let per_point = (Gc.minor_words () -. w0) /. f.candidates_rule3 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%.2f minor words per rule-3 point (<= 79)" per_point)
+        true (per_point <= 79.0))
+
 (* --- search-point encoding -------------------------------------------------- *)
 
 let s3 =
@@ -686,6 +731,13 @@ let () =
             test_reservoir_keeps_best_by_estimate;
           Alcotest.test_case "tuner winner unchanged" `Quick
             test_reservoir_tuner_winner_unchanged ] );
+      ( "deep-stream",
+        [ Alcotest.test_case "coverage vs smoke chain" `Quick
+            test_deep_stream_coverage;
+          Alcotest.test_case "retained words vs unbounded" `Quick
+            test_reservoir_retained_words;
+          Alcotest.test_case "minor words per point" `Quick
+            test_stream_alloc_per_point ] );
       ( "memo",
         [ Alcotest.test_case "counts every rule-3 point" `Quick
             test_memo_counts_every_rule3_point;
