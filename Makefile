@@ -53,7 +53,8 @@ trace-demo:
 # and the search builds entries only for the points it measures, so no
 # lib/ or bin/ file but lib/search/space.ml{,i} and
 # explore.ml{,i} names the build-every-entry adapters enumerate_scored or
-# Explore.run.
+# Explore.run; and a lowering is accounted only by Lower, so no lib/ or
+# bin/ file but lib/ir/lower.ml builds a Lower.t record.
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -95,10 +96,14 @@ ci-guard:
 	  | grep -v -e '^lib/search/space\.mli\?:' -e '^lib/search/explore\.mli\?:'; then \
 	  echo "ci-guard: enumerate_scored or Explore.run in lib bin outside lib/search/space.ml{,i} and explore.ml{,i}"; \
 	  exit 1; fi
+	@if grep -rnE '\{ *Lower\.(chain|tensor|block|rtensor)\b' lib bin \
+	  | grep -v '^lib/ir/lower\.ml:'; then \
+	  echo "ci-guard: a Lower.t record built in lib bin outside lib/ir/lower.ml"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters (lib and bin) and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters, Lower.t builders (lib and bin) and cram pins clean"
 
 # Pool gate: the streamed 6-block deep chain's enumeration at
 # max(4, default) jobs must keep 0.9x of its 1-job throughput, best of
@@ -125,8 +130,8 @@ report-smoke:
 	@echo "report-smoke: record/report/diff ok (zero drift)"
 
 # Differential-fuzzing smoke: a fixed seed and a 10 virtual-second budget
-# run ~200 cases through all six cross-layer oracles (interp, analytic,
-# shmem, pruning, tuner, emit); the budget is charged from deterministic
+# run ~200 cases through all seven cross-layer oracles (interp, analytic,
+# shmem, pruning, tuner, measure-cache, emit); the budget is charged from deterministic
 # work estimates, so the same cases run on every machine and any failure
 # prints a replay seed and a minimized reproducer.
 fuzz-smoke:

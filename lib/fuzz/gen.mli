@@ -55,9 +55,6 @@ type case = {
   device : Mcf_gpu.Spec.t;
 }
 
-val stream : int -> int -> string -> Mcf_util.Rng.t
-(** [stream seed id purpose] — the deterministic per-case rng. *)
-
 val case_of_id : seed:int -> int -> case
 
 val respec : case -> spec -> case

@@ -40,15 +40,15 @@ let drop_live_loops (p : Program.t) =
   p.Program.roots <- splice p.Program.roots;
   p
 
-(* --- the reference walk ----------------------------------------------------
+(* --- the count check ---------------------------------------------------------
 
-   Walk the built program's placed statements, look every tile and trip
-   up by name, and find the producer's Compute path for the Rule-2
-   multiplier by its statement.  Production lowering instantiates a
-   [Skeleton] instead; every field of its [Lower.t] but the program must
-   equal this walk's.  The validity verdict has one implementation,
-   [Skeleton.validate]; the interpreter oracle checks it against the
-   numbers. *)
+   Eqs. (3) and (4) are tile size x trip count per placed statement; the
+   interpreter's loop walk counts both as it would execute them
+   ([Interp.count]).  A lowering's accesses and computes must equal those
+   counts in program order on a valid program (an invalid one executes
+   what the verdict rejects).  Counts cannot see residency, so each
+   resident tile's Rule-2 multiplier is checked against the producer's
+   Compute path, found by its statement. *)
 
 let reference_multiplier (t : Program.t) placed (ts : Chain.tensor_spec) =
   match Chain.producer_of t.chain ts with
@@ -68,156 +68,58 @@ let reference_multiplier (t : Program.t) placed (ts : Chain.tensor_spec) =
       in
       scan false 1 path)
 
-let reference ?rule1 ?dead_loop_elim ?hoisting ~elem_bytes chain cand =
-  let program = Program.build ?rule1 ?dead_loop_elim ?hoisting chain cand in
-  let placed = Program.placed_stmts program in
-  let tile = Candidate.tile cand and trip = Candidate.trip cand in
-  let tile_elems (ts : Chain.tensor_spec) =
-    List.fold_left (fun acc a -> acc * tile a) 1 ts.taxes
+let count_mismatches (l : Lower.t) =
+  let p = Lower.program l in
+  let placed = Program.placed_stmts p in
+  let access (c : Mcf_interp.Interp.count) =
+    match c.stmt with
+    | Program.Load (ts, _) -> Some (ts.tname, Lower.Dload, c.moved, c.execs)
+    | Program.Store (ts, _) -> Some (ts.tname, Lower.Dstore, c.moved, c.execs)
+    | Program.Compute _ | Program.Epilogue _ -> None
   in
-  let row_elems (ts : Chain.tensor_spec) =
-    match List.rev ts.taxes with [] -> 1 | last :: _ -> tile last
+  (* A contraction's FLOPs are twice its volume; an epilogue's are the
+     analytic oracle's to check. *)
+  let compute (c : Mcf_interp.Interp.count) =
+    match c.stmt with
+    | Program.Compute b ->
+      Some (b.bname, `Contraction, c.execs, 2.0 *. float_of_int c.volume)
+    | Program.Epilogue b -> Some (b.bname, `Epilogue, c.execs, 0.0)
+    | Program.Load _ | Program.Store _ -> None
   in
-  let path_trips path = List.fold_left (fun acc a -> acc * trip a) 1 path in
-  let mult = reference_multiplier program placed in
-  let online = Program.online_softmax program in
-  let access direction ts path tile_elems =
-    { Lower.tensor = ts;
-      direction;
-      tile_elems;
-      trips = path_trips path;
-      row_elems = row_elems ts }
-  in
-  let accesses =
-    List.filter_map
-      (fun (path, stmt) ->
-        match stmt with
-        | Program.Load (ts, _) ->
-          Some (access Lower.Dload ts path (tile_elems ts))
-        | Program.Store (ts, _) ->
-          Some (access Lower.Dstore ts path (tile_elems ts * mult ts))
-        | Program.Compute _ | Program.Epilogue _ -> None)
-      placed
-  in
-  let epilogue_flops (b : Chain.block) =
-    let out_tile = float_of_int (tile_elems b.out) in
-    match b.epilogue with
-    | Chain.No_epilogue -> 0.0
-    | Chain.Scale _ -> out_tile
-    | Chain.Unary { uflops; _ } -> uflops *. out_tile
-    | Chain.Softmax _ ->
-      (6.0 *. out_tile)
-      +.
-      if online then
-        Mcf_util.Listx.sum_by
-          (fun (q : Chain.block) -> 3.0 *. float_of_int (tile_elems q.out))
-          (Chain.consumers_of chain b.out)
-      else 0.0
-  in
-  let compute (b : Chain.block) kind path flops (m, n, k) =
-    { Lower.block = b;
-      kind;
-      flops_per_exec = flops;
-      ctrips = path_trips path;
-      tile_m = m;
-      tile_n = n;
-      tile_k = k }
-  in
-  let computes =
-    List.filter_map
-      (fun (path, stmt) ->
-        match stmt with
-        | Program.Compute b ->
-          let used = List.map tile (Chain.used_axes b) in
-          let out = List.map tile b.out.taxes in
-          Some
-            (compute b `Contraction path
-               (2.0
-               *. List.fold_left (fun acc t -> acc *. float_of_int t) 1.0 used)
-               ( (match out with t :: _ -> t | [] -> 1),
-                 (match List.rev out with t :: _ :: _ -> t | _ -> 1),
-                 match b.reduce_axes with a :: _ -> tile a | [] -> 64 ))
-        | Program.Epilogue b ->
-          Some
-            (compute b `Epilogue path (8.0 *. epilogue_flops b) (128, 128, 64))
-        | Program.Load _ | Program.Store _ -> None)
-      placed
-  in
-  let loads ts ~in_loop =
-    List.exists
-      (fun (path, s) ->
-        match s with
-        | Program.Load (ts', _) ->
-          ts'.Chain.tname = ts.Chain.tname && ((not in_loop) || path <> [])
-        | _ -> false)
-      placed
-  in
-  let softmax_rows (b : Chain.block) =
-    match b.epilogue with
-    | Chain.Softmax { saxis; _ } ->
-      List.fold_left
-        (fun acc a -> if Axis.equal a saxis then acc else acc * tile a)
-        1 b.out.taxes
-    | Chain.No_epilogue | Chain.Scale _ | Chain.Unary _ -> 0
-  in
-  { Lower.chain;
-    cand;
-    program = Mcf_util.Once.make (fun () -> program);
-    elem_bytes;
-    blocks = Program.grid_blocks program;
-    accesses;
-    computes;
-    residency =
-      List.filter_map
-        (fun (ts : Chain.tensor_spec) ->
-          if ts.storage = Chain.Input && not (loads ts ~in_loop:false) then None
-          else
-            Some
-              { Lower.rtensor = ts;
-                tile_bytes = tile_elems ts * elem_bytes;
-                rrow_elems = row_elems ts;
-                mult = mult ts;
-                double_buffered =
-                  ts.storage = Chain.Input && loads ts ~in_loop:true })
-        chain.tensors;
-    online_softmax = online;
-    softmax_rows =
-      List.fold_left (fun acc b -> acc + softmax_rows b) 0 chain.blocks;
-    stmt_trips_total =
-      List.fold_left (fun acc (path, _) -> acc + path_trips path) 0 placed;
-    validity = Skeleton.validate program }
-
-(* Every field of two lowerings but the program, compared field by field
-   (a block's unary epilogue holds a closure, so blocks compare by name);
-   the names of the fields that differ. *)
-let lower_mismatches (a : Lower.t) (b : Lower.t) =
-  let access (x : Lower.access) =
-    (x.tensor.tname, x.direction, x.tile_elems, x.trips, x.row_elems)
-  in
-  let compute (c : Lower.compute_info) =
-    ( c.block.bname,
-      c.kind,
-      Int64.bits_of_float c.flops_per_exec,
-      c.ctrips,
-      (c.tile_m, c.tile_n, c.tile_k) )
-  in
-  let resident (r : Lower.residency_item) =
-    (r.rtensor.tname, r.tile_bytes, r.rrow_elems, r.mult, r.double_buffered)
+  let counted =
+    match l.validity with
+    | Error _ -> []
+    | Ok () ->
+      let counts = Mcf_interp.Interp.count p in
+      [ ( "accesses",
+          List.map
+            (fun (a : Lower.access) ->
+              (a.tensor.tname, a.direction, a.tile_elems * a.trips, a.trips))
+            l.accesses
+          = List.filter_map access counts );
+        ( "computes",
+          List.map
+            (fun (c : Lower.compute_info) ->
+              ( c.block.bname,
+                c.kind,
+                c.ctrips,
+                if c.kind = `Contraction then c.flops_per_exec else 0.0 ))
+            l.computes
+          = List.filter_map compute counts );
+        ( "stmt_trips_total",
+          l.stmt_trips_total
+          = List.fold_left
+              (fun acc (c : Mcf_interp.Interp.count) -> acc + c.execs)
+              0 counts ) ]
   in
   List.filter_map
     (fun (field, same) -> if same then None else Some field)
-    [ ("chain", a.chain == b.chain);
-      ("cand", Candidate.equal a.cand b.cand);
-      ("elem_bytes", a.elem_bytes = b.elem_bytes);
-      ("blocks", a.blocks = b.blocks);
-      ("accesses", List.map access a.accesses = List.map access b.accesses);
-      ("computes", List.map compute a.computes = List.map compute b.computes);
-      ( "residency",
-        List.map resident a.residency = List.map resident b.residency );
-      ("online_softmax", a.online_softmax = b.online_softmax);
-      ("softmax_rows", a.softmax_rows = b.softmax_rows);
-      ("stmt_trips_total", a.stmt_trips_total = b.stmt_trips_total);
-      ("validity", a.validity = b.validity) ]
+    (( "residency multipliers",
+       List.for_all
+         (fun (r : Lower.residency_item) ->
+           r.mult = reference_multiplier p placed r.rtensor)
+         l.residency )
+    :: counted)
 
 (* --- helpers --------------------------------------------------------------- *)
 
@@ -225,8 +127,8 @@ let build_program (c : Gen.case) =
   Program.build ~rule1:c.rule1 ~dead_loop_elim:c.dle ~hoisting:c.hoist c.chain
     c.cand
 
-let reference_of_case (c : Gen.case) =
-  reference ~rule1:c.rule1 ~dead_loop_elim:c.dle ~hoisting:c.hoist
+let lower_case (c : Gen.case) =
+  Lower.lower ~rule1:c.rule1 ~dead_loop_elim:c.dle ~hoisting:c.hoist
     ~elem_bytes:c.elem_bytes c.chain c.cand
 
 (* Cap the interpreter's workload so a single pathological case cannot eat
@@ -264,7 +166,7 @@ let check_interp (c : Gen.case) =
                diff tol)
     end
 
-(* --- oracle 2: analytic model and lowering vs the reference walk ------- *)
+(* --- oracle 2: analytic model vs lowering vs the counts ------------------- *)
 
 (* The candidate with the trip=1 bit flipped, where the axis's size
    allows (the smallest tile option for a trip-1 axis, the full extent
@@ -289,18 +191,15 @@ let check_analytic (c : Gen.case) =
     Mcf_model.Analytic.eval_candidate ~rule1:c.rule1 ~dead_loop_elim:c.dle
       ~hoisting:c.hoist ~elem_bytes:c.elem_bytes c.chain c.cand
   in
-  let lw = reference_of_case c in
+  let lw = lower_case c in
   let mismatches =
     List.map
-      (fun field -> "lowering's " ^ field ^ " differs from the reference walk")
-      (lower_mismatches
-         (Lower.lower ~rule1:c.rule1 ~dead_loop_elim:c.dle ~hoisting:c.hoist
-            ~elem_bytes:c.elem_bytes c.chain c.cand)
-         lw)
+      (fun field -> "lowering's " ^ field ^ " differ from the counts")
+      (count_mismatches lw)
     @ List.filter_map
       (fun (field, a, b) ->
         if a = b then None
-        else Some (Printf.sprintf "%s: analytic %h <> reference %h" field a b))
+        else Some (Printf.sprintf "%s: analytic %h <> lowered %h" field a b))
       [ ("bytes_per_block", ev.bytes_per_block, Lower.bytes_per_block lw);
         ("flops_per_block", ev.flops_per_block, Lower.flops_per_block lw);
         ("blocks", ev.blocks, float_of_int lw.Lower.blocks);
@@ -322,7 +221,7 @@ let check_analytic (c : Gen.case) =
     let want = (Mcf_model.Perf.breakdown c.device lw).t_total in
     if Float.equal got want then mismatches
     else
-      Printf.sprintf "memo estimate: %h <> reference %h" got want :: mismatches
+      Printf.sprintf "memo estimate: %h <> lowered %h" got want :: mismatches
   in
   if mismatches = [] then Pass else Fail (String.concat "; " mismatches)
 
@@ -333,7 +232,7 @@ let check_shmem (c : Gen.case) =
     Mcf_model.Shmem.footprint_of_candidate ~rule1:c.rule1
       ~dead_loop_elim:c.dle ~elem_bytes:c.elem_bytes c.chain c.cand
   in
-  let lw = reference_of_case c in
+  let lw = lower_case c in
   let walked = Mcf_model.Shmem.estimate_bytes lw in
   if closed <> walked then
     Fail
@@ -356,23 +255,21 @@ let check_shmem (c : Gen.case) =
 
 (* Rule 2's promise is structural: a tiling it keeps must lower (under
    rule-1 canonical execution, whose per-block program is what the rule
-   inspects) with exactly one resident tile per intermediate, by the
-   reference walk's multiplier.  Rule 4's precheck is the shmem oracle's
-   to check; the validity verdict has one implementation. *)
+   inspects) with exactly one resident tile per intermediate.  The
+   analytic oracle holds the lowering's multipliers to the program; rule
+   4's precheck is the shmem oracle's to check. *)
 let check_pruning (c : Gen.case) =
   if not (Mcf_search.Space.rule2_rejects c.chain c.cand.Candidate.tiling) then
   begin
-    let p = Program.build ~rule1:true c.chain c.cand in
-    let placed = Program.placed_stmts p in
+    let lw = Lower.lower ~rule1:true ~elem_bytes:c.elem_bytes c.chain c.cand in
     let blowup =
       List.filter_map
-        (fun (ts : Chain.tensor_spec) ->
-          match ts.storage with
-          | Chain.Intermediate ->
-            let m = reference_multiplier p placed ts in
-            if m > 1 then Some (Printf.sprintf "%s x%d" ts.tname m) else None
-          | Chain.Input | Chain.Output -> None)
-        c.chain.Chain.tensors
+        (fun (r : Lower.residency_item) ->
+          match r.rtensor.storage with
+          | Chain.Intermediate when r.mult > 1 ->
+            Some (Printf.sprintf "%s x%d" r.rtensor.tname r.mult)
+          | Chain.Intermediate | Chain.Input | Chain.Output -> None)
+        lw.residency
     in
     if blowup = [] then Pass
     else

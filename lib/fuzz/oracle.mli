@@ -2,9 +2,10 @@
     generated (chain, candidate) case.
 
     Each oracle compares two independent computations of the same fact —
-    interpreter vs reference semantics, closed-form model vs lowered
-    walk, precheck vs full check, parallel vs sequential tune, emitted
-    text vs structural invariants — so a bug in either side surfaces as a
+    interpreter vs reference semantics, lowering vs the interpreter's
+    counts, closed-form model vs lowering, precheck vs full check,
+    parallel vs sequential tune, cached vs fresh measurement, emitted text
+    vs structural invariants — so a bug in either side surfaces as a
     divergence without needing a hand-written expected value. *)
 
 type verdict =
@@ -31,21 +32,13 @@ val drop_live_loops : Mcf_ir.Program.t -> Mcf_ir.Program.t
     in-block loop (dead-loop elimination applied to live loops), dropping
     all but one tile of work. *)
 
-val reference :
-  ?rule1:bool ->
-  ?dead_loop_elim:bool ->
-  ?hoisting:bool ->
-  elem_bytes:int ->
-  Mcf_ir.Chain.t ->
-  Mcf_ir.Candidate.t ->
-  Mcf_ir.Lower.t
-(** The reference walk: build the program and account it statement by
-    statement, looking every tile, trip and Compute path up by name.
-    Lowering and the closed-form model are held to it. *)
-
-val lower_mismatches : Mcf_ir.Lower.t -> Mcf_ir.Lower.t -> string list
-(** The fields but the program that differ between two lowerings (lists
-    in order, FLOPs bit for bit). *)
+val count_mismatches : Mcf_ir.Lower.t -> string list
+(** The parts of a lowering its program contradicts: on a valid program,
+    the accesses, computes and [stmt_trips_total] against
+    {!Mcf_interp.Interp.count} (statement order, executions, elements
+    moved, contraction FLOPs); on any program, each resident tensor's
+    Rule-2 multiplier against its producer's Compute path.  Lowering is
+    held to it in the analytic oracle and the model tests. *)
 
 val grid_twin :
   Mcf_model.Analytic.Memo.t ->
@@ -60,7 +53,8 @@ val grid_twin :
     summary. *)
 
 val all : t list
-(** interp, analytic, shmem, pruning, tuner, emit — in that order. *)
+(** interp, analytic, shmem, pruning, tuner, measure-cache, emit — in
+    that order. *)
 
 val by_name : string -> t option
 

@@ -5,10 +5,11 @@ exception Uninitialized_tile of string
 
 (* --- small helpers ------------------------------------------------------ *)
 
-let env_get env (a : Axis.t) =
-  match Hashtbl.find_opt env a.Axis.name with Some i -> i | None -> 0
+(* Live loop indices by axis name. *)
+module Env = Hashtbl.Make (String)
 
-let env_has env (a : Axis.t) = Hashtbl.mem env a.Axis.name
+let env_get env (a : Axis.t) =
+  match Env.find_opt env a.Axis.name with Some i -> i | None -> 0
 
 (* Iterate all combinations of [0, bound_i) over a list of bounds. *)
 let iter_combos bounds f =
@@ -39,38 +40,57 @@ type state = {
   cand : Candidate.t;
   inputs : (string, Tensor.t) Hashtbl.t;
   output : Tensor.t;
-  (* tensor name -> (tile coord key -> tile buffer) *)
-  buffers : (string, (string, float array) Hashtbl.t) Hashtbl.t;
+  (* tensor name -> (tile coordinates -> tile buffer) *)
+  buffers : (string, (int array, float array) Hashtbl.t) Hashtbl.t;
   (* softmax tensor name -> (global row key -> running max, running sum) *)
   stats : (string, (string, float * float) Hashtbl.t) Hashtbl.t;
-  (* "tensor@key" entries whose tile has been read by a consumer or
-     epilogue; the next producer write starts a fresh reduction round
-     (partial-consumption schedules recompute per-iteration deltas). *)
-  consumed : (string, unit) Hashtbl.t;
-  env : (string, int) Hashtbl.t;
+  (* (tensor, tile coordinates) entries whose tile has been read by a
+     consumer or epilogue; the next producer write starts a fresh
+     reduction round (partial-consumption schedules recompute
+     per-iteration deltas). *)
+  consumed : (string * int array, unit) Hashtbl.t;
+  env : int Env.t;
 }
 
 let tile_dims st (ts : Chain.tensor_spec) =
   Array.of_list (List.map (Candidate.tile st.cand) ts.taxes)
 
-let coord_key st (ts : Chain.tensor_spec) =
-  ts.taxes
-  |> List.map (fun a -> string_of_int (env_get st.env a))
-  |> String.concat ","
+let coord_key env (ts : Chain.tensor_spec) =
+  Array.of_list (List.map (env_get env) ts.taxes)
 
-let tensor_table st (ts : Chain.tensor_spec) =
-  match Hashtbl.find_opt st.buffers ts.tname with
+(* The inner table of [tables] under [name], made empty on first use. *)
+let table tables name =
+  match Hashtbl.find_opt tables name with
   | Some tbl -> tbl
   | None ->
     let tbl = Hashtbl.create 8 in
-    Hashtbl.add st.buffers ts.tname tbl;
+    Hashtbl.add tables name tbl;
     tbl
+
+let tensor_table st (ts : Chain.tensor_spec) = table st.buffers ts.tname
 
 let numel dims = Array.fold_left ( * ) 1 dims
 
+(* [f coords v] on every tile of [ts] in [tbl] (tile coordinates -> [v])
+   that the loop indices of [env] leave live: none of the tensor's axes
+   bound by a live loop contradicts the tile's coordinate. *)
+let iter_live env (ts : Chain.tensor_spec) tbl f =
+  let bound =
+    Array.of_list
+      (List.map
+         (fun (a : Axis.t) ->
+           match Env.find_opt env a.name with Some i -> i | None -> -1)
+         ts.taxes)
+  in
+  let rec live coords i =
+    i = Array.length bound
+    || ((bound.(i) < 0 || bound.(i) = coords.(i)) && live coords (i + 1))
+  in
+  Hashtbl.iter (fun coords v -> if live coords 0 then f coords v) tbl
+
 let get_tile st ts ~create =
   let tbl = tensor_table st ts in
-  let key = coord_key st ts in
+  let key = coord_key st.env ts in
   match Hashtbl.find_opt tbl key with
   | Some arr -> arr
   | None ->
@@ -81,7 +101,7 @@ let get_tile st ts ~create =
     end
     else begin
       let indices =
-        Hashtbl.fold (fun name i acc -> (name, i) :: acc) st.env []
+        Env.fold (fun name i acc -> (name, i) :: acc) st.env []
         |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         |> List.map (fun (name, i) -> Printf.sprintf "%s=%d" name i)
         |> String.concat " "
@@ -89,26 +109,22 @@ let get_tile st ts ~create =
       raise
         (Uninitialized_tile
            (Printf.sprintf "tile %s@[%s] read before any Load under {%s}"
-              ts.Chain.tname key indices))
+              ts.Chain.tname
+              (String.concat "," (List.map string_of_int (Array.to_list key)))
+              indices))
     end
 
 let mark_consumed st (ts : Chain.tensor_spec) =
-  Hashtbl.replace st.consumed (ts.Chain.tname ^ "@" ^ coord_key st ts) ()
+  Hashtbl.replace st.consumed (ts.Chain.tname, coord_key st.env ts) ()
 
 let fresh_round st (ts : Chain.tensor_spec) arr =
-  let key = ts.Chain.tname ^ "@" ^ coord_key st ts in
+  let key = (ts.Chain.tname, coord_key st.env ts) in
   if Hashtbl.mem st.consumed key then begin
     Hashtbl.remove st.consumed key;
     Array.fill arr 0 (Array.length arr) 0.0
   end
 
-let stats_table st name =
-  match Hashtbl.find_opt st.stats name with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Hashtbl.create 64 in
-    Hashtbl.add st.stats name tbl;
-    tbl
+let stats_table st name = table st.stats name
 
 (* --- statement execution ------------------------------------------------ *)
 
@@ -125,7 +141,7 @@ let exec_load st (ts : Chain.tensor_spec) =
   in
   let sizes = Array.of_list (List.map (fun a -> a.Axis.size) ts.taxes) in
   let tbl = tensor_table st ts in
-  let key = coord_key st ts in
+  let key = coord_key st.env ts in
   let arr = Array.make (numel dims) 0.0 in
   iter_combos (Array.to_list dims) (fun locals ->
       let gidx = Array.mapi (fun i l -> bases.(i) + l) locals in
@@ -196,11 +212,7 @@ let rescale_consumers st (p : Chain.block) row_axes row_globals corr =
         Array.of_list (List.map (Candidate.tile st.cand) q.out.taxes)
       in
       Hashtbl.iter
-        (fun key arr ->
-          let coords =
-            key |> String.split_on_char ',' |> List.map int_of_string
-            |> Array.of_list
-          in
+        (fun coords arr ->
           iter_combos (Array.to_list qdims) (fun locals ->
               let matches = ref true in
               List.iteri
@@ -367,57 +379,49 @@ let exec_store st (ts : Chain.tensor_spec) (p : Chain.block) =
         | Some _ | None -> acc)
       1.0 feeders
   in
-  Hashtbl.iter
-    (fun key arr ->
-      let coords =
-        key |> String.split_on_char ',' |> List.map int_of_string
-        |> Array.of_list
-      in
-      (* skip tiles whose coordinates contradict the live loop indices *)
-      let live = ref true in
-      List.iteri
-        (fun i (a : Axis.t) ->
-          if env_has st.env a && env_get st.env a <> coords.(i) then
-            live := false)
-        ts.taxes;
-      if !live then
-        iter_combos (Array.to_list dims) (fun locals ->
-            let globals =
-              Array.mapi (fun i l -> (coords.(i) * tiles.(i)) + l) locals
-            in
-            let inb = ref true in
-            Array.iteri
-              (fun i g -> if g >= sizes.(i) then inb := false)
-              globals;
-            if !inb then begin
-              let v = arr.(offset_of dims locals) /. divisor globals in
-              Tensor.set st.output globals v
-            end))
-    tbl
+  iter_live st.env ts tbl (fun coords arr ->
+      iter_combos (Array.to_list dims) (fun locals ->
+          let globals =
+            Array.mapi (fun i l -> (coords.(i) * tiles.(i)) + l) locals
+          in
+          let inb = ref true in
+          Array.iteri (fun i g -> if g >= sizes.(i) then inb := false) globals;
+          if !inb then begin
+            let v = arr.(offset_of dims locals) /. divisor globals in
+            Tensor.set st.output globals v
+          end))
 
 (* --- driver ------------------------------------------------------------- *)
 
-let rec interp_nodes st nodes =
-  List.iter
-    (function
-      | Program.Stmt s -> (
-        match s with
-        | Program.Load (ts, _) -> exec_load st ts
-        | Program.Compute b -> exec_compute st b
-        | Program.Epilogue b -> (
-          match b.Chain.epilogue with
-          | Chain.Softmax { saxis; sscale } -> exec_softmax st b saxis sscale
-          | Chain.Scale c -> exec_scale st b c
-          | Chain.Unary { apply; _ } -> exec_unary st b apply
-          | Chain.No_epilogue -> ())
-        | Program.Store (ts, p) -> exec_store st ts p)
-      | Program.Loop l ->
-        for i = 0 to l.Program.extent - 1 do
-          Hashtbl.replace st.env l.Program.laxis.Axis.name i;
-          interp_nodes st l.Program.body
-        done;
-        Hashtbl.remove st.env l.Program.laxis.Axis.name)
-    nodes
+(* The loop walk [run] and [count] share: [on_stmt i s] on every
+   execution of [s], the [i]-th placed statement in program order, with
+   [env] binding the index of every enclosing loop.  Returns [k] plus the
+   statements of [nodes]; a loop's extent is at least 1, so each body is
+   walked and numbered. *)
+let rec walk env on_stmt k = function
+  | [] -> k
+  | Program.Stmt s :: rest ->
+    on_stmt k s;
+    walk env on_stmt (k + 1) rest
+  | Program.Loop l :: rest ->
+    let next = ref k in
+    for i = 0 to l.Program.extent - 1 do
+      Env.replace env l.Program.laxis.Axis.name i;
+      next := walk env on_stmt k l.Program.body
+    done;
+    Env.remove env l.Program.laxis.Axis.name;
+    walk env on_stmt !next rest
+
+let exec_stmt st _ = function
+  | Program.Load (ts, _) -> exec_load st ts
+  | Program.Compute b -> exec_compute st b
+  | Program.Epilogue b -> (
+    match b.Chain.epilogue with
+    | Chain.Softmax { saxis; sscale } -> exec_softmax st b saxis sscale
+    | Chain.Scale c -> exec_scale st b c
+    | Chain.Unary { apply; _ } -> exec_unary st b apply
+    | Chain.No_epilogue -> ())
+  | Program.Store (ts, p) -> exec_store st ts p
 
 (* One per-head execution: [inputs] are unbatched slices. *)
 let run_single (program : Program.t) ~input_tbl ~output =
@@ -435,12 +439,12 @@ let run_single (program : Program.t) ~input_tbl ~output =
           buffers = Hashtbl.create 8;
           stats = Hashtbl.create 8;
           consumed = Hashtbl.create 16;
-          env = Hashtbl.create 8 }
+          env = Env.create 8 }
       in
       List.iteri
-        (fun i (a : Axis.t) -> Hashtbl.replace st.env a.name grid_idx.(i))
+        (fun i (a : Axis.t) -> Env.replace st.env a.name grid_idx.(i))
         program.grid_axes;
-      interp_nodes st program.Program.roots)
+      ignore (walk st.env (exec_stmt st) 0 program.Program.roots))
 
 let slice_first t b =
   let shape = Tensor.shape t in
@@ -501,6 +505,73 @@ let run (program : Program.t) ~inputs =
 
 let run_candidate chain cand ~inputs =
   run (Program.build chain cand) ~inputs
+
+(* --- counting ----------------------------------------------------------- *)
+
+type count = { stmt : Program.stmt; execs : int; moved : int; volume : int }
+
+(* One thread block through [walk], without data: a Compute registers
+   its output tile, and a Store counts the registered tiles [iter_live]
+   leaves live, the ones [exec_store] would flush. *)
+let count (program : Program.t) =
+  let cand = program.Program.cand in
+  let stmts = Array.of_list (List.map snd (Program.placed_stmts program)) in
+  (* Per statement: its tensor's tile elements, or a Compute's volume. *)
+  let elems =
+    Array.map
+      (fun stmt ->
+        let axes =
+          match stmt with
+          | Program.Load (ts, _) | Program.Store (ts, _) -> ts.Chain.taxes
+          | Program.Compute b -> Chain.used_axes b
+          | Program.Epilogue _ -> []
+        in
+        List.fold_left (fun acc a -> acc * Candidate.tile cand a) 1 axes)
+      stmts
+  in
+  let execs = Array.make (Array.length stmts) 0 in
+  let moved = Array.make (Array.length stmts) 0 in
+  (* Per statement: the registered tiles of a stored tensor, which its
+     Compute registers and its Store counts. *)
+  let stored = Hashtbl.create 4 in
+  Array.iter
+    (function Program.Store (ts, _) -> ignore (table stored ts.tname) | _ -> ())
+    stmts;
+  let tiles =
+    Array.map
+      (function
+        | Program.Compute { out; _ } | Program.Store (out, _) ->
+          Hashtbl.find_opt stored out.Chain.tname
+        | Program.Load _ | Program.Epilogue _ -> None)
+      stmts
+  in
+  let env = Env.create 8 in
+  List.iter
+    (fun (a : Axis.t) -> Env.replace env a.name 0)
+    program.Program.grid_axes;
+  let on_stmt i s =
+    execs.(i) <- execs.(i) + 1;
+    match (s, tiles.(i)) with
+    | Program.Load _, _ -> moved.(i) <- moved.(i) + elems.(i)
+    | Program.Compute b, Some tbl ->
+      Hashtbl.replace tbl (coord_key env b.out) ()
+    | Program.Store (ts, _), Some tbl ->
+      let live = ref 0 in
+      iter_live env ts tbl (fun _ () -> incr live);
+      moved.(i) <- moved.(i) + (elems.(i) * !live)
+    | (Program.Compute _ | Program.Store _ | Program.Epilogue _), _ -> ()
+  in
+  ignore (walk env on_stmt 0 program.Program.roots);
+  List.mapi
+    (fun i stmt ->
+      { stmt;
+        execs = execs.(i);
+        moved = moved.(i);
+        volume =
+          (match stmt with
+          | Program.Compute _ -> elems.(i)
+          | Program.Load _ | Program.Store _ | Program.Epilogue _ -> 0) })
+    (Array.to_list stmts)
 
 (* Direct un-tiled evaluation (exact softmax), block by block; batched
    chains are evaluated slice by slice. *)

@@ -8,11 +8,11 @@
     in FlashAttention) whenever the softmax axis is tiled.
 
     This is the correctness oracle of the whole compiler: for every valid
-    candidate, [run] must agree with the reference operators in
-    {!Mcf_tensor.Ops} up to floating-point reassociation.  It also catches
-    lowering bugs mechanically — a statement hoisted past a loop that
-    actually indexes its tensor would read a stale or missing tile and
-    surface as a numeric mismatch or an [Uninitialized_tile] error.
+    candidate, [run] must agree with the un-tiled {!reference} up to
+    floating-point reassociation (the fuzzer's interp oracle).  It also
+    catches lowering bugs mechanically — a statement hoisted past a loop
+    that actually indexes its tensor would read a stale or missing tile
+    and surface as a numeric mismatch or an [Uninitialized_tile] error.
 
     Batched chains (heads) are supported: when [chain.batch > 1] every
     input and the output carry a leading batch axis, and the per-head
@@ -32,6 +32,23 @@ val run : Mcf_ir.Program.t -> inputs:(string * Mcf_tensor.Tensor.t) list -> Mcf_
     axis when [chain.batch > 1].  Returns the chain output (same batching).
     @raise Invalid_argument on missing inputs or shape mismatch.
     @raise Uninitialized_tile on a miscompiled schedule. *)
+
+type count = {
+  stmt : Mcf_ir.Program.stmt;
+  execs : int;  (** Executions per thread block. *)
+  moved : int;
+      (** Elements a Load or Store moves over those executions (padded
+          tiles); 0 for a Compute or Epilogue.  A Store moves one tile
+          per resident tile live under the loop indices at that point. *)
+  volume : int;
+      (** A Compute's tile volume per execution: the product of its used
+          axes' tiles; 0 otherwise. *)
+}
+
+val count : Mcf_ir.Program.t -> count list
+(** Every placed statement of one thread block, in program order, counted
+    by [run]'s own loop walk without data: eqs. (3) and (4)'s tile size x
+    trip count, as the interpreter executes them. *)
 
 val run_candidate :
   Mcf_ir.Chain.t ->

@@ -29,9 +29,10 @@
     program order, so the result stays bit-equal even for a
     non-integral factor such as a [Unary]'s FLOPs per element.
     test_model.ml asserts bit-equality of all four breakdown fields
-    against the reference walk in the fuzz oracles, across workloads x
-    flag combos, and against [Lower.lower] on a chain whose unary
-    epilogue costs a non-integral 100.1 FLOPs per element. *)
+    against [Lower.lower] across workloads x flag combos, including a
+    chain whose unary epilogue costs a non-integral 100.1 FLOPs per
+    element; the lowering itself is held to the interpreter's counts
+    ([Mcf_fuzz.Oracle.count_mismatches]). *)
 
 type summary
 (** A compiled {!Mcf_ir.Skeleton.t}.  Depends on the tiling expression

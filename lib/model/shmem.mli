@@ -34,9 +34,10 @@ val footprint_of_candidate :
     splicing, Compute scope descent).  [rule1] and [dead_loop_elim] must match the
     flags later passed to [Lower.lower]; hoisting does not affect the
     estimate.  [Mcf_search.Space] reads the same footprint off its
-    memoized summaries as the rule-4 precheck.  The agreement with the
-    reference walk is enforced property-test-style in [test/test_model.ml]
-    and by the fuzzer's [shmem] oracle. *)
+    memoized summaries as the rule-4 precheck.  The agreement with
+    [Lower.lower] is enforced property-test-style in [test/test_model.ml]
+    and by the fuzzer's [shmem] oracle; the lowering's Rule-2 multipliers
+    are held to the program by [Mcf_fuzz.Oracle.count_mismatches]. *)
 
 val precheck_within_budget :
   Mcf_gpu.Spec.t ->

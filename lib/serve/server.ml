@@ -272,8 +272,6 @@ let cache_size t = Mutex.protect t.lock (fun () -> Boundtbl.length t.cache)
    SIGINT/SIGTERM handler at any safe point.  {!wait_shutdown} polls. *)
 let request_shutdown t = Atomic.set t.shutdown_requested true
 
-let shutdown_requested t = Atomic.get t.shutdown_requested
-
 let wait_shutdown t =
   while not (Atomic.get t.shutdown_requested) do
     Thread.delay 0.05

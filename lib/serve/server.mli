@@ -100,8 +100,6 @@ val cache_size : t -> int
 val request_shutdown : t -> unit
 (** Async shutdown trigger (signal handlers, [POST /shutdown]). *)
 
-val shutdown_requested : t -> bool
-
 val wait_shutdown : t -> unit
 (** Block the calling thread until {!request_shutdown} fires. *)
 

@@ -184,8 +184,7 @@ let check_precheck_agrees ~name chain =
             (fun tiles ->
               let c = Candidate.make tiling tiles in
               let l =
-                Mcf_fuzz.Oracle.reference ~rule1 ~dead_loop_elim:dle
-                  ~elem_bytes:2 chain c
+                Lower.lower ~rule1 ~dead_loop_elim:dle ~elem_bytes:2 chain c
               in
               let want = Mcf_model.Shmem.estimate_bytes l in
               let got =
@@ -231,18 +230,16 @@ let test_precheck_mlp () =
   check_precheck_agrees ~name:"mlp"
     (Chain.mlp_chain ~m:64 ~n:64 ~k:32 ~h:32 ())
 
-(* --- closed-form analytic model vs the reference walk -----------------------
+(* --- closed-form analytic model vs lowering ----------------------------------
 
    The search's fast path estimates candidates with [Analytic] instead of
-   [Perf.estimate ∘ Lower.lower]; both read the same skeleton, so each is
-   held to the reference walk kept in the fuzz oracles
-   ([Mcf_fuzz.Oracle.reference], the name-keyed walk over the placed
-   program): bit-for-bit on every point of the space, or the tuner's
-   ranking (and thus its outcome) would drift.  Exhaustive sweep: all
-   tilings x all tile combos x all eight (rule1, dead_loop_elim,
-   hoisting) flag combinations, asserting equality of all four breakdown
-   fields and the validity verdict, and of every field of [Lower.lower]
-   but the program. *)
+   [Perf.estimate ∘ Lower.lower]; both read the same skeleton, and must
+   agree bit-for-bit on every point of the space, or the tuner's ranking
+   (and thus its outcome) would drift.  Exhaustive sweep: all tilings x
+   all tile combos x all eight (rule1, dead_loop_elim, hoisting) flag
+   combinations, asserting equality of all four breakdown fields and the
+   validity verdict.  The lowering itself is held to the interpreter's
+   counts below. *)
 
 let check_analytic_agrees ~name chain =
   let tilings = Tiling.enumerate chain in
@@ -270,22 +267,9 @@ let check_analytic_agrees ~name chain =
             (fun tiles ->
               let c = Candidate.make tiling tiles in
               let l =
-                Mcf_fuzz.Oracle.reference ~rule1 ~dead_loop_elim:dle ~hoisting
-                  ~elem_bytes:2 chain c
+                Lower.lower ~rule1 ~dead_loop_elim:dle ~hoisting ~elem_bytes:2
+                  chain c
               in
-              (match
-                 Mcf_fuzz.Oracle.lower_mismatches
-                   (Lower.lower ~rule1 ~dead_loop_elim:dle ~hoisting
-                      ~elem_bytes:2 chain c)
-                   l
-               with
-              | [] -> ()
-              | fields ->
-                Alcotest.failf
-                  "%s: Lower.lower's %s differ from the reference walk for %s \
-                   (rule1=%b dead_loop_elim=%b hoisting=%b)"
-                  name (String.concat ", " fields) (Candidate.key c) rule1 dle
-                  hoisting);
               let want = Mcf_model.Perf.breakdown a100 l in
               let ev =
                 Mcf_model.Analytic.eval_candidate ~rule1 ~dead_loop_elim:dle
@@ -295,7 +279,7 @@ let check_analytic_agrees ~name chain =
               incr checked;
               let fail field (w : float) (g : float) =
                 Alcotest.failf
-                  "%s: analytic %s %.17g <> reference %.17g for %s (rule1=%b \
+                  "%s: analytic %s %.17g <> lowered %.17g for %s (rule1=%b \
                    dead_loop_elim=%b hoisting=%b)"
                   name field g w (Candidate.key c) rule1 dle hoisting
               in
@@ -311,7 +295,7 @@ let check_analytic_agrees ~name chain =
                 fail "t_total" want.t_total got.t_total;
               if ev.everdict <> l.validity then
                 Alcotest.failf
-                  "%s: analytic verdict disagrees with the reference validity \
+                  "%s: analytic verdict disagrees with the lowered validity \
                    for %s (rule1=%b dead_loop_elim=%b hoisting=%b)"
                   name (Candidate.key c) rule1 dle hoisting)
             combos)
@@ -489,37 +473,37 @@ let test_analytic_memo () =
   let e2 = Mcf_model.Analytic.Memo.estimate memo a100 c2 in
   let e1' = Mcf_model.Analytic.Memo.estimate memo a100 c1 in
   Alcotest.(check bool) "memoized result is stable" true (Float.equal e1 e1');
-  let reference c =
-    Mcf_model.Perf.estimate a100
-      (Mcf_fuzz.Oracle.reference ~elem_bytes:2 chain c)
+  let lowered c =
+    Mcf_model.Perf.estimate a100 (Lower.lower ~elem_bytes:2 chain c)
   in
   Alcotest.(check (float 1e-30))
-    "memoized estimate matches the reference walk" (reference c1) e1;
+    "memoized estimate matches the lowering" (lowered c1) e1;
   Alcotest.(check (float 1e-30))
-    "second tile vector evaluates independently" (reference c2) e2;
+    "second tile vector evaluates independently" (lowered c2) e2;
   let hits = Mcf_obs.Metrics.counter_value "model.memo.hits" - hits0 in
   let misses = Mcf_obs.Metrics.counter_value "model.memo.misses" - misses0 in
   Alcotest.(check int) "one summary computed" 1 misses;
   Alcotest.(check int) "two summary hits" 2 hits
 
-(* --- lowering = the reference walk ------------------------------------------
+(* --- lowering = the counts ---------------------------------------------------
 
    [Lower.lower] reads the skeleton of the built program and
    instantiates it; an enumeration entry instantiates the skeleton its
    precheck built for its memo key, shared with every other point of
    that key, so a measurement builds no program.  Both must equal the
-   reference walk in every field but the program, statement order
-   included: on every rule-3 point of the paper's tables (rule 4 off, so
-   the points are the same on both devices), on the deep chains'
-   reservoir, and on the entries of every switch combination. *)
+   interpreter's counts of their own program, statement order included
+   ([Mcf_fuzz.Oracle.count_mismatches]): on every rule-3 point of the
+   paper's tables (rule 4 off, so the points are the same on both
+   devices), on the deep chains' reservoir, and on the entries of every
+   switch combination. *)
 
 module Space = Mcf_search.Space
 
-let lower_equal ~what c got want =
-  match Mcf_fuzz.Oracle.lower_mismatches got want with
+let lower_equal ~what c l =
+  match Mcf_fuzz.Oracle.count_mismatches l with
   | [] -> ()
   | fields ->
-    Alcotest.failf "%s: %s differ from the reference walk for %s" what
+    Alcotest.failf "%s: %s differ from the counts for %s" what
       (String.concat ", " fields) (Candidate.key c)
 
 (* Every rule-3 point: rules 1-2 over the raw tilings, crossed with the
@@ -548,23 +532,17 @@ let rule3_points (o : Space.options) chain =
 
 let check_lowering ?(all_points = false) ?reservoir ~name (o : Space.options)
     chain =
-  let reference c =
-    Mcf_fuzz.Oracle.reference ~rule1:o.rule1 ~dead_loop_elim:o.dead_loop_elim
-      ~hoisting:o.hoisting ~elem_bytes:a100.elem_bytes chain c
-  in
   let entries, _ = Space.enumerate ~options:o ?reservoir a100 chain in
   List.iter
     (fun (e : Space.entry) ->
-      lower_equal ~what:(name ^ " entry") e.cand (Space.lowered e)
-        (reference e.cand))
+      lower_equal ~what:(name ^ " entry") e.cand (Space.lowered e))
     entries;
   let points = if all_points then rule3_points o chain else [] in
   List.iter
     (fun c ->
       lower_equal ~what:(name ^ " Lower.lower") c
         (Lower.lower ~rule1:o.rule1 ~dead_loop_elim:o.dead_loop_elim
-           ~hoisting:o.hoisting ~elem_bytes:a100.elem_bytes chain c)
-        (reference c))
+           ~hoisting:o.hoisting ~elem_bytes:a100.elem_bytes chain c))
     points;
   Alcotest.(check bool)
     (Printf.sprintf "%s: entries to compare" name)
@@ -575,7 +553,7 @@ let workload name =
   | Ok c -> c
   | Error e -> Alcotest.fail e
 
-let test_lower_reference_tables () =
+let test_lower_counts_tables () =
   let o = { Space.default_options with rule4 = false } in
   List.iter
     (fun name -> check_lowering ~all_points:true ~name o (workload name))
@@ -586,14 +564,14 @@ let test_lower_reference_tables () =
         (fun (s : Mcf_workloads.Configs.attention_config) -> s.sname)
         Mcf_workloads.Configs.attentions)
 
-let test_lower_reference_deep () =
+let test_lower_counts_deep () =
   List.iter
     (fun name ->
       check_lowering ~reservoir:4096 ~name Space.default_options
         (workload name))
     [ "D5"; "D6" ]
 
-let test_lower_reference_switches () =
+let test_lower_counts_switches () =
   List.iter
     (fun (rule1, dead_loop_elim, hoisting) ->
       let o =
@@ -622,6 +600,70 @@ let test_lower_reference_switches () =
            (fun dle -> List.map (fun h -> (r1, dle, h)) [ true; false ])
            [ true; false ])
        [ true; false ])
+
+(* The check's own sensitivity, as [Oracle.drop_live_loops] is the
+   interp oracle's: two of the skeleton mutations it must catch, on the
+   first valid gemm-chain point whose Store flushes more than one
+   resident tile (rule 1 off, so spatial loops stay in the block). *)
+let test_lower_counts_sensitivity () =
+  let chain = Chain.gemm_chain ~m:128 ~n:64 ~k:32 ~h:32 () in
+  let combos =
+    Mcf_util.Listx.cartesian
+      (List.map
+         (fun (a : Axis.t) ->
+           List.map (fun t -> (a.name, t)) (Candidate.tile_options a.size))
+         chain.axes)
+  in
+  let flushes_many (s : Skeleton.t) trips =
+    Array.exists
+      (fun (st : Skeleton.stmt) ->
+        match st.op with
+        | Skeleton.Access { store = true; amult; _ } ->
+          List.exists (fun a -> trips.(a) > 1) amult
+        | Skeleton.Access _ | Skeleton.Contraction _ | Skeleton.Epilogue _ ->
+          false)
+      s.stmts
+  in
+  let s, c, tiles, trips =
+    match
+      List.find_map
+        (fun tiling ->
+          List.find_map
+            (fun t ->
+              let c = Candidate.make tiling t in
+              let s = Skeleton.make ~rule1:false chain c in
+              let tiles, trips = Skeleton.tile_arrays s c in
+              if s.verdict = Ok () && flushes_many s trips then
+                Some (s, c, tiles, trips)
+              else None)
+            combos)
+        (Tiling.enumerate chain)
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no valid point flushes more than one tile"
+  in
+  let mismatches stmts =
+    Mcf_fuzz.Oracle.count_mismatches
+      (Lower.instantiate ~elem_bytes:2 { s with stmts } c ~tiles ~trips)
+  in
+  let fields = Alcotest.(list string) in
+  Alcotest.check fields "the lowering itself" [] (mismatches s.stmts);
+  Alcotest.check fields "first multiplier axis of every Store dropped"
+    [ "accesses" ]
+    (mismatches
+       (Array.map
+          (fun (st : Skeleton.stmt) ->
+            match st.op with
+            | Skeleton.Access ({ store = true; amult = _ :: rest; _ } as a) ->
+              { st with op = Skeleton.Access { a with amult = rest } }
+            | Skeleton.Access _ | Skeleton.Contraction _ | Skeleton.Epilogue _
+              ->
+              st)
+          s.stmts));
+  Alcotest.check fields "statement order reversed"
+    [ "accesses"; "computes" ]
+    (mismatches
+       (Array.of_list (List.rev (Array.to_list s.stmts))))
 
 (* --- the memo key: only the trip=1 bits a summary reads -------------------
 
@@ -788,13 +830,15 @@ let () =
           Alcotest.test_case "short point arrays refused" `Quick
             test_analytic_short_arrays ]
       );
-      ( "lower vs reference",
+      ( "lower vs counts",
         [ Alcotest.test_case "tables, every rule-3 point" `Quick
-            test_lower_reference_tables;
+            test_lower_counts_tables;
           Alcotest.test_case "D5 and D6 reservoirs" `Quick
-            test_lower_reference_deep;
+            test_lower_counts_deep;
           Alcotest.test_case "switch combinations" `Quick
-            test_lower_reference_switches ] );
+            test_lower_counts_switches;
+          Alcotest.test_case "catches mutated lowerings"
+            `Quick test_lower_counts_sensitivity ] );
       ( "memo key",
         [ Alcotest.test_case "gemm chain" `Quick test_memo_key_gemm;
           Alcotest.test_case "attention" `Quick test_memo_key_attention;
