@@ -54,7 +54,10 @@ trace-demo:
 # lib/ or bin/ file but lib/search/space.ml{,i} and
 # explore.ml{,i} names the build-every-entry adapters enumerate_scored or
 # Explore.run; and a lowering is accounted only by Lower, so no lib/ or
-# bin/ file but lib/ir/lower.ml builds a Lower.t record.
+# bin/ file but lib/ir/lower.ml builds a Lower.t record; and Protocol is
+# the one resolver of a tune request's device and chain, so outside
+# lib/fuzz/ no lib/ or bin/ file but lib/serve/protocol.ml names
+# Spec.by_name or the chain kind "gemm3".
 ci-guard:
 	dune build @fmt 2>/dev/null || { \
 	  echo "ci-guard: dune build @fmt reports formatting drift"; exit 1; }
@@ -100,10 +103,14 @@ ci-guard:
 	  | grep -v '^lib/ir/lower\.ml:'; then \
 	  echo "ci-guard: a Lower.t record built in lib bin outside lib/ir/lower.ml"; \
 	  exit 1; fi
+	@if grep -rnE 'Spec\.by_name|"gemm3"' lib bin \
+	  | grep -v -e '^lib/serve/protocol\.ml:' -e '^lib/fuzz/'; then \
+	  echo "ci-guard: Spec.by_name or the chain kind \"gemm3\" in lib bin outside lib/serve/protocol.ml and lib/fuzz/"; \
+	  exit 1; fi
 	dune runtest test/cram --force || { \
 	  echo "ci-guard: cram pins drifted (inspect dune runtest test/cram)"; \
 	  exit 1; }
-	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters, Lower.t builders (lib and bin) and cram pins clean"
+	@echo "ci-guard: formatting, domain spawns, tile options, model callers, raw tiling walks, writers, entry simulators, observability starts, cost-term readers, schedule caches, entry-building adapters, Lower.t builders, request resolvers (lib and bin) and cram pins clean"
 
 # Pool gate: the streamed 6-block deep chain's enumeration at
 # max(4, default) jobs must keep 0.9x of its 1-job throughput, best of

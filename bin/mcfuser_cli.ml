@@ -27,16 +27,7 @@
      --progress      live status line on stderr (tty only) *)
 
 open Cmdliner
-
-let spec_of_name name =
-  match Mcf_gpu.Spec.by_name name with
-  | Some s -> Ok s
-  | None ->
-    Error
-      (`Msg
-        (Printf.sprintf "unknown device %S (available: %s)" name
-           (String.concat ", "
-              (List.map (fun (s : Mcf_gpu.Spec.t) -> s.name) Mcf_gpu.Spec.all))))
+module Protocol = Mcf_serve.Protocol
 
 (* --- common flags: verbosity and observability ---------------------------- *)
 
@@ -188,13 +179,19 @@ let with_obs (jobs, config) f =
       Result.map_error (fun (`Msg e) -> e) (f ()))
   |> Result.map_error (fun e -> `Msg e)
 
-let with_setup device workload f =
-  match spec_of_name device with
-  | Error e -> Error e
-  | Ok spec -> (
-    match Mcf_serve.Protocol.chain_of_workload workload with
-    | Error e -> Error (`Msg e)
-    | Ok chain -> f spec chain)
+(* Resolve [device] the way [POST /tune] does and hand it to [f] with
+   the already resolved [input] (a chain, say); a device error wins. *)
+let with_setup device input f =
+  match (Protocol.spec_of_name device, input) with
+  | Ok spec, Ok input -> f spec input
+  | Error e, _ | _, Error e -> Error (`Msg e)
+
+let no_viable = `Msg "no viable candidate: the chain cannot be fused here"
+
+let with_tuned spec chain f =
+  match Mcf_search.Tuner.tune spec chain with
+  | Error Mcf_search.Tuner.No_viable_candidate -> Error no_viable
+  | Ok o -> f o
 
 let device_arg =
   let doc = "Target device model (A100 or RTX3080)." in
@@ -208,7 +205,7 @@ let workload_arg =
 
 (* A stored or served schedule, as a [tune --cache] hit and [submit]
    print it. *)
-let print_sched (s : Mcf_serve.Protocol.sched) =
+let print_sched (s : Protocol.sched) =
   Printf.printf "best      %s\n" s.cand;
   Printf.printf "kernel    %s\n" (Mcf_util.Table.fmt_time_s s.time_s);
   Printf.printf "tuning    %s virtual, %d measured, %d generations\n"
@@ -267,7 +264,8 @@ let tune_cmd =
   in
   let run () obs cache reservoir measure_cache device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
             let mcache =
               Option.map
                 (fun path ->
@@ -284,7 +282,7 @@ let tune_cmd =
             let hits0 = Mcf_obs.Metrics.counter_value "measure.cache.hits" in
             let miss0 = Mcf_obs.Metrics.counter_value "measure.cache.misses" in
             let result =
-              Mcf_serve.Protocol.tune ?cache_file:cache ?measure
+              Protocol.tune ?cache_file:cache ?measure
                 { workload; chain; spec; seed = None; reservoir }
             in
             (* Persist whatever was measured, even on failure: those
@@ -298,8 +296,7 @@ let tune_cmd =
                 cache
             in
             match result with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate: the chain cannot be fused here")
+            | Error Mcf_search.Tuner.No_viable_candidate -> Error no_viable
             | Ok (sched, outcome) -> (
               Printf.printf "workload  %s on %s\n" workload spec.name;
               match outcome with
@@ -360,33 +357,18 @@ let chain_cmd =
   in
   let run () obs device kind batch m n k h p =
     with_obs obs (fun () ->
-        match spec_of_name device with
-        | Error e -> Error e
-        | Ok spec -> (
-          let chain =
-            match kind with
-            | "gemm" -> Ok (Mcf_ir.Chain.gemm_chain ~batch ~m ~n ~k ~h ())
-            | "attention" ->
-              Ok (Mcf_ir.Chain.attention ~heads:batch ~m ~n ~k ~h ())
-            | "mlp" -> Ok (Mcf_ir.Chain.mlp_chain ~batch ~m ~n ~k ~h ())
-            | "gemm3" -> Ok (Mcf_ir.Chain.gemm_chain3 ~batch ~m ~n ~k ~h ~p ())
-            | other -> Error (`Msg (Printf.sprintf "unknown chain kind %S" other))
-          in
-          match chain with
-          | Error e -> Error e
-          | Ok chain -> (
-            match Mcf_search.Tuner.tune spec chain with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate: the chain cannot be fused here")
-            | Ok o ->
-              Printf.printf "best  %s at %s (%d measured, tuning %s virtual)\n"
-                (Mcf_ir.Candidate.to_string o.best.cand)
-                (Mcf_util.Table.fmt_time_s o.kernel_time_s)
-                o.search_stats.measured
-                (Mcf_util.Table.fmt_time_s o.tuning_virtual_s);
-              Printf.printf "phases %s\n\n" (phase_breakdown o);
-              print_string (Mcf_search.Tuner.pseudo_code o);
-              Ok ())))
+        with_setup device (Protocol.chain_of_dims ~kind ~batch ~m ~n ~k ~h ~p)
+          (fun spec chain ->
+            with_tuned spec chain (fun o ->
+                Printf.printf
+                  "best  %s at %s (%d measured, tuning %s virtual)\n"
+                  (Mcf_ir.Candidate.to_string o.best.cand)
+                  (Mcf_util.Table.fmt_time_s o.kernel_time_s)
+                  o.search_stats.measured
+                  (Mcf_util.Table.fmt_time_s o.tuning_virtual_s);
+                Printf.printf "phases %s\n\n" (phase_breakdown o);
+                print_string (Mcf_search.Tuner.pseudo_code o);
+                Ok ())))
   in
   let term =
     Term.(
@@ -404,15 +386,13 @@ let chain_cmd =
 let dot_cmd =
   let run () obs device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
-            match Mcf_search.Tuner.tune spec chain with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate")
-            | Ok o ->
-              print_string
-                (Mcf_ir.Program.to_dot
-                   (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
-              Ok ()))
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
+            with_tuned spec chain (fun o ->
+                print_string
+                  (Mcf_ir.Program.to_dot
+                     (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
+                Ok ())))
   in
   let term =
     Term.(term_result (const run $ setup_term $ obs_term $ device_arg
@@ -428,22 +408,20 @@ let dot_cmd =
 let explain_cmd =
   let run () obs device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
-            match Mcf_search.Tuner.tune spec chain with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate")
-            | Ok o ->
-              print_string (Mcf_gpu.Sim.explain spec o.kernel);
-              let b = Mcf_model.Perf.breakdown spec (Mcf_search.Space.lowered o.best) in
-              Printf.printf
-                "\nanalytical model (eqs. 2-5): %.2f us = (mem %.2f + comp %.2f) \
-                 x alpha %.3f\n"
-                (b.t_total *. 1e6) (b.t_mem *. 1e6) (b.t_comp *. 1e6) b.alpha;
-              Printf.printf
-                "shared memory: eq. (1) estimate %d B, actual allocation %d B\n"
-                (Mcf_model.Shmem.estimate_bytes (Mcf_search.Space.lowered o.best))
-                o.kernel.smem_bytes;
-              Ok ()))
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
+            with_tuned spec chain (fun o ->
+                print_string (Mcf_gpu.Sim.explain spec o.kernel);
+                let b = Mcf_model.Perf.breakdown spec (Mcf_search.Space.lowered o.best) in
+                Printf.printf
+                  "\nanalytical model (eqs. 2-5): %.2f us = (mem %.2f + comp %.2f) \
+                   x alpha %.3f\n"
+                  (b.t_total *. 1e6) (b.t_mem *. 1e6) (b.t_comp *. 1e6) b.alpha;
+                Printf.printf
+                  "shared memory: eq. (1) estimate %d B, actual allocation %d B\n"
+                  (Mcf_model.Shmem.estimate_bytes (Mcf_search.Space.lowered o.best))
+                  o.kernel.smem_bytes;
+                Ok ())))
   in
   let term =
     Term.(term_result (const run $ setup_term $ obs_term $ device_arg
@@ -462,21 +440,16 @@ let partition_cmd =
   in
   let run () obs device model =
     with_obs obs (fun () ->
-        match spec_of_name device with
-        | Error e -> Error e
-        | Ok spec -> (
-          let cfg =
-            match String.lowercase_ascii model with
-            | "bert-small" -> Ok Mcf_workloads.Configs.bert_small
-            | "bert-base" -> Ok Mcf_workloads.Configs.bert_base
-            | "bert-large" -> Ok Mcf_workloads.Configs.bert_large
-            | "vit-base" -> Ok Mcf_workloads.Configs.vit_base
-            | "vit-large" -> Ok Mcf_workloads.Configs.vit_large
-            | other -> Error (`Msg (Printf.sprintf "unknown model %S" other))
-          in
-          match cfg with
-          | Error e -> Error e
-          | Ok cfg ->
+        let cfg =
+          match String.lowercase_ascii model with
+          | "bert-small" -> Ok Mcf_workloads.Configs.bert_small
+          | "bert-base" -> Ok Mcf_workloads.Configs.bert_base
+          | "bert-large" -> Ok Mcf_workloads.Configs.bert_large
+          | "vit-base" -> Ok Mcf_workloads.Configs.vit_base
+          | "vit-large" -> Ok Mcf_workloads.Configs.vit_large
+          | other -> Error (Printf.sprintf "unknown model %S" other)
+        in
+        with_setup device cfg (fun spec cfg ->
             let g = Mcf_frontend.Opgraph.bert_layer cfg in
             Printf.printf "# imported operator graph (one encoder layer)\n";
             print_string (Mcf_frontend.Opgraph.to_string g);
@@ -504,24 +477,23 @@ let partition_cmd =
 let schedule_cmd =
   let run () obs device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
-            match Mcf_search.Tuner.tune spec chain with
-            | Error Mcf_search.Tuner.No_viable_candidate ->
-              Error (`Msg "no viable candidate")
-            | Ok o ->
-              Printf.printf "# tiling expression pseudo-code (Fig. 4 style)\n";
-              print_string (Mcf_search.Tuner.pseudo_code o);
-              Printf.printf "\n# generated Triton kernel\n";
-              print_string (Mcf_search.Tuner.triton_source o);
-              Printf.printf "\n# launch stub\n";
-              print_string
-                (Mcf_codegen.Emit.launch_stub
-                   (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
-              Printf.printf "\n# TIR view (SV-B round trip)\n";
-              print_string
-                (Mcf_ir.Tir.pretty
-                   (Mcf_ir.Tir.of_candidate chain o.best.cand));
-              Ok ()))
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
+            with_tuned spec chain (fun o ->
+                Printf.printf
+                  "# tiling expression pseudo-code (Fig. 4 style)\n";
+                print_string (Mcf_search.Tuner.pseudo_code o);
+                Printf.printf "\n# generated Triton kernel\n";
+                print_string (Mcf_search.Tuner.triton_source o);
+                Printf.printf "\n# launch stub\n";
+                print_string
+                  (Mcf_codegen.Emit.launch_stub
+                     (Mcf_ir.Lower.program (Mcf_search.Space.lowered o.best)));
+                Printf.printf "\n# TIR view (SV-B round trip)\n";
+                print_string
+                  (Mcf_ir.Tir.pretty
+                     (Mcf_ir.Tir.of_candidate chain o.best.cand));
+                Ok ())))
   in
   let term =
     Term.(term_result (const run $ setup_term $ obs_term $ device_arg
@@ -536,7 +508,8 @@ let schedule_cmd =
 let compare_cmd =
   let run () obs device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
             let backends =
               [ Mcf_baselines.Pytorch.backend;
                 Mcf_baselines.Relay.backend;
@@ -651,7 +624,8 @@ let workloads_cmd =
 let verify_cmd =
   let run () obs device workload =
     with_obs obs (fun () ->
-        with_setup device workload (fun spec chain ->
+        with_setup device (Protocol.chain_of_workload workload)
+          (fun spec chain ->
             (* Scale the chain down so the reference interpreter stays fast,
                keeping the structure (same axes, same epilogues). *)
             let small (a : Mcf_ir.Axis.t) = min a.size 96 in
@@ -685,7 +659,7 @@ let verify_cmd =
               Mcf_experiments.Exp_verify.check (Mcf_util.Rng.create 7) spec
                 chain
             with
-            | None -> Error (`Msg "no viable candidate")
+            | None -> Error no_viable
             | Some c ->
               Printf.printf
                 "schedule %s\nmax |fused - reference| = %.3g  ->  %s\n"
@@ -1241,7 +1215,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the tuning-as-a-service daemon (POST /tune, GET /jobs/:id, \
-             coalesced sessions, sharded schedule cache)")
+             coalesced sessions, bounded schedule cache)")
     term
 
 (* --- submit ---------------------------------------------------------------- *)
@@ -1311,7 +1285,7 @@ let submit_cmd =
     match state with
     | "done" -> (
       match
-        Option.bind (jget job [ "result" ]) Mcf_serve.Protocol.sched_of_json
+        Option.bind (jget job [ "result" ]) Protocol.sched_of_json
       with
       | Some sched ->
         print_sched sched;

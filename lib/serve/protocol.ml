@@ -63,7 +63,18 @@ let chain_of_workload name =
               bert-base, or mha-small/base/large)"
              name)))
 
+let spec_of_name name =
+  match Mcf_gpu.Spec.by_name name with
+  | Some s -> Ok s
+  | None ->
+    Error
+      (Printf.sprintf "unknown device %S (available: %s)" name
+         (String.concat ", "
+            (List.map (fun (s : Mcf_gpu.Spec.t) -> s.name) Mcf_gpu.Spec.all)))
+
 (* --- request parsing --------------------------------------------------- *)
+
+let ( let* ) = Result.bind
 
 let jint j = match j with Json.Num n when Float.is_integer n -> Some (int_of_float n) | _ -> None
 
@@ -75,118 +86,71 @@ let field_int obj name ~default =
     | Some n when n > 0 -> Ok n
     | _ -> Error (Printf.sprintf "field %S must be a positive integer" name))
 
+let chain_of_dims ~kind ~batch ~m ~n ~k ~h ~p =
+  match kind with
+  | ("gemm" | "mlp" | "attention" | "gemm3") when batch <= 0 ->
+    Error "chain batch must be a positive integer"
+  | ("gemm" | "mlp" | "attention" | "gemm3")
+    when m <= 0 || n <= 0 || k <= 0 || h <= 0 ->
+    Error "chain dims m, n, k, h must all be positive integers"
+  | "gemm" -> Ok (Mcf_ir.Chain.gemm_chain ~batch ~m ~n ~k ~h ())
+  | "mlp" -> Ok (Mcf_ir.Chain.mlp_chain ~batch ~m ~n ~k ~h ())
+  | "attention" -> Ok (Mcf_ir.Chain.attention ~heads:batch ~m ~n ~k ~h ())
+  | "gemm3" when p > 0 -> Ok (Mcf_ir.Chain.gemm_chain3 ~batch ~m ~n ~k ~h ~p ())
+  | "gemm3" -> Error "chain kind \"gemm3\" requires a positive \"p\""
+  | other ->
+    Error
+      (Printf.sprintf
+         "unknown chain kind %S (expected gemm, mlp, attention or gemm3)" other)
+
 let chain_of_json j =
   match Json.member "kind" j with
   | Some (Json.Str kind) -> (
-    let dims () =
-      match
-        ( field_int j "batch" ~default:1,
-          field_int j "m" ~default:0,
-          field_int j "n" ~default:0,
-          field_int j "k" ~default:0,
-          field_int j "h" ~default:0 )
-      with
-      | Ok batch, Ok m, Ok n, Ok k, Ok h ->
-        if m <= 0 || n <= 0 || k <= 0 || h <= 0 then
-          Error "chain dims m, n, k, h must all be positive integers"
-        else Ok (batch, m, n, k, h)
-      | (Error _ as e), _, _, _, _
-      | _, (Error _ as e), _, _, _
-      | _, _, (Error _ as e), _, _
-      | _, _, _, (Error _ as e), _
-      | _, _, _, _, (Error _ as e) -> e
-    in
-    match kind with
-    | "gemm" -> (
-      match dims () with
-      | Error _ as e -> e
-      | Ok (batch, m, n, k, h) ->
-        Ok (Mcf_ir.Chain.gemm_chain ~batch ~m ~n ~k ~h ()))
-    | "mlp" -> (
-      match dims () with
-      | Error _ as e -> e
-      | Ok (batch, m, n, k, h) ->
-        Ok (Mcf_ir.Chain.mlp_chain ~batch ~m ~n ~k ~h ()))
-    | "attention" -> (
-      match dims () with
-      | Error _ as e -> e
-      | Ok (heads, m, n, k, h) ->
-        Ok (Mcf_ir.Chain.attention ~heads ~m ~n ~k ~h ()))
-    | "gemm3" -> (
-      match (dims (), field_int j "p" ~default:0) with
-      | Error _ as e, _ -> e
-      | _, Error _ -> Error "field \"p\" must be a positive integer"
-      | Ok (batch, m, n, k, h), Ok p ->
-        if p <= 0 then Error "chain kind \"gemm3\" requires a positive \"p\""
-        else Ok (Mcf_ir.Chain.gemm_chain3 ~batch ~m ~n ~k ~h ~p ()))
-    | other ->
-      Error
-        (Printf.sprintf
-           "unknown chain kind %S (expected gemm, mlp, attention or gemm3)"
-           other))
+    let* batch = field_int j "batch" ~default:1 in
+    let* m = field_int j "m" ~default:0 in
+    let* n = field_int j "n" ~default:0 in
+    let* k = field_int j "k" ~default:0 in
+    let* h = field_int j "h" ~default:0 in
+    (* Only gemm3 reads "p"; a non-integer one counts as missing. *)
+    let p = Option.value (Option.bind (Json.member "p" j) jint) ~default:0 in
+    chain_of_dims ~kind ~batch ~m ~n ~k ~h ~p)
   | Some _ -> Error "chain field \"kind\" must be a string"
   | None -> Error "chain object is missing the \"kind\" field"
 
 let parse_tune_request body =
   match Json.parse (String.trim body) with
   | Error msg -> Error (Printf.sprintf "invalid JSON: %s" msg)
-  | Ok (Json.Obj _ as j) -> (
-    let chain =
+  | Ok (Json.Obj _ as j) ->
+    let* workload, chain =
       match (Json.member "workload" j, Json.member "chain" j) with
-      | Some (Json.Str _), Some _ | Some _, Some _ ->
-        Error "give either \"workload\" or \"chain\", not both"
-      | Some (Json.Str w), None -> (
-        match chain_of_workload w with
-        | Ok c -> Ok (w, c)
-        | Error _ as e -> e)
+      | Some _, Some _ -> Error "give either \"workload\" or \"chain\", not both"
+      | Some (Json.Str w), None ->
+        Result.map (fun c -> (w, c)) (chain_of_workload w)
       | Some _, None -> Error "field \"workload\" must be a string"
-      | None, Some (Json.Obj _ as cj) -> (
-        match chain_of_json cj with
-        | Ok c -> Ok (c.Mcf_ir.Chain.cname, c)
-        | Error _ as e -> e)
+      | None, Some (Json.Obj _ as cj) ->
+        Result.map (fun c -> (c.Mcf_ir.Chain.cname, c)) (chain_of_json cj)
       | None, Some _ -> Error "field \"chain\" must be an object"
       | None, None -> Error "request needs a \"workload\" or \"chain\" field"
     in
-    match chain with
-    | Error _ as e -> e
-    | Ok (workload, chain) -> (
-      let device =
-        match Json.member "device" j with
-        | None -> Ok "A100"
-        | Some (Json.Str d) -> Ok d
-        | Some _ -> Error "field \"device\" must be a string"
-      in
-      match device with
-      | Error _ as e -> e
-      | Ok device -> (
-        match Mcf_gpu.Spec.by_name device with
-        | None ->
-          Error
-            (Printf.sprintf "unknown device %S (available: %s)" device
-               (String.concat ", "
-                  (List.map
-                     (fun (s : Mcf_gpu.Spec.t) -> s.name)
-                     Mcf_gpu.Spec.all)))
-        | Some spec -> (
-          (* A seed may be 0; a reservoir of 0 would be clamped to 1 by
-             the enumeration, so one session would run under two keys. *)
-          let opt_field name ~least ~what =
-            match Json.member name j with
-            | None -> Ok None
-            | Some v -> (
-              match jint v with
-              | Some n when n >= least -> Ok (Some n)
-              | _ ->
-                Error
-                  (Printf.sprintf "field %S must be a %s integer" name what))
-          in
-          match
-            ( opt_field "seed" ~least:0 ~what:"non-negative",
-              opt_field "reservoir" ~least:1 ~what:"positive" )
-          with
-          | Error _ as e, _ | _, (Error _ as e) -> e
-          | Ok seed, Ok reservoir ->
-            Ok { workload; chain; spec; seed; reservoir }))))
+    let* spec =
+      match Json.member "device" j with
+      | None -> spec_of_name "A100"
+      | Some (Json.Str d) -> spec_of_name d
+      | Some _ -> Error "field \"device\" must be a string"
+    in
+    (* A seed may be 0; a reservoir of 0 would be clamped to 1 by the
+       enumeration, so one session would run under two keys. *)
+    let opt_field name ~least ~what =
+      match Json.member name j with
+      | None -> Ok None
+      | Some v -> (
+        match jint v with
+        | Some n when n >= least -> Ok (Some n)
+        | _ -> Error (Printf.sprintf "field %S must be a %s integer" name what))
+    in
+    let* seed = opt_field "seed" ~least:0 ~what:"non-negative" in
+    let* reservoir = opt_field "reservoir" ~least:1 ~what:"positive" in
+    Ok { workload; chain; spec; seed; reservoir }
   | Ok _ -> Error "request body must be a JSON object"
 
 (* --- coalescing key ---------------------------------------------------- *)
@@ -257,6 +221,10 @@ let persist_cache path entries =
 let c_hits = Mcf_obs.Metrics.counter "cache.hits"
 let c_misses = Mcf_obs.Metrics.counter "cache.misses"
 
+let count_lookup found =
+  Mcf_obs.Metrics.incr (if Option.is_some found then c_hits else c_misses);
+  found
+
 let tune ?cache_file ?measure (r : tune_request) =
   let fresh () =
     Result.map
@@ -271,12 +239,9 @@ let tune ?cache_file ?measure (r : tune_request) =
     let entries, _ = Trace.with_span "cache.load" (fun () -> load_cache path) in
     let table = Hashtbl.of_seq (List.to_seq entries) in
     let key = key r in
-    match Hashtbl.find_opt table key with
-    | Some s ->
-      Mcf_obs.Metrics.incr c_hits;
-      Ok (s, None)
+    match count_lookup (Hashtbl.find_opt table key) with
+    | Some s -> Ok (s, None)
     | None ->
-      Mcf_obs.Metrics.incr c_misses;
       let res = fresh () in
       Result.iter
         (fun (s, _) ->

@@ -43,6 +43,26 @@ val chain_of_workload : string -> (Mcf_ir.Chain.t, string) result
     attention shape), case-insensitively.  The CLI, serve and perfbench
     share it. *)
 
+val spec_of_name : string -> (Mcf_gpu.Spec.t, string) result
+(** Resolve a device name among {!Mcf_gpu.Spec.all}; the error lists
+    the available devices.  A request's ["device"] and the CLI's
+    [--device] both resolve through it. *)
+
+val chain_of_dims :
+  kind:string ->
+  batch:int ->
+  m:int ->
+  n:int ->
+  k:int ->
+  h:int ->
+  p:int ->
+  (Mcf_ir.Chain.t, string) result
+(** Build a chain of [kind] (gemm, mlp, attention with [batch] heads, or
+    gemm3, the only kind that reads [p]).  An unknown kind, a batch or a
+    dim that is not positive, and a gemm3 without a positive [p] are
+    errors, never an exception.  A request's ["chain"] object and
+    [mcfuser chain] both build through it. *)
+
 val parse_tune_request : string -> (tune_request, string) result
 (** Parse a [POST /tune] body.  All errors are client errors (400). *)
 
@@ -80,6 +100,13 @@ val tune :
   (sched * Mcf_search.Tuner.outcome option, Mcf_search.Tuner.error) result
 (** Run [Tuner.tune] with the request's seed and reservoir (and
     [measure], which never changes the outcome).  With [cache_file],
-    look {!key} up in that file first: a hit returns the stored schedule
-    and no outcome, counted on [cache.hits]; a miss, counted on
-    [cache.misses], tunes and rewrites the file with the new entry. *)
+    look {!key} up in that file first ({!count_lookup}): a hit returns
+    the stored schedule and no outcome; a miss tunes and rewrites the
+    file with the new entry. *)
+
+val count_lookup : sched option -> sched option
+(** Count one schedule-cache lookup on [cache.hits] ([Some]) or
+    [cache.misses] ([None]) and return its result.  The one place those
+    counters move: {!tune}'s file lookups and the daemon's table lookups
+    (one per accepted request, a coalesced one included) both go
+    through it, and [/status] reports the pair as [caches.schedule]. *)

@@ -20,8 +20,6 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 let c_requests = Metrics.counter "serve.requests"
 let c_coalesced = Metrics.counter "serve.coalesced"
-let c_cache_hits = Metrics.counter "serve.cache.hits"
-let c_cache_misses = Metrics.counter "serve.cache.misses"
 let c_rejected = Metrics.counter "serve.rejected"
 let c_sessions = Metrics.counter "serve.sessions"
 let c_jobs_done = Metrics.counter "serve.jobs_done"
@@ -72,6 +70,15 @@ type job = {
   mutable jstatus : job_status;
 }
 
+(* One tuning session, the unit of coalescing: every job whose request
+   derives [skey] attaches to it, and one worker's Protocol.tune answers
+   them all.  Its jobs share one status, so the session keeps none. *)
+type session = {
+  skey : string;
+  sreq : Protocol.tune_request;
+  mutable sjobs : job list;  (* attached, newest first *)
+}
+
 type job_view = {
   vid : string;
   vkey : string;
@@ -90,8 +97,8 @@ type t = {
   done_cv : Condition.t;  (* awaiters: some job finished *)
   jobs_tbl : (string, job) Hashtbl.t;
   finished : string Queue.t;  (* finished job ids, oldest first *)
-  sessions : (string, Session.t) Hashtbl.t;  (* in-flight, by key *)
-  queue : Session.t Queue.t;
+  sessions : (string, session) Hashtbl.t;  (* in-flight, by key *)
+  queue : session Queue.t;
   mutable next_id : int;
   mutable state : lifecycle;
   mutable worker_threads : Thread.t list;
@@ -121,22 +128,31 @@ let view_of_job (j : job) =
    dropped, and a dropped id answers as an unknown one. *)
 let max_finished_jobs = 4096
 
-(* Caller holds t.lock. *)
+(* Caller holds t.lock; [status] is [Done] or [Failed]. *)
 let finish_job t (j : job) status =
   j.jstatus <- status;
-  match status with
-  | Done _ | Failed _ ->
-    Metrics.incr c_jobs_done;
-    Metrics.observe h_latency (Unix.gettimeofday () -. j.jsubmit_s);
-    Queue.push j.jid t.finished;
-    if Queue.length t.finished > max_finished_jobs then
-      Hashtbl.remove t.jobs_tbl (Queue.pop t.finished)
-  | Queued | Running -> ()
+  Metrics.incr c_jobs_done;
+  Metrics.observe h_latency (Unix.gettimeofday () -. j.jsubmit_s);
+  Queue.push j.jid t.finished;
+  if Queue.length t.finished > max_finished_jobs then
+    Hashtbl.remove t.jobs_tbl (Queue.pop t.finished)
 
 (* --- worker loop -------------------------------------------------------- *)
 
-let session_jobs t (sess : Session.t) =
-  List.filter_map (Hashtbl.find_opt t.jobs_tbl) sess.Session.sjobs
+(* The session's terminal status.  Deterministic for a fixed request
+   (the seed defaults from the chain name + device), so equal keys always
+   yield bit-identical schedules.  Never raises: tuner errors and
+   exceptions become [Failed]. *)
+let run_session t (req : Protocol.tune_request) =
+  let measure = Mcf_search.Measure.create ~cache:t.measure_cache req.spec in
+  match Protocol.tune ~measure req with
+  | Ok (sched, _) -> Done sched
+  | Error Mcf_search.Tuner.No_viable_candidate ->
+    Failed
+      (Printf.sprintf "no viable candidate for %s on %s" req.workload
+         req.spec.name)
+  | exception e ->
+    Failed (Printf.sprintf "tuner exception: %s" (Printexc.to_string e))
 
 let rec worker_loop t () =
   Mutex.lock t.lock;
@@ -147,24 +163,15 @@ let rec worker_loop t () =
     (* draining and nothing left: exit *)
   else begin
     let sess = Queue.pop t.queue in
-    sess.Session.sstate <- Session.Running;
-    List.iter (fun j -> j.jstatus <- Running) (session_jobs t sess);
+    List.iter (fun j -> j.jstatus <- Running) sess.sjobs;
     Mutex.unlock t.lock;
-    let measure =
-      Mcf_search.Measure.create ~cache:t.measure_cache
-        sess.Session.sreq.Protocol.spec
-    in
-    let result = Session.run ~measure sess in
+    let status = run_session t sess.sreq in
     Mutex.lock t.lock;
-    (match result with
-    | Ok sched ->
-      Boundtbl.add t.cache sess.Session.skey sched;
-      sess.Session.sstate <- Session.Done sched;
-      List.iter (fun j -> finish_job t j (Done sched)) (session_jobs t sess)
-    | Error msg ->
-      sess.Session.sstate <- Session.Failed msg;
-      List.iter (fun j -> finish_job t j (Failed msg)) (session_jobs t sess));
-    Hashtbl.remove t.sessions sess.Session.skey;
+    (match status with
+    | Done sched -> Boundtbl.add t.cache sess.skey sched
+    | _ -> ());
+    List.iter (fun j -> finish_job t j status) sess.sjobs;
+    Hashtbl.remove t.sessions sess.skey;
     Condition.broadcast t.done_cv;
     Mutex.unlock t.lock;
     worker_loop t ()
@@ -198,9 +205,8 @@ let submit t (req : Protocol.tune_request) =
       Hashtbl.replace t.jobs_tbl jid j;
       j
     in
-    match Boundtbl.find t.cache key with
+    match Protocol.count_lookup (Boundtbl.find t.cache key) with
     | Some sched ->
-      Metrics.incr c_cache_hits;
       let j = mk Cached Queued in
       finish_job t j (Done sched);
       Condition.broadcast t.done_cv;
@@ -210,22 +216,16 @@ let submit t (req : Protocol.tune_request) =
       match Hashtbl.find_opt t.sessions key with
       | Some sess ->
         Metrics.incr c_coalesced;
-        Session.attach sess jid;
-        let status =
-          match sess.Session.sstate with
-          | Session.Running -> Running
-          | _ -> Queued
-        in
-        ignore (mk Coalesced status);
+        (* The newcomer joins in its session's status. *)
+        let j = mk Coalesced (List.hd sess.sjobs).jstatus in
+        sess.sjobs <- j :: sess.sjobs;
         Mutex.unlock t.lock;
         Ok (jid, Coalesced)
       | None ->
-        Metrics.incr c_cache_misses;
         Metrics.incr c_sessions;
-        let sess = Session.make ~key ~req ~job:jid in
+        let sess = { skey = key; sreq = req; sjobs = [ mk Tuned Queued ] } in
         Hashtbl.add t.sessions key sess;
         Queue.push sess t.queue;
-        ignore (mk Tuned Queued);
         Condition.signal t.wake;
         Mutex.unlock t.lock;
         Ok (jid, Tuned))
@@ -307,64 +307,42 @@ let stop t =
 
 (* --- HTTP surface -------------------------------------------------------- *)
 
-let job_json t (v : job_view) =
-  let state, extra =
+let status_string = function
+  | Queued -> "queued"
+  | Running -> "running"
+  | Done _ -> "done"
+  | Failed _ -> "failed"
+
+(* The fields a job listing shows; a job document adds its key, and its
+   result or error. *)
+let job_fields (v : job_view) =
+  [ ("job", Json.Str v.vid);
+    ("workload", Json.Str v.vworkload);
+    ("device", Json.Str v.vdevice);
+    ("source", Json.Str (source_string v.vsource));
+    ("state", Json.Str (status_string v.vstatus)) ]
+
+let job_json (v : job_view) =
+  let extra =
     match v.vstatus with
-    | Queued -> ("queued", [])
-    | Running -> ("running", [])
-    | Done s -> ("done", [ ("result", Protocol.sched_json s) ])
-    | Failed msg -> ("failed", [ ("error", Json.Str msg) ])
+    | Queued | Running -> []
+    | Done s -> [ ("result", Protocol.sched_json s) ]
+    | Failed msg -> [ ("error", Json.Str msg) ]
   in
-  ignore t;
-  Json.Obj
-    ([ ("job", Json.Str v.vid);
-       ("workload", Json.Str v.vworkload);
-       ("device", Json.Str v.vdevice);
-       ("source", Json.Str (source_string v.vsource));
-       ("state", Json.Str state);
-       ("key", Json.Str v.vkey);
-     ]
-    @ extra)
+  Json.Obj ((job_fields v @ [ ("key", Json.Str v.vkey) ]) @ extra)
 
 let jobs_json t =
   let vs = jobs t in
-  let count p = List.length (List.filter p vs) in
+  let count state =
+    List.length (List.filter (fun v -> status_string v.vstatus = state) vs)
+  in
   Json.Obj
-    [ ( "jobs",
-        Json.List
-          (List.map
-             (fun v ->
-               Json.Obj
-                 [ ("job", Json.Str v.vid);
-                   ("workload", Json.Str v.vworkload);
-                   ("device", Json.Str v.vdevice);
-                   ("source", Json.Str (source_string v.vsource));
-                   ( "state",
-                     Json.Str
-                       (match v.vstatus with
-                       | Queued -> "queued"
-                       | Running -> "running"
-                       | Done _ -> "done"
-                       | Failed _ -> "failed") );
-                 ])
-             vs) );
+    [ ("jobs", Json.List (List.map (fun v -> Json.Obj (job_fields v)) vs));
       ( "counts",
         Json.Obj
-          [ ( "queued",
-              Json.num_of_int
-                (count (fun v -> v.vstatus = Queued)) );
-            ( "running",
-              Json.num_of_int
-                (count (fun v -> v.vstatus = Running)) );
-            ( "done",
-              Json.num_of_int
-                (count (fun v ->
-                     match v.vstatus with Done _ -> true | _ -> false)) );
-            ( "failed",
-              Json.num_of_int
-                (count (fun v ->
-                     match v.vstatus with Failed _ -> true | _ -> false)) );
-          ] );
+          (List.map
+             (fun state -> (state, Json.num_of_int (count state)))
+             [ "queued"; "running"; "done"; "failed" ]) );
     ]
 
 let serve_status_json t =
@@ -407,7 +385,7 @@ let strip_prefix p s =
 let job_response ?status t jid =
   match job t jid with
   | None -> error_response 404 (Printf.sprintf "unknown job %S" jid)
-  | Some v -> json_response ?status (job_json t v)
+  | Some v -> json_response ?status (job_json v)
 
 let handler t (req : Httpd.request) =
   match (req.meth, req.path) with

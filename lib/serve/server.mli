@@ -26,9 +26,12 @@
     [Tuner.tune] of the same request.  Two sessions running at once
     that miss one measurement both simulate it.
 
-    [serve.*] counters: [requests], [coalesced], [cache.hits],
-    [cache.misses] (new sessions), [rejected], [sessions], [jobs_done],
-    plus the [serve.latency_s] histogram. *)
+    [serve.*] counters: [requests], [coalesced], [rejected],
+    [sessions], [jobs_done], plus the [serve.latency_s] histogram.  Each
+    accepted request looks its key up in the schedule table once,
+    counted by {!Protocol.count_lookup} on [cache.hits] or
+    [cache.misses] (a coalesced request is a miss), the pair [/status]
+    reports as [caches.schedule]. *)
 
 type config = {
   addr : string;

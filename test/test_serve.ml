@@ -56,6 +56,11 @@ let sched_fingerprint (s : Protocol.sched) =
   Printf.sprintf "%s|%.17g|%.17g|%d|%d|%d" s.cand s.time_s s.virtual_s
     s.estimated s.measured s.generations
 
+(* Schedule-cache lookups so far: [cache.hits] + [cache.misses] on the
+   process-wide registry, so tests take deltas. *)
+let lookups () =
+  Metrics.counter_value "cache.hits" + Metrics.counter_value "cache.misses"
+
 (* --- protocol ---------------------------------------------------------------- *)
 
 let test_parse_workload () =
@@ -152,6 +157,7 @@ let test_duplicates_coalesce () =
      exactly one [Tuned], the rest [Coalesced], and every returned
      schedule bit-identical. *)
   let sessions_before = Metrics.counter_value "serve.sessions" in
+  let lookups_before = lookups () in
   with_server ~config:{ Server.default_config with workers = 1 } (fun t ->
       let a_jid, a_src = submit_ok t (d8_req ()) in
       Alcotest.(check string) "A is a fresh session" "tuned"
@@ -186,7 +192,38 @@ let test_duplicates_coalesce () =
       (* a resubmission after completion is a cache hit, not a session *)
       let _, src = submit_ok t dup in
       Alcotest.(check string) "warm resubmission" "cached"
-        (Server.source_string src))
+        (Server.source_string src);
+      Alcotest.(check int) "one cache lookup per accepted submission"
+        (1 + k + 1)
+        (lookups () - lookups_before))
+
+(* Every accepted request's table lookup counts on the pair
+   [tune --cache] moves and /status reports as caches.schedule. *)
+let test_lookups_counted () =
+  let counts () =
+    let status name =
+      match Json.member "caches" (Mcf_obs.Export.status_json ()) with
+      | Some caches -> (
+        match Option.bind (Json.member "schedule" caches) (Json.member name) with
+        | Some (Json.Num n) -> int_of_float n
+        | _ -> Alcotest.failf "/status lacks caches.schedule.%s" name)
+      | None -> Alcotest.fail "/status lacks caches"
+    in
+    [ Metrics.counter_value "cache.hits"; Metrics.counter_value "cache.misses";
+      status "hits"; status "misses" ]
+  in
+  with_server (fun t ->
+      let before = counts () in
+      let r = req ~m:256 () in
+      let cold, _ = submit_ok t r in
+      ignore (await_done t cold);
+      let warm, src = submit_ok t r in
+      ignore (await_done t warm);
+      Alcotest.(check string) "second submission cached" "cached"
+        (Server.source_string src);
+      Alcotest.(check (list int))
+        "hits, misses; /status hits, misses: one each" [ 1; 1; 1; 1 ]
+        (List.map2 ( - ) (counts ()) before))
 
 (* --- bit-identity ------------------------------------------------------------ *)
 
@@ -643,7 +680,9 @@ let () =
         ] );
       ( "coalescing",
         [ Alcotest.test_case "duplicates share one session" `Quick
-            test_duplicates_coalesce
+            test_duplicates_coalesce;
+          Alcotest.test_case "lookups counted once" `Quick
+            test_lookups_counted
         ] );
       ( "identity",
         [ Alcotest.test_case "served equals one-shot tune" `Quick
