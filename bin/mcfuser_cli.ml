@@ -875,6 +875,16 @@ let jnum j path =
 let jstr j path =
   match jget j path with Some (Mcf_util.Json.Str s) -> s | _ -> ""
 
+(* "host:port" or "http://host:port/" -> "http://host:port", the base that
+   endpoint paths are appended to (top and submit). *)
+let normalize_url url =
+  let u =
+    if String.length url >= 7 && String.sub url 0 7 = "http://" then url
+    else "http://" ^ url
+  in
+  if u.[String.length u - 1] = '/' then String.sub u 0 (String.length u - 1)
+  else u
+
 (* One dashboard frame.  Every figure comes from the [/status] document
    (and the previous poll's document, for rates) — never from the local
    clock — so rendering is deterministic for fixed inputs and the cram
@@ -1032,16 +1042,7 @@ let top_cmd =
       | None ->
         Error (`Msg "URL required (or render offline with --status-file)")
       | Some url ->
-        let url =
-          let u =
-            if String.length url >= 7 && String.sub url 0 7 = "http://" then
-              url
-            else "http://" ^ url
-          in
-          if u.[String.length u - 1] = '/' then
-            String.sub u 0 (String.length u - 1)
-          else u
-        in
+        let url = normalize_url url in
         let fetch () =
           match Mcf_util.Httpd.Client.get (url ^ "/status") with
           | Error _ as e -> e
@@ -1262,14 +1263,6 @@ let submit_cmd =
   let shutdown_arg =
     let doc = "Request a graceful drain ($(b,POST /shutdown)) and exit." in
     Arg.(value & flag & info [ "shutdown" ] ~doc)
-  in
-  let normalize_url url =
-    let u =
-      if String.length url >= 7 && String.sub url 0 7 = "http://" then url
-      else "http://" ^ url
-    in
-    if u.[String.length u - 1] = '/' then String.sub u 0 (String.length u - 1)
-    else u
   in
   let source_human = function
     | "cached" -> "cache hit"

@@ -102,7 +102,7 @@ let metrics_text ?(labels = []) ?(filter = fun _ -> true) () =
   Buffer.contents buf
 
 let write_metrics path =
-  Poolstats.sync ();
+  Resource.sync_pool ();
   let doc = Json.to_string (Metrics.to_json ()) in
   match
     Json.write_atomic path (fun oc ->
@@ -115,8 +115,8 @@ let write_metrics path =
 (* --- /status --------------------------------------------------------------- *)
 
 let status_json () =
-  (* Force a sample so rsrc.* (and pool.* via Poolstats.sync) are fresh
-     even when the periodic sampler never started. *)
+  (* Force a sample so the rsrc.* and pool.* gauges are fresh even when
+     the periodic sampler never started. *)
   Resource.sample_now ();
   let snap = Metrics.snapshot () in
   let counter name =
@@ -177,7 +177,6 @@ let status_json () =
             ("utilization", Json.Num (gauge "pool.utilization"));
             ("jobs", Json.Num (gauge "pool.jobs"));
             ("chunks", Json.Num (gauge "pool.chunks"));
-            ("steals", Json.Num (gauge "pool.steals"));
           ] );
       ( "caches",
         Json.Obj

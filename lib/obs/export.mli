@@ -38,7 +38,7 @@ val metrics_text :
 val write_metrics : string -> (unit, string) result
 (** Write the registry as {!Metrics.to_json} to a file (the [--metrics]
     dump), atomically ({!Mcf_util.Json.write_atomic}) and after a
-    {!Poolstats.sync}. *)
+    {!Resource.sync_pool}. *)
 
 val status_json : unit -> Mcf_util.Json.t
 (** The [/status] document.  Forces a {!Resource.sample_now} first. *)

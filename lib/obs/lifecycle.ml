@@ -82,7 +82,7 @@ let run c body =
       match c.metrics with None -> Ok () | Some path -> Export.write_metrics path
     in
     if c.profile then begin
-      Poolstats.sync ();
+      Resource.sync_pool ();
       Printf.printf "\n# per-phase wall-clock\n";
       print_string (Profile.render ());
       Printf.printf "\n# metrics\n";

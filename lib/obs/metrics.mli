@@ -4,7 +4,7 @@
     for every hot path in the tuner — and strictly observational: nothing
     in the search ever reads them back, so enabling/disabling observability
     cannot perturb tuning results.  All operations are thread/domain-safe;
-    counter totals are deterministic under {!Mcf_util.Pool.map}.
+    counter totals are deterministic under {!Mcf_util.Pool.init}.
 
     Naming convention: [<subsystem>.<what>] with subsystems matching the
     per-library log sources — [space.*], [explore.*], [sim.*], [cache.*],

@@ -19,6 +19,28 @@ let g_promoted_words = Metrics.gauge "rsrc.promoted_words"
 let g_alloc_rate = Metrics.gauge "rsrc.alloc_words_per_s"
 let c_samples = Metrics.counter "rsrc.samples"
 
+(* [Mcf_util.Pool] cannot push into the registry (mcf_obs sits on top of
+   mcf_util), so its cumulative counters are pulled into these gauges. *)
+let g_pool_domains = Metrics.gauge "pool.domains"
+let g_pool_spawned = Metrics.gauge "pool.spawned"
+let g_pool_jobs = Metrics.gauge "pool.jobs"
+let g_pool_chunks = Metrics.gauge "pool.chunks"
+let g_pool_idle_s = Metrics.gauge "pool.idle_s"
+let g_pool_busy = Metrics.gauge "pool.busy"
+let g_pool_util = Metrics.gauge "pool.utilization"
+
+let set_pool_gauges (s : Mcf_util.Pool.stats) =
+  Metrics.set g_pool_domains (float_of_int s.domains);
+  Metrics.set g_pool_spawned (float_of_int s.spawned);
+  Metrics.set g_pool_jobs (float_of_int s.jobs);
+  Metrics.set g_pool_chunks (float_of_int s.chunks);
+  Metrics.set g_pool_idle_s (float_of_int s.idle_ns *. 1e-9);
+  Metrics.set g_pool_busy (float_of_int s.busy);
+  Metrics.set g_pool_util
+    (float_of_int s.busy /. float_of_int (max 1 s.domains))
+
+let sync_pool () = set_pool_gauges (Mcf_util.Pool.stats ())
+
 let running = Atomic.make false
 let sampler : Thread.t option ref = ref None
 
@@ -69,8 +91,8 @@ let sample_now () =
   (match rate with Some r -> Metrics.set g_alloc_rate r | None -> ());
   (* Pool gauges go live on every tick (not just at teardown), so short
      phases show up in metrics output too. *)
-  Poolstats.sync ();
   let s = Mcf_util.Pool.stats () in
+  set_pool_gauges s;
   let busy = float_of_int s.Mcf_util.Pool.busy in
   let domains = float_of_int (max 1 s.Mcf_util.Pool.domains) in
   Trace.counter "rsrc.heap_words" (fun () ->

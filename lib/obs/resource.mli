@@ -13,7 +13,7 @@
       [rsrc.minor_collections], [rsrc.major_collections],
       [rsrc.promoted_words], [rsrc.alloc_words_per_s], plus a
       [rsrc.samples] counter; every tick also refreshes the [pool.*]
-      gauges via {!Poolstats.sync}, so short phases are no longer
+      gauges (see {!sync_pool}), so short phases are no longer
       invisible in metrics output;
     - Chrome trace counter events (["ph":"C"], via {!Trace.counter}):
       series [rsrc.heap_words] ([heap]/[peak]), [rsrc.pool_util]
@@ -56,6 +56,14 @@ val sample_now : unit -> unit
     is running.  The telemetry [/status] endpoint forces a sample per
     request so the [rsrc.*] gauges are fresh even without
     [--sample-ms]. *)
+
+val sync_pool : unit -> unit
+(** Copy the current {!Mcf_util.Pool.stats} snapshot into the [pool.*]
+    gauges: [pool.domains], [pool.spawned], [pool.jobs], [pool.chunks],
+    [pool.idle_s], [pool.busy] and [pool.utilization] ([busy / domains]).
+    [Mcf_util.Pool] cannot push into the registry itself ([mcf_obs]
+    depends on [mcf_util]).  Gauge writes are idempotent, so any metrics
+    dump site may call it; every sample calls it too. *)
 
 val peak_heap_words : unit -> float
 (** Heap high-water mark in words: the sampler's session peak if it ran,

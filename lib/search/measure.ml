@@ -164,7 +164,7 @@ let run_batch t ~clock ~compile_cost_s ~repeats ~commit items =
     (* Stage 1 — parallel: pure per-candidate work (lower, compile,
        simulate; the simulator is deterministic, so values cannot depend
        on scheduling).  One item per chunk: a measurement is orders of
-       magnitude above the deque-handoff cost.  A one-domain pool (or a
+       magnitude above the chunk-claim cost.  A one-domain pool (or a
        one-item batch) runs every item inline in the caller. *)
     let results =
       let anc = Trace.ancestry () in

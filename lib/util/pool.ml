@@ -1,19 +1,18 @@
-(* Persistent work-stealing domain pool.  See pool.mli for the contract.
+(* Persistent domain pool.  See pool.mli for the contract.
 
-   A job is a chunked index range [0, n).  Chunks are dealt contiguously
-   to per-participant deques; the owner pops from the front, thieves
-   steal from the back (classic work-stealing ends, here guarded by a
-   per-deque mutex — chunk counts are tiny, a handful per participant,
-   so an sophisticated lock-free deque would buy nothing).  Workers park
-   on a condition variable between jobs; the caller publishes a job by
-   bumping [epoch] and broadcasting. *)
+   A job is a chunked index range [0, n).  Every participant, the caller
+   included, claims the next chunk index from one shared atomic counter
+   and runs it, until the counter passes the last chunk: chunks of one
+   job cost about the same, so handing out the next one does the job of
+   per-participant queues.  Workers park on a condition variable between
+   jobs; the caller publishes a job by bumping [epoch] and
+   broadcasting. *)
 
 (* --- process-wide cumulative counters (see stats) ----------------------- *)
 
 let spawned_total = Atomic.make 0
 let jobs_total = Atomic.make 0
 let chunks_total = Atomic.make 0
-let steals_total = Atomic.make 0
 let idle_ns_total = Atomic.make 0
 
 (* Instantaneous scheduler state, sampled by the resource telemetry
@@ -26,46 +25,18 @@ type stats = {
   spawned : int;
   jobs : int;
   chunks : int;
-  steals : int;
   idle_ns : int;
   busy : int;
 }
-
-(* --- deques ------------------------------------------------------------- *)
-
-type chunk = { clo : int; chi : int }
-
-type deque = { dm : Mutex.t; mutable items : chunk list (* front = owner *) }
-
-let deque_pop d =
-  Mutex.lock d.dm;
-  let r =
-    match d.items with
-    | [] -> None
-    | c :: tl ->
-      d.items <- tl;
-      Some c
-  in
-  Mutex.unlock d.dm;
-  r
-
-let deque_steal d =
-  Mutex.lock d.dm;
-  let r =
-    match List.rev d.items with
-    | [] -> None
-    | c :: rtl ->
-      d.items <- List.rev rtl;
-      Some c
-  in
-  Mutex.unlock d.dm;
-  r
 
 (* --- jobs --------------------------------------------------------------- *)
 
 type job = {
   jrun : int -> int -> unit;
-  jdeques : deque array;
+  jn : int;  (* range length *)
+  jcsize : int;  (* chunk size *)
+  jnchunks : int;
+  jnext : int Atomic.t;  (* next chunk index to claim *)
   jpending : int Atomic.t;  (* chunks not yet executed *)
   jfail : exn option Atomic.t;  (* first exception wins (CAS) *)
   jm : Mutex.t;
@@ -86,28 +57,13 @@ type t = {
    must run sequentially instead of waiting on the pool they occupy. *)
 let in_task = Domain.DLS.new_key (fun () -> false)
 
-let run_chunks job me =
-  let nd = Array.length job.jdeques in
-  let mine = job.jdeques.(me) in
-  let steal () =
-    let rec try_victim i =
-      if i >= nd then None
-      else
-        let v = (me + i) mod nd in
-        match deque_steal job.jdeques.(v) with
-        | Some c ->
-          Atomic.incr steals_total;
-          Some c
-        | None -> try_victim (i + 1)
-    in
-    try_victim 1
-  in
-  let exec c =
+let run_chunks job =
+  let exec j =
     Atomic.incr busy_now;
     (* After a failure, drain remaining chunks without running them so
        the caller is released promptly. *)
     (if Atomic.get job.jfail = None then
-       try job.jrun c.clo c.chi
+       try job.jrun (j * job.jcsize) (min job.jn ((j + 1) * job.jcsize))
        with e -> ignore (Atomic.compare_and_set job.jfail None (Some e)));
     Atomic.incr chunks_total;
     (* Leave [busy] before counting the chunk down: once the caller sees
@@ -120,16 +76,16 @@ let run_chunks job me =
     end
   in
   let rec loop () =
-    match (match deque_pop mine with Some c -> Some c | None -> steal ()) with
-    | None -> ()
-    | Some c ->
-      exec c;
+    let j = Atomic.fetch_and_add job.jnext 1 in
+    if j < job.jnchunks then begin
+      exec j;
       loop ()
+    end
   in
   Domain.DLS.set in_task true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) loop
 
-let worker t me () =
+let worker t () =
   let seen = ref 0 in
   Mutex.lock t.lock;
   let rec loop () =
@@ -138,7 +94,7 @@ let worker t me () =
       seen := t.epoch;
       let job = t.job in
       Mutex.unlock t.lock;
-      (match job with Some j -> run_chunks j me | None -> ());
+      (match job with Some j -> run_chunks j | None -> ());
       Mutex.lock t.lock;
       loop ()
     end
@@ -166,7 +122,7 @@ let create ?domains () =
       epoch = 0;
       quit = false }
   in
-  t.workers <- List.init (size - 1) (fun i -> Domain.spawn (worker t (i + 1)));
+  t.workers <- List.init (size - 1) (fun _ -> Domain.spawn (worker t));
   Atomic.fetch_and_add spawned_total (size - 1) |> ignore;
   t
 
@@ -186,41 +142,30 @@ let with_pool ~jobs f =
 
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-(* Below this many items the chunking/wakeup overhead outweighs any
-   parallel speedup. *)
-let min_items = 32
-
-let run_range ?(min_chunk_work = min_items) t n body =
+let run_range ~min_chunk_work t n body =
   (* The sequential cutoff IS [min_chunk_work]: callers with expensive
      per-item bodies (device measurement batches of ~top_k items) pass
-     [~min_chunk_work:1] to parallelize even tiny ranges, while the
-     default keeps the old [min_items] threshold for cheap bodies. *)
+     [~min_chunk_work:1] to parallelize even tiny ranges, while cheap
+     bodies pass a coarser cutoff. *)
   let cutoff = max 1 min_chunk_work in
   if n <= 0 then ()
   else if t.size = 1 || t.quit || n < cutoff || Domain.DLS.get in_task then
     body 0 n
   else begin
     Atomic.incr jobs_total;
-    (* A few chunks per participant so fast participants can steal the
-       tail from slow ones without per-element scheduling overhead — but
-       never chunks smaller than [min_chunk_work]: when per-item work is
-       tiny, handoff (deque locking, condvar wakeups) dominates any
-       speedup, so cheap jobs are dealt in coarser pieces. *)
-    let csize =
-      max (max 1 min_chunk_work) ((n + (t.size * 4) - 1) / (t.size * 4))
-    in
+    (* A few chunks per participant so fast participants pick up the
+       tail while slow ones finish, without per-element scheduling
+       overhead — but never chunks smaller than [min_chunk_work]: when
+       per-item work is tiny, handoff (claims, condvar wakeups) dominates
+       any speedup, so cheap jobs run in coarser pieces. *)
+    let csize = max cutoff ((n + (t.size * 4) - 1) / (t.size * 4)) in
     let nchunks = (n + csize - 1) / csize in
-    let deques =
-      Array.init t.size (fun _ -> { dm = Mutex.create (); items = [] })
-    in
-    for j = nchunks - 1 downto 0 do
-      let w = j * t.size / nchunks in
-      deques.(w).items <-
-        { clo = j * csize; chi = min n ((j + 1) * csize) } :: deques.(w).items
-    done;
     let job =
       { jrun = body;
-        jdeques = deques;
+        jn = n;
+        jcsize = csize;
+        jnchunks = nchunks;
+        jnext = Atomic.make 0;
         jpending = Atomic.make nchunks;
         jfail = Atomic.make None;
         jm = Mutex.create ();
@@ -231,7 +176,7 @@ let run_range ?(min_chunk_work = min_items) t n body =
     t.epoch <- t.epoch + 1;
     Condition.broadcast t.work_cv;
     Mutex.unlock t.lock;
-    run_chunks job 0;
+    run_chunks job;
     if Atomic.get job.jpending > 0 then begin
       let t0 = now_ns () in
       Mutex.lock job.jm;
@@ -244,35 +189,19 @@ let run_range ?(min_chunk_work = min_items) t n body =
     match Atomic.get job.jfail with Some e -> raise e | None -> ()
   end
 
-let map_array ?min_chunk_work t f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
+let init ~min_chunk_work t n f =
+  if n <= 0 then [||]
   else begin
     (* Computing the first element up front gives Array.make a value of
        the right type (no Obj.magic) and keeps float arrays unboxed. *)
-    let first = f arr.(0) in
-    let res = Array.make n first in
-    run_range ?min_chunk_work t (n - 1) (fun lo hi ->
-        for i = lo to hi - 1 do
-          res.(i + 1) <- f arr.(i + 1)
-        done);
-    res
-  end
-
-let init ?min_chunk_work t n f =
-  if n <= 0 then [||]
-  else begin
     let first = f 0 in
     let res = Array.make n first in
-    run_range ?min_chunk_work t (n - 1) (fun lo hi ->
+    run_range ~min_chunk_work t (n - 1) (fun lo hi ->
         for i = lo to hi - 1 do
           res.(i + 1) <- f (i + 1)
         done);
     res
   end
-
-let map ?min_chunk_work t f l =
-  Array.to_list (map_array ?min_chunk_work t f (Array.of_list l))
 
 (* --- the shared global pool --------------------------------------------- *)
 
@@ -326,6 +255,5 @@ let stats () =
     spawned = Atomic.get spawned_total;
     jobs = Atomic.get jobs_total;
     chunks = Atomic.get chunks_total;
-    steals = Atomic.get steals_total;
     idle_ns = Atomic.get idle_ns_total;
     busy = Atomic.get busy_now }

@@ -1,4 +1,4 @@
-(** Persistent work-stealing domain pool.
+(** Persistent domain pool.
 
     Spawning (and joining) fresh domains per parallel call would put
     domain startup on the tuner's hot path: a single [Tuner.tune] run
@@ -6,19 +6,20 @@
     worker domains once and reuses them for every job.  It is the only
     place library code spawns domains.
 
-    Scheduling is chunked and dynamic: each job is split into contiguous
-    index ranges (a few per domain), the ranges are dealt to per-domain
-    deques, and each participant pops work from its own deque front while
-    idle participants steal from the back of a victim's deque.  The
-    calling domain takes part in the job, so a pool of size 1 spawns no
-    domains at all and runs inline.
+    Scheduling is chunked self-scheduling: each job is split into
+    contiguous index ranges (a few per domain), and every participant
+    claims the next unclaimed range from one shared atomic counter until
+    none is left.  The calling domain takes part in the job, so a pool
+    of size 1 spawns no domains at all and runs inline.  Concurrent
+    callers (e.g. several systhreads sharing the global pool) are safe:
+    each caller runs its own job to completion, with whatever workers
+    join in.
 
-    All [map] functions are deterministic and order-preserving: the
-    result is bit-identical to the sequential map whatever the pool size,
-    provided [f] is pure.  If [f] raises in any participant, one of the
-    raised exceptions is re-raised in the caller after the job drains;
-    remaining chunks are skipped (each element of the input is applied at
-    most once).
+    {!init} is deterministic and order-preserving: the result is
+    bit-identical to [Array.init] whatever the pool size, provided [f] is
+    pure.  If the body raises in any participant, one of the raised
+    exceptions is re-raised in the caller after the job drains;
+    remaining chunks are skipped (each index is visited at most once).
 
     Nested calls from inside a pool task run sequentially rather than
     deadlocking on the shared pool. *)
@@ -41,29 +42,25 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [with_pool ~jobs f] runs [f] with a temporary pool of [jobs]
     participants, shutting it down afterwards (also on exceptions). *)
 
-val map : ?min_chunk_work:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over a list. *)
+val init : min_chunk_work:int -> t -> int -> (int -> 'a) -> 'a array
+(** [init ~min_chunk_work p n f] is a parallel [Array.init n f], with
+    [min_chunk_work] as in {!run_range}.  Useful for indexed virtual
+    spaces where materializing the input would defeat the point. *)
 
-val map_array : ?min_chunk_work:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map over an array. *)
+val run_range : min_chunk_work:int -> t -> int -> (int -> int -> unit) -> unit
+(** [run_range ~min_chunk_work p n body] partitions [\[0, n)] into
+    chunks and calls [body lo hi] for each chunk [\[lo, hi)], in
+    parallel.  [body] must only write to disjoint state per index (e.g.
+    distinct array cells).
 
-val init : ?min_chunk_work:int -> t -> int -> (int -> 'a) -> 'a array
-(** [init p n f] is a parallel [Array.init n f].  Useful for indexed
-    virtual spaces where materializing the input would defeat the point. *)
-
-val run_range : ?min_chunk_work:int -> t -> int -> (int -> int -> unit) -> unit
-(** [run_range p n body] partitions [\[0, n)] into chunks and calls
-    [body lo hi] for each chunk [\[lo, hi)], in parallel.  [body] must
-    only write to disjoint state per index (e.g. distinct array cells).
-
-    [min_chunk_work] is the caller's per-call sequential cutoff for jobs
-    with cheap per-item work (default 32): ranges shorter than it run
-    inline in the caller, and parallel runs never deal chunks smaller
-    than it, so deque handoff cannot dominate sub-microsecond items.
-    Callers whose per-item body is expensive (a whole device
-    measurement) pass [~min_chunk_work:1] to parallelize even tiny
-    ranges one item per chunk.  Results are bit-identical whatever its
-    value. *)
+    [min_chunk_work] is the caller's per-call sequential cutoff: ranges
+    shorter than it run inline in the caller, and parallel runs never
+    cut chunks smaller than it, so chunk handoff cannot dominate
+    sub-microsecond items.  Callers with cheap per-item bodies pass a
+    coarse value (the enumeration precheck passes 64); callers whose
+    per-item body is expensive (a whole device measurement) pass
+    [~min_chunk_work:1] to parallelize even tiny ranges one item per
+    chunk.  Results are bit-identical whatever its value. *)
 
 (** {1 The shared global pool}
 
@@ -97,15 +94,15 @@ val default_jobs : unit -> int
 (** {1 Stats}
 
     Process-wide cumulative scheduler counters, for the observability
-    layer ([Mcf_obs.Poolstats] pulls these into the metrics registry;
+    layer ([Mcf_obs.Resource] pulls these into the metrics registry;
     [mcf_util] cannot depend on [mcf_obs]). *)
 
 type stats = {
   domains : int;  (** size of the live global pool (0 before first use) *)
   spawned : int;  (** worker domains spawned over the process lifetime *)
   jobs : int;  (** parallel jobs submitted (sequential runs excluded) *)
-  chunks : int;  (** chunks executed across all jobs *)
-  steals : int;  (** chunks obtained from another participant's deque *)
+  chunks : int;
+      (** chunks executed across all parallel jobs, one [body] call each *)
   idle_ns : int;
       (** caller nanoseconds spent waiting on straggler workers *)
   busy : int;

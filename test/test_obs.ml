@@ -289,16 +289,14 @@ let test_counter_determinism_under_domains () =
   let n = 1000 in
   let out =
     Mcf_util.Pool.with_pool ~jobs:4 (fun p ->
-        Mcf_util.Pool.map p
-          (fun i ->
+        Mcf_util.Pool.init ~min_chunk_work:1 p n (fun i ->
             Metrics.incr c;
-            i * 2)
-          (List.init n Fun.id))
+            i * 2))
   in
   Alcotest.(check int) "all increments land" (v0 + n) (Metrics.value c);
-  Alcotest.(check (list int))
-    "map output still deterministic"
-    (List.init n (fun i -> i * 2))
+  Alcotest.(check (array int))
+    "init output still deterministic"
+    (Array.init n (fun i -> i * 2))
     out
 
 let test_histogram_bucketing () =
@@ -861,7 +859,7 @@ let test_resource_sampler_publishes () =
   Alcotest.(check bool) "peak gauge >= live gauge" true
     (Metrics.gauge_value (Metrics.gauge "rsrc.heap_words_peak")
     >= Metrics.gauge_value (Metrics.gauge "rsrc.heap_words"));
-  (* Every tick also refreshes the pool gauges (the Poolstats fix). *)
+  (* Every tick also refreshes the pool gauges. *)
   Alcotest.(check bool) "pool gauges synced by sampler" true
     (Metrics.gauge_value (Metrics.gauge "pool.domains") >= 1.0);
   let names =

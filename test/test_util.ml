@@ -444,107 +444,159 @@ let test_chart_sparkline () =
   Alcotest.(check bool) "ends at the newest (max) value" true
     (s.[9] = '#')
 
-(* --- Parallel maps over a temporary pool ---------------------------------- *)
+(* --- Parallel init over a temporary pool --------------------------------- *)
 
 let test_parallel_matches_sequential () =
-  let l = List.init 1000 (fun i -> i) in
   let f x = (x * x) + 1 in
-  Alcotest.(check (list int)) "same result, same order" (List.map f l)
-    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p f l));
-  Alcotest.(check (list int)) "single domain" (List.map f l)
-    (Pool.with_pool ~jobs:1 (fun p -> Pool.map p f l));
-  Alcotest.(check (list int)) "more domains than elements"
-    (List.map f [ 1; 2; 3 ])
-    (Pool.with_pool ~jobs:16 (fun p -> Pool.map p f [ 1; 2; 3 ]))
+  let par ~jobs n =
+    Pool.with_pool ~jobs (fun p -> Pool.init ~min_chunk_work:1 p n f)
+  in
+  Alcotest.(check (array int)) "same result, same order" (Array.init 1000 f)
+    (par ~jobs:4 1000);
+  Alcotest.(check (array int)) "single domain" (Array.init 1000 f)
+    (par ~jobs:1 1000);
+  Alcotest.(check (array int)) "more domains than elements" (Array.init 3 f)
+    (par ~jobs:16 3)
 
 let test_parallel_array () =
   let a = Array.init 500 (fun i -> i) in
   Alcotest.(check (array int)) "array map" (Array.map succ a)
-    (Pool.with_pool ~jobs:3 (fun p -> Pool.map_array p succ a))
+    (Pool.with_pool ~jobs:3 (fun p ->
+         Pool.init ~min_chunk_work:1 p (Array.length a) (fun i -> succ a.(i))))
 
 let test_parallel_exception () =
   Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
       ignore
         (Pool.with_pool ~jobs:4 (fun p ->
-             Pool.map p
-               (fun x -> if x = 777 then failwith "boom" else x)
-               (List.init 1000 (fun i -> i)))))
+             Pool.init ~min_chunk_work:1 p 1000 (fun x ->
+                 if x = 777 then failwith "boom" else x))))
 
 let test_parallel_empty () =
-  Alcotest.(check (list int)) "empty" []
-    (Pool.with_pool ~jobs:4 (fun p -> Pool.map p succ []))
+  Alcotest.(check (array int)) "empty" [||]
+    (Pool.with_pool ~jobs:4 (fun p -> Pool.init ~min_chunk_work:1 p 0 succ))
 
 let test_default_domains () =
   Alcotest.(check bool) "at least one" true (Pool.default_jobs () >= 1)
 
 (* --- Pool ---------------------------------------------------------------- *)
 
-let test_pool_map_matches_sequential () =
-  let l = List.init 1000 (fun i -> i) in
+let test_pool_init_matches_sequential () =
   let f x = (x * 7) - 3 in
-  let seq = List.map f l in
+  let seq = Array.init 1000 f in
   Pool.with_pool ~jobs:1 (fun p ->
-      Alcotest.(check (list int)) "jobs=1" seq (Pool.map p f l));
+      Alcotest.(check (array int)) "jobs=1" seq
+        (Pool.init ~min_chunk_work:1 p 1000 f));
   Pool.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check (list int)) "jobs=4" seq (Pool.map p f l))
+      Alcotest.(check (array int)) "jobs=4" seq
+        (Pool.init ~min_chunk_work:1 p 1000 f))
 
-let test_pool_map_array_and_init () =
+let test_pool_init_float_cells () =
   Pool.with_pool ~jobs:4 (fun p ->
-      let a = Array.init 257 (fun i -> i) in
-      Alcotest.(check (array int)) "map_array" (Array.map succ a)
-        (Pool.map_array p succ a);
       Alcotest.(check (array int)) "init" (Array.init 300 (fun i -> i * i))
-        (Pool.init p 300 (fun i -> i * i));
+        (Pool.init ~min_chunk_work:1 p 300 (fun i -> i * i));
       (* result may use the flat float-array representation; spot-check a
          cell computed by a worker chunk *)
-      let fl = Pool.map_array p float_of_int a in
+      let fl = Pool.init ~min_chunk_work:1 p 257 float_of_int in
       Alcotest.(check (float 1e-9)) "float cells" 256.0 fl.(256))
 
 let test_pool_empty_singleton () =
   Pool.with_pool ~jobs:4 (fun p ->
-      Alcotest.(check (list int)) "empty list" [] (Pool.map p succ []);
-      Alcotest.(check (array int)) "empty array" [||] (Pool.map_array p succ [||]);
-      Alcotest.(check (array int)) "init 0" [||] (Pool.init p 0 succ);
-      Alcotest.(check (list int)) "singleton list" [ 2 ] (Pool.map p succ [ 1 ]);
-      Alcotest.(check (array int)) "singleton array" [| 2 |]
-        (Pool.map_array p succ [| 1 |]))
+      let calls = ref [] in
+      let record lo hi = calls := (lo, hi) :: !calls in
+      Pool.run_range ~min_chunk_work:1 p 0 record;
+      Alcotest.(check (list (pair int int))) "empty range: no body call" []
+        !calls;
+      Alcotest.(check (array int)) "init 0" [||]
+        (Pool.init ~min_chunk_work:1 p 0 succ);
+      Pool.run_range ~min_chunk_work:1 p 1 record;
+      Alcotest.(check (list (pair int int))) "singleton range: one call"
+        [ (0, 1) ] !calls;
+      Alcotest.(check (array int)) "init 1" [| 1 |]
+        (Pool.init ~min_chunk_work:1 p 1 succ))
 
 let test_pool_exception () =
   Pool.with_pool ~jobs:4 (fun p ->
       Alcotest.check_raises "exception propagates" (Failure "boom") (fun () ->
           ignore
-            (Pool.map_array p
-               (fun x -> if x = 913 then failwith "boom" else x)
-               (Array.init 2000 (fun i -> i))));
+            (Pool.init ~min_chunk_work:1 p 2000 (fun x ->
+                 if x = 913 then failwith "boom" else x)));
       Alcotest.(check (array int)) "pool usable after a failed job"
         (Array.init 100 succ)
-        (Pool.map_array p succ (Array.init 100 (fun i -> i))))
+        (Pool.init ~min_chunk_work:1 p 100 succ))
 
 let test_pool_nested_sequential () =
   (* Calls from inside a pool task must fall back to sequential execution
-     instead of deadlocking on the shared deques. *)
+     instead of deadlocking on the shared pool. *)
   Pool.with_pool ~jobs:4 (fun p ->
       let got =
-        Pool.map_array p
-          (fun i -> Array.fold_left ( + ) 0 (Pool.init p 64 (fun j -> i + j)))
-          (Array.init 128 (fun i -> i))
+        Pool.init ~min_chunk_work:1 p 128 (fun i ->
+            Array.fold_left ( + ) 0
+              (Pool.init ~min_chunk_work:1 p 64 (fun j -> i + j)))
       in
       let want =
         Array.init 128 (fun i ->
             Array.fold_left ( + ) 0 (Array.init 64 (fun j -> i + j)))
       in
-      Alcotest.(check (array int)) "nested map" want got)
+      Alcotest.(check (array int)) "nested init" want got)
 
 let test_pool_run_range_covers () =
   Pool.with_pool ~jobs:4 (fun p ->
-      let n = 1000 in
-      let hits = Array.make n 0 in
-      Pool.run_range p n (fun lo hi ->
-          for i = lo to hi - 1 do
-            hits.(i) <- hits.(i) + 1
-          done);
-      Alcotest.(check (array int)) "each index exactly once" (Array.make n 1)
-        hits)
+      List.iter
+        (fun (n, mcw) ->
+          let label = Printf.sprintf "n=%d min_chunk_work=%d" n mcw in
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          let calls = Atomic.make 0 in
+          let before = Pool.stats () in
+          Pool.run_range ~min_chunk_work:mcw p n (fun lo hi ->
+              Atomic.incr calls;
+              (* One slow chunk: the others must not wait on it for work. *)
+              if lo <= n / 2 && n / 2 < hi then Unix.sleepf 0.002;
+              for i = lo to hi - 1 do
+                Atomic.incr hits.(i)
+              done);
+          let after = Pool.stats () in
+          Alcotest.(check (array int)) (label ^ ": each index exactly once")
+            (Array.make n 1) (Array.map Atomic.get hits);
+          (* Ranges below the cutoff run as one inline call, outside the
+             chunk counter; every parallel chunk is one body call. *)
+          let want_chunks = if n < mcw then 0 else Atomic.get calls in
+          if n < mcw then
+            Alcotest.(check int) (label ^ ": inline call") 1 (Atomic.get calls);
+          Alcotest.(check int) (label ^ ": body calls = chunks delta")
+            want_chunks (after.Pool.chunks - before.Pool.chunks))
+        (List.concat_map
+           (fun n -> List.map (fun mcw -> (n, mcw)) [ 1; 7; 64 ])
+           [ 1; 63; 64; 65; 1000; 4097 ]))
+
+let test_pool_concurrent_callers () =
+  (* Serve workers share the global pool from several systhreads, so one
+     pool must serve concurrent callers: each call covers its own indices
+     exactly once and returns. *)
+  Pool.with_pool ~jobs:3 (fun p ->
+      let caller () =
+        let ok = ref true in
+        for round = 1 to 200 do
+          let n = 50 + round in
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          Pool.run_range ~min_chunk_work:1 p n (fun lo hi ->
+              for i = lo to hi - 1 do
+                Atomic.incr hits.(i)
+              done);
+          if Array.exists (fun h -> Atomic.get h <> 1) hits then ok := false
+        done;
+        !ok
+      in
+      let results = Array.make 2 false in
+      let threads =
+        List.init 2 (fun k ->
+            Thread.create (fun () -> results.(k) <- caller ()) ())
+      in
+      let d = Domain.spawn caller in
+      List.iter Thread.join threads;
+      let domain_ok = Domain.join d in
+      Alcotest.(check (array bool)) "systhread callers" [| true; true |]
+        results;
+      Alcotest.(check bool) "domain caller" true domain_ok)
 
 let test_pool_global_and_stats () =
   let saved = Pool.jobs () in
@@ -560,7 +612,7 @@ let test_pool_global_and_stats () =
         (Pool.effective_jobs ());
       let p = Pool.get () in
       Alcotest.(check int) "global pool size" clamped (Pool.size p);
-      ignore (Pool.init p 10_000 (fun i -> i land 7));
+      ignore (Pool.init ~min_chunk_work:32 p 10_000 (fun i -> i land 7));
       let after = Pool.stats () in
       Alcotest.(check int) "domains snapshot" clamped after.Pool.domains)
 
@@ -570,7 +622,7 @@ let test_pool_stats_counters () =
   Pool.with_pool ~jobs:3 (fun p ->
       Alcotest.(check int) "explicit pool unclamped" 3 (Pool.size p);
       let before = Pool.stats () in
-      ignore (Pool.init p 10_000 (fun i -> i land 7));
+      ignore (Pool.init ~min_chunk_work:32 p 10_000 (fun i -> i land 7));
       let after = Pool.stats () in
       Alcotest.(check bool) "jobs counter grows" true
         (after.Pool.jobs > before.Pool.jobs);
@@ -584,15 +636,14 @@ let test_pool_stats_counters () =
 
 let test_pool_min_chunk_work () =
   Pool.with_pool ~jobs:4 (fun p ->
-      let a = Array.init 2000 (fun i -> i) in
-      let want = Array.map succ a in
+      let want = Array.init 2000 succ in
       (* Results are bit-identical whatever the cutoff. *)
       List.iter
         (fun mcw ->
           Alcotest.(check (array int))
             (Printf.sprintf "min_chunk_work=%d" mcw)
             want
-            (Pool.map_array ~min_chunk_work:mcw p succ a))
+            (Pool.init ~min_chunk_work:mcw p 2000 succ))
         [ 1; 64; 512; 5000 ];
       (* Ranges shorter than the cutoff run inline: no pool job counted. *)
       let before = Pool.stats () in
@@ -605,8 +656,8 @@ let test_pool_shutdown_idempotent () =
   let p = Pool.create ~domains:2 () in
   Pool.shutdown p;
   Pool.shutdown p;
-  Alcotest.(check (list int)) "sequential after shutdown" [ 2; 3 ]
-    (Pool.map p succ [ 1; 2 ])
+  Alcotest.(check (array int)) "sequential after shutdown" [| 2; 3 |]
+    (Pool.init ~min_chunk_work:1 p 2 (fun i -> i + 2))
 
 (* --- Once ----------------------------------------------------------------- *)
 
@@ -868,10 +919,10 @@ let () =
           Alcotest.test_case "empty" `Quick test_parallel_empty;
           Alcotest.test_case "default domains" `Quick test_default_domains ] );
       ( "pool",
-        [ Alcotest.test_case "map matches sequential" `Quick
-            test_pool_map_matches_sequential;
-          Alcotest.test_case "map_array and init" `Quick
-            test_pool_map_array_and_init;
+        [ Alcotest.test_case "init matches sequential" `Quick
+            test_pool_init_matches_sequential;
+          Alcotest.test_case "init float cells" `Quick
+            test_pool_init_float_cells;
           Alcotest.test_case "empty and singleton" `Quick
             test_pool_empty_singleton;
           Alcotest.test_case "exception propagation" `Quick test_pool_exception;
@@ -879,6 +930,8 @@ let () =
             test_pool_nested_sequential;
           Alcotest.test_case "run_range covers once" `Quick
             test_pool_run_range_covers;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_pool_concurrent_callers;
           Alcotest.test_case "global pool and stats" `Quick
             test_pool_global_and_stats;
           Alcotest.test_case "stats counters" `Quick test_pool_stats_counters;
@@ -896,9 +949,11 @@ let () =
           [ prop_percentile_bounded; prop_pearson_bounded;
             prop_shuffle_multiset; prop_dedup_sorted; prop_geomean_between;
             prop_weighted_sampler_linear; prop_idsort_array_sort;
-            QCheck.Test.make ~count:50 ~name:"parallel map = map"
-              QCheck.(pair (int_range 1 6) (list small_int))
-              (fun (d, l) ->
-                Pool.with_pool ~jobs:d (fun p -> Pool.map p (fun x -> x * 3) l)
-                = List.map (fun x -> x * 3) l);
+            QCheck.Test.make ~count:50 ~name:"parallel init = Array.init"
+              QCheck.(pair (int_range 1 6) (array small_int))
+              (fun (d, a) ->
+                let f i = a.(i) * 3 in
+                Pool.with_pool ~jobs:d (fun p ->
+                    Pool.init ~min_chunk_work:1 p (Array.length a) f)
+                = Array.init (Array.length a) f);
             prop_ranking_stable_sort ] ) ]
